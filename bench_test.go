@@ -434,7 +434,7 @@ func BenchmarkAblationNoEscape(b *testing.B) {
 	}
 }
 
-// BenchmarkEscapeAnalysis isolates the Datalog escape computation.
+// BenchmarkEscapeAnalysis isolates the escape analysis (Mms).
 func BenchmarkEscapeAnalysis(b *testing.B) {
 	m := phaseApp(b)
 	b.ResetTimer()

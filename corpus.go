@@ -30,10 +30,11 @@ type CorpusResult struct {
 
 // CorpusOptions configures a corpus sweep.
 type CorpusOptions struct {
-	// Analysis is applied to every app. Leaving Analysis.Workers at 0
-	// while setting a corpus-level Workers > 1 is the usual configuration:
-	// coarse-grained parallelism across independent apps beats splitting
-	// each app's phases when there are more apps than cores.
+	// Analysis is applied to every app. When more than one app runs at a
+	// time, Analysis.Workers 0 means one worker per app: coarse-grained
+	// parallelism across independent apps already fills the cores, and
+	// splitting each app's phases on top of it only adds scheduling
+	// delay.
 	Analysis Options
 	// Workers bounds the number of apps analyzed concurrently.
 	// 0 selects GOMAXPROCS; 1 forces a sequential sweep.
@@ -82,6 +83,9 @@ func AnalyzeCorpusContext(ctx context.Context, apps []CorpusApp, opts CorpusOpti
 				}
 				pkg := app.Build()
 				aopts := opts.Analysis
+				if aopts.Workers == 0 && workers > 1 {
+					aopts.Workers = 1
+				}
 				// The IR digest is per-app; derive it from the canonical
 				// dexasm rendering so corpus sweeps share cache entries
 				// with CLI and service runs of the same program.

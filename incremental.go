@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nadroid/internal/apk"
-	"nadroid/internal/escape"
 	"nadroid/internal/incr"
 	"nadroid/internal/ircache"
 	"nadroid/internal/obs"
@@ -26,9 +25,6 @@ import (
 //     reused partition depends on;
 //   - the points-to snapshot of the base run is restored whenever the
 //     solver-visible projection of the program is unchanged;
-//   - the escape analysis retracts the fact partitions of changed
-//     threads and re-derives only those from deltas on the semi-naive
-//     Datalog engine (escape.AnalyzeIncremental);
 //   - per-thread access partitions are replayed when their digests
 //     match.
 //
@@ -46,8 +42,8 @@ const (
 	// DispositionWarm marks a run restored from the cold-start blob.
 	DispositionWarm = "ircache-warm"
 	// DispositionIncremental marks a run that reused at least one
-	// partition (points-to snapshot, escape facts, or accesses) from a
-	// base run via the diff pipeline.
+	// partition (points-to snapshot or accesses) from a base run via the
+	// diff pipeline.
 	DispositionIncremental = "incremental"
 )
 
@@ -139,21 +135,14 @@ func loadBaseSnapshot(ctx context.Context, digest string, k int, opts Options) *
 	return dec.Model.PTS.Snapshot()
 }
 
-// maxDirtyFraction is the cutoff beyond which delta-driven escape
-// evaluation stops paying: with most partitions retracted, the
-// whole-relation rebuild (AnalyzeDetailed) is cheaper than retraction
-// bookkeeping.
-const maxDirtyFraction = 0.5
-
 // prepareIncremental is the incremental modeling phase: it builds the
 // threadified model (restoring the base points-to snapshot when its
-// gate passes), then assembles the escape result and the access set
-// from a mix of replayed base partitions and fresh delta computation.
-// It always returns a usable (model, escape, accesses) triple — with
-// no anchor every part is computed cold — plus the new partition for
-// persistResult to store. The returned escape result and access set
-// are identical to what a cold run computes; only the work differs.
-func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*threadify.Model, *escape.Result, *incrRun, error) {
+// gate passes), then assembles the access set from a mix of replayed
+// base partitions and fresh collection. It always returns a usable
+// model and access set — with no anchor both are computed cold — plus
+// the new partition for saveIncrPartition to store. The access set is
+// identical to what a cold run collects; only the work differs.
+func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*threadify.Model, *incrRun, error) {
 	log := obs.Logger(ctx)
 	k := normalizeK(opts.K)
 
@@ -185,14 +174,13 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 	}
 	model, err := threadify.BuildContext(ctx, pkg, topts)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if !ptsReused {
 		obs.Add(ctx, "incr_pointsto_nodes_resolved", int64(model.PTS.Stats().MCtxs))
 	}
 
 	_, span = obs.Start(ctx, "incr.thread-sigs")
-	heap := incr.HeapDigest(model.PTS)
 	sigs := make([]incr.ThreadSig, len(model.Threads))
 	for t := range model.Threads {
 		sigs[t] = incr.ThreadSignature(model, t, methods)
@@ -201,64 +189,12 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 
 	baseThreads := make(map[int]*incr.Thread)
 	structOK := false
-	heapOK := false
 	if base != nil {
 		structOK = base.partition.Structure == structure
-		heapOK = structOK && base.partition.Heap == heap
 		for i := range base.partition.Threads {
 			t := &base.partition.Threads[i]
 			baseThreads[t.ID] = t
 		}
-	}
-
-	// Escape: replay the Reach partitions of threads whose root digest
-	// matches under an unchanged heap, retract the rest, and re-derive
-	// only the dirty threads from deltas.
-	var esc *escape.Result
-	var detail *escape.Detail
-	escReused := false
-	if heapOK {
-		in := escape.IncrementalInput{
-			CleanReach: make(map[int][]pointsto.ObjID),
-			StaleReach: make(map[int][]pointsto.ObjID),
-			Statics:    incr.I32ToObjs(base.partition.Statics),
-			Workers:    opts.Workers,
-		}
-		nonDummy := 0
-		for t := range model.Threads {
-			if sigs[t].Dummy {
-				continue
-			}
-			nonDummy++
-			bt := baseThreads[t]
-			if bt != nil && !bt.Dummy && bt.RootDigest == sigs[t].Root {
-				in.CleanReach[t] = incr.I32ToObjs(bt.Reach)
-				continue
-			}
-			in.Dirty = append(in.Dirty, t)
-			if bt != nil && !bt.Dummy {
-				in.StaleReach[t] = incr.I32ToObjs(bt.Reach)
-			}
-		}
-		if nonDummy > 0 && float64(len(in.Dirty)) <= maxDirtyFraction*float64(nonDummy) {
-			_, span = obs.Start(ctx, "incr.escape-delta")
-			var st escape.IncrementalStats
-			esc, detail, st = escape.AnalyzeIncremental(model, in)
-			span.SetAttr("dirty", len(in.Dirty))
-			span.SetAttr("clean", len(in.CleanReach))
-			span.End()
-			obs.Add(ctx, "incr_facts_retracted", int64(st.Retracted))
-			obs.Add(ctx, "incr_facts_asserted", int64(st.Asserted))
-			escReused = true
-		} else {
-			log.Info("incremental: dirty fraction too high, rebuilding escape",
-				"dirty", len(in.Dirty), "threads", nonDummy)
-		}
-	}
-	if esc == nil {
-		_, span = obs.Start(ctx, "escape.analyze")
-		esc, detail = escape.AnalyzeDetailed(model, escape.Options{Workers: opts.Workers})
-		span.End()
 	}
 
 	// Accesses: replay per-thread partitions whose access digest
@@ -291,25 +227,21 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 		Methods:   methods,
 		Structure: structure,
 		PtsProj:   ptsProj,
-		Heap:      heap,
-		Statics:   incr.ObjsToI32(detail.Statics),
 	}
 	for t := range model.Threads {
 		part.Threads = append(part.Threads, incr.Thread{
-			ID:         t,
-			Dummy:      sigs[t].Dummy,
-			RootDigest: sigs[t].Root,
-			AccDigest:  sigs[t].Acc,
-			Reach:      incr.ObjsToI32(detail.Reach[t]),
-			Acc:        incr.FromRaceAccesses(perThread[t]),
+			ID:        t,
+			Dummy:     sigs[t].Dummy,
+			AccDigest: sigs[t].Acc,
+			Acc:       incr.FromRaceAccesses(perThread[t]),
 		})
 	}
 
 	inc := &incrRun{disposition: DispositionCold, accesses: accesses, partition: part}
-	if ptsReused || escReused || accReusedThreads > 0 {
+	if ptsReused || accReusedThreads > 0 {
 		inc.disposition = DispositionIncremental
 	}
-	return model, esc, inc, nil
+	return model, inc, nil
 }
 
 // saveIncrPartition persists the run's fact partition next to its

@@ -111,8 +111,8 @@ func (dc *Context) AddRulesOnce(name string, fn func(e *datalog.Engine)) {
 
 // Options tunes context construction.
 type Options struct {
-	// Workers bounds the escape analysis and Datalog worker pools
-	// (0 = GOMAXPROCS). Results are identical for any setting.
+	// Workers bounds the Datalog worker pool (0 = GOMAXPROCS). Results
+	// are identical for any setting.
 	Workers int
 	// Provenance switches the shared Datalog engine into derivation
 	// recording mode before the fact base is loaded, so every derived
@@ -120,8 +120,7 @@ type Options struct {
 	Provenance bool
 	// Escape, when non-nil, is a precomputed thread-escape result (e.g.
 	// restored from the cold-start cache) that BuildContext uses instead
-	// of running the escape Datalog solve — the most expensive part of
-	// context construction.
+	// of running the escape analysis.
 	Escape *escape.Result
 	// Accesses, when non-nil, is a precomputed access set (identical to
 	// what race.CollectAccesses would return — the incremental pipeline
@@ -147,7 +146,7 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 	esc := opts.Escape
 	if esc == nil {
 		_, span = obs.Start(ctx, "escape.analyze")
-		esc = escape.AnalyzeWith(m, escape.Options{Workers: opts.Workers})
+		esc = escape.Analyze(m)
 		span.End()
 	}
 

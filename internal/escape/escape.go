@@ -4,421 +4,214 @@
 // Chord's race detector uses the same notion to discard thread-local
 // accesses (§5).
 //
-// The analysis is expressed in Datalog, as in the paper's Chord build:
+// Chord states the analysis in Datalog:
 //
 //	Reach(t, h)  :- Root(t, h)
 //	Reach(t, h2) :- Reach(t, h1), HeapPT(h1, f, h2)
 //	Reach(t, h)  :- Touches(t), StaticPT(h)   (statics are global)
+//	StaticPT(h2) :- StaticPT(h1), HeapPT(h1, f, h2)
 //	Escapes(h)   :- Reach(t1, h), Reach(t2, h), t1 != t2
+//
+// Here the same fixpoint is a graph search over points-to bitsets: the
+// closed static set is one search of the heap graph from the static
+// seeds, each thread's Reach row is a search from its roots on top of
+// that set, and Escapes(h) holds when at least two rows contain h. The
+// rules above remain as the test oracle (oracle_test.go).
 package escape
 
 import (
-	"sort"
-
-	"nadroid/internal/datalog"
 	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
 
-// Options tunes the analysis.
-type Options struct {
-	// Workers bounds the Datalog engine's per-round worker pool
-	// (0 = GOMAXPROCS). Results are identical for any setting.
-	Workers int
-}
+// Options is the option set AnalyzeWith takes. The search has no
+// tuning knobs, so it is empty.
+type Options struct{}
 
-// Result maps object IDs to their escape status.
+// Result is the escape status of every abstract object: how many
+// threads reach it.
 type Result struct {
-	escaped map[pointsto.ObjID]bool
-	// reachers counts how many threads reach each object (diagnostics).
-	reachers map[pointsto.ObjID]int
+	// reachers[o] is the number of threads that reach object o.
+	reachers []int32
 }
 
 // Escaped reports whether obj is reachable from two or more threads.
-func (r *Result) Escaped(obj pointsto.ObjID) bool { return r.escaped[obj] }
+func (r *Result) Escaped(obj pointsto.ObjID) bool { return r.ReacherCount(obj) >= 2 }
 
 // ReacherCount returns how many threads reach obj.
-func (r *Result) ReacherCount(obj pointsto.ObjID) int { return r.reachers[obj] }
+func (r *Result) ReacherCount(obj pointsto.ObjID) int {
+	if obj < 0 || int(obj) >= len(r.reachers) {
+		return 0
+	}
+	return int(r.reachers[obj])
+}
 
-// Snapshot flattens the result for serialization: one row per object
-// with a recorded reacher count, escaped derived per row. The order is
-// unspecified; FromSnapshot rebuilds an equivalent Result.
+// Snapshot flattens the result for serialization: one row per object in
+// ID order, with its reacher count and escape status.
 func (r *Result) Snapshot() (objs []pointsto.ObjID, reachers []int, escaped []bool) {
-	for o, n := range r.reachers {
-		objs = append(objs, o)
-		reachers = append(reachers, n)
-		escaped = append(escaped, r.escaped[o])
+	n := len(r.reachers)
+	objs, reachers, escaped = make([]pointsto.ObjID, n), make([]int, n), make([]bool, n)
+	for o, c := range r.reachers {
+		objs[o], reachers[o], escaped[o] = pointsto.ObjID(o), int(c), c >= 2
 	}
 	return objs, reachers, escaped
 }
 
-// FromSnapshot rebuilds a Result from Snapshot's parallel slices.
-func FromSnapshot(objs []pointsto.ObjID, reachers []int, escaped []bool) *Result {
-	r := &Result{
-		escaped:  make(map[pointsto.ObjID]bool, len(objs)),
-		reachers: make(map[pointsto.ObjID]int, len(objs)),
-	}
+// FromSnapshot rebuilds a Result from Snapshot's object and reacher
+// columns; escape status follows from the counts. Snapshot numbers its
+// rows 0..n-1, so a row naming an object outside that range is dropped.
+func FromSnapshot(objs []pointsto.ObjID, reachers []int) *Result {
+	r := &Result{reachers: make([]int32, len(objs))}
 	for i, o := range objs {
-		r.reachers[o] = reachers[i]
-		if escaped[i] {
-			r.escaped[o] = true
+		if o >= 0 && int(o) < len(objs) {
+			r.reachers[o] = int32(reachers[i])
 		}
 	}
 	return r
 }
 
 // Analyze computes escape facts for every abstract object in the model.
-func Analyze(m *threadify.Model) *Result { return AnalyzeWith(m, Options{}) }
+func Analyze(m *threadify.Model) *Result {
+	return countReachers(len(m.PTS.Objects()), reachRows(m))
+}
 
 // AnalyzeWith is Analyze with explicit options.
-func AnalyzeWith(m *threadify.Model, opts Options) *Result {
-	e := solvedEngine(m, opts)
-	pts := m.PTS
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	res := &Result{
-		escaped:  make(map[pointsto.ObjID]bool),
-		reachers: make(map[pointsto.ObjID]int),
-	}
-	for id := range pts.Objects() {
-		o := pointsto.ObjID(id)
-		sym := objSym(o)
-		if e.Has("Escapes", sym) {
-			res.escaped[o] = true
-		}
-		res.reachers[o] = len(e.Query("Reach", datalog.Wild, sym))
-	}
-	return res
-}
+func AnalyzeWith(m *threadify.Model, _ Options) *Result { return Analyze(m) }
 
-// solvedEngine builds the escape engine — root, heap, and static facts
-// plus the reach/escape rules — and runs it to fixpoint.
-func solvedEngine(m *threadify.Model, opts Options) *datalog.Engine {
-	e := datalog.NewEngine()
-	e.SetWorkers(opts.Workers)
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
-
-	// Roots: for each thread, every object any reachable variable points
-	// to (including the entry receiver, bound to `this` during the
-	// solve). We enumerate var points-to sets via the per-context
-	// reachable methods.
-	pts := m.PTS
+// reachRows returns every thread's Reach row, indexed by thread ID; the
+// rows of dummy-main threads are empty.
+func reachRows(m *threadify.Model) []pointsto.Bitset {
+	s := &solver{succ: heapGraph(m.PTS)}
+	statics := s.closure(nil, staticSeedSet(m.PTS))
+	roots := rootSets{m: m, memo: make(map[threadify.MCtx]pointsto.Bitset)}
+	rows := make([]pointsto.Bitset, len(m.Threads))
 	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		for _, o := range RootObjs(m, th.ID) {
-			e.Fact("Root", thrSym(th.ID), objSym(o))
-		}
-		e.Fact("Touches", thrSym(th.ID))
-	}
-
-	// Heap edges.
-	for _, edge := range HeapEdges(pts) {
-		e.Fact("HeapPT", objSym(edge.Src), e.Sym("f:"+edge.Field), objSym(edge.Dst))
-	}
-
-	// Static fields are globally reachable.
-	for _, o := range StaticSeeds(pts) {
-		e.Fact("StaticPT", objSym(o))
-	}
-
-	installReachRules(e)
-	e.MustRule("Escapes(h) :- Reach(t1, h), Reach(t2, h), t1 != t2")
-	e.Run()
-	return e
-}
-
-// installReachRules installs the reach-closure subset of the escape
-// rules — everything except the Escapes self-join, which the
-// incremental combiner replaces with per-object reacher counting.
-func installReachRules(e *datalog.Engine) {
-	e.MustRule("Reach(t, h) :- Root(t, h)")
-	e.MustRule("Reach(t, h2) :- Reach(t, h1), HeapPT(h1, f, h2)")
-	e.MustRule("Reach(t, h) :- Touches(t), StaticPT(h)")
-	e.MustRule("StaticPT(h2) :- StaticPT(h1), HeapPT(h1, f, h2)")
-}
-
-// RootObjs enumerates a thread's root objects in deterministic fact
-// order: every object any register of any reachable method context
-// points to. The same enumeration seeds the engine's Root facts, so
-// digests over it gate partition reuse exactly.
-func RootObjs(m *threadify.Model, thread int) []pointsto.ObjID {
-	pts := m.PTS
-	var out []pointsto.ObjID
-	for mc := range m.Reach(thread) {
-		mth, err := m.H.MethodByRef(mc.Method)
-		if err != nil || mth.Abstract {
-			continue
-		}
-		for reg := 0; reg < mth.NumRegs; reg++ {
-			out = append(out, pts.PointsTo(mc.Method, mc.Recv, reg)...)
+		if th.Kind != threadify.KindDummyMain {
+			rows[th.ID] = s.closure(statics, roots.thread(th.ID))
 		}
 	}
-	return out
+	return rows
 }
 
-// HeapEdge is one points-to heap edge: Src.Field may point to Dst.
-type HeapEdge struct {
-	Src   pointsto.ObjID
-	Field string
-	Dst   pointsto.ObjID
-}
-
-// HeapEdges enumerates every heap points-to edge in deterministic
-// order (object ID, then declared-field order up the hierarchy).
-func HeapEdges(pts *pointsto.Result) []HeapEdge {
-	var out []HeapEdge
-	for id := range pts.Objects() {
-		o := pointsto.ObjID(id)
-		for _, f := range fieldsOf(pts, o) {
-			for _, o2 := range pts.FieldPointsTo(o, f) {
-				out = append(out, HeapEdge{Src: o, Field: f, Dst: o2})
-			}
-		}
-	}
-	return out
-}
-
-// StaticSeeds enumerates the objects held by static fields — the seed
-// set of the StaticPT relation, before heap closure — in deterministic
-// declaration order.
-func StaticSeeds(pts *pointsto.Result) []pointsto.ObjID {
-	var out []pointsto.ObjID
-	for _, f := range staticFieldsOf(pts) {
-		out = append(out, pts.StaticPointsTo(f)...)
-	}
-	return out
-}
-
-// Detail carries the factored reach state AnalyzeDetailed extracts
-// alongside the Result: per-thread reach rows and the closed static
-// set. These are the per-thread fact partitions the incremental
-// pipeline persists and replays.
-type Detail struct {
-	// Reach maps thread ID -> sorted object IDs the thread reaches.
-	// Dummy-main threads are absent.
-	Reach map[int][]pointsto.ObjID
-	// Statics is the sorted closed static-reachable object set (the
-	// StaticPT relation after heap closure).
-	Statics []pointsto.ObjID
-}
-
-// AnalyzeDetailed is AnalyzeWith plus partition extraction: it runs the
-// identical engine and returns the identical Result, along with the
-// per-thread reach rows and closed static set a later incremental run
-// preloads.
-func AnalyzeDetailed(m *threadify.Model, opts Options) (*Result, *Detail) {
-	e := solvedEngine(m, opts)
-	pts := m.PTS
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	res := &Result{
-		escaped:  make(map[pointsto.ObjID]bool),
-		reachers: make(map[pointsto.ObjID]int),
-	}
-	for id := range pts.Objects() {
-		o := pointsto.ObjID(id)
-		sym := objSym(o)
-		if e.Has("Escapes", sym) {
-			res.escaped[o] = true
-		}
-		res.reachers[o] = len(e.Query("Reach", datalog.Wild, sym))
-	}
-	det := &Detail{Reach: make(map[int][]pointsto.ObjID)}
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		det.Reach[th.ID] = reachRow(e, e.IntSym('t', th.ID))
-	}
-	for _, row := range e.Query("StaticPT", datalog.Wild) {
-		if _, v, ok := e.IntSymVal(row[0]); ok {
-			det.Statics = append(det.Statics, pointsto.ObjID(v))
-		}
-	}
-	sort.Slice(det.Statics, func(i, j int) bool { return det.Statics[i] < det.Statics[j] })
-	return res, det
-}
-
-// reachRow extracts one thread's sorted reach set from the engine.
-func reachRow(e *datalog.Engine, thr datalog.Sym) []pointsto.ObjID {
-	rows := e.Query("Reach", thr, datalog.Wild)
-	out := make([]pointsto.ObjID, 0, len(rows))
+// countReachers counts, for each of objs objects, the rows containing it.
+func countReachers(objs int, rows []pointsto.Bitset) *Result {
+	r := &Result{reachers: make([]int32, objs)}
 	for _, row := range rows {
-		if _, v, ok := e.IntSymVal(row[1]); ok {
-			out = append(out, pointsto.ObjID(v))
+		row.ForEach(func(o pointsto.ObjID) { r.reachers[o]++ })
+	}
+	return r
+}
+
+// solver searches the heap graph: succ[o] holds every object some
+// instance field of o may point to. stack is scratch space reused
+// across searches.
+type solver struct {
+	succ  []pointsto.Bitset
+	stack []pointsto.ObjID
+}
+
+// closure returns base plus every object reachable from seeds, as a new
+// set. base must be closed under the heap graph, so the search never
+// expands its members again.
+func (s *solver) closure(base, seeds pointsto.Bitset) pointsto.Bitset {
+	out := base.Clone()
+	stack := s.stack[:0]
+	push := func(o pointsto.ObjID) {
+		if out.Add(o) {
+			stack = append(stack, o)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	seeds.ForEach(push)
+	for len(stack) > 0 {
+		o := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		s.succ[o].ForEach(push)
+	}
+	s.stack = stack
 	return out
 }
 
-// IncrementalInput is the reusable state a previous run's partitions
-// provide to AnalyzeIncremental. The caller is responsible for the
-// reuse gates: CleanReach rows must be the exact fixpoint rows the
-// current model would derive for those threads (root-digest match) and
-// Statics must be the closed static set under an identical heap.
-type IncrementalInput struct {
-	// CleanReach maps surviving thread ID -> its base-run reach rows.
-	CleanReach map[int][]pointsto.ObjID
-	// StaleReach maps dirty or removed thread ID -> its base-run reach
-	// rows. They are preloaded and then retracted, exercising the
-	// partition-retraction path; threads absent from the base run
-	// simply have no entry.
-	StaleReach map[int][]pointsto.ObjID
-	// Statics is the base run's closed static-reachable set.
-	Statics []pointsto.ObjID
-	// Dirty lists the thread IDs whose reach must be recomputed (every
-	// current non-dummy thread not covered by CleanReach).
-	Dirty []int
-	// Workers bounds the Datalog engine's worker pool.
-	Workers int
+// heapGraph builds every object's successor set: succ[o] is the union
+// of the points-to sets of o's instance fields.
+func heapGraph(pts *pointsto.Result) []pointsto.Bitset {
+	succ := make([]pointsto.Bitset, len(pts.Objects()))
+	eachFieldSet(pts, func(o pointsto.ObjID, _ string, set pointsto.Bitset) {
+		succ[o].Or(set)
+	})
+	return succ
 }
 
-// IncrementalStats counts the delta work an incremental solve did.
-type IncrementalStats struct {
-	// Retracted is the number of fact-partition rows removed.
-	Retracted int
-	// Asserted is the number of fresh delta facts asserted.
-	Asserted int
-	// Engine is the underlying Datalog engine's counters.
-	Engine datalog.Stats
+// staticSeedSet is the union of every static field's points-to set:
+// the seeds of StaticPT, before heap closure.
+func staticSeedSet(pts *pointsto.Result) pointsto.Bitset {
+	var seeds pointsto.Bitset
+	for _, f := range staticFieldsOf(pts) {
+		seeds.Or(pts.StaticSet(f))
+	}
+	return seeds
 }
 
-// AnalyzeIncremental recomputes escape facts from a previous run's
-// partitions: clean threads' reach rows are preloaded below the engine
-// fixpoint, dirty partitions are retracted, fresh root facts for the
-// dirty threads are asserted as the delta, and the semi-naive engine
-// derives only what changed. The Escapes self-join — the dominant cost
-// of the cold solve — is replaced by counting reachers per object,
-// which is equivalent by definition (an object escapes iff two distinct
-// threads reach it).
-//
-// The Result and Detail are identical to AnalyzeDetailed's on the same
-// model whenever the IncrementalInput contract holds.
-func AnalyzeIncremental(m *threadify.Model, in IncrementalInput) (*Result, *Detail, IncrementalStats) {
-	var stats IncrementalStats
-	e := datalog.NewEngine()
-	e.SetWorkers(in.Workers)
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
-	pts := m.PTS
-
-	// Preload the reusable fixpoint: heap edges (digest-matched, so
-	// identical to the base run's), the closed static set, clean
-	// threads' reach rows and Touches marks, and the stale partitions
-	// about to be retracted.
-	for _, edge := range HeapEdges(pts) {
-		e.Fact("HeapPT", objSym(edge.Src), e.Sym("f:"+edge.Field), objSym(edge.Dst))
-	}
-	for _, o := range in.Statics {
-		e.Fact("StaticPT", objSym(o))
-	}
-	dirty := make(map[int]bool, len(in.Dirty))
-	for _, t := range in.Dirty {
-		dirty[t] = true
-	}
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain || dirty[th.ID] {
-			continue
-		}
-		for _, o := range in.CleanReach[th.ID] {
-			e.Fact("Reach", thrSym(th.ID), objSym(o))
-		}
-		e.Fact("Touches", thrSym(th.ID))
-	}
-	staleThreads := make([]int, 0, len(in.StaleReach))
-	for t := range in.StaleReach {
-		staleThreads = append(staleThreads, t)
-	}
-	sort.Ints(staleThreads)
-	for _, t := range staleThreads {
-		for _, o := range in.StaleReach[t] {
-			e.Fact("Reach", thrSym(t), objSym(o))
-		}
-	}
-
-	installReachRules(e)
-	e.MarkFixpoint()
-
-	// Retract the invalidated partitions, then assert the fresh root
-	// facts of the dirty threads — the sole delta the Run sees.
-	for _, t := range staleThreads {
-		stats.Retracted += e.RetractWhere("Reach", 0, thrSym(t))
-	}
-	before := e.Stats().Facts
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain || !dirty[th.ID] {
-			continue
-		}
-		for _, o := range RootObjs(m, th.ID) {
-			e.Fact("Root", thrSym(th.ID), objSym(o))
-		}
-		e.Fact("Touches", thrSym(th.ID))
-	}
-	stats.Asserted = e.Stats().Facts - before
-	e.Run()
-	stats.Engine = e.Stats()
-
-	// Combine: clean rows pass through, dirty rows come off the engine,
-	// and escape status falls out of per-object reacher counts.
-	det := &Detail{Reach: make(map[int][]pointsto.ObjID)}
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		if dirty[th.ID] {
-			det.Reach[th.ID] = reachRow(e, thrSym(th.ID))
-		} else {
-			det.Reach[th.ID] = in.CleanReach[th.ID]
-		}
-	}
-	for _, row := range e.Query("StaticPT", datalog.Wild) {
-		if _, v, ok := e.IntSymVal(row[0]); ok {
-			det.Statics = append(det.Statics, pointsto.ObjID(v))
-		}
-	}
-	sort.Slice(det.Statics, func(i, j int) bool { return det.Statics[i] < det.Statics[j] })
-	return resultFromReach(len(pts.Objects()), det.Reach), det, stats
+// rootSets enumerates thread roots: every object any register of any
+// reachable method context points to. Threads share most of their
+// contexts, so each context's register union is computed once.
+type rootSets struct {
+	m    *threadify.Model
+	memo map[threadify.MCtx]pointsto.Bitset
 }
 
-// resultFromReach derives the escape Result from per-thread reach
-// sets: an object's reacher count is the number of threads whose set
-// contains it, and it escapes when that count is at least two —
-// exactly what the Escapes Datalog rule derives.
-func resultFromReach(numObjs int, reach map[int][]pointsto.ObjID) *Result {
-	counts := make([]int, numObjs)
-	for _, objs := range reach {
-		for _, o := range objs {
-			if int(o) < numObjs {
-				counts[o]++
-			}
+// thread returns the root set of thread t.
+func (r *rootSets) thread(t int) pointsto.Bitset {
+	var out pointsto.Bitset
+	for mc := range r.m.Reach(t) {
+		set, ok := r.memo[mc]
+		if !ok {
+			set = r.context(mc)
+			r.memo[mc] = set
 		}
+		out.Or(set)
 	}
-	res := &Result{
-		escaped:  make(map[pointsto.ObjID]bool),
-		reachers: make(map[pointsto.ObjID]int, numObjs),
-	}
-	for o := 0; o < numObjs; o++ {
-		res.reachers[pointsto.ObjID(o)] = counts[o]
-		if counts[o] >= 2 {
-			res.escaped[pointsto.ObjID(o)] = true
-		}
-	}
-	return res
+	return out
 }
 
-// fieldsOf enumerates field names with recorded pointees on o. The
-// points-to result has no direct field-name index, so we consult the
-// class's declared fields up the hierarchy.
-func fieldsOf(pts *pointsto.Result, o pointsto.ObjID) []string {
-	// FieldPointsTo on arbitrary names returns empty sets, so probing
-	// declared fields is sufficient and cheap.
+// context unions the register points-to sets of one method context;
+// abstract and unresolvable methods contribute nothing.
+func (r *rootSets) context(mc threadify.MCtx) pointsto.Bitset {
+	mth, err := r.m.H.MethodByRef(mc.Method)
+	if err != nil || mth.Abstract {
+		return nil
+	}
+	var set pointsto.Bitset
+	for reg := 0; reg < mth.NumRegs; reg++ {
+		set.Or(r.m.PTS.VarSet(mc.Method, mc.Recv, reg))
+	}
+	return set
+}
+
+// eachFieldSet visits the points-to set of every (object, instance
+// field) pair in object-ID order, then declared-field order up the
+// class hierarchy. The points-to result has no per-object field index,
+// so the declared fields are probed; they are listed once per class.
+func eachFieldSet(pts *pointsto.Result, fn func(o pointsto.ObjID, field string, set pointsto.Bitset)) {
+	fields := make(map[string][]string)
+	for id, obj := range pts.Objects() {
+		names, ok := fields[obj.Class]
+		if !ok {
+			names = fieldsOf(pts, obj.Class)
+			fields[obj.Class] = names
+		}
+		o := pointsto.ObjID(id)
+		for _, f := range names {
+			fn(o, f, pts.FieldSet(o, f))
+		}
+	}
+}
+
+// fieldsOf lists the instance fields declared by class and its supers.
+func fieldsOf(pts *pointsto.Result, class string) []string {
 	var names []string
-	obj := pts.Obj(o)
-	h := pts.Hierarchy()
-	for cur := obj.Class; cur != ""; {
-		c := h.Program().Class(cur)
+	prog := pts.Hierarchy().Program()
+	for cur := class; cur != ""; {
+		c := prog.Class(cur)
 		if c == nil {
 			break
 		}

@@ -136,3 +136,22 @@ func TestTransitiveHeapEscape(t *testing.T) {
 		t.Error("heap-transitive reachability must mark inner escaped")
 	}
 }
+
+// TestSnapshotRoundTrip rebuilds a result from its snapshot, as the
+// cold-start cache does, with two extra rows a corrupt blob could carry:
+// they name no object and must be dropped, not indexed.
+func TestSnapshotRoundTrip(t *testing.T) {
+	m := buildModel(t)
+	res := Analyze(m)
+	objs, reachers, _ := res.Snapshot()
+	back := FromSnapshot(append(objs, -1, 1<<30), append(reachers, 7, 7))
+	for o := range objs {
+		id := pointsto.ObjID(o)
+		if back.ReacherCount(id) != res.ReacherCount(id) || back.Escaped(id) != res.Escaped(id) {
+			t.Fatalf("object %d: rebuilt %d reachers, want %d", o, back.ReacherCount(id), res.ReacherCount(id))
+		}
+	}
+	if back.ReacherCount(-1) != 0 || back.ReacherCount(1<<30) != 0 {
+		t.Fatal("rows naming no object must be dropped")
+	}
+}

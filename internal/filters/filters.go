@@ -38,19 +38,28 @@ type Context struct {
 	D     *uaf.Detection
 	Model *threadify.Model
 	MHB   *hb.Graph
-	Locks *lockset.Result
 	// trustLooperAtomicity is the single-looper assumption of §8.1: two
 	// looper callbacks never preempt each other. Apps with user-created
 	// looper threads break it, downgrading IG/IA to lock-only atomicity.
 	trustLooperAtomicity bool
-	// accIdx resolves (thread, instr, kind) to the access record.
-	accIdx map[accKey]race.Access
-	// cancels caches per-thread cancellation operations (CHB).
-	cancels map[int][]cancelOp
-	// methodCache avoids re-fetching methods; mu guards it because
-	// filters may apply to warnings concurrently.
+	// locks (the must-held lock analysis) and accIdx (which resolves
+	// (thread, instr, kind) to the access record) answer the lock half of
+	// atomicPair. The looper settles most pairs, so both are built on
+	// first need.
+	lockOnce sync.Once
+	locks    *lockset.Result
+	accIdx   map[accKey]race.Access
+	// methodCache avoids re-fetching methods and factsCache re-running
+	// the pattern analyses of a method; mu guards both because filters
+	// may apply to warnings concurrently.
 	mu          sync.Mutex
 	methodCache map[string]*ir.Method
+	factsCache  map[*ir.Method]*methodFacts
+	// cancels and ctxCancels cache the cancellation calls (CHB) in a
+	// thread's and in a method context's code; cancelMu guards them.
+	cancelMu   sync.Mutex
+	cancels    map[int][]cancelOp
+	ctxCancels map[threadify.MCtx][]cancelOp
 }
 
 // Options tunes the filter context.
@@ -93,16 +102,12 @@ func newContextMHB(d *uaf.Detection, opts Options, g *hb.Graph) *Context {
 		D:                    d,
 		Model:                d.Model,
 		MHB:                  g,
-		Locks:                lockset.Analyze(d.Model),
 		trustLooperAtomicity: !opts.MultiLooper,
-		accIdx:               make(map[accKey]race.Access),
-		cancels:              make(map[int][]cancelOp),
 		methodCache:          make(map[string]*ir.Method),
+		factsCache:           make(map[*ir.Method]*methodFacts),
+		cancels:              make(map[int][]cancelOp),
+		ctxCancels:           make(map[threadify.MCtx][]cancelOp),
 	}
-	for _, a := range d.Race.Accesses {
-		ctx.accIdx[accKey{a.Thread, a.Instr, a.Kind}] = a
-	}
-	ctx.indexCancels()
 	return ctx
 }
 
@@ -121,6 +126,23 @@ func (ctx *Context) method(ref string) *ir.Method {
 	ctx.methodCache[ref] = m
 	ctx.mu.Unlock()
 	return m
+}
+
+// facts returns the pattern-analysis facts of mth, computing them on
+// first use: several filters inspect the same use method, and one
+// method often holds the use of several warnings.
+func (ctx *Context) facts(mth *ir.Method) *methodFacts {
+	ctx.mu.Lock()
+	f, ok := ctx.factsCache[mth]
+	ctx.mu.Unlock()
+	if ok {
+		return f
+	}
+	f = newMethodFacts(mth)
+	ctx.mu.Lock()
+	ctx.factsCache[mth] = f
+	ctx.mu.Unlock()
+	return f
 }
 
 // useAccess finds the use-side access of a warning for a thread pair.
@@ -143,60 +165,90 @@ func (ctx *Context) atomicPair(w *uaf.Warning, p uaf.ThreadPair) bool {
 	if ctx.trustLooperAtomicity && tu.Looper && tf.Looper {
 		return true
 	}
+	ctx.lockOnce.Do(ctx.buildLockIndex)
+	if ctx.locks.None() {
+		return false
+	}
 	ua, ok1 := ctx.useAccess(w, p)
 	fa, ok2 := ctx.freeAccess(w, p)
 	if !ok1 || !ok2 {
 		return false
 	}
-	return ctx.Locks.CommonLock(ua.MCtx, ua.Index, fa.MCtx, fa.Index)
+	return ctx.locks.CommonLock(ua.MCtx, ua.Index, fa.MCtx, fa.Index)
 }
 
-// indexCancels scans every thread's reachable code for cancellation API
-// calls (§6.2.1 CHB).
-func (ctx *Context) indexCancels() {
-	m := ctx.Model
-	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
-		}
-		var ops []cancelOp
-		for mc := range m.Reach(th.ID) {
-			mth := ctx.method(mc.Method)
-			if mth == nil || mth.Abstract {
-				continue
+// buildLockIndex runs the lock analysis and, when the program takes
+// locks at all, indexes the accesses.
+func (ctx *Context) buildLockIndex() {
+	ctx.locks = lockset.Analyze(ctx.Model)
+	if ctx.locks.None() {
+		return
+	}
+	ctx.accIdx = make(map[accKey]race.Access, len(ctx.D.Race.Accesses))
+	for _, a := range ctx.D.Race.Accesses {
+		ctx.accIdx[accKey{a.Thread, a.Instr, a.Kind}] = a
+	}
+}
+
+// cancelsOf returns the cancellation API calls in thread t's reachable
+// code (§6.2.1 CHB), scanning each method context once across threads.
+func (ctx *Context) cancelsOf(t int) []cancelOp {
+	ctx.cancelMu.Lock()
+	defer ctx.cancelMu.Unlock()
+	if ops, ok := ctx.cancels[t]; ok {
+		return ops
+	}
+	var ops []cancelOp
+	if ctx.Model.Threads[t].Kind != threadify.KindDummyMain {
+		for mc := range ctx.Model.Reach(t) {
+			mcOps, ok := ctx.ctxCancels[mc]
+			if !ok {
+				mcOps = ctx.cancelOps(mc)
+				ctx.ctxCancels[mc] = mcOps
 			}
-			for _, in := range mth.Instrs {
-				if in.Op != ir.OpInvoke {
-					continue
-				}
-				kind := framework.ClassifyCancel(m.H, in.Callee.Class, in.Callee.Name)
-				if kind == framework.CancelNone {
-					continue
-				}
-				op := cancelOp{kind: kind}
-				switch kind {
-				case framework.CancelFinish:
-					// The finished component: the receiver's class(es).
-					for _, o := range m.PTS.PointsTo(mc.Method, mc.Recv, in.B) {
-						op.component = m.PTS.Obj(o).Class
-					}
-					if op.component == "" {
-						op.component = in.Callee.Class
-					}
-				case framework.CancelUnbindService, framework.CancelUnregisterReceiver:
-					if len(in.Args) > 0 {
-						op.objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.Args[0])
-					}
-				case framework.CancelRemoveCallbacks, framework.CancelTask:
-					op.objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
-				}
-				ops = append(ops, op)
-			}
-		}
-		if len(ops) > 0 {
-			ctx.cancels[th.ID] = ops
+			ops = append(ops, mcOps...)
 		}
 	}
+	ctx.cancels[t] = ops
+	return ops
+}
+
+// cancelOps lists the cancellation calls in one method context.
+func (ctx *Context) cancelOps(mc threadify.MCtx) []cancelOp {
+	m := ctx.Model
+	mth := ctx.method(mc.Method)
+	if mth == nil || mth.Abstract {
+		return nil
+	}
+	var ops []cancelOp
+	for _, in := range mth.Instrs {
+		if in.Op != ir.OpInvoke {
+			continue
+		}
+		kind := framework.ClassifyCancel(m.H, in.Callee.Class, in.Callee.Name)
+		if kind == framework.CancelNone {
+			continue
+		}
+		op := cancelOp{kind: kind}
+		switch kind {
+		case framework.CancelFinish:
+			// The finished component: the receiver's class(es).
+			for _, o := range m.PTS.PointsTo(mc.Method, mc.Recv, in.B) {
+				op.component = m.PTS.Obj(o).Class
+			}
+			if op.component == "" {
+				op.component = in.Callee.Class
+			}
+		case framework.CancelUnbindService, framework.CancelUnregisterReceiver:
+			if len(in.Args) > 0 {
+				op.objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.Args[0])
+			}
+		case framework.CancelRemoveCallbacks, framework.CancelTask:
+			op.objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
+		}
+		ops = append(ops, op)
+	}
+	return ops
 }
 
 // Names of the standard filters, in pipeline order.

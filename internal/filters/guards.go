@@ -6,6 +6,20 @@ import "nadroid/internal/ir"
 // IA, MA, RHB and UR filters: if-guard detection, dominating
 // allocation-store detection, and benign-use classification.
 
+// methodFacts holds the intra-procedural facts the pattern analyses
+// read: value origins, the CFG and its immediate dominators.
+type methodFacts struct {
+	m    *ir.Method
+	oi   *ir.OriginInfo
+	cfg  *ir.CFG
+	idom []int
+}
+
+func newMethodFacts(m *ir.Method) *methodFacts {
+	g := ir.BuildCFG(m)
+	return &methodFacts{m: m, oi: ir.ComputeOrigins(m), cfg: g, idom: g.Dominators()}
+}
+
 // sameBase reports whether the base registers of two field accesses in
 // the same method definitely denote the same object: identical origin
 // (receiver parameter, same load site, or same allocation site).
@@ -26,14 +40,16 @@ func sameBase(oi *ir.OriginInfo, i1, r1, i2, r2 int) bool {
 // isGuardedUse reports whether the use (a getfield/getstatic) at idx is
 // dominated by a null check of the same field on the same base, with no
 // intervening store to that field — the §6.1.2 "if-guard" pattern.
-func isGuardedUse(mth *ir.Method, idx int) bool {
+func isGuardedUse(ctx *Context, mth *ir.Method, idx int) bool {
 	use := mth.Instrs[idx]
 	if use.Op != ir.OpGetField && use.Op != ir.OpGetStatic {
 		return false
 	}
-	oi := ir.ComputeOrigins(mth)
-	g := ir.BuildCFG(mth)
-	idom := g.Dominators()
+	if !hasOp(mth, ir.OpIfNull, ir.OpIfNonNull) {
+		return false
+	}
+	f := ctx.facts(mth)
+	oi, g, idom := f.oi, f.cfg, f.idom
 	for j, in := range mth.Instrs {
 		if in.Op != ir.OpIfNull && in.Op != ir.OpIfNonNull {
 			continue
@@ -100,23 +116,21 @@ func isGuardLoad(mth *ir.Method, idx int) bool {
 // hasDominatingStoreOf reports whether a store to the use's field (same
 // base) whose value has one of the given origins dominates the use —
 // the IA pattern with OriginNew, the MA pattern with OriginCall.
-func hasDominatingStoreOf(mth *ir.Method, idx int, kinds ...ir.OriginKind) bool {
+func hasDominatingStoreOf(ctx *Context, mth *ir.Method, idx int, kinds ...ir.OriginKind) bool {
 	use := mth.Instrs[idx]
 	if use.Op != ir.OpGetField && use.Op != ir.OpGetStatic {
 		return false
 	}
-	oi := ir.ComputeOrigins(mth)
-	g := ir.BuildCFG(mth)
-	idom := g.Dominators()
-	for j, in := range mth.Instrs {
-		if j >= idx {
-			break
-		}
-		isStore := (use.Op == ir.OpGetField && in.Op == ir.OpPutField) ||
-			(use.Op == ir.OpGetStatic && in.Op == ir.OpPutStatic)
-		if !isStore || in.Field != use.Field {
+	isStore := func(in ir.Instr) bool {
+		return in.Field == use.Field && ((use.Op == ir.OpGetField && in.Op == ir.OpPutField) ||
+			(use.Op == ir.OpGetStatic && in.Op == ir.OpPutStatic))
+	}
+	for j, in := range mth.Instrs[:idx] {
+		if !isStore(in) {
 			continue
 		}
+		f := ctx.facts(mth)
+		oi, g, idom := f.oi, f.cfg, f.idom
 		if use.Op == ir.OpGetField && !sameBase(oi, j, in.B, idx, use.B) {
 			continue
 		}
@@ -144,11 +158,10 @@ func hasDominatingStoreOf(mth *ir.Method, idx int, kinds ...ir.OriginKind) bool 
 // methodMayAllocateField reports whether any path through mth stores a
 // fresh allocation (or getter result) into the named field — the RHB
 // filter's may-analysis over onResume.
-func methodMayAllocateField(mth *ir.Method, field ir.FieldRef) bool {
+func methodMayAllocateField(ctx *Context, mth *ir.Method, field ir.FieldRef) bool {
 	if mth == nil || mth.Abstract {
 		return false
 	}
-	oi := ir.ComputeOrigins(mth)
 	for j, in := range mth.Instrs {
 		if in.Op != ir.OpPutField && in.Op != ir.OpPutStatic {
 			continue
@@ -156,7 +169,7 @@ func methodMayAllocateField(mth *ir.Method, field ir.FieldRef) bool {
 		if in.Field.Name != field.Name {
 			continue
 		}
-		switch oi.At(j, in.A).Kind {
+		switch ctx.facts(mth).oi.At(j, in.A).Kind {
 		case ir.OriginNew, ir.OriginCall:
 			return true
 		}
@@ -167,7 +180,7 @@ func methodMayAllocateField(mth *ir.Method, field ir.FieldRef) bool {
 // isBenignUse reports whether the loaded value is only returned, null
 // checked, or passed as a call argument (never dereferenced as a
 // receiver) — the UR filter (§6.2.3).
-func isBenignUse(mth *ir.Method, idx int) bool {
+func isBenignUse(ctx *Context, mth *ir.Method, idx int) bool {
 	in := mth.Instrs[idx]
 	if in.Op != ir.OpGetField && in.Op != ir.OpGetStatic {
 		return false
@@ -187,7 +200,7 @@ func isBenignUse(mth *ir.Method, idx int) bool {
 			continue
 		case ir.OpInvoke:
 			// Receiver dereference faults; argument passing does not.
-			if regFeedsReceiver(mth, idx, def, u) {
+			if regFeedsReceiver(ctx.facts(mth), idx, def, u) {
 				return false
 			}
 			continue
@@ -205,15 +218,26 @@ func isBenignUse(mth *ir.Method, idx int) bool {
 
 // regFeedsReceiver reports whether the value defined at def reaches the
 // receiver operand of the invoke at u (directly or through moves).
-func regFeedsReceiver(mth *ir.Method, defIdx, defReg, u int) bool {
-	in := mth.Instrs[u]
-	oi := ir.ComputeOrigins(mth)
-	o := oi.At(u, in.B)
+func regFeedsReceiver(f *methodFacts, defIdx, defReg, u int) bool {
+	in := f.m.Instrs[u]
+	o := f.oi.At(u, in.B)
 	switch o.Kind {
 	case ir.OriginLoad:
 		return o.Site == defIdx
 	}
 	return in.B == defReg
+}
+
+// hasOp reports whether mth contains an instruction with one of ops.
+func hasOp(mth *ir.Method, ops ...ir.Op) bool {
+	for _, in := range mth.Instrs {
+		for _, op := range ops {
+			if in.Op == op {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // storeBetween reports a putfield/putstatic of the field in (lo, hi).

@@ -33,7 +33,7 @@ func (igFilter) Apply(ctx *Context, w *uaf.Warning) int {
 	if mth == nil {
 		return 0
 	}
-	guarded := isGuardedUse(mth, w.Use.Index) || isGuardLoad(mth, w.Use.Index)
+	guarded := isGuardedUse(ctx, mth, w.Use.Index) || isGuardLoad(mth, w.Use.Index)
 	if !guarded {
 		return 0
 	}
@@ -56,7 +56,7 @@ func (iaFilter) Apply(ctx *Context, w *uaf.Warning) int {
 	if mth == nil {
 		return 0
 	}
-	if !hasDominatingStoreOf(mth, w.Use.Index, ir.OriginNew) {
+	if !hasDominatingStoreOf(ctx, mth, w.Use.Index, ir.OriginNew) {
 		return 0
 	}
 	return w.RemovePairs(NameIA, func(p uaf.ThreadPair) bool {

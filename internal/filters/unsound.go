@@ -32,7 +32,7 @@ func (rhbFilter) Apply(ctx *Context, w *uaf.Warning) int {
 			return false
 		}
 		resume := ctx.Model.H.Resolve(tu.Component, "onResume")
-		return resume != nil && methodMayAllocateField(resume, w.Field)
+		return methodMayAllocateField(ctx, resume, w.Field)
 	})
 }
 
@@ -50,7 +50,7 @@ func (chbFilter) Sound() bool  { return false }
 
 func (chbFilter) Apply(ctx *Context, w *uaf.Warning) int {
 	return w.RemovePairs(NameCHB, func(p uaf.ThreadPair) bool {
-		ops := ctx.cancels[p.Free]
+		ops := ctx.cancelsOf(p.Free)
 		if len(ops) == 0 {
 			return false
 		}
@@ -152,7 +152,7 @@ func (maFilter) Apply(ctx *Context, w *uaf.Warning) int {
 	if mth == nil {
 		return 0
 	}
-	if !hasDominatingStoreOf(mth, w.Use.Index, ir.OriginCall) {
+	if !hasDominatingStoreOf(ctx, mth, w.Use.Index, ir.OriginCall) {
 		return 0
 	}
 	return w.RemovePairs(NameMA, func(p uaf.ThreadPair) bool {
@@ -173,7 +173,7 @@ func (urFilter) Apply(ctx *Context, w *uaf.Warning) int {
 	if mth == nil {
 		return 0
 	}
-	if !isBenignUse(mth, w.Use.Index) {
+	if !isBenignUse(ctx, mth, w.Use.Index) {
 		return 0
 	}
 	return w.RemovePairs(NameUR, func(uaf.ThreadPair) bool { return true })

@@ -14,9 +14,7 @@ import (
 	"sort"
 
 	"nadroid/internal/apk"
-	"nadroid/internal/escape"
 	"nadroid/internal/ir"
-	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
 
@@ -242,45 +240,20 @@ func PtsProjection(pkg *apk.Package, k int) uint64 {
 	return x.h
 }
 
-// HeapDigest hashes the global heap state the escape analysis closes
-// over: every heap points-to edge plus the static seed sets. The
-// closed static set is a pure function of these, so an equal digest
-// lets the base run's closed StaticPT partition be replayed verbatim.
-func HeapDigest(pts *pointsto.Result) uint64 {
-	x := newHasher()
-	edges := escape.HeapEdges(pts)
-	x.i(len(edges))
-	for _, e := range edges {
-		x.i(int(e.Src))
-		x.str(e.Field)
-		x.i(int(e.Dst))
-	}
-	seeds := escape.StaticSeeds(pts)
-	x.i(len(seeds))
-	for _, o := range seeds {
-		x.i(int(o))
-	}
-	return x.h
-}
-
-// ThreadSig is one thread's reuse gate: digests over every input its
-// escape-root and access partitions are derived from.
+// ThreadSig is one thread's reuse gate: a digest over every input its
+// access partition is derived from.
 type ThreadSig struct {
 	// Dummy marks the dummy-main thread, which contributes no facts.
 	Dummy bool
-	// Root covers the thread's root object sets: each reachable method
-	// context and every register's points-to set. Equality means the
-	// thread's Root/Touches facts — and therefore its Reach fixpoint
-	// rows under an equal heap — are identical to the base run's.
-	Root uint64
-	// Acc additionally covers each context's method-body digest, the
-	// remaining input of access collection (field refs, access kinds,
-	// free-origin analysis are all body functions; field canonicalization
-	// is gated by the structure digest separately).
+	// Acc covers each reachable method context, every register's
+	// points-to set, and each context's method-body digest: the inputs
+	// of access collection (field refs, access kinds and free-origin
+	// analysis are all body functions; field canonicalization is gated
+	// by the structure digest separately).
 	Acc uint64
 }
 
-// ThreadSignature computes one thread's gate digests in a single pass
+// ThreadSignature computes one thread's gate digest in a single pass
 // over its reachable contexts (the same sorted enumeration access
 // collection uses).
 func ThreadSignature(m *threadify.Model, thread int, methodDigests map[string]uint64) ThreadSig {
@@ -288,7 +261,6 @@ func ThreadSignature(m *threadify.Model, thread int, methodDigests map[string]ui
 	if th.Kind == threadify.KindDummyMain {
 		return ThreadSig{Dummy: true}
 	}
-	root := newHasher()
 	acc := newHasher()
 	mcs := make([]threadify.MCtx, 0, len(m.Reach(thread)))
 	for mc := range m.Reach(thread) {
@@ -306,21 +278,16 @@ func ThreadSignature(m *threadify.Model, thread int, methodDigests map[string]ui
 		if err != nil || mth.Abstract {
 			continue
 		}
-		root.str(mc.Method)
-		root.i(int(mc.Recv))
-		root.i(mth.NumRegs)
 		acc.str(mc.Method)
 		acc.i(int(mc.Recv))
 		acc.u64(methodDigests[mc.Method])
 		for reg := 0; reg < mth.NumRegs; reg++ {
 			objs := pts.PointsTo(mc.Method, mc.Recv, reg)
-			root.i(len(objs))
 			acc.i(len(objs))
 			for _, o := range objs {
-				root.i(int(o))
 				acc.i(int(o))
 			}
 		}
 	}
-	return ThreadSig{Root: root.h, Acc: acc.h}
+	return ThreadSig{Acc: acc.h}
 }

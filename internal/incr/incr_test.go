@@ -125,13 +125,10 @@ func samplePartition() *incr.Partition {
 		},
 		Structure: 7,
 		PtsProj:   9,
-		Heap:      11,
-		Statics:   []int32{0, 3, 9},
 		Threads: []incr.Thread{
 			{ID: 0, Dummy: true},
 			{
-				ID: 1, RootDigest: 101, AccDigest: 102,
-				Reach: []int32{1, 2, 5},
+				ID: 1, AccDigest: 102,
 				Acc: []incr.Access{
 					{Method: "A.m", Recv: 3, Index: 4, FieldClass: "A", FieldName: "f", Kind: 2, Static: false, Objs: []int32{3}},
 					{Method: "A.m", Recv: 3, Index: 9, FieldClass: "B", FieldName: "g", Kind: 0, Static: true},

@@ -14,7 +14,7 @@ import (
 // Version is the partition format version. It is baked into the file
 // name (see Name), so a format change makes old partitions invisible
 // rather than mis-decoded.
-const Version = 1
+const Version = 2
 
 var magic = [4]byte{'N', 'I', 'N', 'C'}
 
@@ -43,13 +43,9 @@ type Access struct {
 // Thread is one thread's persisted fact partition plus the digests
 // that gate its reuse.
 type Thread struct {
-	ID         int
-	Dummy      bool
-	RootDigest uint64
-	AccDigest  uint64
-	// Reach is the thread's solved escape-reachability row: every heap
-	// object the thread can reach, sorted.
-	Reach []int32
+	ID        int
+	Dummy     bool
+	AccDigest uint64
 	// Acc is the thread's access partition in thread-local ID order.
 	Acc []Access
 }
@@ -63,11 +59,7 @@ type Partition struct {
 	Methods   map[string]uint64
 	Structure uint64
 	PtsProj   uint64
-	Heap      uint64
-	// Statics is the closed static points-to set (StaticPT fixpoint),
-	// sorted; valid while Heap matches.
-	Statics []int32
-	Threads []Thread
+	Threads   []Thread
 }
 
 // FromRaceAccesses converts one thread's collected accesses to
@@ -131,12 +123,6 @@ func i32ToObjs(v []int32) []pointsto.ObjID {
 	}
 	return out
 }
-
-// ObjsToI32 converts an object-ID slice for storage in a partition.
-func ObjsToI32(objs []pointsto.ObjID) []int32 { return objsToI32(objs) }
-
-// I32ToObjs converts a stored row back to object IDs.
-func I32ToObjs(v []int32) []pointsto.ObjID { return i32ToObjs(v) }
 
 // enc is a varint writer with inline string interning: the first
 // occurrence of a string writes its id followed by the literal, later
@@ -205,15 +191,11 @@ func (p *Partition) Encode() []byte {
 	}
 	e.u(p.Structure)
 	e.u(p.PtsProj)
-	e.u(p.Heap)
-	e.i32s(p.Statics)
 	e.u(uint64(len(p.Threads)))
 	for _, t := range p.Threads {
 		e.u(uint64(t.ID))
 		e.b(t.Dummy)
-		e.u(t.RootDigest)
 		e.u(t.AccDigest)
-		e.i32s(t.Reach)
 		e.u(uint64(len(t.Acc)))
 		for _, a := range t.Acc {
 			e.s(a.Method)
@@ -339,17 +321,13 @@ func Decode(data []byte) (p *Partition, err error) {
 	}
 	p.Structure = d.u()
 	p.PtsProj = d.u()
-	p.Heap = d.u()
-	p.Statics = d.i32s()
 	nt := d.n()
 	p.Threads = make([]Thread, nt)
 	for i := range p.Threads {
 		t := &p.Threads[i]
 		t.ID = int(d.u())
 		t.Dummy = d.b()
-		t.RootDigest = d.u()
 		t.AccDigest = d.u()
-		t.Reach = d.i32s()
 		na := d.n()
 		if na == 0 {
 			continue

@@ -203,7 +203,6 @@ func UsesOfDef(m *Method, def int) []int {
 	if !ok {
 		return nil
 	}
-	g := BuildCFG(m)
 	type st struct {
 		instr int
 		reg   int
@@ -248,7 +247,6 @@ func UsesOfDef(m *Method, def int) []int {
 			i++
 		}
 	}
-	_ = g
 	walk(def+1, r)
 	return out
 }

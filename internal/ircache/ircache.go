@@ -593,11 +593,10 @@ func (d *dec) decodeEscape() *escape.Result {
 	n := d.n()
 	objs := make([]pointsto.ObjID, n)
 	reachers := make([]int, n)
-	escaped := make([]bool, n)
 	for i := 0; i < n; i++ {
 		objs[i] = pointsto.ObjID(d.i())
 		reachers[i] = int(d.u())
-		escaped[i] = d.b()
+		d.b() // escaped: implied by the reacher count
 	}
-	return escape.FromSnapshot(objs, reachers, escaped)
+	return escape.FromSnapshot(objs, reachers)
 }

@@ -30,6 +30,8 @@ type Result struct {
 	entry map[threadify.MCtx]lockSet
 	// intra caches per-method monitor-region analyses.
 	intra map[string][]lockSet // method ref -> per-instruction held set
+	// none records that the program takes no lock at all.
+	none bool
 }
 
 type lockSet map[LockID]struct{}
@@ -71,6 +73,10 @@ func Analyze(m *threadify.Model) *Result {
 		entry: make(map[threadify.MCtx]lockSet),
 		intra: make(map[string][]lockSet),
 	}
+	if !acquiresAny(m.H.Program()) {
+		r.none = true
+		return r
+	}
 
 	// Entry-lock propagation: a worklist over call edges. Thread entries
 	// start with no locks.
@@ -105,8 +111,11 @@ func Analyze(m *threadify.Model) *Result {
 			continue
 		}
 		held := r.heldVector(e.to, mth, next)
-		// Propagate to callees.
-		for i := range mth.Instrs {
+		// Propagate to callees; only invokes have call edges.
+		for i, in := range mth.Instrs {
+			if in.Op != ir.OpInvoke && in.Op != ir.OpInvokeStatic {
+				continue
+			}
 			for _, callee := range m.PTS.CalleeContextsAt(e.to.Method, e.to.Recv, i) {
 				work = append(work, edge{
 					to:   threadify.MCtx{Method: callee.Method, Recv: callee.Recv},
@@ -128,6 +137,16 @@ func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, entry lockSet) []
 		for _, o := range mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.ThisReg())) {
 			base[o] = struct{}{}
 		}
+	}
+	if len(base) == 0 && !acquires(mth) {
+		// Nothing is held on entry and nothing is acquired: every
+		// instruction holds the empty set. Held sets are never mutated
+		// once built, so one empty set serves them all.
+		empty := make(lockSet)
+		for i := range out {
+			out[i] = empty
+		}
+		return out
 	}
 	// Forward must-dataflow over the CFG.
 	g := ir.BuildCFG(mth)
@@ -180,6 +199,29 @@ func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, entry lockSet) []
 	return out
 }
 
+// acquiresAny reports whether any method of prog takes a lock: a
+// monitorenter, or a synchronized instance method.
+func acquiresAny(prog *ir.Program) bool {
+	for _, c := range prog.Classes() {
+		for _, mth := range c.Methods {
+			if (mth.Synch && !mth.Static) || acquires(mth) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// acquires reports whether mth contains a monitorenter.
+func acquires(mth *ir.Method) bool {
+	for _, in := range mth.Instrs {
+		if in.Op == ir.OpMonitorEnter {
+			return true
+		}
+	}
+	return false
+}
+
 // mustAlias keeps the lock only when the points-to set is a singleton.
 func mustAlias(objs []pointsto.ObjID) []pointsto.ObjID {
 	if len(objs) == 1 {
@@ -187,6 +229,9 @@ func mustAlias(objs []pointsto.ObjID) []pointsto.ObjID {
 	}
 	return nil
 }
+
+// None reports that the program takes no lock, so none is ever held.
+func (r *Result) None() bool { return r.none }
 
 // HeldAt returns the locks definitely held at instruction idx of the
 // given method context, sorted.

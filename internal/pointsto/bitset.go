@@ -2,20 +2,21 @@ package pointsto
 
 import "math/bits"
 
-// bitset is a word-packed object set indexed by ObjID. The zero value
+// Bitset is a word-packed object set indexed by ObjID. The zero value
 // is an empty set; words grow lazily as high object IDs are inserted.
 // Abstract-object counts per app are small (hundreds to low thousands),
 // so a dense representation from bit 0 is both the fastest and the
 // simplest choice: union is a word loop, iteration yields ObjIDs in
 // ascending order for free, and the per-var footprint is a few words.
-type bitset []uint64
+// The escape analysis searches the heap graph over the same sets.
+type Bitset []uint64
 
-// add sets bit o and reports whether it was newly set.
-func (b *bitset) add(o ObjID) bool {
+// Add sets bit o and reports whether it was newly set.
+func (b *Bitset) Add(o ObjID) bool {
 	w, m := int(o>>6), uint64(1)<<(uint(o)&63)
 	s := *b
 	if w >= len(s) {
-		ns := make(bitset, w+1)
+		ns := make(Bitset, w+1)
 		copy(ns, s)
 		s = ns
 		*b = s
@@ -28,19 +29,19 @@ func (b *bitset) add(o ObjID) bool {
 }
 
 // has reports whether bit o is set.
-func (b bitset) has(o ObjID) bool {
+func (b Bitset) has(o ObjID) bool {
 	w := int(o >> 6)
 	return w < len(b) && b[w]&(1<<(uint(o)&63)) != 0
 }
 
-// or unions other into b, returning the number of newly set bits.
-func (b *bitset) or(other bitset) int {
+// Or unions other into b, returning the number of newly set bits.
+func (b *Bitset) Or(other Bitset) int {
 	if len(other) == 0 {
 		return 0
 	}
 	s := *b
 	if len(other) > len(s) {
-		ns := make(bitset, len(other))
+		ns := make(Bitset, len(other))
 		copy(ns, s)
 		s = ns
 		*b = s
@@ -55,15 +56,15 @@ func (b *bitset) or(other bitset) int {
 	return added
 }
 
-// orInto is or() plus delta tracking: bits newly set in b are also set
+// orInto is Or plus delta tracking: bits newly set in b are also set
 // in delta. Returns the number of newly set bits.
-func (b *bitset) orInto(other bitset, delta *bitset) int {
+func (b *Bitset) orInto(other Bitset, delta *Bitset) int {
 	if len(other) == 0 {
 		return 0
 	}
 	s := *b
 	if len(other) > len(s) {
-		ns := make(bitset, len(other))
+		ns := make(Bitset, len(other))
 		copy(ns, s)
 		s = ns
 		*b = s
@@ -78,7 +79,7 @@ func (b *bitset) orInto(other bitset, delta *bitset) int {
 		s[w] |= nw
 		d := *delta
 		if w >= len(d) {
-			nd := make(bitset, len(s))
+			nd := make(Bitset, len(s))
 			copy(nd, d)
 			d = nd
 			*delta = d
@@ -88,8 +89,8 @@ func (b *bitset) orInto(other bitset, delta *bitset) int {
 	return added
 }
 
-// count returns the number of set bits.
-func (b bitset) count() int {
+// Count returns the number of set bits.
+func (b Bitset) Count() int {
 	n := 0
 	for _, w := range b {
 		n += bits.OnesCount64(w)
@@ -98,7 +99,7 @@ func (b bitset) count() int {
 }
 
 // empty reports whether no bit is set.
-func (b bitset) empty() bool {
+func (b Bitset) empty() bool {
 	for _, w := range b {
 		if w != 0 {
 			return false
@@ -107,8 +108,8 @@ func (b bitset) empty() bool {
 	return true
 }
 
-// forEach visits set bits in ascending ObjID order.
-func (b bitset) forEach(fn func(ObjID)) {
+// ForEach visits set bits in ascending ObjID order.
+func (b Bitset) ForEach(fn func(ObjID)) {
 	for w, word := range b {
 		for word != 0 {
 			tz := bits.TrailingZeros64(word)
@@ -118,8 +119,8 @@ func (b bitset) forEach(fn func(ObjID)) {
 	}
 }
 
-// appendIDs appends the set bits in ascending order.
-func (b bitset) appendIDs(out []ObjID) []ObjID {
+// AppendIDs appends the set bits in ascending order.
+func (b Bitset) AppendIDs(out []ObjID) []ObjID {
 	for w, word := range b {
 		for word != 0 {
 			tz := bits.TrailingZeros64(word)
@@ -130,12 +131,12 @@ func (b bitset) appendIDs(out []ObjID) []ObjID {
 	return out
 }
 
-// clone returns an independent copy of b.
-func (b bitset) clone() bitset {
+// Clone returns an independent copy of b.
+func (b Bitset) Clone() Bitset {
 	if len(b) == 0 {
 		return nil
 	}
-	out := make(bitset, len(b))
+	out := make(Bitset, len(b))
 	copy(out, b)
 	return out
 }

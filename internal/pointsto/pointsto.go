@@ -19,6 +19,8 @@
 package pointsto
 
 import (
+	"time"
+
 	"context"
 	"sort"
 
@@ -142,6 +144,10 @@ type SolveStats struct {
 	MCtxs int
 }
 
+// SolveTime is the wall time the solve that built r took; zero when r
+// was restored from a snapshot.
+func (r *Result) SolveTime() time.Duration { return r.c.elapsed }
+
 // Stats recomputes the solve summary from the result (O(vars)).
 func (r *Result) Stats() SolveStats {
 	c := r.c
@@ -156,7 +162,7 @@ func (r *Result) Stats() SolveStats {
 			continue
 		}
 		for reg := int32(0); reg < mc.nregs; reg++ {
-			st.VarFacts += c.varPts[c.root(mc.varBase+varID(reg))].count()
+			st.VarFacts += c.varPts[c.root(mc.varBase+varID(reg))].Count()
 		}
 	}
 	return st
@@ -204,8 +210,11 @@ func (r *Result) Objects() []Obj { return r.c.objs }
 // Obj returns the descriptor for id.
 func (r *Result) Obj(id ObjID) Obj { return r.c.objs[id] }
 
-// varSet returns the points-to bitset of (method, recv, reg), or nil.
-func (r *Result) varSet(method string, recv ObjID, reg int) bitset {
+// VarSet returns the points-to set of register reg of method under the
+// context keyed by recv, or nil. The set is the solver's own storage:
+// callers read it and must not modify it. The other *Set accessors
+// share the same contract.
+func (r *Result) VarSet(method string, recv ObjID, reg int) Bitset {
 	c := r.c
 	mid, ok := c.methodIdx[method]
 	if !ok {
@@ -225,8 +234,8 @@ func (r *Result) varSet(method string, recv ObjID, reg int) bitset {
 // PointsTo returns the sorted points-to set of register reg of method
 // (by canonical ref) under the context keyed by receiver object recv.
 func (r *Result) PointsTo(method string, recv ObjID, reg int) []ObjID {
-	set := r.varSet(method, recv, reg)
-	return set.appendIDs(make([]ObjID, 0, set.count()))
+	set := r.VarSet(method, recv, reg)
+	return set.AppendIDs(make([]ObjID, 0, set.Count()))
 }
 
 // PointsToAnyCtx unions the points-to sets of reg across every analyzed
@@ -237,15 +246,15 @@ func (r *Result) PointsToAnyCtx(method string, reg int) []ObjID {
 	if !ok {
 		return nil
 	}
-	var union bitset
+	var union Bitset
 	for _, mc := range c.methodMctxs[mid] {
 		info := &c.mctxs[mc]
 		if info.varBase < 0 || reg < 0 || reg >= int(info.nregs) {
 			continue
 		}
-		union.or(c.varPts[c.root(info.varBase+varID(reg))])
+		union.Or(c.varPts[c.root(info.varBase+varID(reg))])
 	}
-	return union.appendIDs(nil)
+	return union.AppendIDs(nil)
 }
 
 // ContextsOf returns the receiver objects under which method was
@@ -283,8 +292,8 @@ func (r *Result) ReachableMethods() []string {
 	return out
 }
 
-// FieldPointsTo returns the pointees of (obj, field), sorted.
-func (r *Result) FieldPointsTo(obj ObjID, field string) []ObjID {
+// FieldSet returns the pointees of (obj, field), or nil.
+func (r *Result) FieldSet(obj ObjID, field string) Bitset {
 	c := r.c
 	fid, ok := c.fieldIdx[field]
 	if !ok {
@@ -294,17 +303,27 @@ func (r *Result) FieldPointsTo(obj ObjID, field string) []ObjID {
 	if !ok {
 		return nil
 	}
-	return c.fpSets[si].appendIDs(nil)
+	return c.fpSets[si]
 }
 
-// StaticPointsTo returns the pointees of a static field "Class.name".
-func (r *Result) StaticPointsTo(field string) []ObjID {
+// FieldPointsTo returns the pointees of (obj, field), sorted.
+func (r *Result) FieldPointsTo(obj ObjID, field string) []ObjID {
+	return r.FieldSet(obj, field).AppendIDs(nil)
+}
+
+// StaticSet returns the pointees of a static field "Class.name", or nil.
+func (r *Result) StaticSet(field string) Bitset {
 	c := r.c
 	sid, ok := c.staticIdx[field]
 	if !ok {
 		return nil
 	}
-	return c.staticSets[sid].appendIDs(nil)
+	return c.staticSets[sid]
+}
+
+// StaticPointsTo returns the pointees of a static field "Class.name".
+func (r *Result) StaticPointsTo(field string) []ObjID {
+	return r.StaticSet(field).AppendIDs(nil)
 }
 
 // CalleesAt returns callee method refs resolved at (method, recv, site).

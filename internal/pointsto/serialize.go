@@ -9,7 +9,7 @@ import (
 
 // Snapshot is the flat, serialization-friendly form of a solved Result:
 // every interned table as a plain slice, every map flattened into
-// parallel key/value slices, and every bitset as its word array. It
+// parallel key/value slices, and every Bitset as its word array. It
 // exists for the IR cold-start cache — a solved points-to state is the
 // most expensive artifact of modeling, and snapshotting it lets warm
 // runs skip the solve entirely.
@@ -153,17 +153,17 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 	for i, name := range s.FieldNames {
 		c.fieldIdx[name] = fieldID(i)
 	}
-	c.varPts = make([]bitset, len(s.VarPts))
+	c.varPts = make([]Bitset, len(s.VarPts))
 	for i, w := range s.VarPts {
 		c.varPts[i] = w
 	}
 	c.parent = s.Parent
-	c.fpSets = make([]bitset, len(s.FPKeys))
+	c.fpSets = make([]Bitset, len(s.FPKeys))
 	for i, k := range s.FPKeys {
 		c.fpIdx[k] = int32(i)
 		c.fpSets[i] = s.FPSets[i]
 	}
-	c.staticSets = make([]bitset, len(s.StaticNames))
+	c.staticSets = make([]Bitset, len(s.StaticNames))
 	for i, name := range s.StaticNames {
 		c.staticIdx[name] = staticID(i)
 		c.staticSets[i] = s.StaticSets[i]

@@ -1,6 +1,8 @@
 package pointsto
 
 import (
+	"time"
+
 	"strconv"
 	"strings"
 
@@ -55,23 +57,26 @@ type core struct {
 	fieldIdx   map[string]fieldID
 
 	// Per-variable points-to state, indexed by varID through parent.
-	varPts   []bitset
-	varDelta []bitset
+	varPts   []Bitset
+	varDelta []Bitset
 	parent   []varID // union-find over copy-cycle-collapsed variables
 
 	// Instance-field points-to: (obj, field) -> set.
 	fpIdx  map[uint64]int32
-	fpSets []bitset
+	fpSets []Bitset
 
 	// Static-field points-to: "Class.field" -> set.
 	staticIdx  map[string]staticID
-	staticSets []bitset
+	staticSets []Bitset
 
 	calleeEdges map[uint64][]mctxID
 	spawnEdges  []SpawnEdge
 
 	iterations int
 	deltaObjs  int64
+	// elapsed is the wall time of the solve that built this result; a
+	// result restored from a snapshot was not solved and reads zero.
+	elapsed time.Duration
 }
 
 func mctxKeyOf(mid methodID, recv ObjID) uint64 {
@@ -201,6 +206,7 @@ type solver struct {
 }
 
 func solveWithSynthetics(h *cha.Hierarchy, synths []Obj, entries []Entry, opts Options) *Result {
+	start := time.Now()
 	if opts.K < 1 {
 		opts.K = 2
 	}
@@ -243,6 +249,7 @@ func solveWithSynthetics(h *cha.Hierarchy, synths []Obj, entries []Entry, opts O
 	}
 	s.run()
 	c.flattenParent()
+	c.elapsed = time.Since(start)
 	return &Result{c: c}
 }
 
@@ -594,14 +601,14 @@ func (s *solver) push(v varID) {
 // addObj adds one object to a var's set, scheduling propagation.
 func (s *solver) addObj(v varID, o ObjID) {
 	v = s.c.find(v)
-	if s.c.varPts[v].add(o) {
-		s.c.varDelta[v].add(o)
+	if s.c.varPts[v].Add(o) {
+		s.c.varDelta[v].Add(o)
 		s.push(v)
 	}
 }
 
 // addSet unions set into dst's points-to set with delta tracking.
-func (s *solver) addSet(dst varID, set bitset) {
+func (s *solver) addSet(dst varID, set Bitset) {
 	dst = s.c.find(dst)
 	if s.c.varPts[dst].orInto(set, &s.c.varDelta[dst]) > 0 {
 		s.push(dst)
@@ -612,7 +619,7 @@ func (s *solver) addSet(dst varID, set bitset) {
 func (s *solver) retrigger(v varID) {
 	v = s.c.find(v)
 	if !s.c.varPts[v].empty() {
-		s.c.varDelta[v].or(s.c.varPts[v])
+		s.c.varDelta[v].Or(s.c.varPts[v])
 		s.push(v)
 	}
 }
@@ -649,8 +656,8 @@ func (s *solver) addStaticStore(src varID, field string) {
 }
 
 // staticAddBits unions bits into a static field's set, feeding loads.
-func (s *solver) staticAddBits(sid staticID, bits bitset) {
-	var delta bitset
+func (s *solver) staticAddBits(sid staticID, bits Bitset) {
+	var delta Bitset
 	if (&s.c.staticSets[sid]).orInto(bits, &delta) == 0 {
 		return
 	}
@@ -660,8 +667,8 @@ func (s *solver) staticAddBits(sid staticID, bits bitset) {
 }
 
 // fpAddBits unions bits into an instance field's set, feeding loads.
-func (s *solver) fpAddBits(si int32, bits bitset) {
-	var delta bitset
+func (s *solver) fpAddBits(si int32, bits Bitset) {
+	var delta Bitset
 	if (&s.c.fpSets[si]).orInto(bits, &delta) == 0 {
 		return
 	}
@@ -690,7 +697,7 @@ func (s *solver) run() {
 			continue
 		}
 		s.c.iterations++
-		s.c.deltaObjs += int64(d.count())
+		s.c.deltaObjs += int64(d.Count())
 		s.drain(v, d)
 	}
 }
@@ -699,7 +706,7 @@ func (s *solver) run() {
 // it, in the same category order as the original map-based solver:
 // copies, loads, stores (statics interleaved), store-sources, invokes,
 // spawns.
-func (s *solver) drain(v varID, d bitset) {
+func (s *solver) drain(v varID, d Bitset) {
 	// Copies.
 	cps := s.copyOut[v]
 	for i := range cps {
@@ -715,7 +722,7 @@ func (s *solver) drain(v varID, d bitset) {
 	lcs := s.loads[v]
 	for i := range lcs {
 		lc := lcs[i]
-		d.forEach(func(base ObjID) {
+		d.ForEach(func(base ObjID) {
 			si := s.fpIntern(base, lc.field)
 			s.fpDeps[si] = appendUniqueVarID(s.fpDeps[si], lc.dst)
 			s.addSet(lc.dst, s.c.fpSets[si])
@@ -733,7 +740,7 @@ func (s *solver) drain(v varID, d bitset) {
 		if srcSet.empty() {
 			continue
 		}
-		d.forEach(func(base ObjID) {
+		d.ForEach(func(base ObjID) {
 			s.fpAddBits(s.fpIntern(base, sc.field), srcSet)
 		})
 	}
@@ -742,7 +749,7 @@ func (s *solver) drain(v varID, d bitset) {
 	for i := range rcs {
 		rc := rcs[i]
 		baseSet := s.c.varPts[s.c.find(rc.base)]
-		baseSet.forEach(func(base ObjID) {
+		baseSet.ForEach(func(base ObjID) {
 			s.fpAddBits(s.fpIntern(base, rc.field), d)
 		})
 	}
@@ -750,7 +757,7 @@ func (s *solver) drain(v varID, d bitset) {
 	ics := s.invokes[v]
 	for i := range ics {
 		ic := ics[i]
-		d.forEach(func(recv ObjID) {
+		d.ForEach(func(recv ObjID) {
 			s.linkVirtualCall(ic, recv)
 		})
 	}
@@ -758,7 +765,7 @@ func (s *solver) drain(v varID, d bitset) {
 	sps := s.spawns[v]
 	for i := range sps {
 		sc := sps[i]
-		d.forEach(func(target ObjID) {
+		d.ForEach(func(target ObjID) {
 			s.linkSpawn(sc, target)
 		})
 	}
@@ -850,9 +857,9 @@ func (s *solver) unionComp(comp []varID) {
 			continue
 		}
 		s.c.parent[w] = rep
-		s.c.varPts[rep].or(s.c.varPts[w])
+		s.c.varPts[rep].Or(s.c.varPts[w])
 		s.c.varPts[w] = nil
-		s.c.varDelta[rep].or(s.c.varDelta[w])
+		s.c.varDelta[rep].Or(s.c.varDelta[w])
 		s.c.varDelta[w] = nil
 		s.copyOut[rep] = append(s.copyOut[rep], s.copyOut[w]...)
 		s.copyOut[w] = nil
@@ -884,7 +891,7 @@ func (s *solver) unionComp(comp []varID) {
 	// Re-trigger the representative against the merged set so every
 	// adopted constraint sees the full union.
 	if !s.c.varPts[rep].empty() {
-		s.c.varDelta[rep].or(s.c.varPts[rep])
+		s.c.varDelta[rep].Or(s.c.varPts[rep])
 		s.push(rep)
 	}
 }

@@ -198,7 +198,7 @@ func DetectContext(ctx context.Context, m *threadify.Model, opts Options) *Resul
 	span.End()
 
 	_, span = obs.Start(ctx, "escape.analyze")
-	esc := escape.AnalyzeWith(m, escape.Options{Workers: opts.Workers})
+	esc := escape.Analyze(m)
 	span.End()
 
 	pctx, span := obs.Start(ctx, "race.pair")

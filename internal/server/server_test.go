@@ -191,9 +191,8 @@ func TestAsyncJobLifecycle(t *testing.T) {
 }
 
 // TestCancelInFlightJob cancels a running analysis via DELETE and
-// expects the cancellation-aware pipeline to abort it (Mms is the
-// corpus's slowest app; its detection phase alone gives a >100ms
-// cancellation window).
+// expects the cancellation-aware pipeline to abort it (validating Mms
+// with a million-schedule budget keeps the job running long enough).
 func TestCancelInFlightJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 

@@ -510,6 +510,15 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 		return th.ID
 	}
 
+	// spawns[tid] lists, in edge order, the edges whose caller context
+	// thread tid executes. A thread's reach set never changes, so the
+	// list is built on the thread's first pass.
+	var spawns [][]int
+	byCaller := make(map[MCtx][]int)
+	for i, e := range edges {
+		caller := MCtx{e.CallerMethod, e.CallerRecv}
+		byCaller[caller] = append(byCaller[caller], i)
+	}
 	for changed := true; changed; {
 		changed = false
 		if len(m.Threads) > maxThreads {
@@ -519,12 +528,16 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 		// in later passes), but we re-check each thread every pass and
 		// dedupe through `made`.
 		for tid := 0; tid < len(m.Threads); tid++ {
-			reach := m.Reach(tid)
-			for _, e := range edges {
-				caller := MCtx{e.CallerMethod, e.CallerRecv}
-				if !reach[caller] {
-					continue
+			if tid == len(spawns) {
+				var own []int
+				for mc := range m.Reach(tid) {
+					own = append(own, byCaller[mc]...)
 				}
+				sort.Ints(own)
+				spawns = append(spawns, own)
+			}
+			for _, i := range spawns[tid] {
+				e := edges[i]
 				site := ir.InstrID{Method: e.CallerMethod, Index: e.Site}
 				entry := MCtx{e.TargetMethod, e.TargetRecv}
 				before := len(m.Threads)
