@@ -43,7 +43,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8372", "listen address")
 		workers   = flag.Int("workers", 4, "concurrent analysis workers")
-		pipeline  = flag.Int("pipeline-workers", 0, "per-job pipeline worker bound (0 = NumCPU/workers)")
+		pipeline  = flag.Int("pipeline-workers", 0, "per-job validation sweep bound: warnings validated concurrently (0 = NumCPU/workers)")
 		queue     = flag.Int("queue", 64, "job queue depth (FIFO)")
 		cache     = flag.Int("cache", 256, "result cache capacity (entries, LRU)")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "default per-job deadline (0 disables)")

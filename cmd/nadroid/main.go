@@ -86,7 +86,7 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome trace_event JSON of the run to FILE (chrome://tracing)")
 		traceTree = flag.Bool("tracetree", false, "print the span tree to stderr after the run")
 		verbose   = flag.Bool("v", false, "structured phase logging to stderr")
-		workers   = flag.Int("workers", 0, "pipeline worker pool bound (0 = GOMAXPROCS, 1 = sequential)")
+		workers   = flag.Int("workers", 0, "warnings validated concurrently with -validate; with -corpus, apps analyzed concurrently (0 = GOMAXPROCS, 1 = sequential)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to FILE (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile after the run to FILE (go tool pprof)")
 		provOn    = flag.Bool("provenance", false, "record warning provenance (derivations, filter trails); explore with `nadroid explain`")

@@ -31,10 +31,10 @@ type CorpusResult struct {
 // CorpusOptions configures a corpus sweep.
 type CorpusOptions struct {
 	// Analysis is applied to every app. When more than one app runs at a
-	// time, Analysis.Workers 0 means one worker per app: coarse-grained
-	// parallelism across independent apps already fills the cores, and
-	// splitting each app's phases on top of it only adds scheduling
-	// delay.
+	// time, Analysis.Workers 0 means each app validates one warning at a
+	// time: coarse-grained parallelism across independent apps already
+	// fills the cores, and a validation pool on top of it only adds
+	// scheduling delay.
 	Analysis Options
 	// Workers bounds the number of apps analyzed concurrently.
 	// 0 selects GOMAXPROCS; 1 forces a sequential sweep.

@@ -54,7 +54,7 @@ func (e *Engine) compile() {
 	for len(e.ruleDerived) < len(e.compiled) {
 		e.ruleDerived = append(e.ruleDerived, 0)
 		e.ruleRounds = append(e.ruleRounds, 0)
-		e.ruleNanos = append(e.ruleNanos, 0)
+		e.ruleTime = append(e.ruleTime, 0)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package datalog implements a small in-memory Datalog engine with
 // semi-naive bottom-up evaluation. It is the stand-in for the
-// Datalog/bddbddb layer the paper's Chord build runs on: the escape and
-// race analyses are written as Datalog rules over relations extracted
-// from the IR.
+// Datalog/bddbddb layer the paper's Chord build runs on: the race
+// detector's Racy rules and the async-error families' candidate rules
+// are written as Datalog rules over relations extracted from the IR.
 //
 // Syntax accepted by ParseRule:
 //
@@ -11,22 +11,24 @@
 //	Race(a, b) :- Acc(a, t1), Acc(b, t2), t1 != t2
 //
 // Identifiers starting with an upper-case letter are predicates; terms
-// starting with a lower-case letter are variables; single-quoted terms
-// ('sym') and integers are constants. `x != y` body literals are the only
-// builtin.
+// starting with a lower-case letter are variables, and `_` is a
+// wildcard (body only). `x != y` and `x = y` body literals are the
+// only builtins. There is no negation.
 //
 // The engine is an engineered evaluation backend in the spirit of
 // bddbddb: tuples live in flat arenas keyed by integer hashes, rules are
-// compiled once into dense variable slots, and each semi-naive round is
-// evaluated by a bounded worker pool (see SetWorkers). Results are
-// identical for any worker count. An Engine is not safe for concurrent
-// use by multiple goroutines.
+// compiled once into dense variable slots, and each semi-naive round
+// runs one join per (rule, delta plan) and then merges the results in a
+// fixed order, so results, stats and derivation trees are
+// deterministic. An Engine is not safe for concurrent use by multiple
+// goroutines.
 package datalog
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
+	"time"
 )
 
 // Sym is an interned constant.
@@ -51,15 +53,13 @@ type Engine struct {
 	// by a previous Run; rules beyond it get a seeding round over the
 	// full database on the next Run.
 	ranRules int
-	workers  int
 	stats    Stats
 	// provOn records derivation provenance per tuple (see provenance.go).
 	provOn bool
-	// Per-compiled-rule evaluation stats, indexed by crule.idx. Written
-	// with atomics during parallel rounds.
-	ruleDerived []int64
-	ruleRounds  []int64
-	ruleNanos   []int64
+	// Per-compiled-rule evaluation stats, indexed by crule.idx.
+	ruleDerived []int
+	ruleRounds  []int
+	ruleTime    []time.Duration
 }
 
 type intSymKey struct {
@@ -68,14 +68,12 @@ type intSymKey struct {
 }
 
 // Stats counts the work one engine did, for the telemetry layer: how
-// many base facts were asserted, how many tuples the rules derived, how
-// many semi-naive iterations Run took to reach fixpoint, and how many
-// workers the last Run used.
+// many base facts were asserted, how many tuples the rules derived, and
+// how many semi-naive iterations Run took to reach fixpoint.
 type Stats struct {
 	Facts      int // base tuples asserted via Fact/FactStrings
 	Derived    int // tuples emitted by rule evaluation
 	Iterations int // Run fixpoint rounds
-	Workers    int // worker pool size of the last Run
 }
 
 // Stats returns the engine's work counters.
@@ -88,11 +86,6 @@ func NewEngine() *Engine {
 		rels:   make(map[string]*Relation),
 	}
 }
-
-// SetWorkers bounds the worker pool Run uses per semi-naive round.
-// n <= 0 selects GOMAXPROCS; 1 forces fully sequential evaluation.
-// Results are identical for any setting.
-func (e *Engine) SetWorkers(n int) { e.workers = n }
 
 // Sym interns a string constant.
 func (e *Engine) Sym(s string) Sym { return e.intern(s, 0, 0) }
@@ -359,7 +352,7 @@ func (r *Relation) insert(t []Sym) bool {
 			}
 			r.rows++
 			if r.provOn {
-				// Every insert starts as a base fact; mergeRound overwrites
+				// Every insert starts as a base fact; merge overwrites
 				// the cell when the tuple was derived by a rule.
 				r.prov = append(r.prov, provCell{rule: baseFact})
 			}

@@ -109,6 +109,11 @@ func TestParseErrors(t *testing.T) {
 		"Head(x) :- x != y",         // no positive literal
 		"Head(z) :- Edge(x, y)",     // unbound head var
 		"Head(x) :- Edge(x, 'lit')", // constants in rule text
+		"A(x, _) :- B(x, _)",        // wildcard in head
+		"A(_) :- C(_)",              // wildcard in head
+		"A(x) :- C(x), y != x",      // unbound builtin operand
+		"A(x) :- C(x), _ != x",      // wildcard builtin operand
+		"A(x) :- C(x), y = z",       // neither side of = bound
 	}
 	for _, src := range bad {
 		if _, err := ParseRule(src); err == nil {

@@ -1,37 +1,35 @@
 package datalog
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // Semi-naive evaluation. Each round snapshots every relation's new rows
-// as a delta range, fans (rule × delta-chunk) work items out to a
-// bounded worker pool, then merges the emitted tuples back into the head
-// relations in deterministic item order, sharded by relation. Joins bind
-// into a reusable flat environment — the per-tuple hot path performs no
-// allocation. The fixpoint is a set, so results are identical for any
-// worker count.
+// as a delta range and evaluates one item per (rule, delta plan) over
+// that whole range against the relations as they stood at round start;
+// it then inserts the emitted tuples into the head relations in item
+// order. Joins bind into a reusable flat environment — with provenance
+// off, the per-tuple hot path performs no allocation.
 
 // unboundSym marks an empty environment slot. Interned symbols are
 // always >= 0.
 const unboundSym = Sym(-1)
 
-// workItem is one (rule, plan, delta row range) unit of a round.
-type workItem struct {
-	cr     *crule
-	plan   *cplan
-	lo, hi int
+// item is one (rule, plan) unit of a round: its emitted tuples end at
+// offset end of the round's output buffer.
+type item struct {
+	cr  *crule
+	end int
 }
 
-// scratch is one worker's reusable evaluation state.
+// scratch is the evaluation state one Run reuses across its rounds.
 type scratch struct {
 	env []Sym
-	// prem is the premise stack of the provenance evaluation path: the
-	// packed tuple IDs of the positive body literals matched so far.
-	prem []int64
+	// out holds the round's emitted head tuples back to back, item after
+	// item; start is where the current item's tuples begin.
+	out   []Sym
+	start int
+	items []item
+	// rec records derivations; nil when provenance is off.
+	rec *recorder
 }
 
 func newScratch(e *Engine) *scratch {
@@ -45,7 +43,11 @@ func newScratch(e *Engine) *scratch {
 	for i := range env {
 		env[i] = unboundSym
 	}
-	return &scratch{env: env}
+	sc := &scratch{env: env}
+	if e.provOn {
+		sc.rec = &recorder{}
+	}
+	return sc
 }
 
 // Run evaluates all rules to fixpoint using semi-naive iteration.
@@ -60,14 +62,9 @@ func newScratch(e *Engine) *scratch {
 // shared engine without re-paying the earlier families' joins.
 func (e *Engine) Run() {
 	e.compile()
-	workers := e.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.stats.Workers = workers
 
-	// Materialize every index the join plans probe, so evaluation
-	// goroutines only read relation state.
+	// Materialize every index the join plans probe; the join reads them
+	// directly, and insert keeps them current.
 	for _, cr := range e.compiled {
 		for pi := range cr.plans {
 			for li := range cr.plans[pi].body {
@@ -83,6 +80,7 @@ func (e *Engine) Run() {
 		}
 		e.ranRules = len(e.compiled)
 	}()
+	sc := newScratch(e)
 
 	if e.ranRules == 0 {
 		// First evaluation: the first delta is everything currently in
@@ -90,7 +88,7 @@ func (e *Engine) Run() {
 		for _, r := range e.relList {
 			r.deltaLo, r.deltaHi = 0, r.rows
 		}
-		e.fixpoint(e.compiled, workers)
+		e.fixpoint(sc)
 		return
 	}
 
@@ -102,10 +100,9 @@ func (e *Engine) Run() {
 		for _, r := range e.relList {
 			r.deltaLo, r.deltaHi = 0, r.rows
 		}
-		if items := e.buildWorkItems(nil, workers, fresh); len(items) > 0 {
+		if e.evalRound(sc, fresh) {
 			e.stats.Iterations++
-			outs, provs := e.evalRound(items, workers)
-			e.stats.Derived += e.mergeRound(items, outs, provs, workers)
+			e.stats.Derived += e.merge(sc)
 		}
 	}
 	// Old rules already reached fixpoint over rows below evalMark; only
@@ -114,26 +111,23 @@ func (e *Engine) Run() {
 	for _, r := range e.relList {
 		r.deltaLo, r.deltaHi = r.evalMark, r.rows
 	}
-	e.fixpoint(e.compiled, workers)
+	e.fixpoint(sc)
 }
 
-// fixpoint iterates the rules' delta plans from the currently seeded
+// fixpoint iterates every rule's delta plans from the currently seeded
 // per-relation deltas until no relation grows.
-func (e *Engine) fixpoint(rules []*crule, workers int) {
-	var items []workItem
+func (e *Engine) fixpoint(sc *scratch) {
 	for {
 		e.stats.Iterations++
-		items = e.buildWorkItems(items[:0], workers, rules)
-		if len(items) == 0 {
+		if !e.evalRound(sc, e.compiled) {
 			return
 		}
-		outs, provs := e.evalRound(items, workers)
 
 		// Merge: new rows become the next delta.
 		for _, r := range e.relList {
 			r.deltaLo = r.rows
 		}
-		e.stats.Derived += e.mergeRound(items, outs, provs, workers)
+		e.stats.Derived += e.merge(sc)
 		grew := false
 		for _, r := range e.relList {
 			r.deltaHi = r.rows
@@ -147,244 +141,82 @@ func (e *Engine) fixpoint(rules []*crule, workers int) {
 	}
 }
 
-// buildWorkItems chunks every given rule's non-empty delta ranges.
-// Chunks are sized so each worker sees several items (for load balance)
-// without fragmenting small deltas.
-func (e *Engine) buildWorkItems(items []workItem, workers int, rules []*crule) []workItem {
+// evalRound evaluates one item per (rule, plan) whose delta is
+// non-empty, collecting the emitted tuples in sc; nothing is inserted
+// until merge, so every item joins against the round-start relations.
+// It reports whether any item ran.
+func (e *Engine) evalRound(sc *scratch, rules []*crule) bool {
+	sc.out, sc.items = sc.out[:0], sc.items[:0]
+	sc.rec.reset()
 	for _, cr := range rules {
+		fired := false
 		for pi := range cr.plans {
 			p := &cr.plans[pi]
 			d := p.delta.rel
-			n := d.deltaHi - d.deltaLo
-			if n <= 0 {
+			if d.deltaHi <= d.deltaLo {
 				continue
 			}
-			chunk := n
-			if workers > 1 {
-				chunk = (n + workers*4 - 1) / (workers * 4)
-				if chunk < 128 {
-					chunk = 128
-				}
+			fired = true
+			start := time.Now()
+			sc.start = len(sc.out)
+			for rowID := d.deltaLo; rowID < d.deltaHi; rowID++ {
+				sc.joinRow(cr, p, -1, &p.delta, rowID)
 			}
-			for lo := d.deltaLo; lo < d.deltaHi; lo += chunk {
-				hi := lo + chunk
-				if hi > d.deltaHi {
-					hi = d.deltaHi
-				}
-				items = append(items, workItem{cr: cr, plan: p, lo: lo, hi: hi})
-			}
+			sc.items = append(sc.items, item{cr: cr, end: len(sc.out)})
+			e.ruleTime[cr.idx] += time.Since(start)
+		}
+		if fired {
+			e.ruleRounds[cr.idx]++
 		}
 	}
-	// Count a fired round per rule with work this round. Items for one
-	// rule are contiguous (rules, then plans, then chunks, in order).
-	var last *crule
-	for i := range items {
-		if items[i].cr != last {
-			last = items[i].cr
-			e.ruleRounds[last.idx]++
-		}
-	}
-	return items
+	return len(sc.items) > 0
 }
 
-// evalRound evaluates the items, returning one flat emit buffer per
-// item (plus, in provenance mode, one aligned cell buffer per item).
-// Buffers are indexed by item, not worker, so the merge order is
-// independent of goroutine scheduling.
-func (e *Engine) evalRound(items []workItem, workers int) ([][]Sym, [][]provCell) {
-	outs := make([][]Sym, len(items))
-	var provs [][]provCell
-	if e.provOn {
-		provs = make([][]provCell, len(items))
-	}
-	runItem := func(i int, sc *scratch) {
-		start := time.Now()
-		if provs != nil {
-			outs[i], provs[i] = e.evalItemProv(&items[i], sc, nil, nil)
-		} else {
-			outs[i] = e.evalItem(&items[i], sc, nil)
+// merge inserts the round's emitted tuples into their head relations in
+// item order and returns the number of new tuples. In provenance mode
+// each newly inserted row takes the cell of the derivation that emitted
+// it, so a tuple records the first derivation in item order.
+func (e *Engine) merge(sc *scratch) int {
+	derived, off, k := 0, 0, 0
+	for _, it := range sc.items {
+		r := it.cr.headRel
+		// An arity-0 head leaves a one-symbol marker.
+		width := r.arity
+		if width == 0 {
+			width = 1
 		}
-		atomic.AddInt64(&e.ruleNanos[items[i].cr.idx], int64(time.Since(start)))
-	}
-	if workers == 1 || len(items) == 1 {
-		sc := newScratch(e)
-		for i := range items {
-			runItem(i, sc)
-		}
-		return outs, provs
-	}
-	if workers > len(items) {
-		workers = len(items)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newScratch(e)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(items) {
-					return
-				}
-				runItem(i, sc)
-			}
-		}()
-	}
-	wg.Wait()
-	return outs, provs
-}
-
-// mergeRound inserts the emitted tuples into their head relations in
-// item order, sharding the work by head relation (each relation has a
-// single writer, so index and table maintenance stay race-free).
-// Returns the number of new tuples. In provenance mode the aligned cell
-// buffers annotate each newly inserted row with the rule and premises
-// that first derived it — "first" is deterministic because shard item
-// order is fixed regardless of worker count.
-func (e *Engine) mergeRound(items []workItem, outs [][]Sym, provs [][]provCell, workers int) int {
-	type shard struct {
-		rel   *Relation
-		items []int
-	}
-	var shards []*shard
-	byRel := make(map[*Relation]*shard)
-	for i := range items {
-		if len(outs[i]) == 0 {
-			continue
-		}
-		rel := items[i].cr.headRel
-		s, ok := byRel[rel]
-		if !ok {
-			s = &shard{rel: rel}
-			byRel[rel] = s
-			shards = append(shards, s)
-		}
-		s.items = append(s.items, i)
-	}
-	mergeShard := func(s *shard) int {
-		derived := 0
-		arity := s.rel.arity
-		for _, i := range s.items {
-			buf := outs[i]
-			itemNew := 0
-			var cells []provCell
-			if provs != nil {
-				cells = provs[i]
-			}
-			if arity == 0 {
-				if s.rel.insert(nil) {
-					itemNew++
-					if len(cells) > 0 {
-						s.rel.prov[0] = cells[0]
-					}
-				}
-			} else {
-				k := 0
-				for off := 0; off+arity <= len(buf); off += arity {
-					if s.rel.insert(buf[off : off+arity]) {
-						itemNew++
-						if cells != nil {
-							s.rel.prov[s.rel.rows-1] = cells[k]
-						}
-					}
-					k++
+		itemNew := 0
+		for ; off < it.end; off += width {
+			if r.insert(sc.out[off : off+r.arity]) {
+				itemNew++
+				if sc.rec != nil {
+					r.prov[r.rows-1] = sc.rec.cells[k]
 				}
 			}
-			if itemNew > 0 {
-				atomic.AddInt64(&e.ruleDerived[items[i].cr.idx], int64(itemNew))
-				derived += itemNew
-			}
+			k++
 		}
-		return derived
+		e.ruleDerived[it.cr.idx] += itemNew
+		derived += itemNew
 	}
-	if workers == 1 || len(shards) <= 1 {
-		derived := 0
-		for _, s := range shards {
-			derived += mergeShard(s)
-		}
-		return derived
-	}
-	var derived atomic.Int64
-	var wg sync.WaitGroup
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
-				derived.Add(int64(mergeShard(shards[i])))
-			}
-		}()
-	}
-	wg.Wait()
-	return int(derived.Load())
-}
-
-// evalItem joins each delta row of the item against the plan, appending
-// emitted head tuples flat onto out.
-func (e *Engine) evalItem(it *workItem, sc *scratch, out []Sym) []Sym {
-	cr, p := it.cr, it.plan
-	env := sc.env
-	d := &p.delta
-	var boundSlots [maxArity]int
-	for rowID := it.lo; rowID < it.hi; rowID++ {
-		t := d.rel.row(rowID)
-		nb := 0
-		ok := true
-		for ci := range d.terms {
-			ct := &d.terms[ci]
-			v := t[ci]
-			switch {
-			case ct.isConst:
-				if ct.val != v {
-					ok = false
-				}
-			case ct.slot >= 0:
-				if env[ct.slot] == unboundSym {
-					env[ct.slot] = v
-					boundSlots[nb] = ct.slot
-					nb++
-				} else if env[ct.slot] != v {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			out = e.joinBody(cr, p, 0, env, out)
-		}
-		for i := 0; i < nb; i++ {
-			env[boundSlots[i]] = unboundSym
-		}
-	}
-	return out
+	return derived
 }
 
 // joinBody extends the environment over plan.body[i:], emitting the head
 // tuple when the body is exhausted.
-func (e *Engine) joinBody(cr *crule, p *cplan, i int, env []Sym, out []Sym) []Sym {
+func (sc *scratch) joinBody(cr *crule, p *cplan, i int) {
 	if i == len(p.body) {
-		return emitHead(cr, env, out)
+		sc.emitHead(cr)
+		return
 	}
+	env := sc.env
 	l := &p.body[i]
 	switch l.builtin {
 	case BuiltinNeq:
 		a, b := termVal(&l.terms[0], env), termVal(&l.terms[1], env)
 		if a != b {
-			out = e.joinBody(cr, p, i+1, env, out)
+			sc.joinBody(cr, p, i+1)
 		}
-		return out
+		return
 	case BuiltinEq:
 		ta, tb := &l.terms[0], &l.terms[1]
 		av, abound := termBound(ta, env)
@@ -392,31 +224,35 @@ func (e *Engine) joinBody(cr *crule, p *cplan, i int, env []Sym, out []Sym) []Sy
 		switch {
 		case abound && bbound:
 			if av == bv {
-				out = e.joinBody(cr, p, i+1, env, out)
+				sc.joinBody(cr, p, i+1)
 			}
 		case abound:
 			if tb.slot < 0 { // binding a wildcard is a no-op
-				return e.joinBody(cr, p, i+1, env, out)
+				sc.joinBody(cr, p, i+1)
+				return
 			}
 			env[tb.slot] = av
-			out = e.joinBody(cr, p, i+1, env, out)
+			sc.joinBody(cr, p, i+1)
 			env[tb.slot] = unboundSym
 		case bbound:
 			if ta.slot < 0 {
-				return e.joinBody(cr, p, i+1, env, out)
+				sc.joinBody(cr, p, i+1)
+				return
 			}
 			env[ta.slot] = bv
-			out = e.joinBody(cr, p, i+1, env, out)
+			sc.joinBody(cr, p, i+1)
 			env[ta.slot] = unboundSym
 		}
-		return out
+		return
 	}
 	r := l.rel
 	if r.arity == 0 {
 		if r.rows > 0 {
-			out = e.joinBody(cr, p, i+1, env, out)
+			sc.rec.push(r.id, 0)
+			sc.joinBody(cr, p, i+1)
+			sc.rec.pop()
 		}
-		return out
+		return
 	}
 	if l.lookupCol >= 0 {
 		kt := &l.terms[l.lookupCol]
@@ -425,19 +261,21 @@ func (e *Engine) joinBody(cr *crule, p *cplan, i int, env []Sym, out []Sym) []Sy
 			key = env[kt.slot]
 		}
 		for _, id := range r.index[l.lookupCol][key] {
-			out = e.joinRow(cr, p, i, l, r.row(int(id)), env, out)
+			sc.joinRow(cr, p, i, l, int(id))
 		}
-		return out
+		return
 	}
 	for id := 0; id < r.rows; id++ {
-		out = e.joinRow(cr, p, i, l, r.row(id), env, out)
+		sc.joinRow(cr, p, i, l, id)
 	}
-	return out
 }
 
-// joinRow unifies one candidate row against literal l, recursing into
-// the rest of the plan on success.
-func (e *Engine) joinRow(cr *crule, p *cplan, i int, l *clit, t []Sym, env []Sym, out []Sym) []Sym {
+// joinRow unifies row rowID of literal l's relation against l,
+// recursing into the rest of the plan (from body index i+1) on success.
+// The delta literal is joined as i = -1.
+func (sc *scratch) joinRow(cr *crule, p *cplan, i int, l *clit, rowID int) {
+	env := sc.env
+	t := l.rel.row(rowID)
 	var boundSlots [maxArity]int
 	nb := 0
 	ok := true
@@ -463,24 +301,27 @@ func (e *Engine) joinRow(cr *crule, p *cplan, i int, l *clit, t []Sym, env []Sym
 		}
 	}
 	if ok {
-		out = e.joinBody(cr, p, i+1, env, out)
+		sc.rec.push(l.rel.id, rowID)
+		sc.joinBody(cr, p, i+1)
+		sc.rec.pop()
 	}
 	for k := 0; k < nb; k++ {
 		env[boundSlots[k]] = unboundSym
 	}
-	return out
 }
 
-// emitHead resolves the head tuple and appends it to out, skipping
-// immediate duplicates (full dedup happens at merge). Arity-0 heads
-// leave a single marker so the merge knows the rule fired.
-func emitHead(cr *crule, env []Sym, out []Sym) []Sym {
+// emitHead resolves the head tuple and appends it to sc.out, skipping an
+// immediate duplicate within the current item (full dedup happens at
+// merge). Arity-0 heads leave a single marker per item so the merge
+// knows the rule fired.
+func (sc *scratch) emitHead(cr *crule) {
 	ha := len(cr.head)
 	if ha == 0 {
-		if len(out) == 0 {
-			out = append(out, 0)
+		if len(sc.out) == sc.start {
+			sc.out = append(sc.out, 0)
+			sc.rec.emit(cr.idx)
 		}
-		return out
+		return
 	}
 	var tup [maxArity]Sym
 	for hi := range cr.head {
@@ -488,22 +329,23 @@ func emitHead(cr *crule, env []Sym, out []Sym) []Sym {
 		if ct.isConst {
 			tup[hi] = ct.val
 		} else {
-			tup[hi] = env[ct.slot]
+			tup[hi] = sc.env[ct.slot]
 		}
 	}
-	if n := len(out); n >= ha && ha > 0 {
+	if n := len(sc.out); n-ha >= sc.start {
 		same := true
 		for k := 0; k < ha; k++ {
-			if out[n-ha+k] != tup[k] {
+			if sc.out[n-ha+k] != tup[k] {
 				same = false
 				break
 			}
 		}
 		if same {
-			return out
+			return
 		}
 	}
-	return append(out, tup[:ha]...)
+	sc.out = append(sc.out, tup[:ha]...)
+	sc.rec.emit(cr.idx)
 }
 
 // termVal resolves a term the planner guaranteed is bound.

@@ -11,13 +11,12 @@ import (
 // premises; base facts carry a sentinel. Engine.Why walks the cells
 // into a bounded derivation tree.
 //
-// The recording path is a separate copy of the join code (evalItemProv
-// and friends) so the default evaluation stays byte-identical when
-// provenance is off. Premise rows are always rows visible at round
-// start — inserted strictly before the derived tuple — so the
-// provenance graph is acyclic by construction, and because mergeRound
-// resolves "first derivation" in deterministic item order, the
-// recorded trees are identical for any worker count.
+// Recording rides on the one join (eval.go) through a recorder that is
+// nil when provenance is off. Premise rows are always rows visible at
+// round start — inserted strictly before the derived tuple — so the
+// provenance graph is acyclic by construction, and merge resolves
+// "first derivation" in item order, so the recorded trees are
+// deterministic.
 
 // baseFact marks a tuple asserted directly rather than derived.
 const baseFact = int32(-1)
@@ -32,6 +31,43 @@ type provCell struct {
 func packTID(relID, row int) int64 { return int64(relID)<<32 | int64(uint32(row)) }
 
 func unpackTID(id int64) (relID, row int) { return int(id >> 32), int(uint32(id)) }
+
+// recorder is the join's provenance side: prem is the stack of packed
+// tuple IDs of the positive literals matched so far, and cells holds one
+// cell per emitted head tuple, aligned with the round's output buffer.
+// Every method is a no-op on a nil recorder, which is how the join runs
+// with provenance off.
+type recorder struct {
+	prem  []int64
+	cells []provCell
+}
+
+func (r *recorder) push(relID, row int) {
+	if r != nil {
+		r.prem = append(r.prem, packTID(relID, row))
+	}
+}
+
+func (r *recorder) pop() {
+	if r != nil {
+		r.prem = r.prem[:len(r.prem)-1]
+	}
+}
+
+// emit records the current premise stack as rule's derivation of the
+// tuple just appended to the output buffer.
+func (r *recorder) emit(rule int) {
+	if r != nil {
+		r.cells = append(r.cells, provCell{rule: int32(rule), premises: append([]int64(nil), r.prem...)})
+	}
+}
+
+// reset drops the previous round's cells.
+func (r *recorder) reset() {
+	if r != nil {
+		r.cells = r.cells[:0]
+	}
+}
 
 // EnableProvenance switches the engine into provenance-recording mode.
 // Tuples already present (asserted or derived by an earlier Run) are
@@ -196,197 +232,10 @@ func (e *Engine) RuleStats() []RuleStat {
 		out = append(out, RuleStat{
 			Rule:    cr.src,
 			Head:    cr.headRel.name,
-			Derived: int(e.ruleDerived[i]),
-			Rounds:  int(e.ruleRounds[i]),
-			Time:    time.Duration(e.ruleNanos[i]),
+			Derived: e.ruleDerived[i],
+			Rounds:  e.ruleRounds[i],
+			Time:    e.ruleTime[i],
 		})
 	}
 	return out
-}
-
-// evalItemProv mirrors evalItem, threading the premise stack so every
-// emitted head tuple gets an aligned provCell.
-func (e *Engine) evalItemProv(it *workItem, sc *scratch, out []Sym, cells []provCell) ([]Sym, []provCell) {
-	cr, p := it.cr, it.plan
-	env := sc.env
-	d := &p.delta
-	var boundSlots [maxArity]int
-	for rowID := it.lo; rowID < it.hi; rowID++ {
-		t := d.rel.row(rowID)
-		nb := 0
-		ok := true
-		for ci := range d.terms {
-			ct := &d.terms[ci]
-			v := t[ci]
-			switch {
-			case ct.isConst:
-				if ct.val != v {
-					ok = false
-				}
-			case ct.slot >= 0:
-				if env[ct.slot] == unboundSym {
-					env[ct.slot] = v
-					boundSlots[nb] = ct.slot
-					nb++
-				} else if env[ct.slot] != v {
-					ok = false
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if ok {
-			sc.prem = append(sc.prem[:0], packTID(d.rel.id, rowID))
-			out, cells = e.joinBodyProv(cr, p, 0, env, out, cells, sc)
-		}
-		for i := 0; i < nb; i++ {
-			env[boundSlots[i]] = unboundSym
-		}
-	}
-	return out, cells
-}
-
-// joinBodyProv mirrors joinBody, pushing each matched positive
-// literal's tuple ID onto the premise stack.
-func (e *Engine) joinBodyProv(cr *crule, p *cplan, i int, env []Sym, out []Sym, cells []provCell, sc *scratch) ([]Sym, []provCell) {
-	if i == len(p.body) {
-		return emitHeadProv(cr, env, out, cells, sc.prem)
-	}
-	l := &p.body[i]
-	switch l.builtin {
-	case BuiltinNeq:
-		a, b := termVal(&l.terms[0], env), termVal(&l.terms[1], env)
-		if a != b {
-			out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-		}
-		return out, cells
-	case BuiltinEq:
-		ta, tb := &l.terms[0], &l.terms[1]
-		av, abound := termBound(ta, env)
-		bv, bbound := termBound(tb, env)
-		switch {
-		case abound && bbound:
-			if av == bv {
-				out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			}
-		case abound:
-			if tb.slot < 0 {
-				return e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			}
-			env[tb.slot] = av
-			out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			env[tb.slot] = unboundSym
-		case bbound:
-			if ta.slot < 0 {
-				return e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			}
-			env[ta.slot] = bv
-			out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			env[ta.slot] = unboundSym
-		}
-		return out, cells
-	}
-	r := l.rel
-	if r.arity == 0 {
-		if r.rows > 0 {
-			sc.prem = append(sc.prem, packTID(r.id, 0))
-			out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-			sc.prem = sc.prem[:len(sc.prem)-1]
-		}
-		return out, cells
-	}
-	if l.lookupCol >= 0 {
-		kt := &l.terms[l.lookupCol]
-		key := kt.val
-		if !kt.isConst {
-			key = env[kt.slot]
-		}
-		for _, id := range r.index[l.lookupCol][key] {
-			out, cells = e.joinRowProv(cr, p, i, l, int(id), env, out, cells, sc)
-		}
-		return out, cells
-	}
-	for id := 0; id < r.rows; id++ {
-		out, cells = e.joinRowProv(cr, p, i, l, id, env, out, cells, sc)
-	}
-	return out, cells
-}
-
-// joinRowProv mirrors joinRow with the candidate row passed by ID so
-// its tuple ID can join the premise stack.
-func (e *Engine) joinRowProv(cr *crule, p *cplan, i int, l *clit, rowID int, env []Sym, out []Sym, cells []provCell, sc *scratch) ([]Sym, []provCell) {
-	t := l.rel.row(rowID)
-	var boundSlots [maxArity]int
-	nb := 0
-	ok := true
-	for ci := range l.terms {
-		ct := &l.terms[ci]
-		v := t[ci]
-		switch {
-		case ct.isConst:
-			if ct.val != v {
-				ok = false
-			}
-		case ct.slot >= 0:
-			if env[ct.slot] == unboundSym {
-				env[ct.slot] = v
-				boundSlots[nb] = ct.slot
-				nb++
-			} else if env[ct.slot] != v {
-				ok = false
-			}
-		}
-		if !ok {
-			break
-		}
-	}
-	if ok {
-		sc.prem = append(sc.prem, packTID(l.rel.id, rowID))
-		out, cells = e.joinBodyProv(cr, p, i+1, env, out, cells, sc)
-		sc.prem = sc.prem[:len(sc.prem)-1]
-	}
-	for k := 0; k < nb; k++ {
-		env[boundSlots[k]] = unboundSym
-	}
-	return out, cells
-}
-
-// emitHeadProv mirrors emitHead: the immediate-duplicate skip drops
-// the tuple and its cell together, keeping the buffers aligned. The
-// final database is identical to the provenance-off run because the
-// merge deduplicates anyway.
-func emitHeadProv(cr *crule, env []Sym, out []Sym, cells []provCell, prem []int64) ([]Sym, []provCell) {
-	ha := len(cr.head)
-	if ha == 0 {
-		if len(out) == 0 {
-			out = append(out, 0)
-			cells = append(cells, provCell{rule: int32(cr.idx), premises: append([]int64(nil), prem...)})
-		}
-		return out, cells
-	}
-	var tup [maxArity]Sym
-	for hi := range cr.head {
-		ct := &cr.head[hi]
-		if ct.isConst {
-			tup[hi] = ct.val
-		} else {
-			tup[hi] = env[ct.slot]
-		}
-	}
-	if n := len(out); n >= ha {
-		same := true
-		for k := 0; k < ha; k++ {
-			if out[n-ha+k] != tup[k] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return out, cells
-		}
-	}
-	out = append(out, tup[:ha]...)
-	cells = append(cells, provCell{rule: int32(cr.idx), premises: append([]int64(nil), prem...)})
-	return out, cells
 }

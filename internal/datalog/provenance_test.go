@@ -1,7 +1,6 @@
 package datalog
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -9,9 +8,8 @@ import (
 // buildProvEngine asserts a tiny transitive-reachability program:
 // Edge(a,b), Edge(b,c), Edge(c,d); Path(x,y) :- Edge(x,y);
 // Path(x,z) :- Path(x,y), Edge(y,z).
-func buildProvEngine(workers int) *Engine {
+func buildProvEngine() *Engine {
 	e := NewEngine()
-	e.SetWorkers(workers)
 	e.EnableProvenance()
 	e.MustRule("Path(x, y) :- Edge(x, y)")
 	e.MustRule("Path(x, z) :- Path(x, y), Edge(y, z)")
@@ -23,7 +21,7 @@ func buildProvEngine(workers int) *Engine {
 }
 
 func TestWhyBaseFact(t *testing.T) {
-	e := buildProvEngine(1)
+	e := buildProvEngine()
 	d := e.Why("Edge", e.Sym("a"), e.Sym("b"))
 	if d == nil {
 		t.Fatal("Why returned nil for asserted fact")
@@ -37,7 +35,7 @@ func TestWhyBaseFact(t *testing.T) {
 }
 
 func TestWhyDerived(t *testing.T) {
-	e := buildProvEngine(1)
+	e := buildProvEngine()
 	d := e.Why("Path", e.Sym("a"), e.Sym("d"))
 	if d == nil {
 		t.Fatal("Why returned nil for derived tuple")
@@ -76,7 +74,7 @@ func TestWhyDerived(t *testing.T) {
 }
 
 func TestWhyMissingTupleAndDisabled(t *testing.T) {
-	e := buildProvEngine(1)
+	e := buildProvEngine()
 	if d := e.Why("Path", e.Sym("d"), e.Sym("a")); d != nil {
 		t.Fatalf("Why for absent tuple should be nil, got %+v", d)
 	}
@@ -89,19 +87,6 @@ func TestWhyMissingTupleAndDisabled(t *testing.T) {
 	off.Run()
 	if d := off.Why("Path", off.Sym("a"), off.Sym("b")); d != nil {
 		t.Fatal("Why with provenance off should be nil")
-	}
-}
-
-// TestProvenanceDeterministicAcrossWorkers: the recorded trees must be
-// identical for any worker count, because merge order is fixed.
-func TestProvenanceDeterministicAcrossWorkers(t *testing.T) {
-	want, _ := json.Marshal(buildProvEngine(1).Why("Path", 0, 3))
-	for _, w := range []int{2, 4, 8} {
-		e := buildProvEngine(w)
-		got, _ := json.Marshal(e.Why("Path", e.Sym("a"), e.Sym("d")))
-		if string(got) != string(want) {
-			t.Fatalf("workers=%d derivation differs:\n  got  %s\n  want %s", w, got, want)
-		}
 	}
 }
 
@@ -178,7 +163,6 @@ func TestEnableProvenanceBackfill(t *testing.T) {
 
 func TestWhyTruncation(t *testing.T) {
 	e := NewEngine()
-	e.SetWorkers(1)
 	e.EnableProvenance()
 	e.MustRule("Path(x, y) :- Edge(x, y)")
 	e.MustRule("Path(x, z) :- Path(x, y), Edge(y, z)")
@@ -215,7 +199,7 @@ func TestWhyTruncation(t *testing.T) {
 }
 
 func TestRuleStats(t *testing.T) {
-	e := buildProvEngine(1)
+	e := buildProvEngine()
 	stats := e.RuleStats()
 	if len(stats) != 2 {
 		t.Fatalf("want 2 rule stats, got %d", len(stats))

@@ -44,12 +44,11 @@ type Rule struct {
 // String returns the original source of the rule.
 func (r *Rule) String() string { return r.src }
 
-// ParseRule parses one rule. Constants must be pre-interned by the
-// engine, so ParseRule leaves constant terms symbolic and InternInto
-// resolves them; to keep the common path simple, constants in rule text
-// are only allowed via single quotes and are interned lazily at AddRule
-// time by the engine that parses them. In practice analyses assert all
-// constants as facts, and rules use variables only.
+// ParseRule parses one rule. Rule text holds variables and the body
+// wildcard `_` only; analyses assert constants as facts. It rejects any
+// rule Run could not evaluate: no positive body literal, a `_` in the
+// head, or a head variable or builtin operand that no positive literal
+// (or `=` chain from one) binds.
 func ParseRule(src string) (*Rule, error) {
 	head, body, ok := strings.Cut(src, ":-")
 	if !ok {
@@ -76,14 +75,21 @@ func ParseRule(src string) (*Rule, error) {
 	if len(r.positiveIdx) == 0 {
 		return nil, fmt.Errorf("datalog: rule %q has no positive body literal", src)
 	}
-	// Head variables must appear in a positive body literal, or be bound
-	// through an `=` builtin whose other side is bound.
+	// Every variable the head or a builtin reads must be bound by a
+	// positive body literal, or through an `=` chain from one; the
+	// wildcard `_` never binds.
 	bound := map[string]bool{}
+	resolvable := func(t Term) bool { return !t.IsVar || bound[t.Var] }
+	bind := func(t Term) bool { // reports whether t became bound
+		if !t.IsVar || t.Var == "_" || bound[t.Var] {
+			return false
+		}
+		bound[t.Var] = true
+		return true
+	}
 	for _, i := range r.positiveIdx {
 		for _, t := range r.Body[i].Terms {
-			if t.IsVar {
-				bound[t.Var] = true
-			}
+			bind(t)
 		}
 	}
 	for changed := true; changed; {
@@ -93,21 +99,37 @@ func ParseRule(src string) (*Rule, error) {
 				continue
 			}
 			a, b := l.Terms[0], l.Terms[1]
-			if a.IsVar && b.IsVar {
-				if bound[a.Var] && !bound[b.Var] {
-					bound[b.Var] = true
-					changed = true
-				}
-				if bound[b.Var] && !bound[a.Var] {
-					bound[a.Var] = true
-					changed = true
-				}
+			if resolvable(a) && bind(b) {
+				changed = true
+			}
+			if resolvable(b) && bind(a) {
+				changed = true
 			}
 		}
 	}
 	for _, t := range r.Head.Terms {
-		if t.IsVar && !bound[t.Var] {
+		if t.IsVar && t.Var == "_" {
+			return nil, fmt.Errorf("datalog: rule %q: wildcard in head", src)
+		}
+		if !resolvable(t) {
 			return nil, fmt.Errorf("datalog: rule %q: head variable %q unbound", src, t.Var)
+		}
+	}
+	for _, l := range r.Body {
+		if l.Builtin == BuiltinNone {
+			continue
+		}
+		a, b := l.Terms[0], l.Terms[1]
+		ok := resolvable(a) && resolvable(b)
+		if l.Builtin == BuiltinEq {
+			ok = resolvable(a) || resolvable(b)
+		}
+		if !ok {
+			v := a.Var
+			if resolvable(a) {
+				v = b.Var
+			}
+			return nil, fmt.Errorf("datalog: rule %q: builtin operand %q unbound", src, v)
 		}
 	}
 	return r, nil

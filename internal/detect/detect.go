@@ -81,11 +81,9 @@ type Context struct {
 	// base (RdAcc/WrAcc/Esc, use/free only) and the async-error facts
 	// (NativeThr, PostedThr, CallbackThr, BackgroundThr, SpawnEdge,
 	// CompOf, TornDown). Detectors add their rules via AddRulesOnce and
-	// may Run it again; semi-naive evaluation restarts from the full
-	// contents, so late rules see every fact.
+	// Run it again; a late rule gets one seeding round over the full
+	// contents, so it sees every fact.
 	Engine *datalog.Engine
-	// Workers bounds detector-internal worker pools.
-	Workers int
 
 	// UAF is set by the uaf detector when it runs.
 	UAF *uaf.Detection
@@ -111,9 +109,6 @@ func (dc *Context) AddRulesOnce(name string, fn func(e *datalog.Engine)) {
 
 // Options tunes context construction.
 type Options struct {
-	// Workers bounds the Datalog worker pool (0 = GOMAXPROCS). Results
-	// are identical for any setting.
-	Workers int
 	// Provenance switches the shared Datalog engine into derivation
 	// recording mode before the fact base is loaded, so every derived
 	// tuple can later be explained via Engine.Why.
@@ -156,11 +151,10 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 
 	_, span = obs.Start(ctx, "detect.facts")
 	e := datalog.NewEngine()
-	e.SetWorkers(opts.Workers)
 	if opts.Provenance {
 		e.EnableProvenance()
 	}
-	race.PopulateFacts(e, accesses, esc, race.Options{UseFreeOnly: true, Workers: opts.Workers})
+	race.PopulateFacts(e, accesses, esc, race.Options{UseFreeOnly: true})
 	emitAsyncFacts(e, m)
 	span.SetAttr("facts", e.Stats().Facts)
 	span.End()
@@ -173,7 +167,6 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 		Escape:     esc,
 		MHB:        g,
 		Engine:     e,
-		Workers:    opts.Workers,
 		addedRules: make(map[string]bool),
 	}
 }

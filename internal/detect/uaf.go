@@ -30,7 +30,7 @@ func (uafDetector) count(dc *Context) int {
 }
 
 func (uafDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
-	opts := race.Options{UseFreeOnly: true, Workers: dc.Workers}
+	opts := race.Options{UseFreeOnly: true}
 	dc.AddRulesOnce("uaf", func(e *datalog.Engine) { race.InstallRacyRules(e, opts) })
 	pctx, span := obs.Start(ctx, "race.pair")
 	pairs := race.PairsFromEngine(pctx, dc.Engine, dc.Accesses, opts)

@@ -9,10 +9,8 @@ package filters
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"nadroid/internal/framework"
 	"nadroid/internal/hb"
@@ -50,8 +48,9 @@ type Context struct {
 	locks    *lockset.Result
 	accIdx   map[accKey]race.Access
 	// methodCache avoids re-fetching methods and factsCache re-running
-	// the pattern analyses of a method; mu guards both because filters
-	// may apply to warnings concurrently.
+	// the pattern analyses of a method. The pipeline applies filters to
+	// one warning at a time; mu guards both caches so a Context stays
+	// safe to share between goroutines.
 	mu          sync.Mutex
 	methodCache map[string]*ir.Method
 	factsCache  map[*ir.Method]*methodFacts
@@ -325,8 +324,8 @@ var filterCriterion = map[string]string{
 }
 
 // Trail collects per-warning filter verdicts, keyed by uaf.Warning.Key.
-// Safe for the filter pipeline's concurrent warning fan-out; verdicts
-// land in pipeline order because filters run strictly one at a time.
+// It is safe for concurrent use; verdicts land in pipeline order because
+// filters run strictly one at a time, each over the warnings in order.
 type Trail struct {
 	mu    sync.Mutex
 	byKey map[string][]Verdict
@@ -389,10 +388,6 @@ type RunConfig struct {
 	SkipSound bool
 	// SkipUnsound disables the §6.2 pass.
 	SkipUnsound bool
-	// Workers bounds each filter's fan-out across warnings
-	// (0 = GOMAXPROCS, 1 = sequential). Filters still run strictly in
-	// pipeline order, so attribution is identical for any setting.
-	Workers int
 	// MHB, when non-nil, is a prebuilt must-happen-before graph reused
 	// from the shared detector context; nil rebuilds it from the model.
 	MHB *hb.Graph
@@ -417,12 +412,6 @@ func RunWith(octx context.Context, d *uaf.Detection, cfg RunConfig) *Stats {
 	ctx := newContextMHB(d, cfg.Options, cfg.MHB)
 	span.End()
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	obs.Add(octx, "filter_workers", int64(workers))
-
 	st := &Stats{Potential: d.AliveCount(), Removed: make(map[string]int)}
 	apply := func(fs []Filter) {
 		for _, f := range fs {
@@ -434,7 +423,7 @@ func RunWith(octx context.Context, d *uaf.Detection, cfg RunConfig) *Stats {
 				}
 			}
 			examined := len(alive)
-			pairsRemoved, killed := applyOne(ctx, f, alive, workers, cfg.Trail)
+			pairsRemoved, killed := applyOne(ctx, f, alive, cfg.Trail)
 			if killed > 0 {
 				st.Removed[f.Name()] += killed
 			}
@@ -459,55 +448,21 @@ func RunWith(octx context.Context, d *uaf.Detection, cfg RunConfig) *Stats {
 	return st
 }
 
-// applyOne applies one filter to every alive warning, fanning out across
-// a bounded worker pool. Warnings are disjoint, so each is mutated by
-// exactly one goroutine; the aggregate counters are order-independent,
-// making the outcome identical to the sequential pass.
-func applyOne(ctx *Context, f Filter, alive []*uaf.Warning, workers int, trail *Trail) (pairsRemoved, killed int) {
-	if workers > len(alive) {
-		workers = len(alive)
-	}
-	applyTo := func(w *uaf.Warning) int {
+// applyOne applies one filter to every alive warning in order,
+// returning the thread pairs it removed and the warnings it killed.
+func applyOne(ctx *Context, f Filter, alive []*uaf.Warning, trail *Trail) (pairsRemoved, killed int) {
+	for _, w := range alive {
 		before := len(w.Pairs)
 		removed := f.Apply(ctx, w)
 		if trail != nil {
 			trail.record(w, f, before, removed)
 		}
-		return removed
-	}
-	if workers <= 1 {
-		for _, w := range alive {
-			pairsRemoved += applyTo(w)
-			if !w.Alive() {
-				killed++
-			}
+		pairsRemoved += removed
+		if !w.Alive() {
+			killed++
 		}
-		return pairsRemoved, killed
 	}
-	var next, pairsTotal, killedTotal atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pairs, dead := 0, 0
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(alive) {
-					break
-				}
-				w := alive[j]
-				pairs += applyTo(w)
-				if !w.Alive() {
-					dead++
-				}
-			}
-			pairsTotal.Add(int64(pairs))
-			killedTotal.Add(int64(dead))
-		}()
-	}
-	wg.Wait()
-	return int(pairsTotal.Load()), int(killedTotal.Load())
+	return pairsRemoved, killed
 }
 
 // MeasureIndependent evaluates each filter alone against the unfiltered

@@ -85,9 +85,6 @@ type Options struct {
 	// restriction (§5). When false the detector reports every
 	// read-write/write-write race, like stock Chord.
 	UseFreeOnly bool
-	// Workers bounds the Datalog engines' per-round worker pools
-	// (0 = GOMAXPROCS). Results are identical for any setting.
-	Workers int
 }
 
 // CollectAccesses enumerates the field accesses of every modeled thread.
@@ -224,7 +221,6 @@ func DetectPairs(m *threadify.Model, accesses []Access, esc *escape.Result, opts
 // (fact/derived-tuple/iteration counters) reported through ctx.
 func DetectPairsContext(ctx context.Context, m *threadify.Model, accesses []Access, esc *escape.Result, opts Options) []Pair {
 	e := datalog.NewEngine()
-	e.SetWorkers(opts.Workers)
 	PopulateFacts(e, accesses, esc, opts)
 	InstallRacyRules(e, opts)
 	return PairsFromEngine(ctx, e, accesses, opts)
@@ -302,7 +298,6 @@ func PairsFromEngine(ctx context.Context, e *datalog.Engine, accesses []Access, 
 	obs.Add(ctx, "datalog_facts", int64(st.Facts))
 	obs.Add(ctx, "datalog_derived", int64(st.Derived))
 	obs.Add(ctx, "datalog_iterations", int64(st.Iterations))
-	obs.Add(ctx, "datalog_workers", int64(st.Workers))
 	// Per-rule evaluation stats, labeled by head relation (rules sharing
 	// a head accumulate into one series). The server exposes these as
 	// the nadroid_datalog_rule_* metric families.

@@ -55,10 +55,10 @@ import (
 type Config struct {
 	// Workers is the analysis concurrency (default 4).
 	Workers int
-	// PipelineWorkers bounds each job's intra-pipeline worker pools (the
-	// detection Datalog engines, per-filter warning fan-out, validation
-	// sweep). Default: NumCPU/Workers, at least 1, so concurrent jobs
-	// share the machine instead of each fanning out to every core.
+	// PipelineWorkers bounds each job's validation sweep (warnings
+	// validated concurrently); the rest of a job's pipeline is
+	// sequential. Default: NumCPU/Workers, at least 1, so concurrent
+	// jobs share the machine instead of each fanning out to every core.
 	// Worker counts never change analysis results.
 	PipelineWorkers int
 	// QueueDepth bounds the FIFO job queue (default 64).

@@ -81,13 +81,6 @@ type Detection struct {
 // AccessFor returns the access metadata for an id.
 func (d *Detection) AccessFor(id int) race.Access { return d.accByID[id] }
 
-// Options tunes the detection stage.
-type Options struct {
-	// Workers bounds the Datalog engines' per-round worker pools
-	// (0 = GOMAXPROCS). Results are identical for any setting.
-	Workers int
-}
-
 // Detect runs race detection restricted to use/free pairs and groups the
 // racy pairs into warnings keyed by (field, use instr, free instr).
 func Detect(m *threadify.Model) *Detection {
@@ -98,12 +91,7 @@ func Detect(m *threadify.Model) *Detection {
 // detection and warning grouping run in their own spans, and the racy
 // pair / warning counts land in the pipeline counters.
 func DetectContext(ctx context.Context, m *threadify.Model) *Detection {
-	return DetectWith(ctx, m, Options{})
-}
-
-// DetectWith is DetectContext with explicit options.
-func DetectWith(ctx context.Context, m *threadify.Model, opts Options) *Detection {
-	rr := race.DetectContext(ctx, m, race.Options{UseFreeOnly: true, Workers: opts.Workers})
+	rr := race.DetectContext(ctx, m, race.Options{UseFreeOnly: true})
 	_, span := obs.Start(ctx, "uaf.group")
 	d := Group(m, rr)
 	pairs := 0

@@ -58,11 +58,10 @@ type Options struct {
 	Validate bool
 	// Explore bounds validation when Validate is set.
 	Explore explore.Options
-	// Workers bounds every phase's worker pool: the detection Datalog
-	// engines, the per-filter warning fan-out, and (unless
-	// Explore.Workers is set) the validation sweep. 0 selects GOMAXPROCS;
-	// 1 forces fully sequential execution. Results are identical for any
-	// setting.
+	// Workers bounds the validation sweep (warnings validated
+	// concurrently) unless Explore.Workers is set. 0 selects GOMAXPROCS;
+	// 1 validates one warning at a time. Modeling, detection and
+	// filtering are sequential. Results are identical for any setting.
 	Workers int
 	// Detectors selects the bug-family detectors to run by registry name
 	// (internal/detect). nil runs every registered detector; an empty
@@ -93,9 +92,8 @@ type Options struct {
 	// IRDigest): when the cold-start cache misses because the app
 	// changed, the run diffs the program method-by-method against the
 	// nearest stored base run and reuses every analysis partition whose
-	// digest gate passes — the points-to snapshot, per-thread escape
-	// facts (re-derived from deltas on the Datalog engine), and
-	// per-thread access sets. Results are identical to a cold run;
+	// digest gate passes — the points-to snapshot and per-thread access
+	// sets. Results are identical to a cold run;
 	// Result.Disposition reports what happened.
 	Incremental bool
 	// irProbed marks that the cold-start cache was already consulted
@@ -239,7 +237,7 @@ func analyze(ctx context.Context, pkg *apk.Package, model *threadify.Model, esc 
 	}
 	start = time.Now()
 	dctx, span := obs.Start(ctx, "detection")
-	dopts := detect.Options{Workers: opts.Workers, Provenance: opts.Provenance, Escape: esc}
+	dopts := detect.Options{Provenance: opts.Provenance, Escape: esc}
 	if inc != nil {
 		dopts.Accesses = inc.accesses
 	}
@@ -281,7 +279,6 @@ func analyze(ctx context.Context, pkg *apk.Package, model *threadify.Model, esc 
 			Options:     filters.Options{MultiLooper: opts.MultiLooper},
 			SkipSound:   opts.SkipSoundFilters,
 			SkipUnsound: opts.SkipUnsoundFilters,
-			Workers:     opts.Workers,
 			MHB:         dc.MHB,
 			Trail:       trail,
 		})

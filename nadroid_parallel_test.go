@@ -1,7 +1,7 @@
-// nadroid_parallel_test.go is the acceptance test for the parallel
-// detection core: a full pipeline run must produce byte-identical
-// output — warning sets, filter attribution, report text — for any
-// worker count.
+// nadroid_parallel_test.go is the acceptance test for the pipeline's
+// worker knob (Options.Workers, which bounds the validation sweep): a
+// full pipeline run must produce byte-identical output — warning sets,
+// filter attribution, report text, harmful set — for any worker count.
 package nadroid_test
 
 import (
