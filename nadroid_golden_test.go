@@ -12,15 +12,21 @@
 package nadroid_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"nadroid"
 	"nadroid/internal/corpus"
+	"nadroid/internal/explore"
+	"nadroid/internal/fingerprint"
+	"nadroid/internal/obs"
+	"nadroid/internal/uaf"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden from the current solver")
@@ -144,5 +150,113 @@ func TestCorpusGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goldenWitness is one surviving warning's validation outcome in
+// testdata/golden/witnesses.json. Harmless warnings carry only their
+// fingerprint: the schedules they exhaust are pinned by the per-app
+// counters instead.
+type goldenWitness struct {
+	Fingerprint    string `json:"fingerprint"`
+	Harmful        bool   `json:"harmful"`
+	Schedule       []int  `json:"schedule,omitempty"`
+	Executions     int    `json:"executions,omitempty"`
+	OpaqueBranches bool   `json:"opaque_branches,omitempty"`
+	NPE            string `json:"npe,omitempty"`
+}
+
+// goldenValidation is one app's record in testdata/golden/witnesses.json.
+type goldenValidation struct {
+	App               string          `json:"app"`
+	SchedulesExecuted int64           `json:"validation_schedules_executed"`
+	SchedulesPruned   int64           `json:"validation_schedules_pruned"`
+	Warnings          []goldenWitness `json:"warnings"`
+}
+
+const goldenWitnessPath = goldenDir + "/witnesses.json"
+
+// runWitnesses validates every corpus app's surviving warnings at the
+// CLI's default budget and returns each warning's witness plus the
+// app's schedule counters.
+func runWitnesses(t *testing.T) []goldenValidation {
+	t.Helper()
+	var out []goldenValidation
+	for _, app := range corpus.Apps() {
+		m := obs.NewMetrics()
+		ctx := obs.WithMetrics(context.Background(), m)
+		res, err := nadroid.AnalyzeContext(ctx, app.Build(), nadroid.Options{
+			Validate:   true,
+			Explore:    explore.Options{MaxSchedules: 3000},
+			Provenance: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name(), err)
+		}
+		harmful := make(map[*uaf.Warning]bool)
+		for _, w := range res.Harmful {
+			harmful[w] = true
+		}
+		gv := goldenValidation{
+			App:               app.Name(),
+			SchedulesExecuted: m.Get("validation_schedules_executed"),
+			SchedulesPruned:   m.Get("validation_schedules_pruned"),
+			Warnings:          []goldenWitness{},
+		}
+		seen := make(map[string]bool)
+		for _, w := range res.Detection.Alive() {
+			fp := string(fingerprint.Warning(res.Model, w))
+			if seen[fp] {
+				t.Fatalf("%s: two surviving warnings share fingerprint %s", app.Name(), fp)
+			}
+			seen[fp] = true
+			gw := goldenWitness{Fingerprint: fp, Harmful: harmful[w]}
+			if ev := res.Evidence[fp]; ev != nil && ev.Witness != nil {
+				gw.Schedule = ev.Witness.Schedule
+				gw.Executions = ev.Witness.Executions
+				gw.OpaqueBranches = ev.Witness.OpaqueBranchesTaken
+				gw.NPE = ev.Witness.NPE
+			}
+			gv.Warnings = append(gv.Warnings, gw)
+		}
+		out = append(out, gv)
+	}
+	return out
+}
+
+// TestWitnessGolden pins the explorer's output on every corpus app:
+// each surviving warning's witness (schedule, executions, branch
+// policy, NPE) and each app's executed and pruned schedule counts. An
+// explorer or interpreter change that shifts the search order, the
+// option keys or the pruning shows up here, including on the false
+// positives that exhaust their budget without a witness.
+func TestWitnessGolden(t *testing.T) {
+	got := runWitnesses(t)
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenWitnessPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden: rewrote %s for %d apps", goldenWitnessPath, len(got))
+		return
+	}
+	data, err := os.ReadFile(goldenWitnessPath)
+	if err != nil {
+		t.Fatalf("reading witness golden (regenerate with -update-golden): %v", err)
+	}
+	var want []goldenValidation
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("corpus has %d apps, witness golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: validation differs from golden:\n got %+v\nwant %+v", want[i].App, got[i], want[i])
+		}
 	}
 }
