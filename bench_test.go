@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"nadroid"
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/detect"
 	"nadroid/internal/deva"
@@ -568,9 +569,10 @@ func BenchmarkNoSleepDetection(b *testing.B) {
 func BenchmarkDynamicDetector(b *testing.B) {
 	app, _ := corpus.ByName("ConnectBot")
 	pkg := app.Build()
+	h := cha.New(pkg.Program)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := interp.NewWorld(pkg, interp.Options{Record: true})
+		w := interp.NewWorld(pkg, h, interp.Options{Record: true})
 		interp.Run(w, nil)
 		races := dynrace.Analyze(w.Recorded(), dynrace.Options{UseFreeOnly: true})
 		b.ReportMetric(float64(len(races)), "dynamic-races")

@@ -39,6 +39,7 @@ import (
 
 	"nadroid"
 	"nadroid/internal/apk"
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/detect"
 	"nadroid/internal/deva"
@@ -179,7 +180,7 @@ func main() {
 		return
 	}
 	if *dynMode {
-		w := interp.NewWorld(pkg, interp.Options{Record: true})
+		w := interp.NewWorld(pkg, cha.New(pkg.Program), interp.Options{Record: true})
 		interp.Run(w, nil)
 		races := dynrace.Analyze(w.Recorded(), dynrace.Options{UseFreeOnly: true})
 		fmt.Printf("dynamic (single default-schedule trace): %d use/free races\n", len(races))

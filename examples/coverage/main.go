@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"nadroid"
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/dynrace"
 	"nadroid/internal/interp"
@@ -57,7 +58,8 @@ func main() {
 }
 
 func record(app corpus.App, filter func(method, component, name string) bool) []dynrace.Race {
-	w := interp.NewWorld(app.Build(), interp.Options{Record: true, EventFilter: filter})
+	pkg := app.Build()
+	w := interp.NewWorld(pkg, cha.New(pkg.Program), interp.Options{Record: true, EventFilter: filter})
 	interp.Run(w, nil)
 	return dynrace.Analyze(w.Recorded(), dynrace.Options{UseFreeOnly: true})
 }

@@ -158,15 +158,31 @@ func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"class X extends Y {",              // no app
-		"app a\nmanifest {\n  widget X\n}", // unknown component kind
-		"app a\nclass X extends java/lang/Object {\n  method m(0) {\n    r1 = frobnicate\n  }\n}",
-		"app a\nclass X extends java/lang/Object {\n  method m(0) {\n    goto nowhere\n  }\n}", // unresolved label caught by validation
+	bad := []struct {
+		src string
+		// want is a substring of the error ("" accepts any error).
+		want string
+	}{
+		{"class X extends Y {", ""},              // no app
+		{"app a\nmanifest {\n  widget X\n}", ""}, // unknown component kind
+		{"app a\nclass X extends java/lang/Object {\n  method m(0) {\n    r1 = frobnicate\n  }\n}", ""},
+		{"app a\nclass X extends java/lang/Object {\n  method m(0) {\n    goto nowhere\n  }\n}", ""}, // unresolved label caught by validation
+		// Duplicate declarations are errors, not IR panics.
+		{"class 0 extends 0\nfield 0 0\nfield 0 0", "dexasm: line 3: duplicate field 0.0"},
+		{"app a\nclass X extends java/lang/Object {\n  field f X\n  static-field f X\n}", "dexasm: line 4: duplicate field X.f"},
+		{"app a\nclass X extends java/lang/Object {\n  method m(0) {\n    return\n  }\n  method m(1) {\n    return\n  }\n}", "dexasm: line 6: duplicate method X.m"},
+		{"app a\nclass X extends java/lang/Object {\n}\nclass X extends java/lang/Object {\n}", "dexasm: line 4: duplicate class X"},
+		{"app a\nclass android/app/Activity extends java/lang/Object {\n}", "dexasm: line 2: duplicate class android/app/Activity"},
+		{"app a\nmanifest {\n  activity X\n  service X\n}", "dexasm: line 4: duplicate component X"},
 	}
-	for _, src := range bad {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse(%q) should fail", src)
+	for _, c := range bad {
+		_, err := Parse(c.src)
+		if err == nil {
+			t.Errorf("Parse(%q) should fail", c.src)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) = %q, want an error containing %q", c.src, err, c.want)
 		}
 	}
 }

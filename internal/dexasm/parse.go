@@ -112,6 +112,9 @@ func (p *parser) parseManifest(man *manifest.Manifest) error {
 				return p.errf("unknown component flag %q", flag)
 			}
 		}
+		if man.Component(comp.Class) != nil {
+			return p.errf("duplicate component %s", comp.Class)
+		}
 		man.Add(comp)
 	}
 }
@@ -143,6 +146,9 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 			return p.errf("unexpected token %q in class header", rest[0])
 		}
 	}
+	if prog.Class(c.Name) != nil {
+		return p.errf("duplicate class %s", c.Name)
+	}
 	prog.AddClass(c)
 
 	for {
@@ -159,11 +165,17 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 			if len(f) != 3 {
 				return p.errf("malformed field %q", line)
 			}
+			if c.Field(f[1]) != nil {
+				return p.errf("duplicate field %s.%s", c.Name, f[1])
+			}
 			c.AddField(&ir.Field{Name: f[1], Type: f[2]})
 		case strings.HasPrefix(line, "static-field "):
 			f := strings.Fields(line)
 			if len(f) != 3 {
 				return p.errf("malformed static field %q", line)
+			}
+			if c.Field(f[1]) != nil {
+				return p.errf("duplicate field %s.%s", c.Name, f[1])
 			}
 			c.AddField(&ir.Field{Name: f[1], Type: f[2], Static: true})
 		case strings.Contains(line, "method "):
@@ -194,6 +206,9 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	nargs, err := strconv.Atoi(h[open+1 : close])
 	if err != nil {
 		return p.errf("bad arg count in %q", header)
+	}
+	if c.Method(name) != nil {
+		return p.errf("duplicate method %s.%s", c.Name, name)
 	}
 	m := ir.NewMethod(c.Name, name, nargs)
 	m.Static = static

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/filters"
 	"nadroid/internal/interp"
@@ -33,7 +34,8 @@ func runTrace(t *testing.T, app string, schedule []int, uiOnly bool) *interp.Tra
 			return true
 		}
 	}
-	w := interp.NewWorld(a.Build(), opts)
+	pkg := a.Build()
+	w := interp.NewWorld(pkg, cha.New(pkg.Program), opts)
 	interp.Run(w, schedule)
 	return w.Recorded()
 }

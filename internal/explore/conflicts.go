@@ -266,7 +266,7 @@ func conflicting(a, b *summary) bool {
 // search. Safe to call concurrently; the returned pruner is for use by
 // a single goroutine.
 func (c *Conflicts) ForWarning(w *uaf.Warning) *pruner {
-	return &pruner{c: c, indep: make(map[string]bool)}
+	return &pruner{c: c, indep: make(map[[2]interp.Choice]bool)}
 }
 
 // pruner canonicalizes schedule prefixes into trace-equivalence normal
@@ -275,7 +275,7 @@ func (c *Conflicts) ForWarning(w *uaf.Warning) *pruner {
 // read-only.
 type pruner struct {
 	c     *Conflicts
-	indep map[string]bool
+	indep map[[2]interp.Choice]bool
 }
 
 // execOf extracts the executor identity behind an option key. Every
@@ -321,7 +321,7 @@ func eventFlagEffect(key string) bool {
 // package comment for the argument). Symmetric. The boundary-barrier
 // condition is the caller's (canonicalKey checks Forced counts).
 func (p *pruner) independent(a, b interp.Choice) bool {
-	ck := a.Key + "\x01" + a.Method + "\x02" + b.Key + "\x01" + b.Method
+	ck := [2]interp.Choice{a, b}
 	if v, ok := p.indep[ck]; ok {
 		return v
 	}
@@ -396,28 +396,32 @@ func (p *pruner) quantumSide(ch interp.Choice) (*summary, bool) {
 // non-zero boundaries are rendered into the key (they are part of the
 // class identity). Prefixes with equal normal forms drive the
 // interpreter to equivalent states, so the DFS executes only the first
-// one it sees.
+// one it sees. The bubbling reorders acts in place.
 func (p *pruner) canonicalKey(acts []interp.Choice, forced []int) string {
-	if len(acts) > 1 {
-		a := append([]interp.Choice(nil), acts...)
-		for changed := true; changed; {
-			changed = false
-			for i := 0; i+1 < len(a); i++ {
-				if a[i+1].Key >= a[i].Key {
-					continue
-				}
-				if i+1 < len(forced) && forced[i+1] != 0 {
-					continue
-				}
-				if p.independent(a[i], a[i+1]) {
-					a[i], a[i+1] = a[i+1], a[i]
-					changed = true
-				}
+	for changed := true; changed; {
+		changed = false
+		for i := 0; i+1 < len(acts); i++ {
+			if acts[i+1].Key >= acts[i].Key {
+				continue
+			}
+			if i+1 < len(forced) && forced[i+1] != 0 {
+				continue
+			}
+			if p.independent(acts[i], acts[i+1]) {
+				acts[i], acts[i+1] = acts[i+1], acts[i]
+				changed = true
 			}
 		}
-		acts = a
 	}
 	var sb strings.Builder
+	n := 0
+	for i, ch := range acts {
+		n += len(ch.Key) + 1
+		if i < len(forced) && forced[i] != 0 {
+			n += 24 // '#', the count and a separator
+		}
+	}
+	sb.Grow(n)
 	for i, ch := range acts {
 		if i > 0 {
 			sb.WriteByte(0)

@@ -5,9 +5,12 @@
 // confirmed harmful when some schedule dereferences the null loaded at
 // the warning's use site.
 //
-// Exploration is stateless (re-execution from scratch per schedule) with
-// a standard DFS over scheduler choice points, bounded by a schedule
-// budget.
+// Exploration is stateless with a standard DFS over scheduler choice
+// points, bounded by a schedule budget: every schedule re-executes the
+// app from a fresh interp.World. What does not depend on the schedule
+// is shared instead of rebuilt: each search entry point takes one class
+// hierarchy (the model's when it covers the package), and every world
+// of that search, across all warnings and worker goroutines, reads it.
 package explore
 
 import (
@@ -18,6 +21,7 @@ import (
 	"sync/atomic"
 
 	"nadroid/internal/apk"
+	"nadroid/internal/cha"
 	"nadroid/internal/interp"
 	"nadroid/internal/obs"
 	"nadroid/internal/threadify"
@@ -80,15 +84,34 @@ func FindNPE(pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witn
 // search mid-budget and reports ctx.Err(). A nil error with ok == false
 // means the budget was exhausted without a witness.
 func FindNPEContext(ctx context.Context, pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witness, bool, error) {
-	return findNPE(ctx, pkg, opts, match, nil)
+	return findNPE(ctx, pkg, cha.New(pkg.Program), opts, match, nil)
 }
 
-// findNPE is the shared search core; pr enables partial-order reduction
-// when non-nil (ValidateWarning-family callers only).
-func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
+// hierarchyFor returns the class hierarchy the worlds of one search
+// share: the model's when it was built over pkg's program, else a fresh
+// one.
+func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
+	if model != nil && model.H != nil && model.H.Program() == pkg.Program {
+		return model.H
+	}
+	return cha.New(pkg.Program)
+}
+
+// findNPE is the shared search core; h is pkg's class hierarchy, and pr
+// enables partial-order reduction when non-nil (ValidateWarning-family
+// callers only).
+func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
 	if match == nil {
 		match = func(interp.NPE) bool { return true }
+	}
+	hit := func(w *interp.World) (interp.NPE, bool) {
+		for _, npe := range w.NPEs() {
+			if match(npe) {
+				return npe, true
+			}
+		}
+		return interp.NPE{}, false
 	}
 	budget := opts.MaxSchedules
 	policies := []bool{false}
@@ -100,7 +123,7 @@ func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(int
 		iopts := opts.Interp
 		iopts.TakeOpaqueBranches = takeOpaque
 		iopts.RecordChoices = pr != nil
-		w, ok, err := dfs(ctx, pkg, iopts, budget/len(policies), &executions, match, takeOpaque, pr)
+		w, ok, err := dfs(ctx, pkg, h, iopts, budget/len(policies), &executions, hit, pr)
 		if ok || err != nil {
 			return w, ok, err
 		}
@@ -108,20 +131,19 @@ func findNPE(ctx context.Context, pkg *apk.Package, opts Options, match func(int
 	return nil, false, nil
 }
 
-// dfs runs the schedule-tree exploration for one branch policy. With a
-// nil pruner the dedup map is keyed by the literal choice-index prefix
-// (exhaustive exploration); with a pruner it is keyed by the prefix's
+// dfs runs the schedule-tree exploration for one branch policy
+// (iopts.TakeOpaqueBranches) until hit accepts an execution, which it
+// reports as the witness with the NPE hit returns. With a nil pruner the
+// dedup map is keyed by the literal choice-index prefix (exhaustive
+// exploration); with a pruner it is keyed by the prefix's
 // trace-equivalence normal form, so permutations of independent actions
 // count as one node and only the first representative executes.
-func dfs(ctx context.Context, pkg *apk.Package, iopts interp.Options, budget int, executions *int, match func(interp.NPE) bool, takeOpaque bool, pr *pruner) (wit *Witness, found bool, err error) {
-	type item struct {
-		schedule []int
-		// acts is the action prefix behind schedule (pruner mode only):
-		// the option chosen at each frozen choice point.
-		acts []interp.Choice
-	}
-	stack := []item{{nil, nil}}
+func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, executions *int, hit func(*interp.World) (interp.NPE, bool), pr *pruner) (wit *Witness, found bool, err error) {
+	stack := [][]int{nil}
 	seen := map[string]bool{"": true}
+	// Scratch for sibling prefixes; a prefix is copied only when pushed.
+	var prefix []int
+	var acts []interp.Choice
 	// Counter deltas are accumulated locally and flushed once — a lock
 	// per executed schedule would be measurable on big budgets.
 	executed, pruned := 0, 0
@@ -136,25 +158,23 @@ func dfs(ctx context.Context, pkg *apk.Package, iopts interp.Options, budget int
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		it := stack[len(stack)-1]
+		schedule := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		budget--
 		*executions++
 		executed++
 
-		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(it.schedule)))
-		w := interp.NewWorld(pkg, iopts)
-		info := interp.Run(w, it.schedule)
+		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(schedule)))
+		w := interp.NewWorld(pkg, h, iopts)
+		info := interp.Run(w, schedule)
 		span.End()
-		for _, npe := range w.NPEs() {
-			if match(npe) {
-				return &Witness{
-					Schedule:            append([]int(nil), it.schedule...),
-					NPE:                 npe,
-					OpaqueBranchesTaken: takeOpaque,
-					Executions:          *executions,
-				}, true, nil
-			}
+		if npe, ok := hit(w); ok {
+			return &Witness{
+				Schedule:            schedule,
+				NPE:                 npe,
+				OpaqueBranchesTaken: iopts.TakeOpaqueBranches,
+				Executions:          *executions,
+			}, true, nil
 		}
 		// The action actually taken at each choice point of this run,
 		// for extending sibling prefixes in pruner mode.
@@ -167,30 +187,25 @@ func dfs(ctx context.Context, pkg *apk.Package, iopts interp.Options, budget int
 		}
 		// Expand siblings at every choice point at or beyond the frozen
 		// prefix (earlier points are owned by ancestors in the DFS tree).
-		for i := len(it.schedule); i < len(info.Arity); i++ {
+		for i := len(schedule); i < len(info.Arity); i++ {
 			for alt := 0; alt < info.Arity[i]; alt++ {
 				if alt == info.Taken[i] {
 					continue
 				}
-				next := make([]int, i+1)
-				copy(next, info.Taken[:i])
-				next[i] = alt
+				prefix = append(append(prefix[:0], info.Taken[:i]...), alt)
 				var key string
-				var acts []interp.Choice
 				if pr != nil {
-					acts = make([]interp.Choice, i+1)
-					copy(acts, chosen[:i])
-					acts[i] = info.Choices[i][alt]
+					acts = append(append(acts[:0], chosen[:i]...), info.Choices[i][alt])
 					key = pr.canonicalKey(acts, info.Forced[:i+1])
 				} else {
-					key = fmt.Sprint(next)
+					key = fmt.Sprint(prefix)
 				}
-				if !seen[key] {
-					seen[key] = true
-					stack = append(stack, item{next, acts})
-				} else {
+				if seen[key] {
 					pruned++
+					continue
 				}
+				seen[key] = true
+				stack = append(stack, append([]int(nil), prefix...))
 			}
 		}
 	}
@@ -212,6 +227,11 @@ func ValidateWarning(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, o
 // ValidateWarningContext is ValidateWarning with cancellation (see
 // FindNPEContext for the error contract).
 func ValidateWarningContext(ctx context.Context, pkg *apk.Package, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
+	return validateWarning(ctx, pkg, hierarchyFor(pkg, model), model, w, opts)
+}
+
+// validateWarning is ValidateWarningContext over pkg's class hierarchy h.
+func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
 	if model != nil {
 		opts.Interp.EventFilter = warningEventFilter(model, w)
 		opts.Interp.SpawnFilter = warningSpawnFilter(model, w)
@@ -220,7 +240,7 @@ func ValidateWarningContext(ctx context.Context, pkg *apk.Package, model *thread
 	if opts.Conflicts != nil {
 		pr = opts.Conflicts.ForWarning(w)
 	}
-	return findNPE(ctx, pkg, opts, func(n interp.NPE) bool {
+	return findNPE(ctx, pkg, h, opts, func(n interp.NPE) bool {
 		return n.LoadedAt == w.Use
 	}, pr)
 }
@@ -338,8 +358,10 @@ type Validation struct {
 
 // ValidateAllDetailed is ValidateAllContext keeping the per-warning
 // witnesses instead of discarding them. Results are in input order and
-// cover every warning validated before cancellation.
+// cover every warning validated before cancellation. Every warning's
+// search, on any worker, runs over one shared class hierarchy.
 func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]Validation, error) {
+	h := hierarchyFor(pkg, model)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -359,7 +381,7 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 		w := warnings[i]
 		wctx, span := obs.Start(ctx, "validate",
 			obs.KV("field", w.Field.String()), obs.KV("use", w.Use.String()), obs.KV("free", w.Free.String()))
-		wit, ok, err := ValidateWarningContext(wctx, pkg, model, w, opts)
+		wit, ok, err := validateWarning(wctx, pkg, h, model, w, opts)
 		span.SetAttr("harmful", ok)
 		if wit != nil {
 			span.SetAttr("executions", wit.Executions)
@@ -416,42 +438,17 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 // energy bug. Schedules that merely hit the step bound do not count.
 func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 	opts = opts.withDefaults()
-	opts.Interp.StopOnNPE = false
-	if opts.Interp.MaxSteps <= 0 {
-		opts.Interp.MaxSteps = 100_000 // keep the quiescence check meaningful
+	iopts := opts.Interp
+	iopts.StopOnNPE = false
+	if iopts.MaxSteps <= 0 {
+		iopts.MaxSteps = 100_000 // keep the quiescence check meaningful
 	}
-	budget := opts.MaxSchedules
+	awake := func(w *interp.World) (interp.NPE, bool) {
+		return interp.NPE{}, w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < iopts.MaxSteps
+	}
 	executions := 0
-	type item struct{ schedule []int }
-	stack := []item{{nil}}
-	seen := map[string]bool{"": true}
-	for len(stack) > 0 && budget > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		budget--
-		executions++
-		w := interp.NewWorld(pkg, opts.Interp)
-		info := interp.Run(w, it.schedule)
-		if w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < opts.Interp.MaxSteps {
-			return &Witness{Schedule: append([]int(nil), it.schedule...), Executions: executions}, true
-		}
-		for i := len(it.schedule); i < len(info.Arity); i++ {
-			for alt := 0; alt < info.Arity[i]; alt++ {
-				if alt == info.Taken[i] {
-					continue
-				}
-				next := make([]int, i+1)
-				copy(next, info.Taken[:i])
-				next[i] = alt
-				key := fmt.Sprint(next)
-				if !seen[key] {
-					seen[key] = true
-					stack = append(stack, item{next})
-				}
-			}
-		}
-	}
-	return nil, false
+	wit, ok, _ := dfs(context.Background(), pkg, cha.New(pkg.Program), iopts, opts.MaxSchedules, &executions, awake, nil)
+	return wit, ok
 }
 
 // Replay re-executes a witness schedule with tracing enabled and returns
@@ -471,7 +468,7 @@ func Replay(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, wit *Witne
 	iopts.TakeOpaqueBranches = wit.OpaqueBranchesTaken
 	iopts.Trace = true
 	iopts.StopOnNPE = true
-	world := interp.NewWorld(pkg, iopts)
+	world := interp.NewWorld(pkg, hierarchyFor(pkg, model), iopts)
 	interp.Run(world, wit.Schedule)
 	return world.Trace()
 }

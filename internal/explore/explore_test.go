@@ -6,6 +6,7 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/cha"
 	"nadroid/internal/framework"
 	"nadroid/internal/interp"
 	"nadroid/internal/threadify"
@@ -74,7 +75,7 @@ func TestDefaultScheduleRunsLifecycle(t *testing.T) {
 	oc.PutThis("f", nv)
 	oc.Return()
 	pkg := build(t, b)
-	w := interp.NewWorld(pkg, interp.Options{Trace: true})
+	w := interp.NewWorld(pkg, cha.New(pkg.Program), interp.Options{Trace: true})
 	interp.Run(w, nil)
 	if len(w.NPEs()) != 0 {
 		t.Fatalf("safe app raised NPE: %v", w.NPEs())
@@ -328,10 +329,11 @@ func TestLocksPreventInterleaving(t *testing.T) {
 // required for witness replay to be meaningful.
 func TestRunDeterministic(t *testing.T) {
 	pkg := connectBotApp(t)
+	h := cha.New(pkg.Program)
 	for _, schedule := range [][]int{nil, {1}, {2, 1}, {0, 3, 1}} {
-		w1 := interp.NewWorld(pkg, interp.Options{})
+		w1 := interp.NewWorld(pkg, h, interp.Options{})
 		interp.Run(w1, schedule)
-		w2 := interp.NewWorld(pkg, interp.Options{})
+		w2 := interp.NewWorld(pkg, h, interp.Options{})
 		interp.Run(w2, schedule)
 		if len(w1.NPEs()) != len(w2.NPEs()) {
 			t.Fatalf("schedule %v: NPE counts differ: %d vs %d", schedule, len(w1.NPEs()), len(w2.NPEs()))

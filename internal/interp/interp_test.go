@@ -6,6 +6,7 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/cha"
 	"nadroid/internal/framework"
 )
 
@@ -20,8 +21,13 @@ func buildPkg(t *testing.T, f func(b *appbuilder.Builder)) *apk.Package {
 	return pkg
 }
 
+// newWorld builds a world over a fresh hierarchy of pkg.
+func newWorld(pkg *apk.Package, opts Options) *World {
+	return NewWorld(pkg, cha.New(pkg.Program), opts)
+}
+
 func runAll(pkg *apk.Package, opts Options) *World {
-	w := NewWorld(pkg, opts)
+	w := newWorld(pkg, opts)
 	Run(w, nil)
 	return w
 }
@@ -56,7 +62,7 @@ func TestUIEventsRequireResumedState(t *testing.T) {
 		oc.Return()
 		b.Class("it/L", framework.Object, framework.OnClickListener).Method("onClick", 1).Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := newWorld(pkg, Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	clickAt := strings.Index(trace, "fire ui:")
@@ -127,7 +133,7 @@ func TestMaxStepsBoundsRunaway(t *testing.T) {
 		oc.Label("loop")
 		oc.Goto("loop")
 	})
-	w := NewWorld(pkg, Options{MaxSteps: 500})
+	w := newWorld(pkg, Options{MaxSteps: 500})
 	Run(w, nil)
 	if w.Steps() > 500 {
 		t.Errorf("steps = %d, want <= 500", w.Steps())
@@ -213,7 +219,7 @@ func TestStopOnNPEHalts(t *testing.T) {
 		orr.Use(g, "it/V")
 		orr.Return()
 	})
-	w := NewWorld(pkg, Options{StopOnNPE: true})
+	w := newWorld(pkg, Options{StopOnNPE: true})
 	Run(w, nil)
 	if len(w.NPEs()) != 1 {
 		t.Errorf("StopOnNPE should record exactly one NPE, got %d", len(w.NPEs()))
@@ -327,7 +333,7 @@ func TestExecutorAndTimerSpawnThreads(t *testing.T) {
 		oc.InvokeVoid(timer, framework.Timer, "schedule", k, zero)
 		oc.Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := newWorld(pkg, Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	if !strings.Contains(trace, "spawn pool:it/Job") {
@@ -349,7 +355,7 @@ func TestViewPostEnqueuesRunnable(t *testing.T) {
 		oc.InvokeVoid(view, framework.View, "post", j)
 		oc.Return()
 	})
-	w := NewWorld(pkg, Options{Trace: true})
+	w := newWorld(pkg, Options{Trace: true})
 	Run(w, nil)
 	trace := strings.Join(w.Trace(), "\n")
 	if !strings.Contains(trace, "enqueue post:it/Job.run") {
@@ -368,7 +374,7 @@ func TestSpawnFilterSuppressesThreads(t *testing.T) {
 		oc.Return()
 	})
 	opts := Options{Trace: true, SpawnFilter: func(class string) bool { return false }}
-	w := NewWorld(pkg, opts)
+	w := newWorld(pkg, opts)
 	Run(w, nil)
 	for _, line := range w.Trace() {
 		if strings.HasPrefix(line, "spawn") {

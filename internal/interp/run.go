@@ -66,15 +66,12 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 	pos := 0
 	forced := 0
 	for !w.halted && w.steps < w.opts.MaxSteps {
-		opts := w.Options()
-		// Drop blocked executors from the option list.
+		opts := w.options()
+		// Drop executors blocked on a monitor from the option list.
 		filtered := opts[:0]
 		for _, o := range opts {
-			o := o
-			if len(o.key) > 4 && o.key[:4] == "run:" {
-				if ex := w.executorFor(o.key[4:]); ex != nil && w.blockedOnMonitor(ex) {
-					continue
-				}
+			if o.ex != nil && w.blockedOnMonitor(o.ex) {
+				continue
 			}
 			filtered = append(filtered, o)
 		}
@@ -102,25 +99,12 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 				forced = 0
 			}
 			pos++
-		} else if w.opts.RecordChoices && opts[0].key != "run:looper" {
+		} else if w.opts.RecordChoices && opts[0].ex != w.looper {
 			forced++
 		}
-		opts[choice].run(w)
+		w.take(opts[choice])
 	}
 	return info
-}
-
-// executorFor finds an executor by name ("looper" or a bg name).
-func (w *World) executorFor(name string) *executor {
-	if name == "looper" {
-		return w.looper
-	}
-	for _, bg := range w.bgs {
-		if bg.name == name {
-			return bg
-		}
-	}
-	return nil
 }
 
 // RunPackage is the convenience entry: build a world and run it.

@@ -267,15 +267,15 @@ func (w *World) lock(e *executor, obj *Object) bool {
 	if depth > 0 && owner != int64(e.id) {
 		return false
 	}
-	obj.Fields["$lockOwner"] = int64(e.id)
-	obj.Fields["$lockDepth"] = depth + 1
+	obj.Set("$lockOwner", int64(e.id))
+	obj.Set("$lockDepth", depth+1)
 	return true
 }
 
 func (w *World) unlock(e *executor, obj *Object) {
 	depth, _ := obj.Fields["$lockDepth"].(int64)
 	if depth > 0 {
-		obj.Fields["$lockDepth"] = depth - 1
+		obj.Set("$lockDepth", depth-1)
 	}
 }
 
@@ -471,14 +471,14 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 		return w.alloc(framework.WakeLock), false
 	case framework.WakeAcquire:
 		n, _ := recv.Fields["$wakeHeld"].(int64)
-		recv.Fields["$wakeHeld"] = n + 1
+		recv.Set("$wakeHeld", n+1)
 		w.wakeHeld[recv] = true
 		w.tracef("acquire wakelock %s", recv)
 		return nil, true
 	case framework.WakeRelease:
 		n, _ := recv.Fields["$wakeHeld"].(int64)
 		if n > 0 {
-			recv.Fields["$wakeHeld"] = n - 1
+			recv.Set("$wakeHeld", n-1)
 			if n-1 == 0 {
 				delete(w.wakeHeld, recv)
 			}

@@ -14,8 +14,9 @@ type Value interface{}
 
 // Object is a heap object.
 type Object struct {
-	ID     int
-	Class  string
+	ID    int
+	Class string
+	// Fields is nil until the first Set.
 	Fields map[string]Value
 }
 

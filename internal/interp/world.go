@@ -2,7 +2,9 @@ package interp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/cha"
@@ -46,8 +48,9 @@ type Options struct {
 	// RecordChoices makes Run keep the full option row (key + entry
 	// method) at every multi-option choice point in ScheduleInfo.Choices.
 	// The explorer's partial-order reduction needs the identities to
-	// canonicalize schedule prefixes; off by default because computing
-	// the entry refs allocates per choice point.
+	// canonicalize schedule prefixes; off by default because it takes
+	// an entry ref per task and thread and allocates a row per choice
+	// point.
 	RecordChoices bool
 }
 
@@ -115,6 +118,11 @@ type frame struct {
 type executor struct {
 	id   int
 	name string
+	// key is the scheduler option key of advancing this executor.
+	key string
+	// entry is the entry method ref of the running task or thread
+	// (Options.RecordChoices only).
+	entry string
 	// looper executors pull tasks from the world queue when idle.
 	isLooper bool
 	stack    []*frame
@@ -142,6 +150,11 @@ type task struct {
 	handler *Object
 	// posterTask is the trace task that enqueued this one (-1 external).
 	posterTask int
+	// key is the scheduler option key of dispatching this task (set
+	// when it is queued).
+	key string
+	// ref is m's ref (Options.RecordChoices, or a fired event).
+	ref string
 }
 
 // extEvent is one external event the environment may deliver.
@@ -175,10 +188,15 @@ type extEvent struct {
 	// lastFiredTask is the trace task id of the most recent firing, so
 	// `after` constraints become HB edges (SC fired before SD).
 	lastFiredTask int
+	// key (the scheduler option key), ref (m's ref) and filtered
+	// (Options.EventFilter rejects the event) are fixed by addEvent.
+	key      string
+	ref      string
+	filtered bool
 }
 
 func (ev *extEvent) enabled(w *World) bool {
-	if ev.removed || ev.fired >= ev.maxFires {
+	if ev.filtered || ev.removed || ev.fired >= ev.maxFires {
 		return false
 	}
 	for _, a := range ev.after {
@@ -196,15 +214,6 @@ func (ev *extEvent) enabled(w *World) bool {
 	}
 	if ev.view != nil && w.hiddenViews[ev.view] {
 		return false
-	}
-	if w.opts.EventFilter != nil {
-		ref := ""
-		if ev.m != nil {
-			ref = ev.m.Ref()
-		}
-		if !w.opts.EventFilter(ref, ev.component, ev.name) {
-			return false
-		}
 	}
 	return true
 }
@@ -224,6 +233,8 @@ type World struct {
 
 	queue  []*task
 	events []*extEvent
+	// optBuf backs the slice options returns, reused across steps.
+	optBuf []option
 
 	// component instances (the framework "allocates" these).
 	compInstance map[string]*Object
@@ -253,12 +264,14 @@ type World struct {
 	taskSeq int
 }
 
-// NewWorld prepares a run: component instances are allocated and the
-// environment's lifecycle events installed.
-func NewWorld(pkg *apk.Package, opts Options) *World {
+// NewWorld prepares a run over pkg: component instances are allocated
+// and the environment's lifecycle events installed. h must be the class
+// hierarchy built over pkg.Program. The world only reads it, so one
+// hierarchy can back any number of worlds, concurrently too.
+func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
 	w := &World{
 		pkg:             pkg,
-		h:               cha.New(pkg.Program),
+		h:               h,
 		opts:            opts.withDefaults(),
 		statics:         make(map[string]Value),
 		compInstance:    make(map[string]*Object),
@@ -269,7 +282,7 @@ func NewWorld(pkg *apk.Package, opts Options) *World {
 		wakeHeld:        make(map[*Object]bool),
 		hasResumeMethod: make(map[string]bool),
 	}
-	w.looper = &executor{id: 0, name: "looper", isLooper: true, curTask: -1}
+	w.looper = &executor{id: 0, name: "looper", key: "run:looper", isLooper: true, curTask: -1}
 	w.nextEx = 1
 	for _, comp := range pkg.Manifest.Components() {
 		if !comp.Reachable {
@@ -284,7 +297,7 @@ func NewWorld(pkg *apk.Package, opts Options) *World {
 
 func (w *World) alloc(class string) *Object {
 	w.nextObjID++
-	return &Object{ID: w.nextObjID, Class: class, Fields: make(map[string]Value)}
+	return &Object{ID: w.nextObjID, Class: class}
 }
 
 // installLifecycleEvents wires the component's framework-driven events.
@@ -377,6 +390,12 @@ func lifecycleArgs(m *ir.Method) []Value {
 
 func (w *World) addEvent(ev *extEvent) *extEvent {
 	ev.id = len(w.events)
+	ev.key = "event:" + strconv.Itoa(ev.id) + ":" + ev.name
+	if ev.m != nil {
+		ev.ref = ev.m.Ref()
+	}
+	// The filter is a pure function of fields fixed here.
+	ev.filtered = w.opts.EventFilter != nil && !w.opts.EventFilter(ev.ref, ev.component, ev.name)
 	ev.lastFiredTask = -1
 	if ev.registrarTask == 0 {
 		ev.registrarTask = -1
@@ -425,70 +444,65 @@ func (w *World) tracef(format string, args ...interface{}) {
 	}
 }
 
-// option is one scheduler alternative at a choice point.
+// option is one scheduler alternative at a choice point: advancing a
+// busy executor (ex), firing an external event (ev), or dispatching the
+// looper queue's head (t).
 type option struct {
 	key string
 	// method is the entry method ref behind the option (the task or
-	// thread body it runs/starts). Only populated under
-	// Options.RecordChoices; "" when unknown.
+	// thread body it runs/starts). Run reads it only under
+	// Options.RecordChoices, the only mode that sets it for every option.
 	method string
-	run    func(w *World)
+	ex     *executor
+	ev     *extEvent
+	t      *task
 }
 
 // options enumerates the current scheduler alternatives in a stable
-// order: advancing a busy executor, or (when the looper is idle)
-// dispatching a queued task or firing an enabled external event.
-func (w *World) Options() []option {
-	rec := w.opts.RecordChoices
-	var opts []option
+// order (by key): advancing a busy executor, or (when the looper is
+// idle) dispatching a queued task or firing an enabled external event.
+// The slice is only valid until the next call.
+func (w *World) options() []option {
+	opts := w.optBuf[:0]
 	if !w.looper.idle() {
-		o := option{key: "run:looper", run: func(w *World) { w.quantum(w.looper) }}
-		if rec {
-			o.method = w.looper.stack[0].m.Ref()
-		}
-		opts = append(opts, o)
+		opts = append(opts, option{key: w.looper.key, method: w.looper.entry, ex: w.looper})
 	} else {
 		if len(w.queue) > 0 {
 			// FIFO dispatch: the Android looper processes its queue in
 			// order, so only the head is dispatchable.
 			t := w.queue[0]
-			o := option{key: "dispatch:" + t.name, run: func(w *World) {
-				w.queue = w.queue[1:]
-				w.startTask(w.looper, t)
-			}}
-			if rec && t.m != nil {
-				o.method = t.m.Ref()
-			}
-			opts = append(opts, o)
+			opts = append(opts, option{key: t.key, method: t.ref, t: t})
 		}
 		for _, ev := range w.events {
 			if !ev.enabled(w) {
 				continue
 			}
-			ev := ev
-			o := option{key: fmt.Sprintf("event:%d:%s", ev.id, ev.name), run: func(w *World) {
-				ev.fired++
-				w.fireEvent(ev)
-			}}
-			if rec && ev.m != nil {
-				o.method = ev.m.Ref()
-			}
-			opts = append(opts, o)
+			opts = append(opts, option{key: ev.key, method: ev.ref, ev: ev})
 		}
 	}
 	for _, bg := range w.bgs {
 		if bg.dead || bg.idle() {
 			continue
 		}
-		bg := bg
-		o := option{key: "run:" + bg.name, run: func(w *World) { w.quantum(bg) }}
-		if rec {
-			o.method = bg.stack[0].m.Ref()
-		}
-		opts = append(opts, o)
+		opts = append(opts, option{key: bg.key, method: bg.entry, ex: bg})
 	}
-	sort.Slice(opts, func(i, j int) bool { return opts[i].key < opts[j].key })
+	slices.SortFunc(opts, func(a, b option) int { return strings.Compare(a.key, b.key) })
+	w.optBuf = opts
 	return opts
+}
+
+// take performs one scheduler option.
+func (w *World) take(o option) {
+	switch {
+	case o.ex != nil:
+		w.quantum(o.ex)
+	case o.ev != nil:
+		o.ev.fired++
+		w.fireEvent(o.ev)
+	default:
+		w.queue = w.queue[1:]
+		w.startTask(w.looper, o.t)
+	}
 }
 
 // Done reports whether execution cannot proceed (or was halted).
@@ -496,7 +510,7 @@ func (w *World) Done() bool {
 	if w.halted || w.steps >= w.opts.MaxSteps {
 		return true
 	}
-	return len(w.Options()) == 0
+	return len(w.options()) == 0
 }
 
 func (w *World) fireEvent(ev *extEvent) {
@@ -509,7 +523,7 @@ func (w *World) fireEvent(ev *extEvent) {
 	case "lifecycle:onPause":
 		w.resumed[ev.component] = false
 	}
-	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1}
+	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1, ref: ev.ref}
 	tid := w.startTask(w.looper, t)
 	// HB: registration precedes the callback; prior firings of HB-before
 	// events precede this one (the CAFA/DroidRacer event HB model).
@@ -524,6 +538,7 @@ func (w *World) startTask(e *executor, t *task) int {
 	w.tracef("start %s on %s", t.name, e.name)
 	e.component = t.component
 	e.onDone = t.onDone
+	e.entry = t.ref
 	e.curTask = w.newTraceTask(t.name)
 	w.hbEdge(t.posterTask, e.curTask)
 	e.push(t.m, t.recv, t.args, ir.NoReg)
@@ -567,7 +582,11 @@ func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, com
 		}
 		return
 	}
-	e := &executor{id: w.nextEx, name: fmt.Sprintf("%s#%d", name, w.nextEx), component: component, onDone: onDone}
+	exName := fmt.Sprintf("%s#%d", name, w.nextEx)
+	e := &executor{id: w.nextEx, name: exName, key: "run:" + exName, component: component, onDone: onDone}
+	if w.opts.RecordChoices {
+		e.entry = m.Ref()
+	}
 	w.nextEx++
 	e.curTask = w.newTraceTask(name)
 	w.hbEdge(w.currentTask(), e.curTask)
@@ -591,5 +610,9 @@ func (w *World) currentTask() int {
 func (w *World) enqueue(t *task) {
 	w.tracef("enqueue %s", t.name)
 	t.posterTask = w.currentTask()
+	t.key = "dispatch:" + t.name
+	if w.opts.RecordChoices && t.m != nil {
+		t.ref = t.m.Ref()
+	}
 	w.queue = append(w.queue, t)
 }

@@ -273,7 +273,6 @@ func (p *Pool) runJob(j *Job) {
 		j.state = StateFailed
 	}
 	state := j.state
-	close(j.done)
 	j.mu.Unlock()
 	p.metrics.JobFinished(state)
 	// A job whose span tree hit the tracer budget silently loses its
@@ -283,6 +282,9 @@ func (p *Pool) runJob(j *Job) {
 		pipeline.Add("spans_dropped", int64(n))
 	}
 	p.metrics.MergePipeline(pipeline.Snapshot())
+	// Signal completion only once it is recorded: a caller woken by
+	// Done() must find this job in Counters() and /metrics.
+	close(j.done)
 	if err != nil {
 		logger.Warn("job finished", "state", state, "ms", time.Since(started).Milliseconds(), "error", err)
 	} else {

@@ -1,7 +1,8 @@
 // nadroid_parallel_test.go is the acceptance test for the pipeline's
 // worker knob (Options.Workers, which bounds the validation sweep): a
 // full pipeline run must produce byte-identical output — warning sets,
-// filter attribution, report text, harmful set — for any worker count.
+// filter attribution, report text, harmful set, witnesses — for any
+// worker count.
 package nadroid_test
 
 import (
@@ -16,7 +17,8 @@ import (
 )
 
 // runWorkers runs the full pipeline (with validation) on one corpus app
-// at a given worker count.
+// at a given worker count. Provenance is on so each harmful warning's
+// witness is in Result.Evidence.
 func runWorkers(t *testing.T, app string, workers int) *nadroid.Result {
 	t.Helper()
 	a, ok := corpus.ByName(app)
@@ -24,9 +26,10 @@ func runWorkers(t *testing.T, app string, workers int) *nadroid.Result {
 		t.Fatalf("%s missing from corpus", app)
 	}
 	res, err := nadroid.AnalyzeContext(context.Background(), a.Build(), nadroid.Options{
-		Workers:  workers,
-		Validate: true,
-		Explore:  explore.Options{MaxSchedules: 200},
+		Workers:    workers,
+		Validate:   true,
+		Explore:    explore.Options{MaxSchedules: 200},
+		Provenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +80,24 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gotHarmful, wantHarmful) {
 				t.Errorf("%s workers=%d: harmful set differs:\n got %v\nwant %v", app, workers, gotHarmful, wantHarmful)
+			}
+			// Every worker reads the sweep's one class hierarchy; each
+			// witness must still be the sequential sweep's schedule,
+			// found after the same number of executions.
+			for _, w := range seq.Harmful {
+				fp := string(fingerprint.Warning(seq.Model, w))
+				want := seq.Evidence[fp]
+				if want == nil || want.Witness == nil {
+					t.Fatalf("%s: harmful warning %s has no witness in the sequential evidence", app, w.Key())
+				}
+				got := par.Evidence[fp]
+				if got == nil {
+					t.Errorf("%s workers=%d: no evidence for harmful warning %s", app, workers, w.Key())
+					continue
+				}
+				if !reflect.DeepEqual(got.Witness, want.Witness) {
+					t.Errorf("%s workers=%d: witness of %s differs:\n got %+v\nwant %+v", app, workers, w.Key(), got.Witness, want.Witness)
+				}
 			}
 		}
 	}
