@@ -273,7 +273,9 @@ func (p *Pool) runJob(j *Job) {
 		j.state = StateFailed
 	}
 	state := j.state
-	j.mu.Unlock()
+	// Record completion before j.mu releases the terminal state and
+	// before done closes: a caller that sees either must find this job
+	// in Counters() and /metrics.
 	p.metrics.JobFinished(state)
 	// A job whose span tree hit the tracer budget silently loses its
 	// tail; surface the loss as a counter so truncated traces are
@@ -282,9 +284,8 @@ func (p *Pool) runJob(j *Job) {
 		pipeline.Add("spans_dropped", int64(n))
 	}
 	p.metrics.MergePipeline(pipeline.Snapshot())
-	// Signal completion only once it is recorded: a caller woken by
-	// Done() must find this job in Counters() and /metrics.
 	close(j.done)
+	j.mu.Unlock()
 	if err != nil {
 		logger.Warn("job finished", "state", state, "ms", time.Since(started).Milliseconds(), "error", err)
 	} else {
