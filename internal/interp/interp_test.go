@@ -382,3 +382,14 @@ func TestSpawnFilterSuppressesThreads(t *testing.T) {
 		}
 	}
 }
+
+func TestNewWorldRejectsForeignHierarchy(t *testing.T) {
+	app := func(b *appbuilder.Builder) { b.Activity("it/A").Method("onCreate", 1).Return() }
+	pkg, other := buildPkg(t, app), buildPkg(t, app)
+	defer func() {
+		if recover() == nil {
+			t.Error("NewWorld accepted a hierarchy built over another program")
+		}
+	}()
+	NewWorld(pkg, cha.New(other.Program), Options{})
+}

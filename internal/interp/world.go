@@ -269,6 +269,9 @@ type World struct {
 // hierarchy built over pkg.Program. The world only reads it, so one
 // hierarchy can back any number of worlds, concurrently too.
 func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
+	if h.Program() != pkg.Program {
+		panic("interp: hierarchy was built over another program")
+	}
 	w := &World{
 		pkg:             pkg,
 		h:               h,
