@@ -121,7 +121,8 @@ type executor struct {
 	// key is the scheduler option key of advancing this executor.
 	key string
 	// entry is the entry method ref of the running task or thread
-	// (Options.RecordChoices only).
+	// (complete only under Options.RecordChoices, the mode that reads
+	// it).
 	entry string
 	// looper executors pull tasks from the world queue when idle.
 	isLooper bool
@@ -153,7 +154,8 @@ type task struct {
 	// key is the scheduler option key of dispatching this task (set
 	// when it is queued).
 	key string
-	// ref is m's ref (Options.RecordChoices, or a fired event).
+	// ref is m's ref (set for fired events, and for queued tasks under
+	// Options.RecordChoices).
 	ref string
 }
 
