@@ -10,7 +10,7 @@
 //	BenchmarkTable2Injection     — Table 2 (28 injected, missed, pruned)
 //	BenchmarkTable3DEvA          — Table 3 (detected/filtered/not-detected)
 //	BenchmarkPhase*              — §8.8 phase split
-//	BenchmarkAblation*           — design-choice ablations (k, escape)
+//	BenchmarkAblation*           — design-choice ablation (k)
 package nadroid_test
 
 import (
@@ -37,7 +37,6 @@ import (
 	"nadroid/internal/nosleep"
 	"nadroid/internal/obs"
 	"nadroid/internal/pointsto"
-	"nadroid/internal/race"
 	"nadroid/internal/store"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
@@ -376,7 +375,12 @@ func BenchmarkPhaseDetection(b *testing.B) {
 // wall clock without being measured).
 func BenchmarkPhaseFiltering(b *testing.B) {
 	m := phaseApp(b)
-	d := uaf.Detect(m)
+	ctx := context.Background()
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, "Mms", m, detect.Options{}), detect.All())
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := res.UAF
 	saved := make([][]uaf.ThreadPair, len(d.Warnings))
 	for i, w := range d.Warnings {
 		saved[i] = append([]uaf.ThreadPair(nil), w.Pairs...)
@@ -403,12 +407,11 @@ func benchmarkK(b *testing.B, k int) {
 	pkg := app.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := threadify.Build(pkg, threadify.Options{K: k})
+		res, err := nadroid.Analyze(pkg, nadroid.Options{K: k})
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := uaf.Detect(m)
-		st := filters.Run(d)
+		st := res.Stats
 		b.ReportMetric(float64(st.Potential), "potential")
 		b.ReportMetric(float64(st.AfterUnsound), "surviving")
 	}
@@ -417,23 +420,6 @@ func benchmarkK(b *testing.B, k int) {
 func BenchmarkAblationK1(b *testing.B) { benchmarkK(b, 1) }
 func BenchmarkAblationK2(b *testing.B) { benchmarkK(b, 2) }
 func BenchmarkAblationK3(b *testing.B) { benchmarkK(b, 3) }
-
-// BenchmarkAblationNoEscape disables thread-escape pruning: every
-// aliased pair races, showing how much Chord's escape analysis buys.
-func BenchmarkAblationNoEscape(b *testing.B) {
-	app, _ := corpus.ByName("FireFox")
-	pkg := app.Build()
-	m, err := threadify.Build(pkg, threadify.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rr := race.Detect(m, race.Options{UseFreeOnly: true, SkipEscape: true})
-		d := uaf.Group(m, rr)
-		b.ReportMetric(float64(d.AliveCount()), "potential")
-	}
-}
 
 // BenchmarkEscapeAnalysis isolates the escape analysis (Mms).
 func BenchmarkEscapeAnalysis(b *testing.B) {

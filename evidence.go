@@ -50,7 +50,7 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 		}
 		if len(w.Races) > 0 {
 			p := w.Races[0]
-			ev.Derivation = dc.Engine.Why("Racy", dc.Engine.IntSym('a', p.A), dc.Engine.IntSym('a', p.B))
+			ev.Derivation = race.Why(dc.Engine, p)
 			ev.Aliasing = aliasingChain(dc, d, p)
 		}
 		if trail != nil {
@@ -90,7 +90,7 @@ func aliasingChain(dc *detect.Context, d *uaf.Detection, p race.Pair) []string {
 	var escaped, local []string
 	for _, o := range shared {
 		name := objName(dc, o)
-		if dc.Engine.Has("Esc", dc.Engine.IntSym('h', int(o))) {
+		if dc.Escape.Escaped(o) {
 			escaped = append(escaped, name)
 		} else {
 			local = append(local, name)

@@ -1,6 +1,7 @@
 // Package cha implements class-hierarchy analysis: subtype queries,
-// virtual-dispatch resolution and a CHA-based call graph that later
-// stages refine with points-to facts.
+// method and field resolution, and virtual-dispatch targets. Call edges
+// come from the points-to solver (internal/pointsto), which dispatches
+// through this hierarchy.
 package cha
 
 import (
@@ -100,22 +101,6 @@ func (h *Hierarchy) Resolve(cls, name string) *ir.Method {
 			if m.Abstract {
 				return nil
 			}
-			return m
-		}
-		cur = c.Super
-	}
-	return nil
-}
-
-// ResolveDeclared is like Resolve but also returns abstract declarations;
-// used to check whether a method exists at all on a type.
-func (h *Hierarchy) ResolveDeclared(cls, name string) *ir.Method {
-	for cur := cls; cur != ""; {
-		c := h.prog.Class(cur)
-		if c == nil {
-			return nil
-		}
-		if m := c.Method(name); m != nil {
 			return m
 		}
 		cur = c.Super

@@ -100,60 +100,6 @@ func TestMethodByRef(t *testing.T) {
 	}
 }
 
-func TestCallGraphWithOriginRefinement(t *testing.T) {
-	b := appbuilder.New("cg")
-	b.Class("g/Base", framework.Object).Method("m", 0).Return()
-	sub := b.Class("g/Sub", "g/Base")
-	subM := sub.Method("m", 0)
-	subM.InvokeThis("helper")
-	subM.Return()
-	sub.Method("helper", 0).Return()
-	main := b.Class("g/Main", framework.Object)
-	mm := main.Method("main", 0)
-	mm.Method().Static = true
-	o := mm.New("g/Sub")
-	mm.InvokeVoid(o, "g/Base", "m") // static type Base, runtime Sub
-	mm.Return()
-	pkg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(pkg.Program)
-	g := BuildCallGraph(h, []*ir.Method{mm.Method()}, nil)
-	if !g.IsReachable("g/Sub.m") {
-		t.Error("origin refinement must dispatch to Sub.m")
-	}
-	if g.IsReachable("g/Base.m") {
-		t.Error("exact allocation type must exclude Base.m")
-	}
-	if !g.IsReachable("g/Sub.helper") {
-		t.Error("transitive callee must be reachable")
-	}
-	callees := g.TransitiveCallees("g/Main.main")
-	if !callees["g/Sub.helper"] {
-		t.Errorf("TransitiveCallees = %v", callees)
-	}
-}
-
-func TestCallGraphSkipFunc(t *testing.T) {
-	b := appbuilder.New("cgskip")
-	c := b.Class("s/C", framework.Object)
-	c.Method("callee", 0).Return()
-	mm := c.Method("main", 0)
-	mm.InvokeThis("callee")
-	mm.Return()
-	pkg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New(pkg.Program)
-	skip := func(m *ir.Method, idx int, in ir.Instr) bool { return true }
-	g := BuildCallGraph(h, []*ir.Method{mm.Method()}, skip)
-	if g.IsReachable("s/C.callee") {
-		t.Error("skip must cut all edges")
-	}
-}
-
 func TestFieldResolutionAcrossHierarchy(t *testing.T) {
 	b := appbuilder.New("fields")
 	b.Class("f/Base", framework.Object).Field("x", "f/V")

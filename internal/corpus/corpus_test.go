@@ -3,8 +3,8 @@ package corpus
 import (
 	"testing"
 
+	"nadroid"
 	"nadroid/internal/filters"
-	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
 
@@ -15,13 +15,11 @@ func pipeline(t *testing.T, s Spec) (*uaf.Detection, *filters.Stats) {
 	if err := pkg.Validate(); err != nil {
 		t.Fatalf("%s: invalid package: %v", s.Name, err)
 	}
-	m, err := threadify.Build(pkg, threadify.Options{})
+	res, err := nadroid.Analyze(pkg, nadroid.Options{})
 	if err != nil {
-		t.Fatalf("%s: threadify: %v", s.Name, err)
+		t.Fatalf("%s: %v", s.Name, err)
 	}
-	d := uaf.Detect(m)
-	st := filters.Run(d)
-	return d, st
+	return res.Detection, res.Stats
 }
 
 // TestPatternFilterAttribution checks each benign pattern in isolation:
@@ -110,12 +108,11 @@ func TestTestGroupShape(t *testing.T) {
 	var pot, sound, unsound int
 	indep := map[string]int{}
 	for _, app := range TestApps() {
-		pkg := app.Build()
-		m, err := threadify.Build(pkg, threadify.Options{})
+		res, err := nadroid.Analyze(app.Build(), nadroid.Options{SkipSoundFilters: true, SkipUnsoundFilters: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := uaf.Detect(m)
+		d := res.Detection
 		removed, start := filters.MeasureIndependent(d, filters.SoundFilters(), false)
 		for k, v := range removed {
 			indep[k] += v

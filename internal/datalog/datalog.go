@@ -1,7 +1,7 @@
 // Package datalog implements a small in-memory Datalog engine with
 // semi-naive bottom-up evaluation. It is the stand-in for the
 // Datalog/bddbddb layer the paper's Chord build runs on: the race
-// detector's Racy rules and the async-error families' candidate rules
+// detector's Racy rule and the async-error families' candidate rules
 // are written as Datalog rules over relations extracted from the IR.
 //
 // Syntax accepted by ParseRule:

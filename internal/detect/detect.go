@@ -78,11 +78,11 @@ type Context struct {
 	// MHB is the must-happen-before graph over modeled threads.
 	MHB *hb.Graph
 	// Engine is the shared Datalog engine, preloaded with the race fact
-	// base (RdAcc/WrAcc/Esc, use/free only) and the async-error facts
-	// (NativeThr, PostedThr, CallbackThr, BackgroundThr, SpawnEdge,
-	// CompOf, TornDown). Detectors add their rules via AddRulesOnce and
-	// Run it again; a late rule gets one seeding round over the full
-	// contents, so it sees every fact.
+	// base (race.PopulateFacts: uses, frees, escaping objects) and the
+	// async-error facts (NativeThr, PostedThr, CallbackThr,
+	// BackgroundThr, SpawnEdge, CompOf, TornDown). Detectors add their
+	// rules via AddRulesOnce and Run it again; a late rule gets one
+	// seeding round over the full contents, so it sees every fact.
 	Engine *datalog.Engine
 
 	// UAF is set by the uaf detector when it runs.
@@ -154,7 +154,7 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 	if opts.Provenance {
 		e.EnableProvenance()
 	}
-	race.PopulateFacts(e, accesses, esc, race.Options{UseFreeOnly: true})
+	race.PopulateFacts(e, accesses, esc)
 	emitAsyncFacts(e, m)
 	span.SetAttr("facts", e.Stats().Facts)
 	span.End()

@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 
-	"nadroid/internal/datalog"
 	"nadroid/internal/obs"
 	"nadroid/internal/race"
 	"nadroid/internal/uaf"
@@ -30,15 +29,14 @@ func (uafDetector) count(dc *Context) int {
 }
 
 func (uafDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
-	opts := race.Options{UseFreeOnly: true}
-	dc.AddRulesOnce("uaf", func(e *datalog.Engine) { race.InstallRacyRules(e, opts) })
+	dc.AddRulesOnce("uaf", race.InstallRacyRules)
 	pctx, span := obs.Start(ctx, "race.pair")
-	pairs := race.PairsFromEngine(pctx, dc.Engine, dc.Accesses, opts)
+	pairs := race.PairsFromEngine(pctx, dc.Engine)
 	span.SetAttr("pairs", len(pairs))
 	span.End()
 	obs.Add(ctx, "race_pairs", int64(len(pairs)))
 
-	rr := &race.Result{Accesses: dc.Accesses, Pairs: pairs, Escape: dc.Escape}
+	rr := &race.Result{Accesses: dc.Accesses, Pairs: pairs}
 	_, span = obs.Start(ctx, "uaf.group")
 	d := uaf.Group(dc.Model, rr)
 	tp := 0

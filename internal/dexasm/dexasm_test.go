@@ -1,12 +1,14 @@
 package dexasm
 
 import (
+	"context"
 	"os"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"nadroid/internal/corpus"
+	"nadroid/internal/detect"
 	"nadroid/internal/filters"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
@@ -149,7 +151,7 @@ func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d1, d2 := uaf.Detect(m1), uaf.Detect(m2)
+		d1, d2 := detectUAF(t, m1), detectUAF(t, m2)
 		s1, s2 := filters.Run(d1), filters.Run(d2)
 		if s1.Potential != s2.Potential || s1.AfterSound != s2.AfterSound || s1.AfterUnsound != s2.AfterUnsound {
 			t.Errorf("%s: analysis differs after round trip: %+v vs %+v", name, s1, s2)
@@ -217,11 +219,24 @@ func TestGoldenFileMatchesCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
+	d := detectUAF(t, m)
 	st := filters.Run(d)
 	if st.AfterUnsound != 13 {
 		t.Errorf("golden ConnectBot survivors = %d, want 13", st.AfterUnsound)
 	}
+}
+
+// detectUAF runs the pipeline's uaf detector over the shared detector
+// context and returns its unfiltered warnings.
+func detectUAF(t testing.TB, m *threadify.Model) *uaf.Detection {
+	t.Helper()
+	ctx := context.Background()
+	det, _ := detect.ByName("uaf")
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, "", m, detect.Options{}), []detect.Detector{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.UAF
 }
 
 // Property: random small corpus specs round-trip byte-identically and

@@ -4,13 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"nadroid"
 	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
-	"nadroid/internal/filters"
 	"nadroid/internal/interp"
 	"nadroid/internal/ir"
-	"nadroid/internal/threadify"
-	"nadroid/internal/uaf"
 )
 
 // runTrace executes one schedule with recording on. uiOnly models a
@@ -119,12 +117,11 @@ func TestCoverageGapOnConnectBot(t *testing.T) {
 	fullInject := countSeeded(Analyze(runTrace(t, "ConnectBot", nil, false), Options{UseFreeOnly: true}))
 
 	app, _ := corpus.ByName("ConnectBot")
-	m, err := threadify.Build(app.Build(), threadify.Options{})
+	res, err := nadroid.Analyze(app.Build(), nadroid.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
-	st := filters.Run(d)
+	st := res.Stats
 
 	if st.AfterUnsound != 13 {
 		t.Fatalf("static survivors = %d, want 13", st.AfterUnsound)

@@ -23,7 +23,6 @@ import (
 	"nadroid/internal/filters"
 	"nadroid/internal/inject"
 	"nadroid/internal/report"
-	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
 
@@ -197,12 +196,13 @@ func Figure5Data() (*Figure5, error) {
 		UnsoundRemoved: make(map[string]int),
 	}
 	for _, app := range corpus.TestApps() {
-		pkg := app.Build()
-		model, err := threadify.Build(pkg, threadify.Options{})
+		// Analyze without filters, so each filter can be measured alone
+		// against the potential set.
+		res, err := nadroid.Analyze(app.Build(), nadroid.Options{SkipSoundFilters: true, SkipUnsoundFilters: true})
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s: %v", app.Name(), err)
 		}
-		d := uaf.Detect(model)
+		d := res.Detection
 		soundRemoved, start := filters.MeasureIndependent(d, filters.SoundFilters(), false)
 		out.Potential += start
 		for k, v := range soundRemoved {
@@ -213,8 +213,7 @@ func Figure5Data() (*Figure5, error) {
 		for k, v := range unsoundRemoved {
 			out.UnsoundRemoved[k] += v
 		}
-		st := filters.Run(d)
-		out.AfterUnsound += st.AfterUnsound
+		out.AfterUnsound += filters.Run(d).AfterUnsound
 	}
 	out.UnsoundRemoved["mayHB"] = out.UnsoundRemoved[filters.NameRHB] +
 		out.UnsoundRemoved[filters.NameCHB] + out.UnsoundRemoved[filters.NamePHB]
@@ -304,32 +303,11 @@ func Table3() ([]Table3Row, error) {
 		if len(anomalies) == 0 {
 			continue
 		}
-		model, err := threadify.Build(pkg, threadify.Options{})
+		res, err := nadroid.Analyze(pkg, nadroid.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s: %v", app.Name(), err)
 		}
-		d := uaf.Detect(model)
-		// Index nAdroid warnings by field before filtering.
-		type verdict struct {
-			detected, filtered bool
-			by                 string
-		}
-		byField := make(map[string]*verdict)
-		for _, w := range d.Warnings {
-			byField[w.Field.String()] = &verdict{detected: true}
-		}
-		filters.Run(d)
-		for _, w := range d.Warnings {
-			v := byField[w.Field.String()]
-			if !w.Alive() {
-				v.filtered = true
-				for _, name := range w.FilteredBy {
-					v.by = name
-				}
-			} else {
-				v.filtered = false
-			}
-		}
+		byField := fieldVerdicts(res.Detection)
 		for _, a := range anomalies {
 			row := Table3Row{
 				App:          app.Name(),
@@ -339,8 +317,10 @@ func Table3() ([]Table3Row, error) {
 			}
 			if v, ok := byField[a.Field.String()]; ok {
 				row.Detected = true
-				row.Filtered = v.filtered
-				row.FilteredBy = v.by
+				row.Filtered = !v.reported
+				if row.Filtered {
+					row.FilteredBy = v.by
+				}
 			}
 			rows = append(rows, row)
 		}
@@ -352,6 +332,36 @@ func Table3() ([]Table3Row, error) {
 		return rows[i].Field < rows[j].Field
 	})
 	return rows, nil
+}
+
+// fieldVerdict is nAdroid's Table 3 verdict on one detected field.
+type fieldVerdict struct {
+	// reported is set while any of the field's warnings survives.
+	reported bool
+	// by names the latest filter, in pipeline order, that removed one of
+	// the field's pairs. The filters run one after another, so for a
+	// filtered field this is the filter that removed its last pair.
+	by string
+}
+
+// fieldVerdicts folds a filtered detection into one verdict per field.
+func fieldVerdicts(d *uaf.Detection) map[string]fieldVerdict {
+	order := make(map[string]int)
+	for i, f := range append(filters.SoundFilters(), filters.UnsoundFilters()...) {
+		order[f.Name()] = i
+	}
+	out := make(map[string]fieldVerdict)
+	for _, w := range d.Warnings {
+		v := out[w.Field.String()]
+		v.reported = v.reported || w.Alive()
+		for _, name := range w.FilteredBy {
+			if v.by == "" || order[name] > order[v.by] {
+				v.by = name
+			}
+		}
+		out[w.Field.String()] = v
+	}
+	return out
 }
 
 // RenderTable3 formats the DEvA comparison.

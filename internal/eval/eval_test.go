@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"nadroid/internal/filters"
+	"nadroid/internal/ir"
+	"nadroid/internal/uaf"
 )
 
 // TestTable1ValidatedMatchesPaper is the headline reproduction: running
@@ -228,5 +230,54 @@ func TestComparePaperAllCheckpointsHold(t *testing.T) {
 	}
 	if s := RenderComparison(rows); !strings.Contains(s, "reproduction checkpoints hold") {
 		t.Error("render malformed")
+	}
+}
+
+// TestFieldVerdicts checks the Table 3 verdict on a hand-built filtered
+// detection. A field is reported while any of its warnings survives.
+// Otherwise it names the filter that removed its last pair: the latest
+// of its filters in pipeline order, whatever the warning or map order.
+func TestFieldVerdicts(t *testing.T) {
+	field := func(name string) ir.FieldRef { return ir.FieldRef{Class: "t/A", Name: name} }
+	dead := func(f string, by ...string) *uaf.Warning {
+		w := &uaf.Warning{Field: field(f), FilteredBy: make(map[uaf.ThreadPair]string)}
+		for i, name := range by {
+			w.FilteredBy[uaf.ThreadPair{Use: i, Free: i + 1}] = name
+		}
+		return w
+	}
+	alive := func(f string) *uaf.Warning {
+		return &uaf.Warning{Field: field(f), Pairs: []uaf.ThreadPair{{Use: 1, Free: 2}}}
+	}
+	d := &uaf.Detection{Warnings: []*uaf.Warning{
+		dead("survives", filters.NameMHB),
+		alive("survives"),
+		dead("twoWarnings", filters.NameTT),
+		dead("twoWarnings", filters.NameIG),
+		dead("twoFilters", filters.NameUR, filters.NameMHB, filters.NameCHB),
+		dead("one", filters.NameIA),
+	}}
+	want := map[string]struct {
+		reported bool
+		by       string
+	}{
+		"t/A.survives":    {reported: true},
+		"t/A.twoWarnings": {by: filters.NameTT},
+		"t/A.twoFilters":  {by: filters.NameUR},
+		"t/A.one":         {by: filters.NameIA},
+	}
+	got := fieldVerdicts(d)
+	if len(got) != len(want) {
+		t.Fatalf("verdicts = %v, want %d fields", got, len(want))
+	}
+	for f, w := range want {
+		v, ok := got[f]
+		if !ok {
+			t.Errorf("%s: no verdict", f)
+			continue
+		}
+		if v.reported != w.reported || (!w.reported && v.by != w.by) {
+			t.Errorf("%s: verdict = %+v, want reported=%v by=%q", f, v, w.reported, w.by)
+		}
 	}
 }

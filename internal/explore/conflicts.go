@@ -435,16 +435,3 @@ func (p *pruner) canonicalKey(acts []interp.Choice, forced []int) string {
 	}
 	return sb.String()
 }
-
-// Summaries reports how many entry methods have summaries and how many
-// are fully resolved (candidates for atomic commutation) — surfaced by
-// tests and benchmarks to sanity-check pruning power.
-func (c *Conflicts) Summaries() (total, resolved int) {
-	for _, s := range c.byMethod {
-		total++
-		if s.resolved {
-			resolved++
-		}
-	}
-	return total, resolved
-}

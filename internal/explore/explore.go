@@ -37,7 +37,7 @@ type Options struct {
 	// BothBranchPolicies additionally explores with opaque branches
 	// taken (doubling the budget's use).
 	BothBranchPolicies bool
-	// Workers bounds ValidateAll's fan-out across warnings
+	// Workers bounds ValidateAllDetailed's fan-out across warnings
 	// (0 = GOMAXPROCS, 1 = sequential). The confirmed subset and its
 	// order are identical for any setting.
 	Workers int
@@ -75,16 +75,8 @@ func (w *Witness) String() string {
 // FindNPE searches for any schedule whose execution raises an NPE
 // accepted by match (nil matches every NPE).
 func FindNPE(pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witness, bool) {
-	w, ok, _ := FindNPEContext(context.Background(), pkg, opts, match)
+	w, ok, _ := findNPE(context.Background(), pkg, cha.New(pkg.Program), opts, match, nil)
 	return w, ok
-}
-
-// FindNPEContext is FindNPE with cancellation: ctx is checked before
-// every schedule execution, so a canceled or expired context stops the
-// search mid-budget and reports ctx.Err(). A nil error with ok == false
-// means the budget was exhausted without a witness.
-func FindNPEContext(ctx context.Context, pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witness, bool, error) {
-	return findNPE(ctx, pkg, cha.New(pkg.Program), opts, match, nil)
 }
 
 // hierarchyFor returns the class hierarchy the worlds of one search
@@ -99,7 +91,10 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 
 // findNPE is the shared search core; h is pkg's class hierarchy, and pr
 // enables partial-order reduction when non-nil (ValidateWarning-family
-// callers only).
+// callers only). ctx is checked before every schedule execution, so a
+// canceled or expired context stops the search mid-budget and reports
+// ctx.Err(). A nil error with ok == false means the budget was
+// exhausted without a witness.
 func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
 	if match == nil {
@@ -220,17 +215,12 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 // the paper's §7 hint of starting exploration from the root entry
 // callbacks.
 func ValidateWarning(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool) {
-	wit, ok, _ := ValidateWarningContext(context.Background(), pkg, model, w, opts)
+	wit, ok, _ := validateWarning(context.Background(), pkg, hierarchyFor(pkg, model), model, w, opts)
 	return wit, ok
 }
 
-// ValidateWarningContext is ValidateWarning with cancellation (see
-// FindNPEContext for the error contract).
-func ValidateWarningContext(ctx context.Context, pkg *apk.Package, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
-	return validateWarning(ctx, pkg, hierarchyFor(pkg, model), model, w, opts)
-}
-
-// validateWarning is ValidateWarningContext over pkg's class hierarchy h.
+// validateWarning is ValidateWarning over pkg's class hierarchy h, with
+// cancellation (see findNPE for the error contract).
 func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
 	if model != nil {
 		opts.Interp.EventFilter = warningEventFilter(model, w)
@@ -315,35 +305,6 @@ func splitRef(ref string) (string, string, bool) {
 
 func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
-// ValidateAll classifies each warning, returning the confirmed-harmful
-// subset (in input order). model focuses each warning's search; pass nil
-// to explore unfocused.
-func ValidateAll(pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) []*uaf.Warning {
-	out, _ := ValidateAllContext(context.Background(), pkg, model, warnings, opts)
-	return out
-}
-
-// ValidateAllContext is ValidateAll with cancellation: the per-warning
-// schedule budget still applies, but ctx is additionally checked before
-// every schedule execution, so an expired deadline stops the sweep
-// mid-warning. On cancellation it returns the harmful subset confirmed
-// so far along with ctx.Err().
-//
-// Warnings are validated concurrently by up to Options.Workers
-// goroutines; each warning's search is independent, and results are
-// assembled in input order, so the confirmed subset matches the
-// sequential sweep exactly.
-func ValidateAllContext(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]*uaf.Warning, error) {
-	vs, err := ValidateAllDetailed(ctx, pkg, model, warnings, opts)
-	var out []*uaf.Warning
-	for _, v := range vs {
-		if v.Harmful {
-			out = append(out, v.Warning)
-		}
-	}
-	return out, err
-}
-
 // Validation is one warning's dynamic-validation outcome: whether a
 // harmful schedule was found, and the witness itself when one was —
 // the exploration half of the warning's evidence record.
@@ -356,10 +317,19 @@ type Validation struct {
 	Witness *Witness
 }
 
-// ValidateAllDetailed is ValidateAllContext keeping the per-warning
-// witnesses instead of discarding them. Results are in input order and
-// cover every warning validated before cancellation. Every warning's
-// search, on any worker, runs over one shared class hierarchy.
+// ValidateAllDetailed classifies each warning with ValidateWarning's
+// search and returns every outcome, witness included, in input order.
+// model focuses each warning's search; pass nil to explore unfocused.
+//
+// The per-warning schedule budget applies, and ctx is additionally
+// checked before every schedule execution, so an expired deadline stops
+// the sweep mid-warning. On cancellation it returns ctx.Err() with the
+// outcomes that precede, in input order, the first canceled warning.
+//
+// Warnings are validated concurrently by up to Options.Workers
+// goroutines, all over one shared class hierarchy. Each warning's search
+// is independent and results are assembled in input order, so the
+// outcomes match the sequential sweep exactly.
 func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]Validation, error) {
 	h := hierarchyFor(pkg, model)
 	workers := opts.Workers

@@ -1,12 +1,14 @@
 package explore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/cha"
+	"nadroid/internal/detect"
 	"nadroid/internal/framework"
 	"nadroid/internal/interp"
 	"nadroid/internal/threadify"
@@ -27,6 +29,19 @@ func base() (*appbuilder.Builder, *appbuilder.ClassBuilder) {
 	act.Field("view", framework.View)
 	b.Class(valCls, framework.Object).Method("use", 0).Return()
 	return b, act
+}
+
+// detectUAF runs the pipeline's uaf detector over the shared detector
+// context and returns its unfiltered warnings.
+func detectUAF(t testing.TB, m *threadify.Model) *uaf.Detection {
+	t.Helper()
+	ctx := context.Background()
+	det, _ := detect.ByName("uaf")
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, "", m, detect.Options{}), []detect.Detector{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.UAF
 }
 
 func build(t *testing.T, b *appbuilder.Builder) *apk.Package {
@@ -106,7 +121,7 @@ func TestValidateWarningConfirmsStaticReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
+	d := detectUAF(t, m)
 	var target *uaf.Warning
 	for _, w := range d.Warnings {
 		if strings.Contains(w.Use.Method, "onCreateContextMenu") &&
@@ -357,7 +372,7 @@ func TestWitnessReplayReproduces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
+	d := detectUAF(t, m)
 	for _, w := range d.Warnings {
 		if !strings.Contains(w.Use.Method, "onCreateContextMenu") {
 			continue

@@ -84,12 +84,7 @@ type cancelOp struct {
 
 // NewContext builds the filter context: the MHB graph, lock sets, and
 // access/cancellation indexes.
-func NewContext(d *uaf.Detection) *Context { return NewContextWith(d, Options{}) }
-
-// NewContextWith is NewContext with explicit options.
-func NewContextWith(d *uaf.Detection, opts Options) *Context {
-	return newContextMHB(d, opts, nil)
-}
+func NewContext(d *uaf.Detection) *Context { return newContextMHB(d, Options{}, nil) }
 
 // newContextMHB builds the filter context around a prebuilt MHB graph
 // (nil rebuilds it from the model).

@@ -1,11 +1,13 @@
 package filters
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/detect"
 	"nadroid/internal/framework"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
@@ -72,8 +74,21 @@ func detectPkg(t *testing.T, pkg *apk.Package) (*uaf.Detection, *Context) {
 	if err != nil {
 		t.Fatalf("threadify: %v", err)
 	}
-	d := uaf.Detect(m)
+	d := detectUAF(t, m)
 	return d, NewContext(d)
+}
+
+// detectUAF runs the pipeline's uaf detector over the shared detector
+// context and returns its unfiltered warnings.
+func detectUAF(t testing.TB, m *threadify.Model) *uaf.Detection {
+	t.Helper()
+	ctx := context.Background()
+	det, _ := detect.ByName("uaf")
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, "", m, detect.Options{}), []detect.Detector{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.UAF
 }
 
 // findWarning returns the warning whose use and free methods contain the
@@ -664,8 +679,8 @@ func TestMultiLooperDowngradesIG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
-	ctx := NewContextWith(d, Options{MultiLooper: true})
+	d := detectUAF(t, m)
+	ctx := newContextMHB(d, Options{MultiLooper: true}, nil)
 	w := findWarning(t, d, "L1.onClick", "L2.onClick")
 	applyFilter(ctx, d, igFilter{})
 	if !w.Alive() {

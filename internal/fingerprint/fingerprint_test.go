@@ -1,12 +1,16 @@
 package fingerprint
 
 import (
+	"context"
 	"regexp"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/datalog"
+	"nadroid/internal/escape"
+	"nadroid/internal/race"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
@@ -111,14 +115,21 @@ func buildApp(t *testing.T, o buildOpts) *apk.Package {
 	return pkg
 }
 
-// detect runs modeling + detection on the fixture.
+// detect runs modeling + detection on the fixture, with the race steps
+// the shared detector context runs (internal/detect imports this
+// package, so its tests cannot call it).
 func detect(t *testing.T, pkg *apk.Package) (*threadify.Model, *uaf.Detection) {
 	t.Helper()
 	m, err := threadify.Build(pkg, threadify.Options{})
 	if err != nil {
 		t.Fatalf("threadify: %v", err)
 	}
-	return m, uaf.Detect(m)
+	accs := race.CollectAccesses(m)
+	e := datalog.NewEngine()
+	race.PopulateFacts(e, accs, escape.Analyze(m))
+	race.InstallRacyRules(e)
+	pairs := race.PairsFromEngine(context.Background(), e)
+	return m, uaf.Group(m, &race.Result{Accesses: accs, Pairs: pairs})
 }
 
 // findWarnings returns the fingerprints of all warnings on a field,

@@ -11,9 +11,9 @@ import (
 	"fmt"
 	"sort"
 
+	"nadroid"
 	"nadroid/internal/corpus"
 	"nadroid/internal/filters"
-	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
 
@@ -120,16 +120,14 @@ func Run(plans []Plan) ([]Row, error) {
 			return nil, fmt.Errorf("inject: unknown corpus app %q", p.App)
 		}
 		pkg, sites := app.Spec.BuildInjected(p.Kinds)
-		model, err := threadify.Build(pkg, threadify.Options{})
+		res, err := nadroid.Analyze(pkg, nadroid.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("inject: %s: %v", p.App, err)
 		}
-		d := uaf.Detect(model)
-		filters.Run(d)
 		row := Row{App: p.App, ByKind: make(map[corpus.InjectionKind]int)}
 		for _, site := range sites {
 			row.ByKind[site.Kind]++
-			row.Results = append(row.Results, SiteResult{Site: site, Outcome: classify(d, site)})
+			row.Results = append(row.Results, SiteResult{Site: site, Outcome: classify(res.Detection, site)})
 		}
 		rows = append(rows, row)
 	}

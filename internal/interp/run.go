@@ -106,7 +106,3 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 	}
 	return info
 }
-
-// RunPackage is the convenience entry: build a world and run it.
-// Deterministic for a fixed schedule.
-func RunDefault(w *World) *ScheduleInfo { return Run(w, nil) }

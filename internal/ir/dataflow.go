@@ -187,13 +187,6 @@ func IsFree(oi *OriginInfo, m *Method, i int) bool {
 	return oi.At(i, in.A).Kind == OriginNull
 }
 
-// IsUse reports whether instruction i of m is a "use": a getfield (or
-// getstatic) retrieving a field value.
-func IsUse(m *Method, i int) bool {
-	op := m.Instrs[i].Op
-	return op == OpGetField || op == OpGetStatic
-}
-
 // UsesOfDef returns the instruction indices that may read the value
 // defined by instruction def (which must define a register), following
 // moves transitively. The walk is path-insensitive: any read of the

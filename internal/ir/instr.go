@@ -87,16 +87,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// OpFromName parses an opcode mnemonic; ok is false for unknown names.
-func OpFromName(name string) (Op, bool) {
-	for i, n := range opNames {
-		if n == name {
-			return Op(i), true
-		}
-	}
-	return OpNop, false
-}
-
 // Instr is one instruction. Operand meaning depends on Op; unused operands
 // are zero values (registers: NoReg by convention in printers, but 0 is
 // also accepted when the op ignores the operand).

@@ -53,9 +53,6 @@ func (p *Program) Classes() []*Class {
 	return out
 }
 
-// NumClasses reports the number of classes.
-func (p *Program) NumClasses() int { return len(p.order) }
-
 // SortedClassNames returns class names sorted lexicographically.
 func (p *Program) SortedClassNames() []string {
 	out := append([]string(nil), p.order...)

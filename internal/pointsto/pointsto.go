@@ -238,58 +238,10 @@ func (r *Result) PointsTo(method string, recv ObjID, reg int) []ObjID {
 	return set.AppendIDs(make([]ObjID, 0, set.Count()))
 }
 
-// PointsToAnyCtx unions the points-to sets of reg across every analyzed
-// context of method.
-func (r *Result) PointsToAnyCtx(method string, reg int) []ObjID {
-	c := r.c
-	mid, ok := c.methodIdx[method]
-	if !ok {
-		return nil
-	}
-	var union Bitset
-	for _, mc := range c.methodMctxs[mid] {
-		info := &c.mctxs[mc]
-		if info.varBase < 0 || reg < 0 || reg >= int(info.nregs) {
-			continue
-		}
-		union.Or(c.varPts[c.root(info.varBase+varID(reg))])
-	}
-	return union.AppendIDs(nil)
-}
-
-// ContextsOf returns the receiver objects under which method was
-// analyzed (NoRecv for context-free).
-func (r *Result) ContextsOf(method string) []ObjID {
-	c := r.c
-	mid, ok := c.methodIdx[method]
-	if !ok {
-		return nil
-	}
-	var out []ObjID
-	for _, mc := range c.methodMctxs[mid] {
-		out = append(out, c.mctxs[mc].recv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Reachable reports whether method was analyzed under any context.
 func (r *Result) Reachable(method string) bool {
 	mid, ok := r.c.methodIdx[method]
 	return ok && len(r.c.methodMctxs[mid]) > 0
-}
-
-// ReachableMethods lists every analyzed method ref, sorted.
-func (r *Result) ReachableMethods() []string {
-	c := r.c
-	out := make([]string, 0, len(c.methodNames))
-	for mid, name := range c.methodNames {
-		if len(c.methodMctxs[mid]) > 0 {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FieldSet returns the pointees of (obj, field), or nil.
@@ -324,17 +276,6 @@ func (r *Result) StaticSet(field string) Bitset {
 // StaticPointsTo returns the pointees of a static field "Class.name".
 func (r *Result) StaticPointsTo(field string) []ObjID {
 	return r.StaticSet(field).AppendIDs(nil)
-}
-
-// CalleesAt returns callee method refs resolved at (method, recv, site).
-func (r *Result) CalleesAt(method string, recv ObjID, site int) []string {
-	c := r.c
-	var out []string
-	for _, mc := range r.calleeMctxsAt(method, recv, site) {
-		out = append(out, c.methodNames[c.mctxs[mc].method])
-	}
-	sort.Strings(out)
-	return out
 }
 
 // CalleeContextsAt returns (calleeMethod, calleeRecv) pairs at a site.

@@ -15,7 +15,7 @@ import (
 // runs skip the solve entirely.
 //
 // The snapshot is complete for the read-only accessor surface (PointsTo,
-// CalleesAt, SpawnEdges, ...). Solve-only state (worklists, variable
+// CalleeContextsAt, SpawnEdges, ...). Solve-only state (worklists, variable
 // deltas) is intentionally dropped: a restored Result can answer
 // queries but not resume a solve.
 type Snapshot struct {

@@ -1,8 +1,9 @@
 // Package race implements Chord-style static data-race detection over
-// the threadified program (§5): it enumerates field accesses per modeled
-// thread, and reports racy pairs — two accesses to the same field of an
-// aliased, thread-escaping object from different modeled threads, at
-// least one of which is a write.
+// the threadified program (§5), restricted to nAdroid's use-after-free
+// shape: it enumerates field accesses per modeled thread, and reports
+// racy pairs — a use (read) and a free (null write) of the same field of
+// an aliased, thread-escaping object, from different modeled threads.
+// Non-null writes are collected but never pair.
 //
 // Per the paper, the detector deliberately ignores lockset analysis
 // (locks do not prevent ordering violations) and MHP analysis (replaced
@@ -62,8 +63,7 @@ type Access struct {
 	Objs []pointsto.ObjID
 }
 
-// Pair is one racy pair of access IDs (by convention A is the read/use
-// when one side is a read).
+// Pair is one racy pair of access IDs: A is the use, B the free.
 type Pair struct {
 	A, B int
 }
@@ -72,19 +72,6 @@ type Pair struct {
 type Result struct {
 	Accesses []Access
 	Pairs    []Pair
-	Escape   *escape.Result
-}
-
-// Options tunes detection.
-type Options struct {
-	// RequireEscape drops pairs on objects reachable from a single
-	// thread (Chord's thread-escape pruning). Defaults to true via
-	// Detect; set SkipEscape to disable for ablation.
-	SkipEscape bool
-	// UseFreeOnly keeps only (read, null-write) pairs — nAdroid's UAF
-	// restriction (§5). When false the detector reports every
-	// read-write/write-write race, like stock Chord.
-	UseFreeOnly bool
 }
 
 // CollectAccesses enumerates the field accesses of every modeled thread.
@@ -179,61 +166,14 @@ func canonicalField(m *threadify.Model, ref ir.FieldRef) ir.FieldRef {
 	return ref
 }
 
-// Detect runs the full pipeline: collect accesses, escape analysis, and
-// the Datalog race derivation.
-func Detect(m *threadify.Model, opts Options) *Result {
-	return DetectContext(context.Background(), m, opts)
-}
-
-// DetectContext is Detect under an observability context: each stage
-// runs in its own span (access collection, escape analysis, the Datalog
-// pairing) and contributes pipeline counters.
-func DetectContext(ctx context.Context, m *threadify.Model, opts Options) *Result {
-	_, span := obs.Start(ctx, "race.collect-accesses")
-	accesses := CollectAccesses(m)
-	span.SetAttr("accesses", len(accesses))
-	span.End()
-
-	_, span = obs.Start(ctx, "escape.analyze")
-	esc := escape.Analyze(m)
-	span.End()
-
-	pctx, span := obs.Start(ctx, "race.pair")
-	pairs := DetectPairsContext(pctx, m, accesses, esc, opts)
-	span.SetAttr("pairs", len(pairs))
-	span.End()
-
-	obs.Add(ctx, "race_accesses", int64(len(accesses)))
-	obs.Add(ctx, "race_pairs", int64(len(pairs)))
-	return &Result{Accesses: accesses, Pairs: pairs, Escape: esc}
-}
-
-// DetectPairs derives racy pairs with a Datalog program, mirroring how
-// Chord expresses its race detector:
-//
-//	Racy(a, b) :- RdAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)
-//	Racy(a, b) :- WrAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)
-func DetectPairs(m *threadify.Model, accesses []Access, esc *escape.Result, opts Options) []Pair {
-	return DetectPairsContext(context.Background(), m, accesses, esc, opts)
-}
-
-// DetectPairsContext is DetectPairs with Datalog engine telemetry
-// (fact/derived-tuple/iteration counters) reported through ctx.
-func DetectPairsContext(ctx context.Context, m *threadify.Model, accesses []Access, esc *escape.Result, opts Options) []Pair {
-	e := datalog.NewEngine()
-	PopulateFacts(e, accesses, esc, opts)
-	InstallRacyRules(e, opts)
-	return PairsFromEngine(ctx, e, accesses, opts)
-}
-
-// PopulateFacts loads the access and escape fact base into e: RdAcc and
-// WrAcc tuples per (access, thread, field, object) and the Esc relation
-// over thread-escaping objects. Detectors that share one engine call
-// this once and layer their own relations and rules on top.
-func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result, opts Options) {
-	accSym := func(id int) datalog.Sym { return e.IntSym('a', id) }
+// PopulateFacts loads the access and escape fact base into e: RdAcc
+// tuples per (use, thread, field, object), WrAcc tuples per (free,
+// thread, field, object), and the Esc relation over thread-escaping
+// objects. Non-null writes contribute no access facts. Detectors that
+// share one engine call this once and layer their own relations and
+// rules on top.
+func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result) {
 	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
-	objSym := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
 	staticObj := e.Sym("h:static")
 
 	// Make sure relations exist even when a side contributes no facts.
@@ -242,23 +182,20 @@ func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result, opt
 	e.Relation("Esc", 1)
 
 	for _, a := range accesses {
+		if a.Kind == Write {
+			continue
+		}
 		fieldSym := e.Sym("f:" + a.Field.String())
 		rel := "WrAcc"
 		if a.Kind == Read {
 			rel = "RdAcc"
 		}
-		if opts.UseFreeOnly {
-			// Only uses and frees participate.
-			if a.Kind == Write {
-				continue
-			}
-		}
 		if a.Static {
-			e.Fact(rel, accSym(a.ID), thrSym(a.Thread), fieldSym, staticObj)
+			e.Fact(rel, accSym(e, a.ID), thrSym(a.Thread), fieldSym, staticObj)
 			continue
 		}
 		for _, o := range a.Objs {
-			e.Fact(rel, accSym(a.ID), thrSym(a.Thread), fieldSym, objSym(o))
+			e.Fact(rel, accSym(e, a.ID), thrSym(a.Thread), fieldSym, objSym(e, o))
 		}
 	}
 	// Escape facts; statics always escape.
@@ -270,29 +207,30 @@ func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result, opt
 				continue
 			}
 			seenObj[o] = true
-			if opts.SkipEscape || esc.Escaped(o) {
-				e.Fact("Esc", objSym(o))
+			if esc.Escaped(o) {
+				e.Fact("Esc", objSym(e, o))
 			}
 		}
 	}
 }
 
-// InstallRacyRules adds the Racy derivation rules to an engine loaded by
-// PopulateFacts. Install at most once per engine — the engine does not
-// dedupe rules, so a second install would re-fire the same derivations
-// on every later Run.
-func InstallRacyRules(e *datalog.Engine, opts Options) {
+// InstallRacyRules adds the Racy derivation rule to an engine loaded by
+// PopulateFacts, mirroring how Chord expresses its race detector:
+//
+//	Racy(a, b) :- RdAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)
+//
+// Install at most once per engine — the engine does not dedupe rules, so
+// a second install would re-fire the same derivations on every later
+// Run.
+func InstallRacyRules(e *datalog.Engine) {
 	e.MustRule("Racy(a, b) :- RdAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)")
-	if !opts.UseFreeOnly {
-		e.MustRule("Racy(a, b) :- WrAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)")
-	}
 }
 
 // PairsFromEngine runs an engine loaded by PopulateFacts with the Racy
-// rules installed (InstallRacyRules) and decodes the racy pairs. Engine
-// telemetry (fact/derived-tuple/iteration counters) is reported through
-// ctx.
-func PairsFromEngine(ctx context.Context, e *datalog.Engine, accesses []Access, opts Options) []Pair {
+// rule installed (InstallRacyRules) and decodes the racy pairs, sorted.
+// Engine telemetry (fact/derived-tuple/iteration counters) is reported
+// through ctx.
+func PairsFromEngine(ctx context.Context, e *datalog.Engine) []Pair {
 	e.Run()
 	st := e.Stats()
 	obs.Add(ctx, "datalog_facts", int64(st.Facts))
@@ -311,10 +249,6 @@ func PairsFromEngine(ctx context.Context, e *datalog.Engine, accesses []Access, 
 	for _, row := range e.Query("Racy", datalog.Wild, datalog.Wild) {
 		_, a, _ := e.IntSymVal(row[0])
 		_, b, _ := e.IntSymVal(row[1])
-		if !opts.UseFreeOnly && a > b && sameKindPair(accesses, a, b) {
-			// Write-write pairs arrive in both orders; keep one.
-			continue
-		}
 		pairs = append(pairs, Pair{A: a, B: b})
 	}
 	sort.Slice(pairs, func(i, j int) bool {
@@ -326,6 +260,14 @@ func PairsFromEngine(ctx context.Context, e *datalog.Engine, accesses []Access, 
 	return pairs
 }
 
-func sameKindPair(accesses []Access, a, b int) bool {
-	return accesses[a].Kind != Read && accesses[b].Kind != Read
+// Why returns the derivation tree of a racy pair from an engine in
+// provenance mode, or nil when provenance is off.
+func Why(e *datalog.Engine, p Pair) *datalog.Derivation {
+	return e.Why("Racy", accSym(e, p.A), accSym(e, p.B))
 }
+
+// accSym and objSym encode access IDs and abstract objects as engine
+// symbols.
+func accSym(e *datalog.Engine, id int) datalog.Sym { return e.IntSym('a', id) }
+
+func objSym(e *datalog.Engine, o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }

@@ -1,9 +1,11 @@
 package race
 
 import (
+	"context"
 	"testing"
 
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
@@ -54,6 +56,17 @@ func twoListenerApp(t *testing.T, l1Free, l2Write bool) *threadify.Model {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// detectPairs runs the steps the shared detector context runs
+// (internal/detect): collect accesses, solve escape, load the fact base
+// and derive the racy pairs.
+func detectPairs(m *threadify.Model) ([]Access, []Pair) {
+	accs := CollectAccesses(m)
+	e := datalog.NewEngine()
+	PopulateFacts(e, accs, escape.Analyze(m))
+	InstallRacyRules(e)
+	return accs, PairsFromEngine(context.Background(), e)
 }
 
 func TestCollectAccessesKinds(t *testing.T) {
@@ -109,33 +122,33 @@ func TestFieldCanonicalization(t *testing.T) {
 	}
 }
 
+// TestUseFreeOnlyExcludesWriteWritePairs: L1 frees f. A read of f in L2
+// races with the free as a (use, free) pair; a non-null store into f in
+// L2 races with nothing, because writes never pair with writes.
 func TestUseFreeOnlyExcludesWriteWritePairs(t *testing.T) {
-	m := twoListenerApp(t, true, true) // L1 frees, L2 writes non-null
-	accs := CollectAccesses(m)
-	esc := escape.Analyze(m)
-	full := DetectPairs(m, accs, esc, Options{})
-	uafOnly := DetectPairs(m, accs, esc, Options{UseFreeOnly: true})
-	if len(uafOnly) >= len(full) {
-		t.Errorf("UseFreeOnly should shrink pairs: %d vs %d", len(uafOnly), len(full))
+	accs, pairs := detectPairs(twoListenerApp(t, true, false)) // L2 reads f
+	if len(pairs) == 0 {
+		t.Fatal("L2's read of f must race with L1's free")
 	}
-	for _, p := range uafOnly {
-		a, b := accs[p.A], accs[p.B]
-		if a.Kind != Read || b.Kind != NullWrite {
-			t.Errorf("UseFreeOnly pair kinds = %v/%v", a.Kind, b.Kind)
+	for _, p := range pairs {
+		if a, b := accs[p.A], accs[p.B]; a.Kind != Read || b.Kind != NullWrite {
+			t.Errorf("pair kinds = %v/%v, want read/free", a.Kind, b.Kind)
 		}
+	}
+	accs, pairs = detectPairs(twoListenerApp(t, true, true)) // L2 writes f
+	for _, p := range pairs {
+		a, b := accs[p.A], accs[p.B]
+		t.Errorf("unexpected pair %v (%v) / %v (%v)", a.Instr, a.Kind, b.Instr, b.Kind)
 	}
 }
 
-func TestSkipEscapeFindsMorePairs(t *testing.T) {
-	// A thread-local object produces pairs only when escape is skipped.
-	b := appbuilder.New("skipesc")
+// TestSingleThreadAccessesDoNotRace: a field stored and read by
+// onCreate alone lives on one modeled thread, so it yields no pair.
+func TestSingleThreadAccessesDoNotRace(t *testing.T) {
+	b := appbuilder.New("onethread")
 	act := b.Activity("s/A")
 	b.Class("s/Box", framework.Object).Field("v", "s/V")
 	b.Class("s/V", framework.Object)
-	// Two callbacks with their own local boxes: objects never escape, but
-	// the abstract object is shared across the two listener contexts only
-	// if aliasing says so — here each allocates its own box, so even
-	// SkipEscape finds nothing across threads. Instead share via field.
 	act.Field("box", "s/Box")
 	oc := act.Method("onCreate", 1)
 	box := oc.New("s/Box")
@@ -143,8 +156,6 @@ func TestSkipEscapeFindsMorePairs(t *testing.T) {
 	vv := oc.New("s/V")
 	oc.PutField(box, "s/Box", "v", vv)
 	oc.Return()
-	// Only onCreate touches it: single thread, pairs need SkipEscape AND
-	// a second thread — so expect zero either way for this shape.
 	pkg, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +164,7 @@ func TestSkipEscapeFindsMorePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs := CollectAccesses(m)
-	esc := escape.Analyze(m)
-	if pairs := DetectPairs(m, accs, esc, Options{UseFreeOnly: true}); len(pairs) != 0 {
+	if _, pairs := detectPairs(m); len(pairs) != 0 {
 		t.Errorf("single-thread accesses cannot race: %v", pairs)
 	}
 }
@@ -200,9 +209,9 @@ func TestSameFieldDifferentObjectsDoNotRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := Detect(m, Options{UseFreeOnly: true})
-	for _, p := range rr.Pairs {
-		a, b := rr.Accesses[p.A], rr.Accesses[p.B]
+	accs, pairs := detectPairs(m)
+	for _, p := range pairs {
+		a, b := accs[p.A], accs[p.B]
 		t.Errorf("cross-activity pair should not exist: %v vs %v", a.Instr, b.Instr)
 	}
 }

@@ -1,11 +1,13 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"nadroid/internal/corpus"
 	"nadroid/internal/datalog"
+	"nadroid/internal/detect"
 	"nadroid/internal/evidence"
 	"nadroid/internal/filters"
 	"nadroid/internal/threadify"
@@ -22,9 +24,22 @@ func connectBot(t *testing.T) (*threadify.Model, *uaf.Detection) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := uaf.Detect(m)
+	d := detectUAF(t, m)
 	filters.Run(d)
 	return m, d
+}
+
+// detectUAF runs the pipeline's uaf detector over the shared detector
+// context and returns its unfiltered warnings.
+func detectUAF(t testing.TB, m *threadify.Model) *uaf.Detection {
+	t.Helper()
+	ctx := context.Background()
+	det, _ := detect.ByName("uaf")
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, "", m, detect.Options{}), []detect.Detector{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.UAF
 }
 
 func TestClassificationCategories(t *testing.T) {

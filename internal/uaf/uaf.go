@@ -1,17 +1,16 @@
-// Package uaf turns raw racy pairs into use-after-free warnings (§5):
-// a warning is a (use, free) pair of instructions on the same field,
-// annotated with every (use-thread, free-thread) combination the race
-// detector found. Filters (§6) prune thread pairs; a warning survives
-// while at least one pair survives.
+// Package uaf turns racy (use, free) pairs into use-after-free warnings
+// (§5): a warning is a (use, free) pair of instructions on the same
+// field, annotated with every (use-thread, free-thread) combination the
+// race detector found. The uaf detector in internal/detect builds them
+// over the shared detector context. Filters (§6) prune thread pairs; a
+// warning survives while at least one pair survives.
 package uaf
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"nadroid/internal/ir"
-	"nadroid/internal/obs"
 	"nadroid/internal/pointsto"
 	"nadroid/internal/race"
 	"nadroid/internal/threadify"
@@ -81,32 +80,8 @@ type Detection struct {
 // AccessFor returns the access metadata for an id.
 func (d *Detection) AccessFor(id int) race.Access { return d.accByID[id] }
 
-// Detect runs race detection restricted to use/free pairs and groups the
-// racy pairs into warnings keyed by (field, use instr, free instr).
-func Detect(m *threadify.Model) *Detection {
-	return DetectContext(context.Background(), m)
-}
-
-// DetectContext is Detect under an observability context: race
-// detection and warning grouping run in their own spans, and the racy
-// pair / warning counts land in the pipeline counters.
-func DetectContext(ctx context.Context, m *threadify.Model) *Detection {
-	rr := race.DetectContext(ctx, m, race.Options{UseFreeOnly: true})
-	_, span := obs.Start(ctx, "uaf.group")
-	d := Group(m, rr)
-	pairs := 0
-	for _, w := range d.Warnings {
-		pairs += len(w.Pairs)
-	}
-	span.SetAttr("warnings", len(d.Warnings))
-	span.SetAttr("thread_pairs", pairs)
-	span.End()
-	obs.Add(ctx, "uaf_warnings", int64(len(d.Warnings)))
-	obs.Add(ctx, "uaf_thread_pairs", int64(pairs))
-	return d
-}
-
-// Group assembles warnings from a race result.
+// Group assembles warnings from a race result, keyed by (field, use
+// instr, free instr).
 func Group(m *threadify.Model, rr *race.Result) *Detection {
 	d := &Detection{Model: m, Race: rr, accByID: make(map[int]race.Access)}
 	for _, a := range rr.Accesses {
@@ -116,9 +91,6 @@ func Group(m *threadify.Model, rr *race.Result) *Detection {
 	var order []string
 	for _, p := range rr.Pairs {
 		use, free := d.accByID[p.A], d.accByID[p.B]
-		if use.Kind != race.Read || free.Kind != race.NullWrite {
-			continue
-		}
 		w := &Warning{Field: use.Field, Use: use.Instr, Free: free.Instr}
 		k := w.Key()
 		existing, ok := byKey[k]

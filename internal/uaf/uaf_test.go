@@ -1,15 +1,18 @@
-package uaf
+package uaf_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/detect"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
 	"nadroid/internal/race"
 	"nadroid/internal/threadify"
+	"nadroid/internal/uaf"
 )
 
 func fieldRef(cls, name string) ir.FieldRef { return ir.FieldRef{Class: cls, Name: name} }
@@ -55,18 +58,26 @@ func buildConnectBotLike(t *testing.T) *apk.Package {
 	return pkg
 }
 
-func detect(t *testing.T, pkg *apk.Package) *Detection {
+// detectPkg models pkg and runs the pipeline's uaf detector over the
+// shared detector context, returning the unfiltered warnings.
+func detectPkg(t *testing.T, pkg *apk.Package) *uaf.Detection {
 	t.Helper()
 	m, err := threadify.Build(pkg, threadify.Options{})
 	if err != nil {
 		t.Fatalf("threadify: %v", err)
 	}
-	return Detect(m)
+	ctx := context.Background()
+	det, _ := detect.ByName("uaf")
+	res, err := detect.Run(ctx, detect.BuildContext(ctx, pkg.Name, m, detect.Options{}), []detect.Detector{det})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.UAF
 }
 
 func TestDetectsFigure1aUAF(t *testing.T) {
-	d := detect(t, buildConnectBotLike(t))
-	var hit *Warning
+	d := detectPkg(t, buildConnectBotLike(t))
+	var hit *uaf.Warning
 	for _, w := range d.Warnings {
 		if w.Field.Name == "bound" &&
 			strings.Contains(w.Use.Method, "onCreateContextMenu") &&
@@ -91,7 +102,7 @@ func TestDetectsFigure1aUAF(t *testing.T) {
 }
 
 func TestUseFreeRestriction(t *testing.T) {
-	d := detect(t, buildConnectBotLike(t))
+	d := detectPkg(t, buildConnectBotLike(t))
 	for _, w := range d.Warnings {
 		use := d.AccessFor(findAccessID(t, d, w.Use, race.Read))
 		free := d.AccessFor(findAccessID(t, d, w.Free, race.NullWrite))
@@ -107,7 +118,7 @@ func TestUseFreeRestriction(t *testing.T) {
 // The onServiceConnected store is a Write (not a free): no warning may
 // list it as its free side.
 func TestNonNullStoreIsNotAFree(t *testing.T) {
-	d := detect(t, buildConnectBotLike(t))
+	d := detectPkg(t, buildConnectBotLike(t))
 	for _, w := range d.Warnings {
 		if strings.Contains(w.Free.Method, "onServiceConnected") {
 			t.Errorf("onServiceConnected's store must not be a free: %v", w.Free)
@@ -134,7 +145,7 @@ func TestThreadLocalObjectDoesNotRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := detect(t, pkg)
+	d := detectPkg(t, pkg)
 	if n := d.AliveCount(); n != 0 {
 		t.Errorf("thread-local box produced %d warnings", n)
 	}
@@ -174,7 +185,7 @@ func TestSingleThreadedRaceBetweenCallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := detect(t, pkg)
+	d := detectPkg(t, pkg)
 	found := false
 	for _, w := range d.Warnings {
 		if w.Field.Name == "f" && strings.Contains(w.Use.Method, "L1.onClick") && strings.Contains(w.Free.Method, "L2.onClick") {
@@ -186,7 +197,7 @@ func TestSingleThreadedRaceBetweenCallbacks(t *testing.T) {
 	}
 }
 
-func findAccessID(t *testing.T, d *Detection, instr interface{ String() string }, kind race.AccessKind) int {
+func findAccessID(t *testing.T, d *uaf.Detection, instr interface{ String() string }, kind race.AccessKind) int {
 	t.Helper()
 	for _, a := range d.Race.Accesses {
 		if a.Instr.String() == instr.String() && a.Kind == kind {
@@ -197,7 +208,7 @@ func findAccessID(t *testing.T, d *Detection, instr interface{ String() string }
 	return -1
 }
 
-func keys(d *Detection) []string {
+func keys(d *uaf.Detection) []string {
 	var out []string
 	for _, w := range d.Warnings {
 		out = append(out, w.Key())
@@ -208,38 +219,38 @@ func keys(d *Detection) []string {
 // --- Warning bookkeeping ---------------------------------------------------
 
 func TestRemovePairsRecordsFilter(t *testing.T) {
-	w := &Warning{
-		Pairs: []ThreadPair{{Use: 1, Free: 2}, {Use: 3, Free: 4}, {Use: 5, Free: 6}},
+	w := &uaf.Warning{
+		Pairs: []uaf.ThreadPair{{Use: 1, Free: 2}, {Use: 3, Free: 4}, {Use: 5, Free: 6}},
 	}
-	n := w.RemovePairs("MHB", func(p ThreadPair) bool { return p.Use == 3 })
+	n := w.RemovePairs("MHB", func(p uaf.ThreadPair) bool { return p.Use == 3 })
 	if n != 1 {
 		t.Fatalf("removed = %d, want 1", n)
 	}
 	if len(w.Pairs) != 2 {
 		t.Fatalf("pairs left = %d, want 2", len(w.Pairs))
 	}
-	if w.FilteredBy[ThreadPair{Use: 3, Free: 4}] != "MHB" {
+	if w.FilteredBy[uaf.ThreadPair{Use: 3, Free: 4}] != "MHB" {
 		t.Errorf("FilteredBy = %v", w.FilteredBy)
 	}
 	if !w.Alive() {
 		t.Error("warning with remaining pairs must be alive")
 	}
-	w.RemovePairs("TT", func(ThreadPair) bool { return true })
+	w.RemovePairs("TT", func(uaf.ThreadPair) bool { return true })
 	if w.Alive() {
 		t.Error("warning with no pairs must be dead")
 	}
-	if w.FilteredBy[ThreadPair{Use: 1, Free: 2}] != "TT" {
+	if w.FilteredBy[uaf.ThreadPair{Use: 1, Free: 2}] != "TT" {
 		t.Errorf("later filter attribution lost: %v", w.FilteredBy)
 	}
 }
 
 func TestWarningKeyStable(t *testing.T) {
-	w1 := &Warning{
+	w1 := &uaf.Warning{
 		Field: fieldRef("C", "f"),
 		Use:   instrID("C.m", 1),
 		Free:  instrID("C.n", 2),
 	}
-	w2 := &Warning{
+	w2 := &uaf.Warning{
 		Field: fieldRef("C", "f"),
 		Use:   instrID("C.m", 1),
 		Free:  instrID("C.n", 2),

@@ -110,13 +110,13 @@ func TestValidateAllContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	start := time.Now()
-	harmful, err := explore.ValidateAllContext(ctx, app.Build(), res.Model, res.Detection.Alive(),
+	vals, err := explore.ValidateAllDetailed(ctx, app.Build(), res.Model, res.Detection.Alive(),
 		explore.Options{MaxSchedules: 1_000_000})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
-	if len(harmful) != 0 {
-		t.Errorf("harmful = %d before any schedule ran, want 0", len(harmful))
+	if len(vals) != 0 {
+		t.Errorf("validations = %d before any schedule ran, want 0", len(vals))
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("expired deadline took %v to stop the sweep", elapsed)
