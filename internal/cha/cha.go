@@ -1,12 +1,10 @@
-// Package cha implements class-hierarchy analysis: subtype queries,
-// method and field resolution, and virtual-dispatch targets. Call edges
-// come from the points-to solver (internal/pointsto), which dispatches
-// through this hierarchy.
+// Package cha implements class-hierarchy analysis: subtype queries and
+// method and field resolution. Call edges come from the points-to solver
+// (internal/pointsto), which resolves calls through this hierarchy.
 package cha
 
 import (
 	"fmt"
-	"sort"
 
 	"nadroid/internal/ir"
 )
@@ -18,31 +16,18 @@ type Hierarchy struct {
 	// supers[c] is the transitive set of superclasses and implemented
 	// interfaces of c, including c itself.
 	supers map[string]map[string]bool
-	// subsOf[s] lists concrete classes that are subtypes of s, sorted.
-	subsOf map[string][]string
 }
 
 // New builds the hierarchy. Unknown supertype names are tolerated (they
-// behave as opaque externals); analyses only need what is declared.
+// behave as opaque externals); analyses only need what is declared. New
+// panics on a cyclic hierarchy, which dexasm.Parse rejects up front.
 func New(prog *ir.Program) *Hierarchy {
 	h := &Hierarchy{
 		prog:   prog,
 		supers: make(map[string]map[string]bool),
-		subsOf: make(map[string][]string),
 	}
 	for _, c := range prog.Classes() {
 		h.supers[c.Name] = h.computeSupers(c.Name, make(map[string]bool))
-	}
-	for _, c := range prog.Classes() {
-		if c.IsIface {
-			continue
-		}
-		for s := range h.supers[c.Name] {
-			h.subsOf[s] = append(h.subsOf[s], c.Name)
-		}
-	}
-	for s := range h.subsOf {
-		sort.Strings(h.subsOf[s])
 	}
 	return h
 }
@@ -106,28 +91,6 @@ func (h *Hierarchy) Resolve(cls, name string) *ir.Method {
 		cur = c.Super
 	}
 	return nil
-}
-
-// ImplementorsOf returns the concrete classes that are subtypes of cls
-// (including cls itself when concrete), sorted.
-func (h *Hierarchy) ImplementorsOf(cls string) []string {
-	return h.subsOf[cls]
-}
-
-// Dispatch resolves a virtual call on a receiver whose concrete runtime
-// class might be any concrete subtype of staticType: it returns the set
-// of possible target methods (CHA dispatch).
-func (h *Hierarchy) Dispatch(staticType, name string) []*ir.Method {
-	var out []*ir.Method
-	seen := make(map[string]bool)
-	for _, impl := range h.ImplementorsOf(staticType) {
-		if m := h.Resolve(impl, name); m != nil && !seen[m.Ref()] {
-			seen[m.Ref()] = true
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref() < out[j].Ref() })
-	return out
 }
 
 // MethodByRef finds a method from its "Class.Name" spelling.

@@ -59,35 +59,6 @@ func TestResolveWalksSuperChain(t *testing.T) {
 	}
 }
 
-func TestDispatchCHA(t *testing.T) {
-	h := fixture(t)
-	targets := h.Dispatch("c/Base", "m")
-	if len(targets) != 2 {
-		t.Fatalf("Dispatch(Base, m) = %d targets, want 2 (Base.m, Sub.m)", len(targets))
-	}
-	refs := map[string]bool{}
-	for _, m := range targets {
-		refs[m.Ref()] = true
-	}
-	if !refs["c/Base.m"] || !refs["c/Sub.m"] {
-		t.Errorf("targets = %v", refs)
-	}
-}
-
-func TestImplementorsSorted(t *testing.T) {
-	h := fixture(t)
-	impls := h.ImplementorsOf("c/Base")
-	want := []string{"c/Base", "c/Sub", "c/SubSub"}
-	if len(impls) != len(want) {
-		t.Fatalf("implementors = %v", impls)
-	}
-	for i := range want {
-		if impls[i] != want[i] {
-			t.Errorf("implementors[%d] = %s, want %s", i, impls[i], want[i])
-		}
-	}
-}
-
 func TestMethodByRef(t *testing.T) {
 	h := fixture(t)
 	if _, err := h.MethodByRef("c/Base.m"); err != nil {

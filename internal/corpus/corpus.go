@@ -14,6 +14,9 @@
 package corpus
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"sort"
 
 	"nadroid/internal/apk"
@@ -70,6 +73,24 @@ func (s Spec) TrueTotal() int {
 // FPTotal is the number of seeded surviving false positives.
 func (s Spec) FPTotal() int {
 	return s.FPPathInsens + s.FPPointsTo + s.FPNotReach + s.FPMissingHB
+}
+
+// RandomSpec draws a spec from seed: every pattern count is 0–2 and
+// Padding is 0–19. The generator knows the answer for any spec, so a
+// random one is ground truth too: TrueTotal()+FPTotal() warnings survive
+// the filters and TrueTotal() of them validate harmful. Equal seeds give
+// equal specs.
+func RandomSpec(seed uint64) Spec {
+	r := rand.New(rand.NewPCG(seed, 0))
+	s := Spec{Name: fmt.Sprintf("Random%d", seed), Group: "random"}
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Int && v.Type().Field(i).Name != "Padding" {
+			f.SetInt(int64(r.IntN(3)))
+		}
+	}
+	s.Padding = r.IntN(20)
+	return s
 }
 
 // Build generates the application package for a spec.

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"reflect"
 	"testing"
 
 	"nadroid"
@@ -213,6 +214,27 @@ func TestGenerationDeterministic(t *testing.T) {
 	for i := range c1 {
 		if c1[i] != c2[i] {
 			t.Errorf("class %d: %s vs %s", i, c1[i], c2[i])
+		}
+	}
+}
+
+// TestRandomSpec pins RandomSpec's contract: a seed always draws the
+// same spec, every pattern count is 0–2 and Padding is 0–19.
+func TestRandomSpec(t *testing.T) {
+	for seed := uint64(0); seed < 50; seed++ {
+		s := RandomSpec(seed)
+		if !reflect.DeepEqual(s, RandomSpec(seed)) {
+			t.Fatalf("seed %d draws two different specs", seed)
+		}
+		v := reflect.ValueOf(s)
+		for i := 0; i < v.NumField(); i++ {
+			name, max := v.Type().Field(i).Name, int64(2)
+			if name == "Padding" {
+				max = 19
+			}
+			if f := v.Field(i); f.Kind() == reflect.Int && (f.Int() < 0 || f.Int() > max) {
+				t.Errorf("seed %d: %s = %d, want 0..%d", seed, name, f.Int(), max)
+			}
 		}
 	}
 }

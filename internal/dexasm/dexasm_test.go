@@ -159,6 +159,10 @@ func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
 	}
 }
 
+// cyclicHierarchy parses line by line, but no class hierarchy can be
+// built over it.
+const cyclicHierarchy = "app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C extends cyc/B {\n}\n"
+
 func TestParseErrors(t *testing.T) {
 	bad := []struct {
 		src string
@@ -176,6 +180,10 @@ func TestParseErrors(t *testing.T) {
 		{"app a\nclass X extends java/lang/Object {\n}\nclass X extends java/lang/Object {\n}", "dexasm: line 4: duplicate class X"},
 		{"app a\nclass android/app/Activity extends java/lang/Object {\n}", "dexasm: line 2: duplicate class android/app/Activity"},
 		{"app a\nmanifest {\n  activity X\n  service X\n}", "dexasm: line 4: duplicate component X"},
+		// A cyclic hierarchy is an error, not a panic in cha.New.
+		{cyclicHierarchy, "dexasm: line 2: cyclic class hierarchy at cyc/B"},
+		{"app a\nclass X extends X {\n}", "dexasm: line 2: cyclic class hierarchy at X"},
+		{"app a\nclass I extends java/lang/Object implements J {\n}\nclass J extends java/lang/Object implements I {\n}", "dexasm: line 2: cyclic class hierarchy at I"},
 	}
 	for _, c := range bad {
 		_, err := Parse(c.src)

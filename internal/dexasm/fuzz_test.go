@@ -3,27 +3,31 @@ package dexasm_test
 import (
 	"testing"
 
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/dexasm"
 )
 
 // FuzzParse feeds arbitrary text to the parser, the decoder behind
 // `nadroid app.dexasm` and POST /v1/analyze bodies. Parse must never
-// panic, and whatever it accepts must format to text that parses back
-// and formats identically (Format is a fixed point after one round).
-// The seeds are every formatted corpus app plus inputs that once
-// panicked.
+// panic, a class hierarchy must build over whatever it accepts (cha.New
+// panics on what the analysis cannot handle), and the accepted program
+// must format to text that parses back and formats identically (Format
+// is a fixed point after one round). The seeds are every formatted
+// corpus app plus inputs that once panicked.
 func FuzzParse(f *testing.F) {
 	for _, name := range corpus.Names() {
 		app, _ := corpus.ByName(name)
 		f.Add(dexasm.Format(app.Build()))
 	}
 	f.Add("class 0 extends 0\nfield 0 0\nfield 0 0")
+	f.Add("app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C extends cyc/B {\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		pkg, err := dexasm.Parse(src)
 		if err != nil {
 			return
 		}
+		cha.New(pkg.Program)
 		text := dexasm.Format(pkg)
 		again, err := dexasm.Parse(text)
 		if err != nil {

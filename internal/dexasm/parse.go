@@ -15,17 +15,25 @@ import (
 // always pre-declared, so app classes may extend them without declaring
 // them in the file.
 func Parse(src string) (*apk.Package, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	p := &parser{lines: strings.Split(src, "\n"), classLine: make(map[string]int)}
 	return p.parse()
 }
 
 type parser struct {
 	lines []string
 	pos   int
+	// classes are the declared classes in file order, and classLine
+	// maps each name to the line of its header.
+	classes   []*ir.Class
+	classLine map[string]int
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("dexasm: line %d: %s", p.pos, fmt.Sprintf(format, args...))
+	return errAt(p.pos, format, args...)
+}
+
+func errAt(line int, format string, args ...interface{}) error {
+	return fmt.Errorf("dexasm: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
 // next returns the next non-empty, non-comment line (trimmed).
@@ -73,6 +81,9 @@ func (p *parser) parse() (*apk.Package, error) {
 	}
 	if appName == "" {
 		return nil, fmt.Errorf("dexasm: missing app declaration")
+	}
+	if err := p.checkAcyclic(prog); err != nil {
+		return nil, err
 	}
 	if man == nil {
 		man = manifest.New(appName)
@@ -150,6 +161,8 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 		return p.errf("duplicate class %s", c.Name)
 	}
 	prog.AddClass(c)
+	p.classes = append(p.classes, c)
+	p.classLine[c.Name] = p.pos
 
 	for {
 		line, ok := p.next()
@@ -186,6 +199,48 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 			return p.errf("unexpected class member %q", line)
 		}
 	}
+}
+
+// checkAcyclic rejects a class that is its own supertype, directly or
+// through other declared classes: cha.New cannot build a hierarchy over
+// such a program. Only declared classes can close a cycle (the
+// framework skeletons extend nothing declared in the file), so one
+// depth-first walk over them finds every cycle.
+func (p *parser) checkAcyclic(prog *ir.Program) error {
+	const (
+		onPath = 1
+		done   = 2
+	)
+	state := make(map[string]int8, len(p.classes))
+	// visit returns the class at which a cycle through name closes, or
+	// "" when there is none.
+	var visit func(name string) string
+	visit = func(name string) string {
+		if _, declared := p.classLine[name]; !declared || state[name] == done {
+			return ""
+		}
+		if state[name] == onPath {
+			return name
+		}
+		state[name] = onPath
+		c := prog.Class(name)
+		if at := visit(c.Super); at != "" {
+			return at
+		}
+		for _, i := range c.Interfaces {
+			if at := visit(i); at != "" {
+				return at
+			}
+		}
+		state[name] = done
+		return ""
+	}
+	for _, c := range p.classes {
+		if at := visit(c.Name); at != "" {
+			return errAt(p.classLine[at], "cyclic class hierarchy at %s", at)
+		}
+	}
+	return nil
 }
 
 func (p *parser) parseMethod(c *ir.Class, header string) error {

@@ -5,12 +5,17 @@
 // confirmed harmful when some schedule dereferences the null loaded at
 // the warning's use site.
 //
-// Exploration is stateless with a standard DFS over scheduler choice
-// points, bounded by a schedule budget: every schedule re-executes the
-// app from a fresh interp.World. What does not depend on the schedule
-// is shared instead of rebuilt: each search entry point takes one class
-// hierarchy (the model's when it covers the package), and every world
-// of that search, across all warnings and worker goroutines, reads it.
+// Exploration is a standard DFS over scheduler choice points, bounded by
+// a schedule budget. Only the root schedule runs from a fresh
+// interp.World. A run snapshots its world at every choice point past its
+// own prefix, and each sibling schedule pushed there resumes from that
+// snapshot instead of replaying the shared prefix. The order, the
+// dedup keys and the budget are those of re-executing every schedule
+// from step 0, which Replay still does. What does not depend on the
+// schedule is shared instead of rebuilt: each search entry point takes
+// one class hierarchy (the model's when it covers the package), and
+// every world of that search, across all warnings and worker
+// goroutines, reads it.
 package explore
 
 import (
@@ -97,17 +102,7 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 // exhausted without a witness.
 func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
-	if match == nil {
-		match = func(interp.NPE) bool { return true }
-	}
-	hit := func(w *interp.World) (interp.NPE, bool) {
-		for _, npe := range w.NPEs() {
-			if match(npe) {
-				return npe, true
-			}
-		}
-		return interp.NPE{}, false
-	}
+	hit := npeMatching(match)
 	budget := opts.MaxSchedules
 	policies := []bool{false}
 	if opts.BothBranchPolicies {
@@ -126,6 +121,23 @@ func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Optio
 	return nil, false, nil
 }
 
+// accept decides whether an executed schedule is the witness a search
+// wants, and which NPE the witness reports.
+type accept func(w *interp.World, schedule []int) (interp.NPE, bool)
+
+// npeMatching accepts a run that raised an NPE match accepts (nil
+// matches every NPE).
+func npeMatching(match func(interp.NPE) bool) accept {
+	return func(w *interp.World, _ []int) (interp.NPE, bool) {
+		for _, npe := range w.NPEs() {
+			if match == nil || match(npe) {
+				return npe, true
+			}
+		}
+		return interp.NPE{}, false
+	}
+}
+
 // dfs runs the schedule-tree exploration for one branch policy
 // (iopts.TakeOpaqueBranches) until hit accepts an execution, which it
 // reports as the witness with the NPE hit returns. With a nil pruner the
@@ -133,12 +145,20 @@ func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Optio
 // exploration); with a pruner it is keyed by the prefix's
 // trace-equivalence normal form, so permutations of independent actions
 // count as one node and only the first representative executes.
-func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, executions *int, hit func(*interp.World) (interp.NPE, bool), pr *pruner) (wit *Witness, found bool, err error) {
-	stack := [][]int{nil}
+//
+// Every schedule but the root resumes from the snapshot its parent run
+// took at the schedule's branch point, so each run executes only what
+// it does not share with its parent.
+func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, executions *int, hit accept, pr *pruner) (wit *Witness, found bool, err error) {
+	stack := []node{{}}
 	seen := map[string]bool{"": true}
 	// Scratch for sibling prefixes; a prefix is copied only when pushed.
 	var prefix []int
 	var acts []interp.Choice
+	// snaps[i] is the current run's snapshot at its choice point
+	// len(schedule)+i.
+	var snaps []*interp.World
+	keep := func(s *interp.World) { snaps = append(snaps, s) }
 	// Counter deltas are accumulated locally and flushed once — a lock
 	// per executed schedule would be measurable on big budgets.
 	executed, pruned := 0, 0
@@ -153,17 +173,25 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 		if err := ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		schedule := stack[len(stack)-1]
+		next := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
+		schedule := next.schedule
 		budget--
 		*executions++
 		executed++
 
 		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(schedule)))
-		w := interp.NewWorld(pkg, h, iopts)
-		info := interp.Run(w, schedule)
+		var w *interp.World
+		if next.from == nil {
+			w = interp.NewWorld(pkg, h, iopts)
+		} else {
+			w = next.from.take()
+		}
+		clear(snaps)
+		snaps = snaps[:0]
+		info := interp.RunSnapshots(w, schedule, keep)
 		span.End()
-		if npe, ok := hit(w); ok {
+		if npe, ok := hit(w, schedule); ok {
 			return &Witness{
 				Schedule:            schedule,
 				NPE:                 npe,
@@ -183,6 +211,7 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 		// Expand siblings at every choice point at or beyond the frozen
 		// prefix (earlier points are owned by ancestors in the DFS tree).
 		for i := len(schedule); i < len(info.Arity); i++ {
+			var at *branch
 			for alt := 0; alt < info.Arity[i]; alt++ {
 				if alt == info.Taken[i] {
 					continue
@@ -200,11 +229,44 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 					continue
 				}
 				seen[key] = true
-				stack = append(stack, append([]int(nil), prefix...))
+				if at == nil {
+					at = &branch{w: snaps[i-len(schedule)]}
+				}
+				at.pending++
+				stack = append(stack, node{schedule: append([]int(nil), prefix...), from: at})
 			}
 		}
 	}
 	return nil, false, nil
+}
+
+// node is a schedule on the DFS stack.
+type node struct {
+	schedule []int
+	// from is the snapshot of the parent run at the schedule's branch
+	// point (nil for the root, which runs from a fresh world).
+	from *branch
+}
+
+// branch is a world snapshot standing at one choice point, shared by the
+// sibling schedules pushed there.
+type branch struct {
+	w *interp.World
+	// pending counts the siblings that have not run yet.
+	pending int
+}
+
+// take returns a world for one sibling to continue: a copy of the
+// snapshot while other siblings still need it, the snapshot itself for
+// the last one.
+func (b *branch) take() *interp.World {
+	b.pending--
+	if b.pending > 0 {
+		return b.w.Snapshot()
+	}
+	w := b.w
+	b.w = nil
+	return w
 }
 
 // ValidateWarning searches for a schedule in which the value loaded at
@@ -222,10 +284,7 @@ func ValidateWarning(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, o
 // validateWarning is ValidateWarning over pkg's class hierarchy h, with
 // cancellation (see findNPE for the error contract).
 func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
-	if model != nil {
-		opts.Interp.EventFilter = warningEventFilter(model, w)
-		opts.Interp.SpawnFilter = warningSpawnFilter(model, w)
-	}
+	opts.Interp = focus(opts.Interp, model, w)
 	var pr *pruner
 	if opts.Conflicts != nil {
 		pr = opts.Conflicts.ForWarning(w)
@@ -233,6 +292,16 @@ func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, mo
 	return findNPE(ctx, pkg, h, opts, func(n interp.NPE) bool {
 		return n.LoadedAt == w.Use
 	}, pr)
+}
+
+// focus restricts iopts to the callbacks and threads on w's lineages
+// (nil model or warning: unfocused).
+func focus(iopts interp.Options, model *threadify.Model, w *uaf.Warning) interp.Options {
+	if model != nil && w != nil {
+		iopts.EventFilter = warningEventFilter(model, w)
+		iopts.SpawnFilter = warningSpawnFilter(model, w)
+	}
+	return iopts
 }
 
 // warningSpawnFilter allows only the background-thread classes on the
@@ -413,7 +482,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 	if iopts.MaxSteps <= 0 {
 		iopts.MaxSteps = 100_000 // keep the quiescence check meaningful
 	}
-	awake := func(w *interp.World) (interp.NPE, bool) {
+	awake := func(w *interp.World, _ []int) (interp.NPE, bool) {
 		return interp.NPE{}, w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < iopts.MaxSteps
 	}
 	executions := 0
@@ -430,11 +499,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 // unfocused searches, e.g. FindNPE/FindNoSleep results).
 func Replay(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, wit *Witness, opts Options) []string {
 	opts = opts.withDefaults()
-	iopts := opts.Interp
-	if model != nil && w != nil {
-		iopts.EventFilter = warningEventFilter(model, w)
-		iopts.SpawnFilter = warningSpawnFilter(model, w)
-	}
+	iopts := focus(opts.Interp, model, w)
 	iopts.TakeOpaqueBranches = wit.OpaqueBranchesTaken
 	iopts.Trace = true
 	iopts.StopOnNPE = true

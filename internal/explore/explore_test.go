@@ -340,6 +340,35 @@ func TestLocksPreventInterleaving(t *testing.T) {
 	}
 }
 
+// A run that deadlocks on a monitor while a wake lock is held ends
+// awake: FindNoSleep must count it (it once asked World.Done, which
+// still listed the blocked thread as runnable).
+func TestNoSleepCountsMonitorDeadlock(t *testing.T) {
+	b, act := base()
+	th := b.ThreadClass("x/W")
+	th.Field("lock", framework.Object)
+	run := th.Method("run", 0)
+	lk := run.GetThis("lock")
+	run.Lock(lk)
+	run.Unlock(lk)
+	run.Return()
+	oc := act.Method("onCreate", 1)
+	pm := oc.New(framework.PowerManager)
+	wl := oc.Invoke(pm, framework.PowerManager, "newWakeLock")
+	oc.InvokeVoid(wl, framework.WakeLock, "acquire")
+	obj := oc.New(framework.Object)
+	oc.Lock(obj)
+	tv := oc.New("x/W")
+	oc.PutField(tv, "x/W", "lock", obj)
+	oc.InvokeVoid(tv, "x/W", "start")
+	oc.Throw(oc.New(framework.Exception))
+	oc.Return()
+	pkg := build(t, b)
+	if _, ok := FindNoSleep(pkg, Options{MaxSchedules: 50}); !ok {
+		t.Error("a deadlock with a wake lock held must witness a no-sleep bug")
+	}
+}
+
 // Determinism: running the same schedule twice yields identical NPEs —
 // required for witness replay to be meaningful.
 func TestRunDeterministic(t *testing.T) {

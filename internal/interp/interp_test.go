@@ -383,6 +383,43 @@ func TestSpawnFilterSuppressesThreads(t *testing.T) {
 	}
 }
 
+// monitorDeadlock builds an app whose onCreate locks an object, starts a
+// thread that locks the same object, and throws while still holding the
+// lock: the thread stays blocked forever.
+func monitorDeadlock(t *testing.T) *apk.Package {
+	return buildPkg(t, func(b *appbuilder.Builder) {
+		act := b.Activity("it/A")
+		th := b.ThreadClass("it/W")
+		th.Field("lock", framework.Object)
+		run := th.Method("run", 0)
+		lk := run.GetThis("lock")
+		run.Lock(lk)
+		run.Unlock(lk)
+		run.Return()
+		oc := act.Method("onCreate", 1)
+		obj := oc.New(framework.Object)
+		oc.Lock(obj)
+		tv := oc.New("it/W")
+		oc.PutField(tv, "it/W", "lock", obj)
+		oc.InvokeVoid(tv, "it/W", "start")
+		oc.Throw(oc.New(framework.Exception))
+		oc.Return()
+	})
+}
+
+// Done must agree with Run: an executor blocked on a monitor is not an
+// option, so a run that ends with only blocked executors left is done.
+func TestDoneAgreesWithRunOnMonitorDeadlock(t *testing.T) {
+	w := newWorld(monitorDeadlock(t), Options{Trace: true})
+	Run(w, nil)
+	if !strings.Contains(strings.Join(w.Trace(), "\n"), "spawn thread:it/W") {
+		t.Fatalf("thread never started:\n%s", strings.Join(w.Trace(), "\n"))
+	}
+	if !w.Done() {
+		t.Error("Run stopped with only a monitor-blocked thread left, but Done() = false")
+	}
+}
+
 func TestNewWorldRejectsForeignHierarchy(t *testing.T) {
 	app := func(b *appbuilder.Builder) { b.Activity("it/A").Method("onCreate", 1).Return() }
 	pkg, other := buildPkg(t, app), buildPkg(t, app)

@@ -21,9 +21,7 @@ func (w *World) blockedOnMonitor(e *executor) bool {
 	if !ok {
 		return false // will NPE, still schedulable
 	}
-	owner, _ := obj.Fields["$lockOwner"].(int64)
-	depth, _ := obj.Fields["$lockDepth"].(int64)
-	return depth > 0 && owner != int64(e.id)
+	return w.lockedByOther(e, obj)
 }
 
 // ScheduleInfo records the branching structure a run encountered, so an
@@ -56,36 +54,42 @@ type Choice struct {
 	Method string
 }
 
-// Run executes the package under a schedule: whenever more than one
-// scheduler option exists, the next schedule entry picks one (modulo the
-// option count); after the schedule is exhausted, option 0 is taken.
+// Run executes w under a schedule: whenever more than one scheduler
+// option exists, the next schedule entry picks one (modulo the option
+// count); after the schedule is exhausted, option 0 is taken.
 // Single-option points do not consume schedule entries, keeping
 // schedules short and stable for DFS exploration.
+//
+// Run continues w from the choice point it stands at: the world carries
+// the rows it has recorded, and schedule[i] always picks at the i-th
+// choice point of the whole execution. A fresh world starts at choice
+// point 0; a Snapshot taken at choice point i continues as the fresh
+// run of any schedule that agrees with it on the first i entries would.
+// Run returns the world's rows (Schedule).
 func Run(w *World, schedule []int) *ScheduleInfo {
-	info := &ScheduleInfo{}
-	pos := 0
-	forced := 0
+	return RunSnapshots(w, schedule, nil)
+}
+
+// RunSnapshots is Run that also hands snap a Snapshot of w at every
+// choice point past the end of schedule, taken before the choice there
+// is made. A search keeps them to resume sibling schedules from their
+// branch point.
+func RunSnapshots(w *World, schedule []int, snap func(*World)) *ScheduleInfo {
+	info := &w.info
 	for !w.halted && w.steps < w.opts.MaxSteps {
 		opts := w.options()
-		// Drop executors blocked on a monitor from the option list.
-		filtered := opts[:0]
-		for _, o := range opts {
-			if o.ex != nil && w.blockedOnMonitor(o.ex) {
-				continue
-			}
-			filtered = append(filtered, o)
-		}
-		opts = filtered
 		if len(opts) == 0 {
 			break
 		}
 		choice := 0
 		if len(opts) > 1 {
-			if pos < len(schedule) {
+			if pos := len(info.Arity); pos < len(schedule) {
 				choice = schedule[pos] % len(opts)
 				if choice < 0 {
 					choice += len(opts)
 				}
+			} else if snap != nil {
+				snap(w.Snapshot())
 			}
 			info.Arity = append(info.Arity, len(opts))
 			info.Taken = append(info.Taken, choice)
@@ -95,12 +99,11 @@ func Run(w *World, schedule []int) *ScheduleInfo {
 					row[i] = Choice{Key: o.key, Method: o.method}
 				}
 				info.Choices = append(info.Choices, row)
-				info.Forced = append(info.Forced, forced)
-				forced = 0
+				info.Forced = append(info.Forced, w.forced)
+				w.forced = 0
 			}
-			pos++
 		} else if w.opts.RecordChoices && opts[0].ex != w.looper {
-			forced++
+			w.forced++
 		}
 		w.take(opts[choice])
 	}

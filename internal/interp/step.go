@@ -19,11 +19,9 @@ func (w *World) quantum(e *executor) {
 			return
 		}
 		if e.idle() {
-			if e.onDone != nil {
-				done := e.onDone
-				e.onDone = nil
-				done(w)
-			}
+			c := e.onDone
+			e.onDone = cont{}
+			w.runCont(c)
 			if !e.isLooper {
 				e.dead = true
 			}
@@ -70,7 +68,7 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		advance()
 	case ir.OpConstNull:
 		f.regs[in.A] = nil
-		delete(f.loadSite, in.A)
+		f.loadSite[in.A] = ir.InstrID{}
 		advance()
 	case ir.OpConstInt:
 		f.regs[in.A] = in.IntVal
@@ -80,15 +78,11 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		advance()
 	case ir.OpNew:
 		f.regs[in.A] = w.alloc(in.Type)
-		delete(f.loadSite, in.A)
+		f.loadSite[in.A] = ir.InstrID{}
 		advance()
 	case ir.OpMove:
 		f.regs[in.A] = f.regs[in.B]
-		if s, ok := f.loadSite[in.B]; ok {
-			f.loadSite[in.A] = s
-		} else {
-			delete(f.loadSite, in.A)
-		}
+		f.loadSite[in.A] = f.loadSite[in.B]
 		advance()
 
 	case ir.OpGetField:
@@ -97,7 +91,7 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		f.regs[in.A] = base.Get(in.Field.Name)
+		f.regs[in.A] = w.get(base.ID, in.Field.Name)
 		f.loadSite[in.A] = w.here(e, f)
 		w.recordAccess(e, f, in, base, false, false)
 		advance()
@@ -108,18 +102,18 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		base.Set(in.Field.Name, f.regs[in.A])
+		w.set(base.ID, in.Field.Name, f.regs[in.A])
 		w.recordAccess(e, f, in, base, true, f.regs[in.A] == nil)
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = w.statics[in.Field.String()]
+		f.regs[in.A] = w.get(0, in.Field.String())
 		f.loadSite[in.A] = w.here(e, f)
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
-		w.statics[in.Field.String()] = f.regs[in.A]
+		w.set(0, in.Field.String(), f.regs[in.A])
 		w.recordAccess(e, f, in, nil, true, f.regs[in.A] == nil)
 		advance()
 		return true, false
@@ -262,20 +256,27 @@ func (w *World) lockSyncEntry(e *executor, m *ir.Method, obj *Object) {
 
 // lock tries to acquire obj's monitor for e; false means blocked.
 func (w *World) lock(e *executor, obj *Object) bool {
-	owner, _ := obj.Fields["$lockOwner"].(int64)
-	depth, _ := obj.Fields["$lockDepth"].(int64)
-	if depth > 0 && owner != int64(e.id) {
+	if w.lockedByOther(e, obj) {
 		return false
 	}
-	obj.Set("$lockOwner", int64(e.id))
-	obj.Set("$lockDepth", depth+1)
+	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
+	w.set(obj.ID, "$lockOwner", int64(e.id))
+	w.set(obj.ID, "$lockDepth", depth+1)
 	return true
 }
 
+// lockedByOther reports whether an executor other than e holds obj's
+// monitor.
+func (w *World) lockedByOther(e *executor, obj *Object) bool {
+	owner, _ := w.get(obj.ID, "$lockOwner").(int64)
+	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
+	return depth > 0 && owner != int64(e.id)
+}
+
 func (w *World) unlock(e *executor, obj *Object) {
-	depth, _ := obj.Fields["$lockDepth"].(int64)
+	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
 	if depth > 0 {
-		obj.Set("$lockDepth", depth-1)
+		w.set(obj.ID, "$lockDepth", depth-1)
 	}
 }
 
@@ -288,7 +289,7 @@ func (w *World) here(e *executor, f *frame) ir.InstrID {
 // aborts the faulting task/thread.
 func (w *World) throwNPE(e *executor, f *frame, in ir.Instr) {
 	npe := NPE{At: w.here(e, f), Task: e.name}
-	if site, ok := f.loadSite[in.B]; ok {
+	if site := f.loadSite[in.B]; site.Method != "" {
 		npe.LoadedAt = site
 		if m, err := w.h.MethodByRef(site.Method); err == nil && site.Index < len(m.Instrs) {
 			npe.Field = m.Instrs[site.Index].Field
@@ -307,7 +308,7 @@ func (w *World) abortTask(e *executor) {
 	for len(e.stack) > 0 {
 		w.popFrame(e, nil)
 	}
-	e.onDone = nil
+	e.onDone = cont{}
 	if !e.isLooper {
 		e.dead = true
 	}
@@ -397,13 +398,13 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 		return nil, true
 	case framework.PostStartThread:
 		if m := h.Resolve(recv.Class, framework.RunMethod); m != nil {
-			w.spawnBg("thread:"+recv.Class, m, recv, nil, e.component, nil)
+			w.spawnBg("thread:"+recv.Class, m, recv, nil, e.component, cont{})
 		}
 		return nil, true
 	case framework.PostExecutorSubmit, framework.PostTimerSchedule:
 		if r := argObj(0); r != nil {
 			if m := h.Resolve(r.Class, framework.RunMethod); m != nil {
-				w.spawnBg("pool:"+r.Class, m, r, nil, e.component, nil)
+				w.spawnBg("pool:"+r.Class, m, r, nil, e.component, cont{})
 			}
 		}
 		return nil, true
@@ -411,7 +412,11 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 
 	switch framework.ClassifyCancel(h, recv.Class, name) {
 	case framework.CancelFinish:
-		w.finished[recv.Class] = true
+		// Only reachable components' flags are ever read: they are the
+		// only components events belong to.
+		if i, ok := w.compIndex[recv.Class]; ok {
+			w.comps[i].finished = true
+		}
 		w.tracef("finish %s", recv.Class)
 		return nil, true
 	case framework.CancelUnbindService:
@@ -459,7 +464,7 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	// Happens-Before").
 	if name == "setVisibility" || name == "setEnabled" {
 		if h.IsSubtypeOf(recv.Class, framework.View) {
-			w.hiddenViews[recv] = true
+			w.set(recv.ID, "$hidden", int64(1))
 			return nil, true
 		}
 	}
@@ -470,17 +475,19 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	case framework.WakeNew:
 		return w.alloc(framework.WakeLock), false
 	case framework.WakeAcquire:
-		n, _ := recv.Fields["$wakeHeld"].(int64)
-		recv.Set("$wakeHeld", n+1)
-		w.wakeHeld[recv] = true
+		n, _ := w.get(recv.ID, "$wakeHeld").(int64)
+		w.set(recv.ID, "$wakeHeld", n+1)
+		if n == 0 {
+			w.wakeHeld++
+		}
 		w.tracef("acquire wakelock %s", recv)
 		return nil, true
 	case framework.WakeRelease:
-		n, _ := recv.Fields["$wakeHeld"].(int64)
+		n, _ := w.get(recv.ID, "$wakeHeld").(int64)
 		if n > 0 {
-			recv.Set("$wakeHeld", n-1)
-			if n-1 == 0 {
-				delete(w.wakeHeld, recv)
+			w.set(recv.ID, "$wakeHeld", n-1)
+			if n == 1 {
+				w.wakeHeld--
 			}
 		}
 		w.tracef("release wakelock %s", recv)
@@ -512,54 +519,57 @@ func (w *World) bindServiceEvents(e *executor, conn *Object) {
 			m: m, recv: conn, args: lifecycleArgs(m), maxFires: 1, uiLike: true,
 			registrarTask: e.curTask,
 		})
-		sc.owner = conn
 	}
 	if m := w.h.Resolve(conn.Class, "onServiceDisconnected"); m != nil {
-		sd := w.addEvent(&extEvent{
+		sd := &extEvent{
 			name: "svc:" + conn.Class + ".onServiceDisconnected", component: e.component,
 			m: m, recv: conn, args: lifecycleArgs(m), maxFires: 1, uiLike: true,
 			registrarTask: e.curTask,
-		})
-		sd.owner = conn
-		if sc != nil {
-			sd.after = append(sd.after, sc)
 		}
-	}
-	if sc != nil {
-		sc.owner = conn
+		if sc != nil {
+			sd.after = []*extEvent{sc}
+		}
+		w.addEvent(sd)
 	}
 }
 
 // executeAsyncTask wires onPreExecute -> doInBackground -> onPostExecute.
 func (w *World) executeAsyncTask(e *executor, taskObj *Object) {
-	comp := e.component
-	body := w.h.Resolve(taskObj.Class, framework.AsyncTaskBody)
-	post := w.h.Resolve(taskObj.Class, "onPostExecute")
-	startBody := func(w *World) {
-		if body == nil {
-			if post != nil {
-				w.enqueue(&task{name: "task-post:" + taskObj.Class, m: post, recv: taskObj, component: comp})
-			}
-			return
-		}
-		w.spawnBg("task:"+taskObj.Class, body, taskObj, nil, comp, func(w *World) {
-			if post != nil {
-				w.enqueue(&task{name: "task-post:" + taskObj.Class, m: post, recv: taskObj, component: comp})
-			}
-		})
+	c := cont{
+		next: linkBody, task: taskObj, component: e.component,
+		body: w.h.Resolve(taskObj.Class, framework.AsyncTaskBody),
+		post: w.h.Resolve(taskObj.Class, "onPostExecute"),
 	}
 	if pre := w.h.Resolve(taskObj.Class, "onPreExecute"); pre != nil {
-		w.enqueue(&task{name: "task-pre:" + taskObj.Class, m: pre, recv: taskObj, component: comp, onDone: startBody})
+		w.enqueue(&task{name: "task-pre:" + taskObj.Class, m: pre, recv: taskObj, component: c.component, onDone: c})
 	} else {
-		startBody(w)
+		w.runCont(c)
+	}
+}
+
+// runCont runs a continuation: the next link of its AsyncTask chain (a
+// zero cont does nothing).
+func (w *World) runCont(c cont) {
+	switch c.next {
+	case linkBody:
+		if c.body != nil {
+			c.next = linkPost
+			w.spawnBg("task:"+c.task.Class, c.body, c.task, nil, c.component, c)
+			return
+		}
+		fallthrough
+	case linkPost:
+		if c.post != nil {
+			w.enqueue(&task{name: "task-post:" + c.task.Class, m: c.post, recv: c.task, component: c.component})
+		}
 	}
 }
 
 // removeEventsFor disables all events whose receiver object is obj.
 func (w *World) removeEventsFor(obj *Object) {
 	for _, ev := range w.events {
-		if ev.recv == obj || ev.owner == obj {
-			ev.removed = true
+		if ev.recv == obj {
+			w.evs[ev.id].removed = true
 		}
 	}
 }

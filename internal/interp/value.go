@@ -5,6 +5,13 @@
 // dereferences. The explorer (package explore) drives it over many
 // schedules to confirm statically-reported UAF warnings as harmful, the
 // role manual validation plays in §7 of the paper.
+//
+// A World can be copied at any choice point (World.Snapshot) and the
+// copy continued by Run, so a search resumes sibling schedules from
+// their branch point instead of replaying the shared prefix. The
+// layout keeps copies cheap: objects, events and queued tasks are
+// immutable once created and shared by every copy, and what changes —
+// field maps, event counters, executors — lives in the world.
 package interp
 
 import "fmt"
@@ -12,12 +19,12 @@ import "fmt"
 // Value is a runtime value: nil (null), *Object, int64 or string.
 type Value interface{}
 
-// Object is a heap object.
+// Object is an immutable heap object handle. Its fields live in the
+// world that allocated it (indexed by ID), so snapshots share handles
+// and copy a field map only when one side writes to it.
 type Object struct {
 	ID    int
 	Class string
-	// Fields is nil until the first Set.
-	Fields map[string]Value
 }
 
 func (o *Object) String() string {
@@ -25,15 +32,4 @@ func (o *Object) String() string {
 		return "null"
 	}
 	return fmt.Sprintf("%s@%d", o.Class, o.ID)
-}
-
-// Get reads a field (null when unset).
-func (o *Object) Get(name string) Value { return o.Fields[name] }
-
-// Set writes a field.
-func (o *Object) Set(name string, v Value) {
-	if o.Fields == nil {
-		o.Fields = make(map[string]Value)
-	}
-	o.Fields[name] = v
 }

@@ -103,15 +103,22 @@ func (n NPE) String() string {
 	return fmt.Sprintf("NPE at %s (base loaded at %s from %s) in %s", n.At, n.LoadedAt, n.Field, n.Task)
 }
 
-// Frame is one activation record.
+// frame is one activation record.
 type frame struct {
 	m     *ir.Method
 	regs  []Value
 	pc    int
 	retTo int // caller register receiving the return value (NoReg: none)
 	// loadSite tracks, per register, the getfield that produced its value
-	// (for NPE attribution).
-	loadSite map[int]ir.InstrID
+	// (for NPE attribution); the zero InstrID means none.
+	loadSite []ir.InstrID
+}
+
+func (f *frame) clone() *frame {
+	c := *f
+	c.regs = slices.Clone(f.regs)
+	c.loadSite = slices.Clone(f.loadSite)
+	return &c
 }
 
 // executor runs a stack of frames: the looper or one background thread.
@@ -130,7 +137,7 @@ type executor struct {
 	// component is the manifest component this execution belongs to.
 	component string
 	// onDone runs when the current task's outermost frame returns.
-	onDone func(w *World)
+	onDone cont
 	dead   bool
 	// curTask is the trace task id currently executing (-1 when idle).
 	curTask int
@@ -138,14 +145,47 @@ type executor struct {
 
 func (e *executor) idle() bool { return len(e.stack) == 0 }
 
-// task is a queued looper work item.
+func (e *executor) clone() *executor {
+	c := *e
+	c.stack = make([]*frame, len(e.stack))
+	for i, f := range e.stack {
+		c.stack[i] = f.clone()
+	}
+	return &c
+}
+
+// asyncLink names the next step of an AsyncTask pre -> body -> post
+// chain.
+type asyncLink uint8
+
+const (
+	noLink asyncLink = iota
+	// linkBody starts doInBackground, or queues onPostExecute when the
+	// task has no body.
+	linkBody
+	// linkPost queues onPostExecute.
+	linkPost
+)
+
+// cont is the continuation a task or thread leaves for when it finishes:
+// the next link of an AsyncTask chain. It is plain data, so executors
+// and queued tasks copy with their world.
+type cont struct {
+	next       asyncLink
+	task       *Object
+	component  string
+	body, post *ir.Method
+}
+
+// task is a queued looper work item. It is immutable once enqueued, so
+// snapshots share it.
 type task struct {
 	name      string
 	m         *ir.Method
 	recv      Value
 	args      []Value
 	component string
-	onDone    func(w *World)
+	onDone    cont
 	// handler is the Handler object the task was posted through (for
 	// removeCallbacksAndMessages).
 	handler *Object
@@ -159,23 +199,22 @@ type task struct {
 	ref string
 }
 
-// extEvent is one external event the environment may deliver.
+// extEvent is one external event the environment may deliver. It is
+// immutable once installed (addEvent), so snapshots share it; what
+// changes as it fires lives in the world's eventState row.
 type extEvent struct {
 	id        int
 	name      string
 	component string
-	m         *ir.Method
-	recv      Value
-	args      []Value
-	fired     int
-	maxFires  int
-	after     []*extEvent
-	removed   bool
+	// comp indexes the world's component states (-1: none).
+	comp     int
+	m        *ir.Method
+	recv     Value
+	args     []Value
+	maxFires int
+	after    []*extEvent
 	// uiLike events stop firing once the component is finished/destroyed.
 	uiLike bool
-	// owner ties dynamically-registered events to the object passed to
-	// the registration API (for unbind/unregister).
-	owner *Object
 	// needsResumed gates user-input events on the activity being in the
 	// resumed state (real Android only delivers input to resumed
 	// activities). Only set when the component declares onResume.
@@ -187,9 +226,6 @@ type extEvent struct {
 	// registrarTask is the trace task that installed this event (-1 for
 	// framework lifecycle events); firing creates an HB edge from it.
 	registrarTask int
-	// lastFiredTask is the trace task id of the most recent firing, so
-	// `after` constraints become HB edges (SC fired before SD).
-	lastFiredTask int
 	// key (the scheduler option key), ref (m's ref) and filtered
 	// (Options.EventFilter rejects the event) are fixed by addEvent.
 	key      string
@@ -197,37 +233,72 @@ type extEvent struct {
 	filtered bool
 }
 
-func (ev *extEvent) enabled(w *World) bool {
-	if ev.filtered || ev.removed || ev.fired >= ev.maxFires {
+// eventState is the mutable half of one event.
+type eventState struct {
+	fired   int
+	removed bool
+	// lastFiredTask is the trace task id of the most recent firing, so
+	// `after` constraints become HB edges (SC fired before SD).
+	lastFiredTask int
+}
+
+// compState is the lifecycle state of one reachable component.
+type compState struct {
+	finished, destroyed bool
+	// resumed: the activity is between onResume and onPause.
+	resumed bool
+}
+
+// fieldMap holds one object's fields. A world shares the map with its
+// snapshots until one side writes: own is false while the map may be
+// shared, and the first write then copies it.
+type fieldMap struct {
+	m   map[string]Value
+	own bool
+}
+
+func (w *World) enabled(ev *extEvent) bool {
+	s := w.evs[ev.id]
+	if ev.filtered || s.removed || s.fired >= ev.maxFires {
 		return false
 	}
 	for _, a := range ev.after {
-		if a.fired == 0 {
+		if w.evs[a.id].fired == 0 {
 			return false
 		}
 	}
-	if ev.uiLike && ev.component != "" {
-		if w.finished[ev.component] || w.destroyed[ev.component] {
-			return false
-		}
+	var c compState
+	if ev.comp >= 0 {
+		c = w.comps[ev.comp]
 	}
-	if ev.needsResumed && !w.resumed[ev.component] {
+	if ev.uiLike && (c.finished || c.destroyed) {
 		return false
 	}
-	if ev.view != nil && w.hiddenViews[ev.view] {
+	if ev.needsResumed && !c.resumed {
+		return false
+	}
+	if ev.view != nil && w.get(ev.view.ID, "$hidden") != nil {
 		return false
 	}
 	return true
 }
 
-// World is the full runtime state of one execution.
+// World is the full runtime state of one execution. Snapshot copies it;
+// Run continues any world from the choice point it stands at.
 type World struct {
 	pkg  *apk.Package
 	h    *cha.Hierarchy
 	opts Options
+	// compIndex numbers the reachable components (the only ones events
+	// belong to) and hasResumeMethod records those that declare onResume
+	// (input gating applies only to those). NewWorld fixes both, and
+	// snapshots share them.
+	compIndex       map[string]int
+	hasResumeMethod map[string]bool
 
-	statics   map[string]Value
-	nextObjID int
+	// fields[id] holds the fields of object id; fields[0] holds the
+	// statics.
+	fields []fieldMap
 
 	looper *executor
 	bgs    []*executor
@@ -235,22 +306,12 @@ type World struct {
 
 	queue  []*task
 	events []*extEvent
-	// optBuf backs the slice options returns, reused across steps.
-	optBuf []option
-
-	// component instances (the framework "allocates" these).
-	compInstance map[string]*Object
-	finished     map[string]bool
-	destroyed    map[string]bool
-	// resumed tracks which activities are between onResume and onPause.
-	resumed map[string]bool
-	// hasResumeMethod records components that declare onResume (input
-	// gating applies only to those).
-	hasResumeMethod map[string]bool
-	// hiddenViews records views disabled via setVisibility/setEnabled.
-	hiddenViews map[*Object]bool
-	// wakeHeld tracks wake-lock objects with a positive hold count.
-	wakeHeld map[*Object]bool
+	// evs[i] is the state of events[i].
+	evs []eventState
+	// comps[compIndex[class]] is the state of a reachable component.
+	comps []compState
+	// wakeHeld counts wake-lock objects with a positive hold count.
+	wakeHeld int
 
 	steps  int
 	npes   []NPE
@@ -258,12 +319,20 @@ type World struct {
 	halted bool
 
 	// Recorded trace (Options.Record).
-	rec TraceLog
-	// activeExec is the executor currently inside quantum().
-	activeExec *executor
-	// pendingTask maps queued tasks / events / spawns to the trace task
-	// id of whoever caused them, so HB edges land at start time.
+	rec     TraceLog
 	taskSeq int
+
+	// info holds the choice points recorded so far, and forced the
+	// hidden forced actions taken since the last one
+	// (ScheduleInfo.Forced).
+	info   ScheduleInfo
+	forced int
+
+	// activeExec is the executor currently inside quantum() (nil between
+	// quanta, so at every choice point).
+	activeExec *executor
+	// optBuf backs the slice options returns, reused across steps.
+	optBuf []option
 }
 
 // NewWorld prepares a run over pkg: component instances are allocated
@@ -278,31 +347,90 @@ func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
 		pkg:             pkg,
 		h:               h,
 		opts:            opts.withDefaults(),
-		statics:         make(map[string]Value),
-		compInstance:    make(map[string]*Object),
-		finished:        make(map[string]bool),
-		destroyed:       make(map[string]bool),
-		resumed:         make(map[string]bool),
-		hiddenViews:     make(map[*Object]bool),
-		wakeHeld:        make(map[*Object]bool),
+		compIndex:       make(map[string]int),
 		hasResumeMethod: make(map[string]bool),
+		fields:          []fieldMap{{own: true}},
 	}
 	w.looper = &executor{id: 0, name: "looper", key: "run:looper", isLooper: true, curTask: -1}
 	w.nextEx = 1
 	for _, comp := range pkg.Manifest.Components() {
-		if !comp.Reachable {
-			continue
+		if comp.Reachable {
+			w.compIndex[comp.Class] = len(w.comps)
+			w.comps = append(w.comps, compState{})
 		}
-		obj := w.alloc(comp.Class)
-		w.compInstance[comp.Class] = obj
-		w.installLifecycleEvents(comp, obj)
+	}
+	for _, comp := range pkg.Manifest.Components() {
+		if comp.Reachable {
+			w.installLifecycleEvents(comp, w.alloc(comp.Class))
+		}
 	}
 	return w
 }
 
 func (w *World) alloc(class string) *Object {
-	w.nextObjID++
-	return &Object{ID: w.nextObjID, Class: class}
+	w.fields = append(w.fields, fieldMap{own: true})
+	return &Object{ID: len(w.fields) - 1, Class: class}
+}
+
+// get reads a field of object id (0: the statics); unset fields are
+// null.
+func (w *World) get(id int, name string) Value { return w.fields[id].m[name] }
+
+// set writes a field of object id (0: the statics), first copying a map
+// the world may share with a snapshot.
+func (w *World) set(id int, name string, v Value) {
+	f := &w.fields[id]
+	if !f.own || f.m == nil {
+		m := make(map[string]Value, len(f.m)+1)
+		for k, x := range f.m {
+			m[k] = x
+		}
+		f.m, f.own = m, true
+	}
+	f.m[name] = v
+}
+
+// Snapshot returns a copy of w that Run can continue independently of
+// w. Take it between Run calls or from RunSnapshots; the copy stands at
+// the same choice point as w. Immutable parts (objects, events, queued
+// tasks, the recorded rows) are shared; field maps are shared until
+// either world writes them.
+func (w *World) Snapshot() *World {
+	c := *w
+	c.fields = slices.Clone(w.fields)
+	for i := range w.fields {
+		w.fields[i].own = false
+		c.fields[i].own = false
+	}
+	c.looper = w.looper.clone()
+	c.bgs = make([]*executor, len(w.bgs))
+	for i, e := range w.bgs {
+		c.bgs[i] = e.clone()
+	}
+	// removeCallbacks filters the queue in place, so it is copied, not
+	// shared.
+	c.queue = slices.Clone(w.queue)
+	c.evs = slices.Clone(w.evs)
+	c.comps = slices.Clone(w.comps)
+	// Append-only slices are shared up to their length: clipping makes
+	// the copy's first append reallocate instead of writing into w's
+	// backing array.
+	c.events = slices.Clip(w.events)
+	c.npes = slices.Clip(w.npes)
+	c.trace = slices.Clip(w.trace)
+	c.rec = TraceLog{
+		TaskNames: slices.Clip(w.rec.TaskNames),
+		Accesses:  slices.Clip(w.rec.Accesses),
+		HB:        slices.Clip(w.rec.HB),
+	}
+	c.info = ScheduleInfo{
+		Arity:   slices.Clip(w.info.Arity),
+		Taken:   slices.Clip(w.info.Taken),
+		Choices: slices.Clip(w.info.Choices),
+		Forced:  slices.Clip(w.info.Forced),
+	}
+	c.optBuf = nil
+	return &c
 }
 
 // installLifecycleEvents wires the component's framework-driven events.
@@ -321,14 +449,15 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if n == "onResume" || n == "onPause" {
 				max = w.opts.MaxResumeCycles
 			}
-			ev := w.addEvent(&extEvent{
+			ev := &extEvent{
 				name: "lifecycle:" + n, component: comp.Class,
 				m: m, recv: obj, args: lifecycleArgs(m),
 				maxFires: max, uiLike: n != "onDestroy",
-			})
-			if prev != nil {
-				ev.after = append(ev.after, prev)
 			}
+			if prev != nil {
+				ev.after = []*extEvent{prev}
+			}
+			w.addEvent(ev)
 			byName[n] = ev
 			prev = ev
 		}
@@ -347,15 +476,16 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if m == nil {
 				continue
 			}
-			ev := w.addEvent(&extEvent{
+			ev := &extEvent{
 				name: "lifecycle:" + n, component: comp.Class,
 				m: m, recv: obj, args: lifecycleArgs(m),
 				maxFires: w.opts.MaxUIFires, uiLike: true,
 				needsResumed: hasResume,
-			})
-			if c := byName["onCreate"]; c != nil {
-				ev.after = append(ev.after, c)
 			}
+			if c := byName["onCreate"]; c != nil {
+				ev.after = []*extEvent{c}
+			}
+			w.addEvent(ev)
 		}
 		w.hasResumeMethod[comp.Class] = hasResume
 	case manifest.ServiceComponent:
@@ -365,14 +495,15 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if m == nil {
 				continue
 			}
-			ev := w.addEvent(&extEvent{
+			ev := &extEvent{
 				name: "service:" + n, component: comp.Class,
 				m: m, recv: obj, args: lifecycleArgs(m),
 				maxFires: 1, uiLike: n != "onDestroy",
-			})
-			if n == "onDestroy" && prev != nil {
-				ev.after = append(ev.after, prev)
 			}
+			if n == "onDestroy" && prev != nil {
+				ev.after = []*extEvent{prev}
+			}
+			w.addEvent(ev)
 			if n == "onCreate" {
 				prev = ev
 			}
@@ -401,11 +532,15 @@ func (w *World) addEvent(ev *extEvent) *extEvent {
 	}
 	// The filter is a pure function of fields fixed here.
 	ev.filtered = w.opts.EventFilter != nil && !w.opts.EventFilter(ev.ref, ev.component, ev.name)
-	ev.lastFiredTask = -1
+	ev.comp = -1
+	if i, ok := w.compIndex[ev.component]; ok {
+		ev.comp = i
+	}
 	if ev.registrarTask == 0 {
 		ev.registrarTask = -1
 	}
 	w.events = append(w.events, ev)
+	w.evs = append(w.evs, eventState{lastFiredTask: -1})
 	return ev
 }
 
@@ -441,7 +576,11 @@ func (w *World) Trace() []string { return w.trace }
 
 // HeldWakeLocks reports how many wake locks are still held — non-zero at
 // the end of a quiescent execution witnesses a no-sleep bug (§9).
-func (w *World) HeldWakeLocks() int { return len(w.wakeHeld) }
+func (w *World) HeldWakeLocks() int { return w.wakeHeld }
+
+// Schedule returns the choice points w has recorded so far (the rows
+// Run returns).
+func (w *World) Schedule() *ScheduleInfo { return &w.info }
 
 func (w *World) tracef(format string, args ...interface{}) {
 	if w.opts.Trace {
@@ -464,13 +603,16 @@ type option struct {
 }
 
 // options enumerates the current scheduler alternatives in a stable
-// order (by key): advancing a busy executor, or (when the looper is
-// idle) dispatching a queued task or firing an enabled external event.
-// The slice is only valid until the next call.
+// order (by key): advancing a busy executor that is not blocked on a
+// monitor, or (when the looper is idle) dispatching a queued task or
+// firing an enabled external event. The slice is only valid until the
+// next call.
 func (w *World) options() []option {
 	opts := w.optBuf[:0]
 	if !w.looper.idle() {
-		opts = append(opts, option{key: w.looper.key, method: w.looper.entry, ex: w.looper})
+		if !w.blockedOnMonitor(w.looper) {
+			opts = append(opts, option{key: w.looper.key, method: w.looper.entry, ex: w.looper})
+		}
 	} else {
 		if len(w.queue) > 0 {
 			// FIFO dispatch: the Android looper processes its queue in
@@ -479,14 +621,14 @@ func (w *World) options() []option {
 			opts = append(opts, option{key: t.key, method: t.ref, t: t})
 		}
 		for _, ev := range w.events {
-			if !ev.enabled(w) {
+			if !w.enabled(ev) {
 				continue
 			}
 			opts = append(opts, option{key: ev.key, method: ev.ref, ev: ev})
 		}
 	}
 	for _, bg := range w.bgs {
-		if bg.dead || bg.idle() {
+		if bg.dead || bg.idle() || w.blockedOnMonitor(bg) {
 			continue
 		}
 		opts = append(opts, option{key: bg.key, method: bg.entry, ex: bg})
@@ -502,7 +644,7 @@ func (w *World) take(o option) {
 	case o.ex != nil:
 		w.quantum(o.ex)
 	case o.ev != nil:
-		o.ev.fired++
+		w.evs[o.ev.id].fired++
 		w.fireEvent(o.ev)
 	default:
 		w.queue = w.queue[1:]
@@ -510,7 +652,8 @@ func (w *World) take(o option) {
 	}
 }
 
-// Done reports whether execution cannot proceed (or was halted).
+// Done reports whether execution cannot proceed (or was halted): it is
+// true exactly when Run would stop.
 func (w *World) Done() bool {
 	if w.halted || w.steps >= w.opts.MaxSteps {
 		return true
@@ -520,13 +663,16 @@ func (w *World) Done() bool {
 
 func (w *World) fireEvent(ev *extEvent) {
 	w.tracef("fire %s", ev.name)
-	switch ev.name {
-	case "lifecycle:onDestroy":
-		w.destroyed[ev.component] = true
-	case "lifecycle:onResume":
-		w.resumed[ev.component] = true
-	case "lifecycle:onPause":
-		w.resumed[ev.component] = false
+	if ev.comp >= 0 {
+		c := &w.comps[ev.comp]
+		switch ev.name {
+		case "lifecycle:onDestroy":
+			c.destroyed = true
+		case "lifecycle:onResume":
+			c.resumed = true
+		case "lifecycle:onPause":
+			c.resumed = false
+		}
 	}
 	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1, ref: ev.ref}
 	tid := w.startTask(w.looper, t)
@@ -534,9 +680,9 @@ func (w *World) fireEvent(ev *extEvent) {
 	// events precede this one (the CAFA/DroidRacer event HB model).
 	w.hbEdge(ev.registrarTask, tid)
 	for _, a := range ev.after {
-		w.hbEdge(a.lastFiredTask, tid)
+		w.hbEdge(w.evs[a.id].lastFiredTask, tid)
 	}
-	ev.lastFiredTask = tid
+	w.evs[ev.id].lastFiredTask = tid
 }
 
 func (w *World) startTask(e *executor, t *task) int {
@@ -558,17 +704,15 @@ func (e *executor) push(m *ir.Method, recv Value, args []Value, retTo int) {
 // arguments, so an NPE deep in a callee still names the getfield that
 // produced the null.
 func (e *executor) pushWithSites(m *ir.Method, recv Value, args []Value, retTo int, recvSite ir.InstrID, argSites []ir.InstrID) {
-	f := &frame{m: m, regs: make([]Value, m.NumRegs), retTo: retTo, loadSite: make(map[int]ir.InstrID)}
+	f := &frame{m: m, regs: make([]Value, m.NumRegs), retTo: retTo, loadSite: make([]ir.InstrID, m.NumRegs)}
 	if !m.Static {
 		f.regs[m.ThisReg()] = recv
-		if recvSite.Method != "" {
-			f.loadSite[m.ThisReg()] = recvSite
-		}
+		f.loadSite[m.ThisReg()] = recvSite
 	}
 	for i, a := range args {
 		if i < m.NumArgs {
 			f.regs[m.ArgReg(i)] = a
-			if i < len(argSites) && argSites[i].Method != "" {
+			if i < len(argSites) {
 				f.loadSite[m.ArgReg(i)] = argSites[i]
 			}
 		}
@@ -577,14 +721,12 @@ func (e *executor) pushWithSites(m *ir.Method, recv Value, args []Value, retTo i
 }
 
 // spawnBg starts a background thread executing m on recv.
-func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, component string, onDone func(*World)) {
+func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, component string, onDone cont) {
 	if w.opts.SpawnFilter != nil && !w.opts.SpawnFilter(m.Class) {
 		// Focused exploration: this thread is irrelevant to the warning
-		// under validation. Its completion hook still runs so AsyncTask
+		// under validation. Its continuation still runs so AsyncTask
 		// chains stay consistent.
-		if onDone != nil {
-			onDone(w)
-		}
+		w.runCont(onDone)
 		return
 	}
 	exName := fmt.Sprintf("%s#%d", name, w.nextEx)
