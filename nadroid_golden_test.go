@@ -176,13 +176,21 @@ type goldenValidation struct {
 
 const goldenWitnessPath = goldenDir + "/witnesses.json"
 
-// runWitnesses validates every corpus app's surviving warnings at the
-// CLI's default budget and returns each warning's witness plus the
-// app's schedule counters.
+// witnessSeeds are the corpus.RandomSpec seeds the witness golden pins
+// next to the 27 Table 1 apps (the seeds explore's resume test checks).
+var witnessSeeds = []uint64{1, 2, 3, 4, 5, 6}
+
+// runWitnesses validates the surviving warnings of every corpus app and
+// of each witnessSeeds random spec at the CLI's default budget, and
+// returns each warning's witness plus the app's schedule counters.
 func runWitnesses(t *testing.T) []goldenValidation {
 	t.Helper()
+	apps := corpus.Apps()
+	for _, seed := range witnessSeeds {
+		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
+	}
 	var out []goldenValidation
-	for _, app := range corpus.Apps() {
+	for _, app := range apps {
 		m := obs.NewMetrics()
 		ctx := obs.WithMetrics(context.Background(), m)
 		res, err := nadroid.AnalyzeContext(ctx, app.Build(), nadroid.Options{
@@ -224,12 +232,13 @@ func runWitnesses(t *testing.T) []goldenValidation {
 	return out
 }
 
-// TestWitnessGolden pins the explorer's output on every corpus app:
-// each surviving warning's witness (schedule, executions, branch
-// policy, NPE) and each app's executed and pruned schedule counts. An
-// explorer or interpreter change that shifts the search order, the
-// option keys or the pruning shows up here, including on the false
-// positives that exhaust their budget without a witness.
+// TestWitnessGolden pins the explorer's output on every corpus app and
+// on the random specs Random1…Random6: each surviving warning's witness
+// (schedule, executions, branch policy, NPE) and each app's executed
+// and pruned schedule counts. An explorer or interpreter change that
+// shifts the search order, the option keys or the pruning shows up
+// here, including on the false positives that exhaust their budget
+// without a witness.
 func TestWitnessGolden(t *testing.T) {
 	got := runWitnesses(t)
 	if *updateGolden {
