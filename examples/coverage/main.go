@@ -22,6 +22,7 @@ import (
 	"nadroid/internal/corpus"
 	"nadroid/internal/dynrace"
 	"nadroid/internal/interp"
+	"nadroid/internal/ir"
 )
 
 func main() {
@@ -38,10 +39,10 @@ func main() {
 
 	// Dynamic detector, UI-driven inputs only: lifecycle + clicks; no
 	// service disconnects, broadcasts or binder calls can be forced.
-	uiOnly := record(app, func(method, component, name string) bool {
-		return !strings.Contains(name, "onServiceDisconnected") &&
-			!strings.HasPrefix(name, "receiver:") &&
-			!strings.HasPrefix(name, "binder:")
+	uiOnly := record(app, func(kind interp.EventKind, m *ir.Method, component string) bool {
+		return m.Name != "onServiceDisconnected" &&
+			kind != interp.ReceiverEvent &&
+			kind != interp.BinderEvent
 	})
 
 	// Dynamic detector with full system-event injection.
@@ -57,7 +58,7 @@ func main() {
 	fmt.Println("order without needing to trigger one.")
 }
 
-func record(app corpus.App, filter func(method, component, name string) bool) []dynrace.Race {
+func record(app corpus.App, filter func(kind interp.EventKind, m *ir.Method, component string) bool) []dynrace.Race {
 	pkg := app.Build()
 	w := interp.NewWorld(pkg, cha.New(pkg.Program), interp.Options{Record: true, EventFilter: filter})
 	interp.Run(w, nil)

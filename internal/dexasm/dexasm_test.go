@@ -163,6 +163,10 @@ func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
 // built over it.
 const cyclicHierarchy = "app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C extends cyc/B {\n}\n"
 
+// negativeArity used to parse, and nadroid.AnalyzeSource then panicked
+// in the points-to solver.
+const negativeArity = "app a\nmanifest {\n  activity X main\n}\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n"
+
 func TestParseErrors(t *testing.T) {
 	bad := []struct {
 		src string
@@ -184,6 +188,11 @@ func TestParseErrors(t *testing.T) {
 		{cyclicHierarchy, "dexasm: line 2: cyclic class hierarchy at cyc/B"},
 		{"app a\nclass X extends X {\n}", "dexasm: line 2: cyclic class hierarchy at X"},
 		{"app a\nclass I extends java/lang/Object implements J {\n}\nclass J extends java/lang/Object implements I {\n}", "dexasm: line 2: cyclic class hierarchy at I"},
+		// Arities and registers beyond the JVM and Dalvik limits are
+		// errors, not panics or gigabyte frames in the analysis.
+		{negativeArity, "dexasm: line 6: arg count -3 of X.onCreate outside [0, 255]"},
+		{"app a\nclass X extends java/lang/Object {\n  method onCreate(50000000) {\n    return\n  }\n}", "dexasm: line 3: arg count 50000000 of X.onCreate outside [0, 255]"},
+		{"app a\nclass X extends java/lang/Object {\n  method onCreate(0) {\n    r20000000 = null\n    return\n  }\n}", "dexasm: line 4: register r20000000 above r65535 in X.onCreate"},
 	}
 	for _, c := range bad {
 		_, err := Parse(c.src)

@@ -243,6 +243,15 @@ func (p *parser) checkAcyclic(prog *ir.Program) error {
 	return nil
 }
 
+// Bounds on what one method may declare: the JVM allows at most 255
+// parameter slots, and Dalvik register numbers are 16-bit. Every frame
+// of a method holds all of its registers, so without them a short file
+// could make one frame gigabytes large.
+const (
+	argLimit = 255
+	regLimit = 65535
+)
+
 func (p *parser) parseMethod(c *ir.Class, header string) error {
 	static := strings.Contains(header, "static ")
 	synch := strings.Contains(header, "synchronized ")
@@ -262,6 +271,9 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	if err != nil {
 		return p.errf("bad arg count in %q", header)
 	}
+	if nargs < 0 || nargs > argLimit {
+		return p.errf("arg count %d of %s.%s outside [0, %d]", nargs, c.Name, name, argLimit)
+	}
 	if c.Method(name) != nil {
 		return p.errf("duplicate method %s.%s", c.Name, name)
 	}
@@ -275,13 +287,6 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	}
 
 	maxReg := m.NumRegs - 1
-	track := func(regs ...int) {
-		for _, r := range regs {
-			if r > maxReg {
-				maxReg = r
-			}
-		}
-	}
 	for {
 		line, ok := p.next()
 		if !ok {
@@ -299,10 +304,16 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 		if err != nil {
 			return err
 		}
+		regs := in.Uses()
 		if r, ok := in.DefReg(); ok {
-			track(r)
+			regs = append(regs, r)
 		}
-		track(in.Uses()...)
+		for _, r := range regs {
+			if r > regLimit {
+				return p.errf("register r%d above r%d in %s", r, regLimit, m.Ref())
+			}
+			maxReg = max(maxReg, r)
+		}
 		m.Instrs = append(m.Instrs, in)
 	}
 }

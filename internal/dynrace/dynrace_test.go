@@ -23,13 +23,10 @@ func runTrace(t *testing.T, app string, schedule []int, uiOnly bool) *interp.Tra
 	}
 	opts := interp.Options{Record: true}
 	if uiOnly {
-		opts.EventFilter = func(method, component, name string) bool {
-			if strings.Contains(name, "onServiceDisconnected") ||
-				strings.HasPrefix(name, "receiver:") ||
-				strings.HasPrefix(name, "binder:") {
-				return false
-			}
-			return true
+		opts.EventFilter = func(kind interp.EventKind, m *ir.Method, component string) bool {
+			return m.Name != "onServiceDisconnected" &&
+				kind != interp.ReceiverEvent &&
+				kind != interp.BinderEvent
 		}
 	}
 	pkg := a.Build()

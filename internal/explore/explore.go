@@ -28,6 +28,7 @@ import (
 	"nadroid/internal/apk"
 	"nadroid/internal/cha"
 	"nadroid/internal/interp"
+	"nadroid/internal/ir"
 	"nadroid/internal/obs"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
@@ -327,7 +328,7 @@ func warningSpawnFilter(model *threadify.Model, w *uaf.Warning) func(class strin
 // warningEventFilter allows the entry callbacks on the use/free thread
 // lineages, their service-connection partners, and the full lifecycle
 // chain of every involved component.
-func warningEventFilter(model *threadify.Model, w *uaf.Warning) func(method, component, name string) bool {
+func warningEventFilter(model *threadify.Model, w *uaf.Warning) func(kind interp.EventKind, m *ir.Method, component string) bool {
 	methods := make(map[string]bool)
 	comps := make(map[string]bool)
 	addLineage := func(tid int) {
@@ -352,14 +353,11 @@ func warningEventFilter(model *threadify.Model, w *uaf.Warning) func(method, com
 			methods[cls+".onServiceConnected"] = true
 		}
 	}
-	return func(method, component, name string) bool {
-		if methods[method] {
+	return func(kind interp.EventKind, m *ir.Method, component string) bool {
+		if methods[m.Ref()] {
 			return true
 		}
-		if comps[component] && (hasPrefix(name, "lifecycle:") || hasPrefix(name, "service:")) {
-			return true
-		}
-		return false
+		return comps[component] && (kind == interp.LifecycleEvent || kind == interp.ServiceEvent)
 	}
 }
 
@@ -371,8 +369,6 @@ func splitRef(ref string) (string, string, bool) {
 	}
 	return "", ref, false
 }
-
-func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
 
 // Validation is one warning's dynamic-validation outcome: whether a
 // harmful schedule was found, and the witness itself when one was —

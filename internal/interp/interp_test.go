@@ -1,13 +1,17 @@
 package interp
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/cha"
+	"nadroid/internal/dexasm"
 	"nadroid/internal/framework"
+	"nadroid/internal/ir"
 )
 
 func buildPkg(t *testing.T, f func(b *appbuilder.Builder)) *apk.Package {
@@ -202,6 +206,138 @@ func TestNPEAttributionThroughCallArguments(t *testing.T) {
 	}
 	if !strings.Contains(w.NPEs()[0].LoadedAt.Method, "onCreate") {
 		t.Errorf("load-site attribution lost across call: %v", w.NPEs()[0])
+	}
+}
+
+// TestOverwrittenRegisterDropsLoadSite checks NPE attribution after a
+// register that held a getfield result is overwritten: the NPE must not
+// name the overwritten getfield as its load site, or a validation would
+// accept it as a witness for a warning at that getfield.
+func TestOverwrittenRegisterDropsLoadSite(t *testing.T) {
+	const src = `app it
+manifest {
+  activity it/A main
+}
+class it/V extends java/lang/Object {
+  method use(0) {
+    return
+  }
+}
+class it/A extends android/app/Activity {
+  field f it/V
+  method none(0) {
+    r1 = null
+    return r1
+  }
+  method onCreate(1) {
+    r2 = new it/V
+    r0.it/A.f = r2
+    r3 = r0.it/A.f
+    %s
+    call r3.it/V.use()
+    return
+  }
+}
+`
+	for _, c := range []struct{ name, overwrite string }{
+		{"unresolved invoke-static", "r3 = ext/Lib.get()"},
+		{"const-str", `r3 = "s"`},
+		{"const-int", "r3 = 7"},
+		{"intrinsic result", "r3 = r2.it/V.absent()"},
+		{"app-method return", "r3 = r0.it/A.none()"},
+	} {
+		pkg, err := dexasm.Parse(fmt.Sprintf(src, c.overwrite))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		w := runAll(pkg, Options{})
+		want := NPE{At: ir.InstrID{Method: "it/A.onCreate", Index: 4}, Task: "looper"}
+		if len(w.NPEs()) != 1 || w.NPEs()[0] != want {
+			t.Errorf("%s: NPEs = %v, want [%v]", c.name, w.NPEs(), want)
+		}
+	}
+}
+
+// offeredKeys runs w to the end, always taking the first option, and
+// returns the key of every option offered on the way.
+func offeredKeys(w *World) map[string]bool {
+	offered := make(map[string]bool)
+	for !w.Done() {
+		opts := w.options()
+		for _, o := range opts {
+			offered[o.key] = true
+		}
+		w.take(opts[0])
+	}
+	return offered
+}
+
+// builtKeys returns the keys of the events w has built, in build order.
+func builtKeys(w *World) []string {
+	var keys []string
+	for _, ev := range w.events {
+		keys = append(keys, ev.key)
+	}
+	return keys
+}
+
+// TestRejectedEventsAreNeverBuilt pins event elision. onCreate registers
+// three click listeners and binds a service connection; the filter
+// rejects the second listener and onServiceConnected. The events it
+// accepts keep the keys they have in the unfiltered world, and neither
+// the rejected listener nor onServiceDisconnected, which may only fire
+// after the rejected onServiceConnected, is ever offered.
+func TestRejectedEventsAreNeverBuilt(t *testing.T) {
+	pkg := buildPkg(t, func(b *appbuilder.Builder) {
+		act := b.Activity("it/A")
+		oc := act.Method("onCreate", 1)
+		for _, l := range []string{"it/L1", "it/L2", "it/L3"} {
+			b.Class(l, framework.Object, framework.OnClickListener).Method("onClick", 1).Return()
+			oc.InvokeVoid(oc.New(framework.View), framework.View, "setOnClickListener", oc.New(l))
+		}
+		conn := b.ServiceConn("it/C")
+		conn.Method("onServiceConnected", 1).Return()
+		conn.Method("onServiceDisconnected", 1).Return()
+		oc.InvokeVoid(oc.This(), "it/A", "bindService", oc.New("it/C"))
+		oc.Return()
+	})
+	rejectedKeys := map[string]bool{
+		"event:2:ui:it/L2.onClick":               true,
+		"event:4:svc:it/C.onServiceConnected":    true,
+		"event:5:svc:it/C.onServiceDisconnected": true,
+	}
+
+	all := newWorld(pkg, Options{})
+	allOffered := offeredKeys(all)
+	var want []string
+	for _, k := range builtKeys(all) {
+		if !rejectedKeys[k] {
+			want = append(want, k)
+		}
+	}
+	for k := range rejectedKeys {
+		if !allOffered[k] {
+			t.Fatalf("unfiltered world never offers %s; offered %v", k, allOffered)
+		}
+	}
+
+	filter := func(kind EventKind, m *ir.Method, component string) bool {
+		return m.Ref() != "it/L2.onClick" && m.Ref() != "it/C.onServiceConnected"
+	}
+	kept := newWorld(pkg, Options{EventFilter: filter})
+	keptOffered := offeredKeys(kept)
+	if got := builtKeys(kept); !slices.Equal(got, want) {
+		t.Errorf("filtered world built %v, want %v", got, want)
+	}
+	for k := range rejectedKeys {
+		if keptOffered[k] {
+			t.Errorf("filtered world offered %s", k)
+		}
+	}
+	for _, k := range want {
+		if !keptOffered[k] {
+			t.Errorf("filtered world never offered accepted event %s", k)
+		}
 	}
 }
 

@@ -13,11 +13,11 @@ func (w *World) blockedOnMonitor(e *executor) bool {
 	if f.pc >= len(f.m.Instrs) {
 		return false
 	}
-	in := f.m.Instrs[f.pc]
+	in := &f.m.Instrs[f.pc]
 	if in.Op != ir.OpMonitorEnter {
 		return false
 	}
-	obj, ok := f.regs[in.B].(*Object)
+	obj, ok := f.regs[in.B].v.(*Object)
 	if !ok {
 		return false // will NPE, still schedulable
 	}

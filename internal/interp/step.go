@@ -32,7 +32,7 @@ func (w *World) quantum(e *executor) {
 			w.popFrame(e, nil)
 			continue
 		}
-		in := f.m.Instrs[f.pc]
+		in := &f.m.Instrs[f.pc]
 		w.steps++
 		fieldAccess, blocked := w.exec(e, f, in)
 		if blocked {
@@ -51,90 +51,87 @@ func (w *World) popFrame(e *executor, ret Value) {
 	f := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
 	if f.m.Synch && !f.m.Static {
-		if obj, ok := f.regs[f.m.ThisReg()].(*Object); ok {
+		if obj, ok := f.regs[f.m.ThisReg()].v.(*Object); ok {
 			w.unlock(e, obj)
 		}
 	}
 	if len(e.stack) > 0 && f.retTo != ir.NoReg {
-		e.top().regs[f.retTo] = ret
+		e.top().regs[f.retTo] = reg{v: ret}
 	}
 }
 
 // exec runs one instruction. It returns (fieldAccess, blocked).
-func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
+func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 	advance := func() { f.pc++ }
 	switch in.Op {
 	case ir.OpNop:
 		advance()
 	case ir.OpConstNull:
-		f.regs[in.A] = nil
-		f.loadSite[in.A] = ir.InstrID{}
+		f.regs[in.A] = reg{}
 		advance()
 	case ir.OpConstInt:
-		f.regs[in.A] = in.IntVal
+		f.regs[in.A] = reg{v: in.IntVal}
 		advance()
 	case ir.OpConstStr:
-		f.regs[in.A] = in.StrVal
+		f.regs[in.A] = reg{v: in.StrVal}
 		advance()
 	case ir.OpNew:
-		f.regs[in.A] = w.alloc(in.Type)
-		f.loadSite[in.A] = ir.InstrID{}
+		f.regs[in.A] = reg{v: w.alloc(in.Type)}
 		advance()
 	case ir.OpMove:
 		f.regs[in.A] = f.regs[in.B]
-		f.loadSite[in.A] = f.loadSite[in.B]
 		advance()
 
 	case ir.OpGetField:
-		base, ok := f.regs[in.B].(*Object)
+		base, ok := f.regs[in.B].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		f.regs[in.A] = w.get(base.ID, in.Field.Name)
-		f.loadSite[in.A] = w.here(e, f)
+		f.regs[in.A] = reg{v: w.get(base.ID, ir.FieldRef{Name: in.Field.Name}), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, base, false, false)
 		advance()
 		return true, false
 	case ir.OpPutField:
-		base, ok := f.regs[in.B].(*Object)
+		base, ok := f.regs[in.B].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		w.set(base.ID, in.Field.Name, f.regs[in.A])
-		w.recordAccess(e, f, in, base, true, f.regs[in.A] == nil)
+		v := f.regs[in.A].v
+		w.set(base.ID, ir.FieldRef{Name: in.Field.Name}, v)
+		w.recordAccess(e, f, in, base, true, v == nil)
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = w.get(0, in.Field.String())
-		f.loadSite[in.A] = w.here(e, f)
+		f.regs[in.A] = reg{v: w.get(0, in.Field), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
-		w.set(0, in.Field.String(), f.regs[in.A])
-		w.recordAccess(e, f, in, nil, true, f.regs[in.A] == nil)
+		v := f.regs[in.A].v
+		w.set(0, in.Field, v)
+		w.recordAccess(e, f, in, nil, true, v == nil)
 		advance()
 		return true, false
 
 	case ir.OpReturn:
 		var ret Value
 		if in.A != ir.NoReg {
-			ret = f.regs[in.A]
+			ret = f.regs[in.A].v
 		}
 		w.popFrame(e, ret)
 
 	case ir.OpGoto:
 		f.pc = f.m.Index(in.Target)
 	case ir.OpIfNull:
-		if f.regs[in.B] == nil {
+		if f.regs[in.B].v == nil {
 			f.pc = f.m.Index(in.Target)
 		} else {
 			advance()
 		}
 	case ir.OpIfNonNull:
-		if f.regs[in.B] != nil {
+		if f.regs[in.B].v != nil {
 			f.pc = f.m.Index(in.Target)
 		} else {
 			advance()
@@ -147,7 +144,7 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		}
 
 	case ir.OpMonitorEnter:
-		obj, ok := f.regs[in.B].(*Object)
+		obj, ok := f.regs[in.B].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
@@ -157,30 +154,34 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 		}
 		advance()
 	case ir.OpMonitorExit:
-		if obj, ok := f.regs[in.B].(*Object); ok {
+		if obj, ok := f.regs[in.B].v.(*Object); ok {
 			w.unlock(e, obj)
 		}
 		advance()
 
 	case ir.OpThrow:
-		w.tracef("throw in %s", e.name)
+		w.traceLine("throw in ", e.name)
 		w.abortTask(e)
 
 	case ir.OpInvoke:
 		return w.execInvoke(e, f, in), false
 	case ir.OpInvokeStatic:
 		if m := w.h.Resolve(in.Callee.Class, in.Callee.Name); m != nil && !m.Abstract {
-			args := make([]Value, len(in.Args))
-			for i, r := range in.Args {
-				args[i] = f.regs[r]
-			}
+			// A static callee gets the argument values, not their load
+			// sites.
 			f.pc++
-			e.push(m, nil, args, in.A)
+			callee := newFrame(m, in.A)
+			for i, r := range in.Args {
+				if i < m.NumArgs {
+					callee.regs[m.ArgReg(i)] = reg{v: f.regs[r].v}
+				}
+			}
+			e.stack = append(e.stack, callee)
 			w.lockSyncEntry(e, m, nil)
 			return false, false
 		}
 		if in.A != ir.NoReg {
-			f.regs[in.A] = nil
+			f.regs[in.A] = reg{}
 		}
 		advance()
 	default:
@@ -192,39 +193,41 @@ func (w *World) exec(e *executor, f *frame, in ir.Instr) (bool, bool) {
 // execInvoke handles virtual calls: app methods push frames; framework
 // methods run as intrinsics. Returns true when the step counts as a
 // field-access-like boundary (posting and NPE points do).
-func (w *World) execInvoke(e *executor, f *frame, in ir.Instr) bool {
-	recv := f.regs[in.B]
-	obj, isObj := recv.(*Object)
+func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
+	obj, isObj := f.regs[in.B].v.(*Object)
 	if !isObj {
 		w.throwNPE(e, f, in)
 		return true
 	}
-	args := make([]Value, len(in.Args))
-	for i, r := range in.Args {
-		args[i] = f.regs[r]
-	}
-	// Concrete app method?
+	// Concrete app method? The receiver and arguments go straight into
+	// the callee frame with their load sites, so an NPE deep in a callee
+	// still names the getfield that produced the null.
 	if m := w.h.Resolve(obj.Class, in.Callee.Name); m != nil && !m.Abstract {
-		argSites := make([]ir.InstrID, len(in.Args))
-		for i, r := range in.Args {
-			argSites[i] = f.loadSite[r]
-		}
 		f.pc++
-		e.pushWithSites(m, obj, args, in.A, f.loadSite[in.B], argSites)
+		callee := newFrame(m, in.A)
+		if !m.Static {
+			callee.regs[m.ThisReg()] = f.regs[in.B]
+		}
+		for i, r := range in.Args {
+			if i < m.NumArgs {
+				callee.regs[m.ArgReg(i)] = f.regs[r]
+			}
+		}
+		e.stack = append(e.stack, callee)
 		w.lockSyncEntry(e, m, obj)
 		return false
 	}
 	// Framework intrinsic.
-	ret, boundary := w.intrinsic(e, in.Callee.Name, obj, args)
+	ret, boundary := w.intrinsic(e, f, in, obj)
 	if in.A != ir.NoReg {
-		f.regs[in.A] = ret
+		f.regs[in.A] = reg{v: ret}
 	}
 	f.pc++
 	return boundary
 }
 
 // recordAccess appends one trace access event (Options.Record).
-func (w *World) recordAccess(e *executor, f *frame, in ir.Instr, base *Object, isWrite, isNull bool) {
+func (w *World) recordAccess(e *executor, f *frame, in *ir.Instr, base *Object, isWrite, isNull bool) {
 	if !w.opts.Record {
 		return
 	}
@@ -234,7 +237,7 @@ func (w *World) recordAccess(e *executor, f *frame, in ir.Instr, base *Object, i
 	}
 	w.rec.Accesses = append(w.rec.Accesses, AccessEvent{
 		Task:    e.curTask,
-		Instr:   w.here(e, f),
+		Instr:   f.here(),
 		Field:   in.Field,
 		Obj:     objID,
 		IsWrite: isWrite,
@@ -259,44 +262,42 @@ func (w *World) lock(e *executor, obj *Object) bool {
 	if w.lockedByOther(e, obj) {
 		return false
 	}
-	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
-	w.set(obj.ID, "$lockOwner", int64(e.id))
-	w.set(obj.ID, "$lockDepth", depth+1)
+	depth, _ := w.get(obj.ID, lockDepth).(int64)
+	w.set(obj.ID, lockOwner, int64(e.id))
+	w.set(obj.ID, lockDepth, depth+1)
 	return true
 }
 
 // lockedByOther reports whether an executor other than e holds obj's
 // monitor.
 func (w *World) lockedByOther(e *executor, obj *Object) bool {
-	owner, _ := w.get(obj.ID, "$lockOwner").(int64)
-	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
+	owner, _ := w.get(obj.ID, lockOwner).(int64)
+	depth, _ := w.get(obj.ID, lockDepth).(int64)
 	return depth > 0 && owner != int64(e.id)
 }
 
 func (w *World) unlock(e *executor, obj *Object) {
-	depth, _ := w.get(obj.ID, "$lockDepth").(int64)
+	depth, _ := w.get(obj.ID, lockDepth).(int64)
 	if depth > 0 {
-		w.set(obj.ID, "$lockDepth", depth-1)
+		w.set(obj.ID, lockDepth, depth-1)
 	}
 }
 
 // here returns the current instruction's ID.
-func (w *World) here(e *executor, f *frame) ir.InstrID {
-	return ir.InstrID{Method: f.m.Ref(), Index: f.pc}
-}
+func (f *frame) here() ir.InstrID { return ir.InstrID{Method: f.m.Ref(), Index: f.pc} }
 
 // throwNPE records a NullPointerException at the current instruction and
 // aborts the faulting task/thread.
-func (w *World) throwNPE(e *executor, f *frame, in ir.Instr) {
-	npe := NPE{At: w.here(e, f), Task: e.name}
-	if site := f.loadSite[in.B]; site.Method != "" {
-		npe.LoadedAt = site
-		if m, err := w.h.MethodByRef(site.Method); err == nil && site.Index < len(m.Instrs) {
-			npe.Field = m.Instrs[site.Index].Field
-		}
+func (w *World) throwNPE(e *executor, f *frame, in *ir.Instr) {
+	npe := NPE{At: f.here(), Task: e.name}
+	if r := f.regs[in.B]; r.site != nil {
+		npe.LoadedAt = ir.InstrID{Method: r.site.Ref(), Index: r.at}
+		npe.Field = r.site.Instrs[r.at].Field
 	}
 	w.npes = append(w.npes, npe)
-	w.tracef("NPE %s", npe)
+	if w.opts.Trace {
+		w.traceLine("NPE ", npe.String())
+	}
 	w.abortTask(e)
 	if w.opts.StopOnNPE {
 		w.halted = true
@@ -314,13 +315,15 @@ func (w *World) abortTask(e *executor) {
 	}
 }
 
-// intrinsic implements framework API semantics. It returns the call's
-// result and whether the call is a scheduling boundary.
-func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) (Value, bool) {
+// intrinsic implements framework API semantics for the call in, made
+// from frame f on recv. It returns the call's result and whether the
+// call is a scheduling boundary.
+func (w *World) intrinsic(e *executor, f *frame, in *ir.Instr, recv *Object) (Value, bool) {
 	h := w.h
+	name := in.Callee.Name
 	argObj := func(i int) *Object {
-		if i < len(args) {
-			o, _ := args[i].(*Object)
+		if i < len(in.Args) {
+			o, _ := f.regs[in.Args[i]].v.(*Object)
 			return o
 		}
 		return nil
@@ -335,14 +338,14 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 			}
 			for _, cb := range framework.ListenerMethods(iface) {
 				if m := h.Resolve(l.Class, cb); m != nil {
-					w.addEvent(&extEvent{
-						name: "ui:" + l.Class + "." + cb, component: e.component,
-						m: m, recv: l, args: lifecycleArgs(m),
+					w.addEvent(extEvent{
+						kind: UIEvent, component: e.component,
+						m: m, recv: l,
 						maxFires: w.opts.MaxUIFires, uiLike: true,
 						needsResumed:  w.hasResumeMethod[e.component],
 						view:          view,
 						registrarTask: e.curTask,
-					})
+					}, l.Class)
 				}
 			}
 		}
@@ -366,7 +369,10 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 		return nil, true
 	case framework.PostSendMessage:
 		if m := h.Resolve(recv.Class, framework.HandlerCallback); m != nil {
-			msg := args
+			msg := make([]Value, len(in.Args))
+			for i, r := range in.Args {
+				msg[i] = f.regs[r].v
+			}
 			w.enqueue(&task{name: "msg:" + recv.Class + ".handleMessage", m: m, recv: recv,
 				args: msg, component: e.component, handler: recv})
 		}
@@ -379,12 +385,12 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	case framework.PostRegisterReceiver:
 		if rcv := argObj(0); rcv != nil {
 			if m := h.Resolve(rcv.Class, framework.ReceiverCallback); m != nil {
-				w.addEvent(&extEvent{
-					name: "receiver:" + rcv.Class + ".onReceive", component: e.component,
-					m: m, recv: rcv, args: lifecycleArgs(m),
+				w.addEvent(extEvent{
+					kind: ReceiverEvent, component: e.component,
+					m: m, recv: rcv,
 					maxFires: w.opts.MaxUIFires, uiLike: true,
 					registrarTask: e.curTask,
-				})
+				}, rcv.Class)
 			}
 		}
 		return nil, true
@@ -398,13 +404,13 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 		return nil, true
 	case framework.PostStartThread:
 		if m := h.Resolve(recv.Class, framework.RunMethod); m != nil {
-			w.spawnBg("thread:"+recv.Class, m, recv, nil, e.component, cont{})
+			w.spawnBg("thread:", recv.Class, m, recv, e.component, cont{})
 		}
 		return nil, true
 	case framework.PostExecutorSubmit, framework.PostTimerSchedule:
 		if r := argObj(0); r != nil {
 			if m := h.Resolve(r.Class, framework.RunMethod); m != nil {
-				w.spawnBg("pool:"+r.Class, m, r, nil, e.component, cont{})
+				w.spawnBg("pool:", r.Class, m, r, e.component, cont{})
 			}
 		}
 		return nil, true
@@ -417,7 +423,7 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 		if i, ok := w.compIndex[recv.Class]; ok {
 			w.comps[i].finished = true
 		}
-		w.tracef("finish %s", recv.Class)
+		w.traceLine("finish ", recv.Class)
 		return nil, true
 	case framework.CancelUnbindService:
 		if conn := argObj(0); conn != nil {
@@ -449,12 +455,12 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	if name == "addService" && h.IsSubtypeOf(recv.Class, framework.ServiceManager) {
 		if b := argObj(0); b != nil {
 			if m := h.Resolve(b.Class, "transact"); m != nil {
-				w.addEvent(&extEvent{
-					name: "binder:" + b.Class + ".transact", component: e.component,
-					m: m, recv: b, args: lifecycleArgs(m),
+				w.addEvent(extEvent{
+					kind: BinderEvent, component: e.component,
+					m: m, recv: b,
 					maxFires: w.opts.MaxUIFires, uiLike: true,
 					registrarTask: e.curTask,
-				})
+				}, b.Class)
 			}
 		}
 		return nil, true
@@ -464,7 +470,7 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	// Happens-Before").
 	if name == "setVisibility" || name == "setEnabled" {
 		if h.IsSubtypeOf(recv.Class, framework.View) {
-			w.set(recv.ID, "$hidden", int64(1))
+			w.set(recv.ID, hidden, int64(1))
 			return nil, true
 		}
 	}
@@ -475,22 +481,26 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 	case framework.WakeNew:
 		return w.alloc(framework.WakeLock), false
 	case framework.WakeAcquire:
-		n, _ := w.get(recv.ID, "$wakeHeld").(int64)
-		w.set(recv.ID, "$wakeHeld", n+1)
+		n, _ := w.get(recv.ID, wakeCount).(int64)
+		w.set(recv.ID, wakeCount, n+1)
 		if n == 0 {
 			w.wakeHeld++
 		}
-		w.tracef("acquire wakelock %s", recv)
+		if w.opts.Trace {
+			w.traceLine("acquire wakelock ", recv.String())
+		}
 		return nil, true
 	case framework.WakeRelease:
-		n, _ := w.get(recv.ID, "$wakeHeld").(int64)
+		n, _ := w.get(recv.ID, wakeCount).(int64)
 		if n > 0 {
-			w.set(recv.ID, "$wakeHeld", n-1)
+			w.set(recv.ID, wakeCount, n-1)
 			if n == 1 {
 				w.wakeHeld--
 			}
 		}
-		w.tracef("release wakelock %s", recv)
+		if w.opts.Trace {
+			w.traceLine("release wakelock ", recv.String())
+		}
 		return nil, true
 	}
 
@@ -514,22 +524,18 @@ func (w *World) intrinsic(e *executor, name string, recv *Object, args []Value) 
 func (w *World) bindServiceEvents(e *executor, conn *Object) {
 	var sc *extEvent
 	if m := w.h.Resolve(conn.Class, "onServiceConnected"); m != nil {
-		sc = w.addEvent(&extEvent{
-			name: "svc:" + conn.Class + ".onServiceConnected", component: e.component,
-			m: m, recv: conn, args: lifecycleArgs(m), maxFires: 1, uiLike: true,
+		sc = w.addEvent(extEvent{
+			kind: ConnectionEvent, component: e.component,
+			m: m, recv: conn, maxFires: 1, uiLike: true,
 			registrarTask: e.curTask,
-		})
+		}, conn.Class)
 	}
 	if m := w.h.Resolve(conn.Class, "onServiceDisconnected"); m != nil {
-		sd := &extEvent{
-			name: "svc:" + conn.Class + ".onServiceDisconnected", component: e.component,
-			m: m, recv: conn, args: lifecycleArgs(m), maxFires: 1, uiLike: true,
+		w.addEvent(extEvent{
+			kind: ConnectionEvent, component: e.component,
+			m: m, recv: conn, after: sc, maxFires: 1, uiLike: true,
 			registrarTask: e.curTask,
-		}
-		if sc != nil {
-			sd.after = []*extEvent{sc}
-		}
-		w.addEvent(sd)
+		}, conn.Class)
 	}
 }
 
@@ -554,7 +560,7 @@ func (w *World) runCont(c cont) {
 	case linkBody:
 		if c.body != nil {
 			c.next = linkPost
-			w.spawnBg("task:"+c.task.Class, c.body, c.task, nil, c.component, c)
+			w.spawnBg("task:", c.task.Class, c.body, c.task, c.component, c)
 			return
 		}
 		fallthrough
@@ -567,9 +573,9 @@ func (w *World) runCont(c cont) {
 
 // removeEventsFor disables all events whose receiver object is obj.
 func (w *World) removeEventsFor(obj *Object) {
-	for _, ev := range w.events {
+	for i, ev := range w.events {
 		if ev.recv == obj {
-			w.evs[ev.id].removed = true
+			w.evs[i].removed = true
 		}
 	}
 }

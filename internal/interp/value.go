@@ -11,7 +11,14 @@
 // their branch point instead of replaying the shared prefix. The
 // layout keeps copies cheap: objects, events and queued tasks are
 // immutable once created and shared by every copy, and what changes —
-// field maps, event counters, executors — lives in the world.
+// field slices, event counters, executors — lives in the world. Each
+// object's fields are a short slice of (field, value) pairs, kept in
+// chunks that copies share until one side writes them.
+//
+// A world pays only for what its run can observe. An event its
+// EventFilter rejects is never built, so no copy carries it, and
+// method refs are stored in the IR, so executing an instruction builds
+// no string.
 package interp
 
 import "fmt"
@@ -21,7 +28,7 @@ type Value interface{}
 
 // Object is an immutable heap object handle. Its fields live in the
 // world that allocated it (indexed by ID), so snapshots share handles
-// and copy a field map only when one side writes to it.
+// and copy a field slice only when one side writes to it.
 type Object struct {
 	ID    int
 	Class string

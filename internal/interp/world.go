@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/cha"
@@ -30,12 +31,17 @@ type Options struct {
 	TakeOpaqueBranches bool
 	// Trace records a human-readable execution trace.
 	Trace bool
-	// EventFilter, when set, restricts which external events may fire:
-	// only events for which it returns true are schedulable. The
-	// explorer uses it to focus a run on the callbacks involved in one
-	// warning (the §7 "root entry callbacks" hint), shrinking the
-	// schedule space.
-	EventFilter func(method, component, name string) bool
+	// EventFilter, when set, restricts which external events the world
+	// installs: it sees each event's kind, callback method and
+	// component before anything of the event is built, and an event it
+	// rejects is never built. A rejected event only takes its event id,
+	// so every built event keeps the "event:<id>:<name>" key it has in
+	// an unfiltered world; an event ordered after a rejected one could
+	// never fire and is rejected too. The explorer uses it to focus a
+	// run on the callbacks involved in one warning (the §7 "root entry
+	// callbacks" hint), shrinking the schedule space and what each
+	// explored schedule copies.
+	EventFilter func(kind EventKind, m *ir.Method, component string) bool
 	// SpawnFilter, when set, suppresses background threads whose class
 	// it rejects — the thread-side counterpart of EventFilter for
 	// focused exploration. Looper tasks are never suppressed.
@@ -48,9 +54,10 @@ type Options struct {
 	// RecordChoices makes Run keep the full option row (key + entry
 	// method) at every multi-option choice point in ScheduleInfo.Choices.
 	// The explorer's partial-order reduction needs the identities to
-	// canonicalize schedule prefixes; off by default because it takes
-	// an entry ref per task and thread and allocates a row per choice
-	// point.
+	// canonicalize schedule prefixes. Keys and entry refs are built
+	// once per event, task and thread whether or not it is set (method
+	// refs are stored in the IR); it is off by default because it
+	// allocates a row per choice point.
 	RecordChoices bool
 }
 
@@ -106,18 +113,29 @@ func (n NPE) String() string {
 // frame is one activation record.
 type frame struct {
 	m     *ir.Method
-	regs  []Value
+	regs  []reg
 	pc    int
 	retTo int // caller register receiving the return value (NoReg: none)
-	// loadSite tracks, per register, the getfield that produced its value
-	// (for NPE attribution); the zero InstrID means none.
-	loadSite []ir.InstrID
+}
+
+// reg is one register: its value and, for NPE attribution, the getfield
+// or getstatic that produced it (instruction at of method site; site nil
+// when none did). Moves and app-method call arguments copy the whole
+// register; every other write stores a fresh one, so no write keeps a
+// stale site.
+type reg struct {
+	v    Value
+	site *ir.Method
+	at   int
+}
+
+func newFrame(m *ir.Method, retTo int) *frame {
+	return &frame{m: m, regs: make([]reg, m.NumRegs), retTo: retTo}
 }
 
 func (f *frame) clone() *frame {
 	c := *f
 	c.regs = slices.Clone(f.regs)
-	c.loadSite = slices.Clone(f.loadSite)
 	return &c
 }
 
@@ -127,9 +145,7 @@ type executor struct {
 	name string
 	// key is the scheduler option key of advancing this executor.
 	key string
-	// entry is the entry method ref of the running task or thread
-	// (complete only under Options.RecordChoices, the mode that reads
-	// it).
+	// entry is the entry method ref of the running task or thread.
 	entry string
 	// looper executors pull tasks from the world queue when idle.
 	isLooper bool
@@ -194,25 +210,62 @@ type task struct {
 	// key is the scheduler option key of dispatching this task (set
 	// when it is queued).
 	key string
-	// ref is m's ref (set for fired events, and for queued tasks under
-	// Options.RecordChoices).
-	ref string
+}
+
+// EventKind names the framework channel that delivers an external
+// event. An event's name is its kind's prefix, then the registered
+// receiver's class for an event the app registers at run time, then
+// the callback: "lifecycle:onCreate", "ui:com/x/L.onClick".
+type EventKind uint8
+
+const (
+	// LifecycleEvent is an activity lifecycle callback.
+	LifecycleEvent EventKind = iota
+	// ServiceEvent is a service lifecycle callback.
+	ServiceEvent
+	// ReceiverEvent is a broadcast receiver's onReceive, declared in the
+	// manifest or registered with registerReceiver.
+	ReceiverEvent
+	// UIEvent is a listener callback registered on a view or another
+	// framework object.
+	UIEvent
+	// ConnectionEvent is onServiceConnected or onServiceDisconnected of
+	// a bound service connection.
+	ConnectionEvent
+	// BinderEvent is transact of a binder registered with
+	// ServiceManager.addService.
+	BinderEvent
+)
+
+var kindPrefix = [...]string{
+	LifecycleEvent:  "lifecycle:",
+	ServiceEvent:    "service:",
+	ReceiverEvent:   "receiver:",
+	UIEvent:         "ui:",
+	ConnectionEvent: "svc:",
+	BinderEvent:     "binder:",
 }
 
 // extEvent is one external event the environment may deliver. It is
-// immutable once installed (addEvent), so snapshots share it; what
-// changes as it fires lives in the world's eventState row.
+// immutable once built (addEvent), so snapshots share it; what changes
+// as it fires lives in the world's eventState row.
 type extEvent struct {
-	id        int
-	name      string
+	kind EventKind
+	// key is the scheduler option key "event:<id>:<name>"; name is its
+	// tail.
+	key, name string
 	component string
+	// row indexes the event in the world's events and evs (build
+	// order).
+	row int
 	// comp indexes the world's component states (-1: none).
 	comp     int
 	m        *ir.Method
 	recv     Value
-	args     []Value
 	maxFires int
-	after    []*extEvent
+	// after is the event that must have fired before this one may (nil:
+	// none).
+	after *extEvent
 	// uiLike events stop firing once the component is finished/destroyed.
 	uiLike bool
 	// needsResumed gates user-input events on the activity being in the
@@ -226,12 +279,11 @@ type extEvent struct {
 	// registrarTask is the trace task that installed this event (-1 for
 	// framework lifecycle events); firing creates an HB edge from it.
 	registrarTask int
-	// key (the scheduler option key), ref (m's ref) and filtered
-	// (Options.EventFilter rejects the event) are fixed by addEvent.
-	key      string
-	ref      string
-	filtered bool
 }
+
+// rejected stands for every event the EventFilter rejected. It is never
+// installed, and an event ordered after it is rejected too.
+var rejected = new(extEvent)
 
 // eventState is the mutable half of one event.
 type eventState struct {
@@ -249,23 +301,50 @@ type compState struct {
 	resumed bool
 }
 
-// fieldMap holds one object's fields. A world shares the map with its
-// snapshots until one side writes: own is false while the map may be
-// shared, and the first write then copies it.
-type fieldMap struct {
-	m   map[string]Value
-	own bool
+// field is one written field of an object. Instance fields are keyed by
+// name alone (Class empty), statics by their full reference.
+type field struct {
+	ref ir.FieldRef
+	v   Value
 }
 
-func (w *World) enabled(ev *extEvent) bool {
-	s := w.evs[ev.id]
-	if ev.filtered || s.removed || s.fired >= ev.maxFires {
+// The runtime's own per-object state, kept as fields no program can
+// name.
+var (
+	lockOwner = ir.FieldRef{Name: "$lockOwner"}
+	lockDepth = ir.FieldRef{Name: "$lockDepth"}
+	hidden    = ir.FieldRef{Name: "$hidden"}
+	wakeCount = ir.FieldRef{Name: "$wakeHeld"}
+)
+
+// fieldSlot holds one object's written fields in write order. A world
+// shares the slice with its snapshots until one side writes: gen is the
+// generation of the world that may write it in place, and a write from
+// any other world first copies the entries written so far.
+type fieldSlot struct {
+	fs  []field
+	gen uint64
+}
+
+// chunkLen is the number of objects whose field slots share a chunk.
+const chunkLen = 16
+
+// chunk holds the field slots of chunkLen consecutive objects. Worlds
+// share chunks the way they share field slices: only the world whose
+// generation gen names writes a chunk in place, and any other copies it
+// first. A snapshot therefore copies one pointer per chunk, and a run
+// copies only the chunks it writes.
+type chunk struct {
+	slots []fieldSlot
+	gen   uint64
+}
+
+func (w *World) enabled(ev *extEvent, s eventState) bool {
+	if s.removed || s.fired >= ev.maxFires {
 		return false
 	}
-	for _, a := range ev.after {
-		if w.evs[a.id].fired == 0 {
-			return false
-		}
+	if ev.after != nil && w.evs[ev.after.row].fired == 0 {
+		return false
 	}
 	var c compState
 	if ev.comp >= 0 {
@@ -277,14 +356,17 @@ func (w *World) enabled(ev *extEvent) bool {
 	if ev.needsResumed && !c.resumed {
 		return false
 	}
-	if ev.view != nil && w.get(ev.view.ID, "$hidden") != nil {
+	if ev.view != nil && w.get(ev.view.ID, hidden) != nil {
 		return false
 	}
 	return true
 }
 
 // World is the full runtime state of one execution. Snapshot copies it;
-// Run continues any world from the choice point it stands at.
+// Run continues any world from the choice point it stands at. A world
+// builds no event its EventFilter rejects, keeps each object's fields
+// in a short slice that snapshots share until one side writes, and
+// builds no string per executed instruction.
 type World struct {
 	pkg  *apk.Package
 	h    *cha.Hierarchy
@@ -296,18 +378,29 @@ type World struct {
 	compIndex       map[string]int
 	hasResumeMethod map[string]bool
 
-	// fields[id] holds the fields of object id; fields[0] holds the
-	// statics.
-	fields []fieldMap
+	// fields[id/chunkLen].slots[id%chunkLen] holds the fields of object
+	// id, and object 0 holds the statics. objects counts the objects.
+	fields  []*chunk
+	objects int
+	// gen is the world's generation, fresh at NewWorld and at every
+	// Snapshot: a chunk or slot stamped with it was copied by this world
+	// since and is shared with no other. gens numbers the generations of
+	// the world and all its snapshots, the only worlds it shares chunks
+	// with.
+	gen  uint64
+	gens *atomic.Uint64
 
 	looper *executor
 	bgs    []*executor
 	nextEx int
 
-	queue  []*task
-	events []*extEvent
-	// evs[i] is the state of events[i].
-	evs []eventState
+	queue []*task
+	// events are the built events in build order, and evs[i] is the
+	// state of events[i]. nextEvent is the id of the next event
+	// installed, built or rejected.
+	events    []*extEvent
+	evs       []eventState
+	nextEvent int
 	// comps[compIndex[class]] is the state of a reachable component.
 	comps []compState
 	// wakeHeld counts wake-lock objects with a positive hold count.
@@ -349,8 +442,10 @@ func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
 		opts:            opts.withDefaults(),
 		compIndex:       make(map[string]int),
 		hasResumeMethod: make(map[string]bool),
-		fields:          []fieldMap{{own: true}},
+		gens:            new(atomic.Uint64),
 	}
+	w.gen = w.gens.Add(1)
+	w.newSlot() // object 0: the statics
 	w.looper = &executor{id: 0, name: "looper", key: "run:looper", isLooper: true, curTask: -1}
 	w.nextEx = 1
 	for _, comp := range pkg.Manifest.Components() {
@@ -368,40 +463,69 @@ func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
 }
 
 func (w *World) alloc(class string) *Object {
-	w.fields = append(w.fields, fieldMap{own: true})
-	return &Object{ID: len(w.fields) - 1, Class: class}
+	return &Object{ID: w.newSlot(), Class: class}
+}
+
+// newSlot adds an empty field slot and returns its object id.
+func (w *World) newSlot() int {
+	id := w.objects
+	w.objects++
+	if id%chunkLen == 0 {
+		w.fields = append(w.fields, &chunk{slots: make([]fieldSlot, 0, chunkLen), gen: w.gen})
+	}
+	ch := w.chunkFor(id)
+	ch.slots = append(ch.slots, fieldSlot{gen: w.gen})
+	return id
+}
+
+// chunkFor returns the chunk holding object id's slot, first copying it
+// if w may share it with a snapshot.
+func (w *World) chunkFor(id int) *chunk {
+	ch := w.fields[id/chunkLen]
+	if ch.gen != w.gen {
+		ch = &chunk{slots: append(make([]fieldSlot, 0, chunkLen), ch.slots...), gen: w.gen}
+		w.fields[id/chunkLen] = ch
+	}
+	return ch
 }
 
 // get reads a field of object id (0: the statics); unset fields are
 // null.
-func (w *World) get(id int, name string) Value { return w.fields[id].m[name] }
-
-// set writes a field of object id (0: the statics), first copying a map
-// the world may share with a snapshot.
-func (w *World) set(id int, name string, v Value) {
-	f := &w.fields[id]
-	if !f.own || f.m == nil {
-		m := make(map[string]Value, len(f.m)+1)
-		for k, x := range f.m {
-			m[k] = x
+func (w *World) get(id int, ref ir.FieldRef) Value {
+	for _, f := range w.fields[id/chunkLen].slots[id%chunkLen].fs {
+		if f.ref == ref {
+			return f.v
 		}
-		f.m, f.own = m, true
 	}
-	f.m[name] = v
+	return nil
+}
+
+// set writes a field of object id (0: the statics), first copying the
+// chunk and the entries the world may share with a snapshot.
+func (w *World) set(id int, ref ir.FieldRef, v Value) {
+	s := &w.chunkFor(id).slots[id%chunkLen]
+	if s.gen != w.gen {
+		s.fs = append(make([]field, 0, len(s.fs)+1), s.fs...)
+		s.gen = w.gen
+	}
+	for i := range s.fs {
+		if s.fs[i].ref == ref {
+			s.fs[i].v = v
+			return
+		}
+	}
+	s.fs = append(s.fs, field{ref, v})
 }
 
 // Snapshot returns a copy of w that Run can continue independently of
 // w. Take it between Run calls or from RunSnapshots; the copy stands at
 // the same choice point as w. Immutable parts (objects, events, queued
-// tasks, the recorded rows) are shared; field maps are shared until
-// either world writes them.
+// tasks, the recorded rows) are shared; field chunks and slices are
+// shared until either world writes them.
 func (w *World) Snapshot() *World {
 	c := *w
 	c.fields = slices.Clone(w.fields)
-	for i := range w.fields {
-		w.fields[i].own = false
-		c.fields[i].own = false
-	}
+	w.gen, c.gen = w.gens.Add(1), w.gens.Add(1)
 	c.looper = w.looper.clone()
 	c.bgs = make([]*executor, len(w.bgs))
 	for i, e := range w.bgs {
@@ -449,15 +573,11 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if n == "onResume" || n == "onPause" {
 				max = w.opts.MaxResumeCycles
 			}
-			ev := &extEvent{
-				name: "lifecycle:" + n, component: comp.Class,
-				m: m, recv: obj, args: lifecycleArgs(m),
+			ev := w.addEvent(extEvent{
+				kind: LifecycleEvent, component: comp.Class,
+				m: m, recv: obj, after: prev,
 				maxFires: max, uiLike: n != "onDestroy",
-			}
-			if prev != nil {
-				ev.after = []*extEvent{prev}
-			}
-			w.addEvent(ev)
+			}, "")
 			byName[n] = ev
 			prev = ev
 		}
@@ -476,16 +596,12 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if m == nil {
 				continue
 			}
-			ev := &extEvent{
-				name: "lifecycle:" + n, component: comp.Class,
-				m: m, recv: obj, args: lifecycleArgs(m),
+			w.addEvent(extEvent{
+				kind: LifecycleEvent, component: comp.Class,
+				m: m, recv: obj, after: byName["onCreate"],
 				maxFires: w.opts.MaxUIFires, uiLike: true,
 				needsResumed: hasResume,
-			}
-			if c := byName["onCreate"]; c != nil {
-				ev.after = []*extEvent{c}
-			}
-			w.addEvent(ev)
+			}, "")
 		}
 		w.hasResumeMethod[comp.Class] = hasResume
 	case manifest.ServiceComponent:
@@ -495,43 +611,51 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			if m == nil {
 				continue
 			}
-			ev := &extEvent{
-				name: "service:" + n, component: comp.Class,
-				m: m, recv: obj, args: lifecycleArgs(m),
+			ev := extEvent{
+				kind: ServiceEvent, component: comp.Class,
+				m: m, recv: obj,
 				maxFires: 1, uiLike: n != "onDestroy",
 			}
-			if n == "onDestroy" && prev != nil {
-				ev.after = []*extEvent{prev}
+			if n == "onDestroy" {
+				ev.after = prev
 			}
-			w.addEvent(ev)
+			added := w.addEvent(ev, "")
 			if n == "onCreate" {
-				prev = ev
+				prev = added
 			}
 		}
 	case manifest.ReceiverComponent:
 		m := w.h.Resolve(comp.Class, framework.ReceiverCallback)
 		if m != nil {
-			w.addEvent(&extEvent{
-				name: "receiver:" + framework.ReceiverCallback, component: comp.Class,
-				m: m, recv: obj, args: lifecycleArgs(m),
+			w.addEvent(extEvent{
+				kind: ReceiverEvent, component: comp.Class,
+				m: m, recv: obj,
 				maxFires: w.opts.MaxUIFires, uiLike: true,
-			})
+			}, "")
 		}
 	}
 }
 
-func lifecycleArgs(m *ir.Method) []Value {
-	return make([]Value, m.NumArgs)
-}
-
-func (w *World) addEvent(ev *extEvent) *extEvent {
-	ev.id = len(w.events)
-	ev.key = "event:" + strconv.Itoa(ev.id) + ":" + ev.name
-	if ev.m != nil {
-		ev.ref = ev.m.Ref()
+// addEvent installs ev, whose kind, callback, component and order the
+// caller has set, and returns the installed event. Every event takes the
+// next event id, but one the EventFilter rejects, or one ordered after a
+// rejected event, is never built: addEvent then returns rejected. qual
+// is the class of the object a run-time registration installed the
+// event for ("" for a manifest component's own callbacks).
+func (w *World) addEvent(ev extEvent, qual string) *extEvent {
+	id := w.nextEvent
+	w.nextEvent++
+	if ev.after == rejected || w.opts.EventFilter != nil && !w.opts.EventFilter(ev.kind, ev.m, ev.component) {
+		return rejected
 	}
-	// The filter is a pure function of fields fixed here.
-	ev.filtered = w.opts.EventFilter != nil && !w.opts.EventFilter(ev.ref, ev.component, ev.name)
+	n := strconv.Itoa(id)
+	if qual != "" {
+		ev.key = "event:" + n + ":" + kindPrefix[ev.kind] + qual + "." + ev.m.Name
+	} else {
+		ev.key = "event:" + n + ":" + kindPrefix[ev.kind] + ev.m.Name
+	}
+	ev.name = ev.key[len("event:")+len(n)+1:]
+	ev.row = len(w.events)
 	ev.comp = -1
 	if i, ok := w.compIndex[ev.component]; ok {
 		ev.comp = i
@@ -539,9 +663,11 @@ func (w *World) addEvent(ev *extEvent) *extEvent {
 	if ev.registrarTask == 0 {
 		ev.registrarTask = -1
 	}
-	w.events = append(w.events, ev)
+	e := new(extEvent)
+	*e = ev
+	w.events = append(w.events, e)
 	w.evs = append(w.evs, eventState{lastFiredTask: -1})
-	return ev
+	return e
 }
 
 // newTraceTask allocates a trace task id.
@@ -582,9 +708,12 @@ func (w *World) HeldWakeLocks() int { return w.wakeHeld }
 // Run returns).
 func (w *World) Schedule() *ScheduleInfo { return &w.info }
 
-func (w *World) tracef(format string, args ...interface{}) {
+// traceLine appends the concatenated parts to the execution trace
+// (Options.Trace). The parts are strings, so a call allocates nothing
+// while tracing is off.
+func (w *World) traceLine(parts ...string) {
 	if w.opts.Trace {
-		w.trace = append(w.trace, fmt.Sprintf(format, args...))
+		w.trace = append(w.trace, strings.Join(parts, ""))
 	}
 }
 
@@ -594,8 +723,7 @@ func (w *World) tracef(format string, args ...interface{}) {
 type option struct {
 	key string
 	// method is the entry method ref behind the option (the task or
-	// thread body it runs/starts). Run reads it only under
-	// Options.RecordChoices, the only mode that sets it for every option.
+	// thread body it runs/starts).
 	method string
 	ex     *executor
 	ev     *extEvent
@@ -618,13 +746,13 @@ func (w *World) options() []option {
 			// FIFO dispatch: the Android looper processes its queue in
 			// order, so only the head is dispatchable.
 			t := w.queue[0]
-			opts = append(opts, option{key: t.key, method: t.ref, t: t})
+			opts = append(opts, option{key: t.key, method: t.m.Ref(), t: t})
 		}
-		for _, ev := range w.events {
-			if !w.enabled(ev) {
+		for i, ev := range w.events {
+			if !w.enabled(ev, w.evs[i]) {
 				continue
 			}
-			opts = append(opts, option{key: ev.key, method: ev.ref, ev: ev})
+			opts = append(opts, option{key: ev.key, method: ev.m.Ref(), ev: ev})
 		}
 	}
 	for _, bg := range w.bgs {
@@ -644,7 +772,7 @@ func (w *World) take(o option) {
 	case o.ex != nil:
 		w.quantum(o.ex)
 	case o.ev != nil:
-		w.evs[o.ev.id].fired++
+		w.evs[o.ev.row].fired++
 		w.fireEvent(o.ev)
 	default:
 		w.queue = w.queue[1:]
@@ -662,66 +790,59 @@ func (w *World) Done() bool {
 }
 
 func (w *World) fireEvent(ev *extEvent) {
-	w.tracef("fire %s", ev.name)
-	if ev.comp >= 0 {
+	w.traceLine("fire ", ev.name)
+	if ev.comp >= 0 && ev.kind == LifecycleEvent {
 		c := &w.comps[ev.comp]
-		switch ev.name {
-		case "lifecycle:onDestroy":
+		switch ev.m.Name {
+		case "onDestroy":
 			c.destroyed = true
-		case "lifecycle:onResume":
+		case "onResume":
 			c.resumed = true
-		case "lifecycle:onPause":
+		case "onPause":
 			c.resumed = false
 		}
 	}
-	t := &task{name: ev.name, m: ev.m, recv: ev.recv, args: ev.args, component: ev.component, posterTask: -1, ref: ev.ref}
+	t := &task{name: ev.name, m: ev.m, recv: ev.recv, component: ev.component, posterTask: -1}
 	tid := w.startTask(w.looper, t)
 	// HB: registration precedes the callback; prior firings of HB-before
 	// events precede this one (the CAFA/DroidRacer event HB model).
 	w.hbEdge(ev.registrarTask, tid)
-	for _, a := range ev.after {
-		w.hbEdge(w.evs[a.id].lastFiredTask, tid)
+	if ev.after != nil {
+		w.hbEdge(w.evs[ev.after.row].lastFiredTask, tid)
 	}
-	w.evs[ev.id].lastFiredTask = tid
+	w.evs[ev.row].lastFiredTask = tid
 }
 
 func (w *World) startTask(e *executor, t *task) int {
-	w.tracef("start %s on %s", t.name, e.name)
+	w.traceLine("start ", t.name, " on ", e.name)
 	e.component = t.component
 	e.onDone = t.onDone
-	e.entry = t.ref
+	e.entry = t.m.Ref()
 	e.curTask = w.newTraceTask(t.name)
 	w.hbEdge(t.posterTask, e.curTask)
-	e.push(t.m, t.recv, t.args, ir.NoReg)
+	e.push(t.m, t.recv, t.args)
 	return e.curTask
 }
 
-func (e *executor) push(m *ir.Method, recv Value, args []Value, retTo int) {
-	e.pushWithSites(m, recv, args, retTo, ir.InstrID{}, nil)
-}
-
-// pushWithSites is push plus load-site attribution for the receiver and
-// arguments, so an NPE deep in a callee still names the getfield that
-// produced the null.
-func (e *executor) pushWithSites(m *ir.Method, recv Value, args []Value, retTo int, recvSite ir.InstrID, argSites []ir.InstrID) {
-	f := &frame{m: m, regs: make([]Value, m.NumRegs), retTo: retTo, loadSite: make([]ir.InstrID, m.NumRegs)}
+// push enters m as the outermost frame of a task or thread, with
+// receiver recv (ignored for static methods) and the given arguments;
+// missing arguments are null.
+func (e *executor) push(m *ir.Method, recv Value, args []Value) {
+	f := newFrame(m, ir.NoReg)
 	if !m.Static {
-		f.regs[m.ThisReg()] = recv
-		f.loadSite[m.ThisReg()] = recvSite
+		f.regs[m.ThisReg()] = reg{v: recv}
 	}
 	for i, a := range args {
 		if i < m.NumArgs {
-			f.regs[m.ArgReg(i)] = a
-			if i < len(argSites) {
-				f.loadSite[m.ArgReg(i)] = argSites[i]
-			}
+			f.regs[m.ArgReg(i)] = reg{v: a}
 		}
 	}
 	e.stack = append(e.stack, f)
 }
 
-// spawnBg starts a background thread executing m on recv.
-func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, component string, onDone cont) {
+// spawnBg starts a background thread executing m on recv, named prefix
+// + class.
+func (w *World) spawnBg(prefix, class string, m *ir.Method, recv Value, component string, onDone cont) {
 	if w.opts.SpawnFilter != nil && !w.opts.SpawnFilter(m.Class) {
 		// Focused exploration: this thread is irrelevant to the warning
 		// under validation. Its continuation still runs so AsyncTask
@@ -729,17 +850,14 @@ func (w *World) spawnBg(name string, m *ir.Method, recv Value, args []Value, com
 		w.runCont(onDone)
 		return
 	}
-	exName := fmt.Sprintf("%s#%d", name, w.nextEx)
-	e := &executor{id: w.nextEx, name: exName, key: "run:" + exName, component: component, onDone: onDone}
-	if w.opts.RecordChoices {
-		e.entry = m.Ref()
-	}
+	key := "run:" + prefix + class + "#" + strconv.Itoa(w.nextEx)
+	e := &executor{id: w.nextEx, name: key[len("run:"):], key: key, entry: m.Ref(), component: component, onDone: onDone}
 	w.nextEx++
-	e.curTask = w.newTraceTask(name)
+	e.curTask = w.newTraceTask(e.name[:len(prefix)+len(class)])
 	w.hbEdge(w.currentTask(), e.curTask)
-	e.push(m, recv, args, ir.NoReg)
+	e.push(m, recv, nil)
 	w.bgs = append(w.bgs, e)
-	w.tracef("spawn %s", e.name)
+	w.traceLine("spawn ", e.name)
 }
 
 // currentTask returns the trace task of the executor that is presently
@@ -755,11 +873,8 @@ func (w *World) currentTask() int {
 
 // enqueue appends a looper task, attributing the poster for HB.
 func (w *World) enqueue(t *task) {
-	w.tracef("enqueue %s", t.name)
+	w.traceLine("enqueue ", t.name)
 	t.posterTask = w.currentTask()
 	t.key = "dispatch:" + t.name
-	if w.opts.RecordChoices && t.m != nil {
-		t.ref = t.m.Ref()
-	}
 	w.queue = append(w.queue, t)
 }

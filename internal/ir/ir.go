@@ -120,6 +120,7 @@ func (c *Class) Field(name string) *Field { return c.fieldIdx[name] }
 func (c *Class) AddMethod(m *Method) *Method {
 	if m.Class == "" {
 		m.Class = c.Name
+		m.ref = m.Class + "." + m.Name
 	}
 	if _, dup := c.methodIdx[m.Name]; dup {
 		panic(fmt.Sprintf("ir: duplicate method %s.%s", c.Name, m.Name))
@@ -162,7 +163,9 @@ type MethodRef struct {
 func (r MethodRef) String() string { return r.Class + "." + r.Name }
 
 // Method is a single method body. Registers are dense ints starting at 0;
-// register 0 is `this` for instance methods, parameters follow.
+// register 0 is `this` for instance methods, parameters follow. Class and
+// Name are fixed once NewMethod (or AddMethod, for a method created
+// without a class) has run: Ref spells them from a copy made then.
 type Method struct {
 	Class    string
 	Name     string
@@ -174,6 +177,8 @@ type Method struct {
 	Labels   map[string]int // label -> index of labeled instruction
 
 	NumRegs int // 1 + NumArgs + locals; maintained by the builder
+
+	ref string // Class + "." + Name
 }
 
 // NewMethod returns an empty method. Callers normally use appbuilder
@@ -181,11 +186,13 @@ type Method struct {
 func NewMethod(class, name string, numArgs int) *Method {
 	m := &Method{Class: class, Name: name, NumArgs: numArgs, Labels: make(map[string]int)}
 	m.NumRegs = 1 + numArgs
+	m.ref = class + "." + name
 	return m
 }
 
-// Ref returns the canonical "Class.Name" spelling.
-func (m *Method) Ref() string { return m.Class + "." + m.Name }
+// Ref returns the canonical "Class.Name" spelling. It is stored, not
+// built, so callers on hot paths may call it freely.
+func (m *Method) Ref() string { return m.ref }
 
 // ThisReg returns the register holding the receiver (instance methods only).
 func (m *Method) ThisReg() int { return 0 }

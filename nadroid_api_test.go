@@ -1,6 +1,7 @@
 package nadroid_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -97,5 +98,16 @@ func TestAnalyzeWithValidation(t *testing.T) {
 		if !strings.HasPrefix(w.Field.Class, "ConnectBot/") {
 			t.Errorf("unexpected field %v", w.Field)
 		}
+	}
+}
+
+// TestAnalyzeSourceRejectsNegativeArity checks that a method declared
+// with a negative arg count is a parse error. It used to parse, and the
+// points-to solver then panicked on the method's register file.
+func TestAnalyzeSourceRejectsNegativeArity(t *testing.T) {
+	const src = "app a\nmanifest {\n  activity X main\n}\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n"
+	_, err := nadroid.AnalyzeSource(context.Background(), src, nadroid.Options{})
+	if err == nil || !strings.Contains(err.Error(), "dexasm: line 6: arg count -3") {
+		t.Fatalf("AnalyzeSource = %v, want the dexasm arg-count error", err)
 	}
 }
