@@ -304,16 +304,14 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 		if err != nil {
 			return err
 		}
-		regs := in.Uses()
-		if r, ok := in.DefReg(); ok {
-			regs = append(regs, r)
+		top, _ := in.DefReg() // NoReg when in defines none
+		for _, r := range in.Uses() {
+			top = max(top, r)
 		}
-		for _, r := range regs {
-			if r > regLimit {
-				return p.errf("register r%d above r%d in %s", r, regLimit, m.Ref())
-			}
-			maxReg = max(maxReg, r)
+		if top > regLimit {
+			return p.errf("register r%d above r%d in %s", top, regLimit, m.Ref())
 		}
+		maxReg = max(maxReg, top)
 		m.Instrs = append(m.Instrs, in)
 	}
 }
