@@ -163,8 +163,8 @@ func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
 // built over it.
 const cyclicHierarchy = "app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C extends cyc/B {\n}\n"
 
-// negativeArity used to parse, and nadroid.AnalyzeSource then panicked
-// in the points-to solver.
+// negativeArity declares a method whose register file would be smaller
+// than its receiver, which the points-to solver indexes.
 const negativeArity = "app a\nmanifest {\n  activity X main\n}\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n"
 
 func TestParseErrors(t *testing.T) {

@@ -102,8 +102,8 @@ func TestAnalyzeWithValidation(t *testing.T) {
 }
 
 // TestAnalyzeSourceRejectsNegativeArity checks that a method declared
-// with a negative arg count is a parse error. It used to parse, and the
-// points-to solver then panicked on the method's register file.
+// with a negative arg count is a parse error: its register file would
+// be smaller than the receiver the points-to solver indexes.
 func TestAnalyzeSourceRejectsNegativeArity(t *testing.T) {
 	const src = "app a\nmanifest {\n  activity X main\n}\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n"
 	_, err := nadroid.AnalyzeSource(context.Background(), src, nadroid.Options{})
