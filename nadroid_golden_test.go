@@ -26,6 +26,7 @@ import (
 	"nadroid/internal/explore"
 	"nadroid/internal/fingerprint"
 	"nadroid/internal/obs"
+	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
 
@@ -266,6 +267,87 @@ func TestWitnessGolden(t *testing.T) {
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s: validation differs from golden:\n got %+v\nwant %+v", want[i].App, got[i], want[i])
+		}
+	}
+}
+
+// goldenSolve is one app's record in testdata/golden/pointsto.json: the
+// points-to solve's statistics and the sizes of the call and spawn
+// graphs it discovered.
+type goldenSolve struct {
+	App        string `json:"app"`
+	Iterations int    `json:"iterations"`
+	DeltaObjs  int    `json:"delta_objs"`
+	VarFacts   int    `json:"var_facts"`
+	Objects    int    `json:"objects"`
+	MCtxs      int    `json:"mctxs"`
+	CallEdges  int    `json:"call_edges"`
+	SpawnEdges int    `json:"spawn_edges"`
+}
+
+const goldenSolvePath = goldenDir + "/pointsto.json"
+
+// runSolves threadifies every corpus app and each witnessSeeds random
+// spec, and returns the statistics of each app's points-to solve.
+func runSolves(t *testing.T) []goldenSolve {
+	t.Helper()
+	apps := corpus.Apps()
+	for _, seed := range witnessSeeds {
+		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
+	}
+	var out []goldenSolve
+	for _, app := range apps {
+		m, err := threadify.Build(app.Build(), threadify.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name(), err)
+		}
+		st := m.PTS.Stats()
+		out = append(out, goldenSolve{
+			App:        app.Name(),
+			Iterations: st.Iterations,
+			DeltaObjs:  st.DeltaObjs,
+			VarFacts:   st.VarFacts,
+			Objects:    st.Objects,
+			MCtxs:      st.MCtxs,
+			CallEdges:  len(m.PTS.CallEdges()),
+			SpawnEdges: len(m.PTS.SpawnEdges()),
+		})
+	}
+	return out
+}
+
+// TestPointsToGolden pins the points-to solve on every corpus app and on
+// Random1…Random6: worklist iterations, difference-propagation volume,
+// points-to facts, objects, method contexts, and call and spawn edges.
+// A solver change that reorders the worklist or moves a points-to set
+// shows up here even when no warning moves.
+func TestPointsToGolden(t *testing.T) {
+	got := runSolves(t)
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenSolvePath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden: rewrote %s for %d apps", goldenSolvePath, len(got))
+		return
+	}
+	data, err := os.ReadFile(goldenSolvePath)
+	if err != nil {
+		t.Fatalf("reading points-to golden (regenerate with -update-golden): %v", err)
+	}
+	var want []goldenSolve
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("corpus has %d apps, points-to golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: solve differs from golden:\n got %+v\nwant %+v", want[i].App, got[i], want[i])
 		}
 	}
 }
