@@ -125,40 +125,6 @@ func TestRoundTripStable(t *testing.T) {
 	}
 }
 
-// Property-style check over the whole corpus: every generated app
-// formats, re-parses, and re-formats identically, and the re-parsed app
-// produces the same analysis results.
-func TestCorpusRoundTripPreservesAnalysis(t *testing.T) {
-	for _, name := range []string{"ToDoList", "ConnectBot", "Aard"} {
-		app, ok := corpus.ByName(name)
-		if !ok {
-			t.Fatalf("unknown corpus app %s", name)
-		}
-		pkg := app.Build()
-		text := Format(pkg)
-		pkg2, err := Parse(text)
-		if err != nil {
-			t.Fatalf("%s: re-parse: %v", name, err)
-		}
-		if Format(pkg2) != text {
-			t.Errorf("%s: round trip unstable", name)
-		}
-		m1, err := threadify.Build(pkg, threadify.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := threadify.Build(pkg2, threadify.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d1, d2 := detectUAF(t, m1), detectUAF(t, m2)
-		s1, s2 := filters.Run(d1), filters.Run(d2)
-		if s1.Potential != s2.Potential || s1.AfterSound != s2.AfterSound || s1.AfterUnsound != s2.AfterUnsound {
-			t.Errorf("%s: analysis differs after round trip: %+v vs %+v", name, s1, s2)
-		}
-	}
-}
-
 // cyclicHierarchy parses line by line, but no class hierarchy can be
 // built over it.
 const cyclicHierarchy = "app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C extends cyc/B {\n}\n"
@@ -166,6 +132,15 @@ const cyclicHierarchy = "app cyc\nclass cyc/B extends cyc/C {\n}\nclass cyc/C ex
 // negativeArity declares a method whose register file would be smaller
 // than its receiver, which the points-to solver indexes.
 const negativeArity = "app a\nmanifest {\n  activity X main\n}\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n"
+
+// duplicateLabel defines L twice in one method.
+const duplicateLabel = "app a\nclass X extends java/lang/Object {\n  method m(0) {\n  L:\n    nop\n  L:\n    goto L\n  }\n}\n"
+
+// plusRegister and minusRegister spell registers with a sign.
+const (
+	plusRegister  = "app a\nclass X extends java/lang/Object {\n  method m(0) {\n    r1 = r+2\n    return\n  }\n}\n"
+	minusRegister = "app a\nclass X extends java/lang/Object {\n  method m(0) {\n    return r-1\n  }\n}\n"
+)
 
 func TestParseErrors(t *testing.T) {
 	bad := []struct {
@@ -193,6 +168,13 @@ func TestParseErrors(t *testing.T) {
 		{negativeArity, "dexasm: line 6: arg count -3 of X.onCreate outside [0, 255]"},
 		{"app a\nclass X extends java/lang/Object {\n  method onCreate(50000000) {\n    return\n  }\n}", "dexasm: line 3: arg count 50000000 of X.onCreate outside [0, 255]"},
 		{"app a\nclass X extends java/lang/Object {\n  method onCreate(0) {\n    r20000000 = null\n    return\n  }\n}", "dexasm: line 4: register r20000000 above r65535 in X.onCreate"},
+		// A label defined twice is an error: the later definition used to
+		// win, retargeting every goto and dropping the first from Format.
+		{duplicateLabel, "dexasm: line 6: duplicate label L in X.m"},
+		// A register is "r" and decimal digits: a sign used to be read
+		// as part of the number, so r+2 was r2 and r-1 was ir.NoReg.
+		{plusRegister, "dexasm: line 4: cannot parse instruction \"r1 = r+2\""},
+		{minusRegister, "dexasm: line 4: cannot parse instruction \"return r-1\""},
 	}
 	for _, c := range bad {
 		_, err := Parse(c.src)

@@ -11,12 +11,14 @@ import (
 // FuzzParse feeds arbitrary text to the parser, the decoder behind
 // `nadroid app.dexasm` and POST /v1/analyze bodies. Parse must never
 // panic, every method it accepts must keep its arg count within 0–255
-// and its registers within r0–r65535, a class hierarchy must build over
-// whatever it accepts (cha.New panics on what the analysis cannot
-// handle), and the accepted program must format to text that parses
-// back and formats identically (Format is a fixed point after one
-// round). The seeds are every formatted corpus app plus inputs that
-// once panicked or made the analysis run out of memory.
+// and its registers within r0–r65535 and have a body allocated at its
+// final size, a class hierarchy must build over whatever it accepts
+// (cha.New panics on what the analysis cannot handle), and the
+// accepted program must format to text that parses back and formats
+// identically (Format is a fixed point after one round). The seeds are
+// every formatted corpus app plus inputs that once panicked, made the
+// analysis run out of memory, or parsed to a different program than
+// they spell.
 func FuzzParse(f *testing.F) {
 	for _, name := range corpus.Names() {
 		app, _ := corpus.ByName(name)
@@ -27,6 +29,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("app a\nclass X extends android/app/Activity {\n  method onCreate(-3) {\n    return\n  }\n}\n")
 	f.Add("app a\nclass X extends android/app/Activity {\n  method onCreate(50000000) {\n    return\n  }\n}\n")
 	f.Add("app a\nclass X extends android/app/Activity {\n  method onCreate(1) {\n    r20000000 = null\n    return\n  }\n}\n")
+	f.Add("app a\nclass X extends java/lang/Object {\n  method m(0) {\n  L:\n    nop\n  L:\n    goto L\n  }\n}\n")
+	f.Add("app a\nclass X extends java/lang/Object {\n  method m(0) {\n    r1 = r+2\n    return r-1\n  }\n}\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		pkg, err := dexasm.Parse(src)
 		if err != nil {
@@ -36,6 +40,9 @@ func FuzzParse(f *testing.F) {
 			for _, m := range c.Methods {
 				if m.NumArgs < 0 || m.NumArgs > 255 || m.NumRegs > 65536 {
 					t.Fatalf("accepted %s with %d args and %d registers", m.Ref(), m.NumArgs, m.NumRegs)
+				}
+				if cap(m.Instrs) != len(m.Instrs) {
+					t.Fatalf("%s: body of %d instructions has capacity %d", m.Ref(), len(m.Instrs), cap(m.Instrs))
 				}
 			}
 		}

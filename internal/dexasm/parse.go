@@ -41,12 +41,37 @@ func (p *parser) next() (string, bool) {
 	for p.pos < len(p.lines) {
 		line := strings.TrimSpace(p.lines[p.pos])
 		p.pos++
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "//") {
+		if isBlank(line) {
 			continue
 		}
 		return line, true
 	}
 	return "", false
+}
+
+// isBlank reports whether a trimmed line is empty or a comment.
+func isBlank(line string) bool {
+	return line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "//")
+}
+
+// isLabel reports whether a trimmed method-body line defines a label.
+func isLabel(line string) bool { return strings.HasSuffix(line, ":") }
+
+// bodyLen counts the instruction lines from the cursor up to the next
+// closing brace (to the end of the input when there is none), so a
+// method body is allocated once at its final size.
+func (p *parser) bodyLen() int {
+	n := 0
+	for _, raw := range p.lines[p.pos:] {
+		line := strings.TrimSpace(raw)
+		if line == "}" {
+			break
+		}
+		if !isBlank(line) && !isLabel(line) {
+			n++
+		}
+	}
+	return n
 }
 
 func (p *parser) parse() (*apk.Package, error) {
@@ -287,6 +312,7 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	}
 
 	maxReg := m.NumRegs - 1
+	m.Instrs = make([]ir.Instr, 0, p.bodyLen())
 	for {
 		line, ok := p.next()
 		if !ok {
@@ -296,8 +322,12 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 			m.NumRegs = maxReg + 1
 			return nil
 		}
-		if strings.HasSuffix(line, ":") {
-			m.Labels[strings.TrimSuffix(line, ":")] = len(m.Instrs)
+		if isLabel(line) {
+			label := strings.TrimSuffix(line, ":")
+			if _, dup := m.Labels[label]; dup {
+				return p.errf("duplicate label %s in %s", label, m.Ref())
+			}
+			m.Labels[label] = len(m.Instrs)
 			continue
 		}
 		in, err := p.parseInstr(line)
@@ -504,9 +534,16 @@ func cutAssign(s string) (string, string, bool) {
 	return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+3:]), true
 }
 
+// parseReg decodes a register: "r" followed by decimal digits, with no
+// sign (strconv.Atoi alone would read "r-1" as ir.NoReg).
 func parseReg(s string) (int, error) {
-	if !strings.HasPrefix(s, "r") {
+	if len(s) < 2 || s[0] != 'r' {
 		return 0, fmt.Errorf("not a register: %q", s)
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, fmt.Errorf("not a register: %q", s)
+		}
 	}
 	return strconv.Atoi(s[1:])
 }
