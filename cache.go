@@ -36,12 +36,14 @@ import (
 // cold path with a logged skip.
 
 // AnalyzeSource analyzes an application given as dexasm source text. It
-// is the warm-start entry: the IR digest is computed from the source,
-// and when the store already holds a cold-start blob for it the dexasm
-// parse and the modeling phase are both skipped. Cold runs parse, then
-// delegate to AnalyzeContext (which writes the blob through the store).
+// is the warm-start entry: with a store attached, the IR digest is
+// computed from the source, and when the store already holds a
+// cold-start blob for it the dexasm parse and the modeling phase are
+// both skipped. Cold runs parse, then delegate to AnalyzeContext (which
+// writes the blob through the store). Without a store nothing reads the
+// digest, so none is computed.
 func AnalyzeSource(ctx context.Context, src string, opts Options) (*Result, error) {
-	if opts.IRDigest == "" {
+	if opts.IRDigest == "" && opts.Store != nil {
 		opts.IRDigest = store.IRDigest(src)
 	}
 	if dec := loadIRCache(ctx, opts); dec != nil {
