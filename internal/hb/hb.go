@@ -55,21 +55,20 @@ func BuildMHB(m *threadify.Model) *Graph {
 		}
 	}
 
-	// Index threads by entry method name for the structured relations.
-	nameOf := func(t *threadify.Thread) string {
-		if t.Kind == threadify.KindDummyMain {
-			return ""
+	// Each thread's entry method name, for the structured relations.
+	names := make([]string, n)
+	for i, t := range m.Threads {
+		if t.Kind != threadify.KindDummyMain {
+			_, names[i], _ = splitRef(t.Entry.Method)
 		}
-		_, name, _ := splitRef(t.Entry.Method)
-		return name
 	}
 
-	for _, a := range m.Threads {
-		for _, b := range m.Threads {
+	for i, a := range m.Threads {
+		for j, b := range m.Threads {
 			if a.ID == b.ID {
 				continue
 			}
-			an, bn := nameOf(a), nameOf(b)
+			an, bn := names[i], names[j]
 
 			// MHB-Service: same connection object and bind site.
 			if a.Post == framework.PostBindService && b.Post == framework.PostBindService &&

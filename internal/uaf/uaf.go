@@ -73,24 +73,27 @@ type Detection struct {
 	Model    *threadify.Model
 	Race     *race.Result
 	Warnings []*Warning
-	// accByID lets filters look up access metadata.
-	accByID map[int]race.Access
 }
 
-// AccessFor returns the access metadata for an id.
-func (d *Detection) AccessFor(id int) race.Access { return d.accByID[id] }
+// AccessFor returns the access metadata for an id, or the zero Access
+// for an id the race result does not hold. Access IDs are indexes into
+// Race.Accesses: race.CollectAccesses numbers them that way, and so
+// does the incremental pipeline when it concatenates thread partitions.
+func (d *Detection) AccessFor(id int) race.Access {
+	if d.Race == nil || id < 0 || id >= len(d.Race.Accesses) {
+		return race.Access{}
+	}
+	return d.Race.Accesses[id]
+}
 
 // Group assembles warnings from a race result, keyed by (field, use
 // instr, free instr).
 func Group(m *threadify.Model, rr *race.Result) *Detection {
-	d := &Detection{Model: m, Race: rr, accByID: make(map[int]race.Access)}
-	for _, a := range rr.Accesses {
-		d.accByID[a.ID] = a
-	}
+	d := &Detection{Model: m, Race: rr}
 	byKey := make(map[string]*Warning)
 	var order []string
 	for _, p := range rr.Pairs {
-		use, free := d.accByID[p.A], d.accByID[p.B]
+		use, free := d.AccessFor(p.A), d.AccessFor(p.B)
 		w := &Warning{Field: use.Field, Use: use.Instr, Free: free.Instr}
 		k := w.Key()
 		existing, ok := byKey[k]

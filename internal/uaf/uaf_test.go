@@ -115,6 +115,29 @@ func TestUseFreeRestriction(t *testing.T) {
 	}
 }
 
+// AccessFor reads an access by its ID, which is its index in the race
+// result, and returns the zero Access for an ID the result does not
+// hold.
+func TestAccessForIndexesAccesses(t *testing.T) {
+	d := detectPkg(t, buildConnectBotLike(t))
+	if len(d.Race.Accesses) == 0 {
+		t.Fatal("no accesses collected")
+	}
+	for i, a := range d.Race.Accesses {
+		if got := d.AccessFor(i); got.ID != i || got.Instr != a.Instr || got.Kind != a.Kind {
+			t.Errorf("AccessFor(%d) = %+v, want %+v", i, got, a)
+		}
+	}
+	for _, id := range []int{-1, len(d.Race.Accesses)} {
+		if got := d.AccessFor(id); got.Instr != (ir.InstrID{}) || got.ID != 0 || got.Objs != nil {
+			t.Errorf("AccessFor(%d) = %+v, want the zero Access", id, got)
+		}
+	}
+	if got := (&uaf.Detection{}).AccessFor(0); got.Instr != (ir.InstrID{}) {
+		t.Errorf("AccessFor on an empty detection = %+v, want the zero Access", got)
+	}
+}
+
 // The onServiceConnected store is a Write (not a free): no warning may
 // list it as its free side.
 func TestNonNullStoreIsNotAFree(t *testing.T) {
