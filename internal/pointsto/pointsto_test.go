@@ -316,3 +316,24 @@ func TestFactoryOracleAllocates(t *testing.T) {
 		t.Errorf("factory class = %q, want fa/W", res.Obj(a[0]).Class)
 	}
 }
+
+// The solver reserves its per-variable tables from registerTotal before
+// it knows which methods are reached, so a method whose body names one
+// high register must count for its size, not for its register number.
+func TestRegisterTotalBoundsSparseRegisters(t *testing.T) {
+	b := appbuilder.New("sparse")
+	c := b.Class("S", framework.Object)
+	dense := c.Method("dense", 1)
+	dense.ReturnReg(dense.New("S"))
+	sparse := c.Method("sparse", 0).Method()
+	sparse.Instrs = []ir.Instr{{Op: ir.OpConstNull, A: 65535}, {Op: ir.OpReturn, A: ir.NoReg}}
+	sparse.NumRegs = 65536
+	pkg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pkg.Program.Class("S").Method("dense")
+	if got, want := registerTotal(pkg.Program), d.NumRegs+3; got != want {
+		t.Errorf("registerTotal = %d, want %d (dense %d registers, sparse 1 receiver + 2 instructions)", got, want, d.NumRegs)
+	}
+}
