@@ -14,6 +14,7 @@ import (
 	"nadroid/internal/fingerprint"
 	"nadroid/internal/ircache"
 	"nadroid/internal/obs"
+	"nadroid/internal/race"
 	"nadroid/internal/store"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
@@ -122,8 +123,14 @@ func validationOptionsKey(k int, eopts explore.Options) string {
 // validateWithCache runs the validation sweep through the witness
 // cache: hits replay their stored outcome, misses explore and persist.
 // Results are in input order and identical to an uncached sweep.
-func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.Model, alive []*uaf.Warning, opts Options, eopts explore.Options, detectors []string) ([]explore.Validation, error) {
+//
+// Exploration prunes by partial-order reduction: the callback conflict
+// relation, derived from the detection-phase accesses, lets the
+// explorer execute one schedule per trace-equivalence class. It is
+// built only when some warning is explored.
+func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.Model, accesses []race.Access, alive []*uaf.Warning, opts Options, eopts explore.Options, detectors []string) ([]explore.Validation, error) {
 	if opts.Store == nil || opts.IRDigest == "" {
+		eopts.Conflicts = explore.NewConflicts(model, accesses)
 		return explore.ValidateAllDetailed(ctx, pkg, model, alive, eopts)
 	}
 	log := obs.Logger(ctx)
@@ -140,7 +147,7 @@ func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.M
 	for i, w := range alive {
 		fps[i] = string(fingerprint.Warning(model, w))
 		keys[i] = store.WitnessKey(opts.IRDigest, fps[i], optKey, names)
-		e, err := opts.Store.GetWitness(keys[i])
+		e, err := opts.Store.GetWitness(keys[i], opts.IRDigest, fps[i])
 		if err != nil {
 			log.Warn("witness cache: skipping corrupt entry, re-exploring", "error", err)
 		}
@@ -172,6 +179,7 @@ func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.M
 	if len(misses) == 0 {
 		return vals, nil
 	}
+	eopts.Conflicts = explore.NewConflicts(model, accesses)
 	fresh, ferr := explore.ValidateAllDetailed(ctx, pkg, model, misses, eopts)
 	for j, v := range fresh {
 		i := missIdx[j]

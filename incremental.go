@@ -211,7 +211,11 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 		}
 		perThread[t] = race.CollectThreadAccesses(model, t)
 	}
-	var accesses []race.Access
+	n := 0
+	for _, part := range perThread {
+		n += len(part)
+	}
+	accesses := make([]race.Access, 0, n)
 	for _, part := range perThread {
 		for _, a := range part {
 			a.ID = len(accesses)

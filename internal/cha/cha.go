@@ -13,61 +13,107 @@ import (
 // program. It satisfies framework.Hierarchy.
 type Hierarchy struct {
 	prog *ir.Program
-	// supers[c] is the transitive set of superclasses and implemented
-	// interfaces of c, including c itself.
-	supers map[string]map[string]bool
+	// id numbers every class name the program declares or names as a
+	// supertype. Names that some class names as a supertype come first:
+	// only they can be a proper ancestor, so an ancestor bitset needs
+	// one bit for each of the first nsup numbers and no more.
+	id   map[string]int32
+	nsup int
+	// anc holds, for the class numbered i, the bitset of its ancestors
+	// (itself included when it is a supertype) in words [i*words,
+	// (i+1)*words).
+	anc   []uint64
+	words int
 }
 
 // New builds the hierarchy. Unknown supertype names are tolerated (they
 // behave as opaque externals); analyses only need what is declared. New
 // panics on a cyclic hierarchy, which dexasm.Parse rejects up front.
 func New(prog *ir.Program) *Hierarchy {
-	h := &Hierarchy{
-		prog:   prog,
-		supers: make(map[string]map[string]bool),
+	classes := prog.Classes()
+	h := &Hierarchy{prog: prog, id: make(map[string]int32, len(classes))}
+	number := func(name string) {
+		if _, ok := h.id[name]; !ok {
+			h.id[name] = int32(len(h.id))
+		}
 	}
-	for _, c := range prog.Classes() {
-		h.supers[c.Name] = h.computeSupers(c.Name, make(map[string]bool))
+	for _, c := range classes {
+		if c.Super != "" {
+			number(c.Super)
+		}
+		for _, i := range c.Interfaces {
+			number(i)
+		}
+	}
+	h.nsup = len(h.id)
+	for _, c := range classes {
+		number(c.Name)
+	}
+	h.words = (h.nsup + 63) / 64
+	h.anc = make([]uint64, len(h.id)*h.words)
+
+	const (
+		pending = iota
+		active
+		done
+	)
+	state := make([]uint8, len(h.id))
+	var fill func(name string) []uint64
+	fill = func(name string) []uint64 {
+		i := h.id[name]
+		row := h.row(i)
+		switch state[i] {
+		case done:
+			return row
+		case active:
+			panic("cha: cyclic class hierarchy at " + name)
+		}
+		state[i] = active
+		if int(i) < h.nsup {
+			row[i/64] |= 1 << (i % 64)
+		}
+		if c := prog.Class(name); c != nil {
+			if c.Super != "" {
+				orInto(row, fill(c.Super))
+			}
+			for _, s := range c.Interfaces {
+				orInto(row, fill(s))
+			}
+		}
+		state[i] = done
+		return row
+	}
+	for _, c := range classes {
+		fill(c.Name)
 	}
 	return h
 }
 
-func (h *Hierarchy) computeSupers(name string, guard map[string]bool) map[string]bool {
-	if s, ok := h.supers[name]; ok {
-		return s
+func (h *Hierarchy) row(i int32) []uint64 {
+	return h.anc[int(i)*h.words : (int(i)+1)*h.words]
+}
+
+func orInto(dst, src []uint64) {
+	for k, w := range src {
+		dst[k] |= w
 	}
-	if guard[name] {
-		panic("cha: cyclic class hierarchy at " + name)
-	}
-	guard[name] = true
-	set := map[string]bool{name: true}
-	c := h.prog.Class(name)
-	if c == nil {
-		h.supers[name] = set
-		return set
-	}
-	if c.Super != "" {
-		for s := range h.computeSupers(c.Super, guard) {
-			set[s] = true
-		}
-	}
-	for _, i := range c.Interfaces {
-		for s := range h.computeSupers(i, guard) {
-			set[s] = true
-		}
-	}
-	h.supers[name] = set
-	return set
 }
 
 // IsSubtypeOf reports whether sub is super or transitively extends or
 // implements it.
 func (h *Hierarchy) IsSubtypeOf(sub, super string) bool {
-	s, ok := h.supers[sub]
-	if !ok {
-		return sub == super
+	if sub == super {
+		return true
 	}
-	return s[super]
+	s, ok := h.id[sub]
+	if !ok {
+		return false
+	}
+	p, ok := h.id[super]
+	if !ok || int(p) >= h.nsup {
+		return false
+	}
+	return h.row(s)[p/64]&(1<<(p%64)) != 0
 }
 
 // Program returns the underlying program.

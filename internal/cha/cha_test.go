@@ -3,7 +3,9 @@ package cha
 import (
 	"testing"
 
+	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/corpus"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
 )
@@ -87,5 +89,79 @@ func TestFieldResolutionAcrossHierarchy(t *testing.T) {
 	}
 	if h.DeclaringClassOfField(ir.FieldRef{Class: "f/Sub", Name: "missing"}) != nil {
 		t.Error("missing fields resolve to nil")
+	}
+}
+
+// corpusPackages builds the 30 corpus apps and corpus.RandomSpec seeds
+// 1–6.
+func corpusPackages() []*apk.Package {
+	var pkgs []*apk.Package
+	for _, name := range corpus.Names() {
+		app, _ := corpus.ByName(name)
+		pkgs = append(pkgs, app.Build())
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		pkgs = append(pkgs, corpus.RandomSpec(seed).Build())
+	}
+	return pkgs
+}
+
+// walkSubtype is the reference IsSubtypeOf: a walk up Super and
+// Interfaces from sub.
+func walkSubtype(prog *ir.Program, sub, super string) bool {
+	if sub == super {
+		return true
+	}
+	c := prog.Class(sub)
+	if c == nil {
+		return false
+	}
+	if c.Super != "" && walkSubtype(prog, c.Super, super) {
+		return true
+	}
+	for _, i := range c.Interfaces {
+		if walkSubtype(prog, i, super) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestIsSubtypeOfMatchesWalk checks the ancestor bitsets against the
+// walk for every pair of class names a program declares or names as a
+// supertype, plus a name it never mentions. Corpus programs declare
+// their framework classes, so a hand-built program names undeclared
+// supertypes, one of them through a declared interface.
+func TestIsSubtypeOfMatchesWalk(t *testing.T) {
+	ext := ir.NewProgram()
+	a := ir.NewClass("x/A", "ext/Base")
+	a.Interfaces = []string{"ext/I", "x/J"}
+	j := ir.NewClass("x/J", "")
+	j.IsIface = true
+	j.Interfaces = []string{"ext/K"}
+	for _, c := range []*ir.Class{a, j, ir.NewClass("x/B", "x/A"), ir.NewClass("x/C", "ext/Base")} {
+		ext.AddClass(c)
+	}
+	pkgs := append(corpusPackages(), &apk.Package{Name: "undeclared", Program: ext})
+	for _, pkg := range pkgs {
+		prog := pkg.Program
+		h := New(prog)
+		names := []string{"no/Such"}
+		seen := map[string]bool{}
+		for _, c := range prog.Classes() {
+			for _, name := range append([]string{c.Name, c.Super}, c.Interfaces...) {
+				if name != "" && !seen[name] {
+					seen[name] = true
+					names = append(names, name)
+				}
+			}
+		}
+		for _, sub := range names {
+			for _, super := range names {
+				if got, want := h.IsSubtypeOf(sub, super), walkSubtype(prog, sub, super); got != want {
+					t.Errorf("%s: IsSubtypeOf(%s, %s) = %v, want %v", pkg.Name, sub, super, got, want)
+				}
+			}
+		}
 	}
 }

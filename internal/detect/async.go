@@ -142,7 +142,7 @@ func threadControlled(m *threadify.Model, th *threadify.Thread) bool {
 		if other.Kind == threadify.KindDummyMain || other.Component != th.Component {
 			continue
 		}
-		for mc := range m.Reach(other.ID) {
+		for _, mc := range m.Reach(other.ID) {
 			mth, err := m.H.MethodByRef(mc.Method)
 			if err != nil || mth.Abstract {
 				continue
@@ -184,7 +184,7 @@ func resultCancelled(m *threadify.Model, th *threadify.Thread) bool {
 	}
 	recv := make(map[pointsto.ObjID]bool)
 	if th.Parent >= 0 {
-		for mc := range m.Reach(th.Parent) {
+		for _, mc := range m.Reach(th.Parent) {
 			if mc.Method != th.Site.Method {
 				continue
 			}
@@ -200,7 +200,7 @@ func resultCancelled(m *threadify.Model, th *threadify.Thread) bool {
 		if other.Kind == threadify.KindDummyMain || other.Component != th.Component {
 			continue
 		}
-		for mc := range m.Reach(other.ID) {
+		for _, mc := range m.Reach(other.ID) {
 			cm, err := m.H.MethodByRef(mc.Method)
 			if err != nil || cm.Abstract {
 				continue

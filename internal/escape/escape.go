@@ -162,7 +162,7 @@ type rootSets struct {
 // thread returns the root set of thread t.
 func (r *rootSets) thread(t int) pointsto.Bitset {
 	var out pointsto.Bitset
-	for mc := range r.m.Reach(t) {
+	for _, mc := range r.m.Reach(t) {
 		set, ok := r.memo[mc]
 		if !ok {
 			set = r.context(mc)

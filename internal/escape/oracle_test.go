@@ -207,7 +207,7 @@ func modelInput(m *threadify.Model) escapeInput {
 			continue
 		}
 		roots := []pointsto.ObjID{}
-		for mc := range m.Reach(th.ID) {
+		for _, mc := range m.Reach(th.ID) {
 			mth, err := m.H.MethodByRef(mc.Method)
 			if err != nil || mth.Abstract {
 				continue

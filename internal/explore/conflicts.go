@@ -158,7 +158,7 @@ func NewConflicts(model *threadify.Model, accesses []race.Access) *Conflicts {
 			s.queue = true
 			s.quantumClean = false
 		}
-		for mc := range model.Reach(t.ID) {
+		for _, mc := range model.Reach(t.ID) {
 			if s.reach[mc.Method] {
 				continue
 			}

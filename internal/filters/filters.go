@@ -41,12 +41,12 @@ type Context struct {
 	// looper threads break it, downgrading IG/IA to lock-only atomicity.
 	trustLooperAtomicity bool
 	// locks (the must-held lock analysis) and accIdx (which resolves
-	// (thread, instr, kind) to the access record) answer the lock half of
+	// (thread, instr, kind) to the access ID) answer the lock half of
 	// atomicPair. The looper settles most pairs, so both are built on
 	// first need.
 	lockOnce sync.Once
 	locks    *lockset.Result
-	accIdx   map[accKey]race.Access
+	accIdx   map[accKey]int
 	// methodCache avoids re-fetching methods and factsCache re-running
 	// the pattern analyses of a method. The pipeline applies filters to
 	// one warning at a time; mu guards both caches so a Context stays
@@ -139,18 +139,6 @@ func (ctx *Context) facts(mth *ir.Method) *methodFacts {
 	return f
 }
 
-// useAccess finds the use-side access of a warning for a thread pair.
-func (ctx *Context) useAccess(w *uaf.Warning, p uaf.ThreadPair) (race.Access, bool) {
-	a, ok := ctx.accIdx[accKey{p.Use, w.Use, race.Read}]
-	return a, ok
-}
-
-// freeAccess finds the free-side access of a warning for a thread pair.
-func (ctx *Context) freeAccess(w *uaf.Warning, p uaf.ThreadPair) (race.Access, bool) {
-	a, ok := ctx.accIdx[accKey{p.Free, w.Free, race.NullWrite}]
-	return a, ok
-}
-
 // atomicPair reports whether the two sides of the pair execute atomically
 // with respect to each other: both on the single main looper (callbacks
 // never preempt callbacks), or both holding a common lock (§6.1.2).
@@ -163,11 +151,12 @@ func (ctx *Context) atomicPair(w *uaf.Warning, p uaf.ThreadPair) bool {
 	if ctx.locks.None() {
 		return false
 	}
-	ua, ok1 := ctx.useAccess(w, p)
-	fa, ok2 := ctx.freeAccess(w, p)
+	ui, ok1 := ctx.accIdx[accKey{p.Use, w.Use, race.Read}]
+	fi, ok2 := ctx.accIdx[accKey{p.Free, w.Free, race.NullWrite}]
 	if !ok1 || !ok2 {
 		return false
 	}
+	ua, fa := &ctx.D.Race.Accesses[ui], &ctx.D.Race.Accesses[fi]
 	return ctx.locks.CommonLock(ua.MCtx, ua.Index, fa.MCtx, fa.Index)
 }
 
@@ -178,9 +167,10 @@ func (ctx *Context) buildLockIndex() {
 	if ctx.locks.None() {
 		return
 	}
-	ctx.accIdx = make(map[accKey]race.Access, len(ctx.D.Race.Accesses))
-	for _, a := range ctx.D.Race.Accesses {
-		ctx.accIdx[accKey{a.Thread, a.Instr, a.Kind}] = a
+	ctx.accIdx = make(map[accKey]int, len(ctx.D.Race.Accesses))
+	for i := range ctx.D.Race.Accesses {
+		a := &ctx.D.Race.Accesses[i]
+		ctx.accIdx[accKey{a.Thread, a.Instr, a.Kind}] = i
 	}
 }
 
@@ -194,7 +184,7 @@ func (ctx *Context) cancelsOf(t int) []cancelOp {
 	}
 	var ops []cancelOp
 	if ctx.Model.Threads[t].Kind != threadify.KindDummyMain {
-		for mc := range ctx.Model.Reach(t) {
+		for _, mc := range ctx.Model.Reach(t) {
 			mcOps, ok := ctx.ctxCancels[mc]
 			if !ok {
 				mcOps = ctx.cancelOps(mc)

@@ -262,18 +262,8 @@ func ThreadSignature(m *threadify.Model, thread int, methodDigests map[string]ui
 		return ThreadSig{Dummy: true}
 	}
 	acc := newHasher()
-	mcs := make([]threadify.MCtx, 0, len(m.Reach(thread)))
-	for mc := range m.Reach(thread) {
-		mcs = append(mcs, mc)
-	}
-	sort.Slice(mcs, func(i, j int) bool {
-		if mcs[i].Method != mcs[j].Method {
-			return mcs[i].Method < mcs[j].Method
-		}
-		return mcs[i].Recv < mcs[j].Recv
-	})
 	pts := m.PTS
-	for _, mc := range mcs {
+	for _, mc := range m.Reach(thread) {
 		mth, err := m.H.MethodByRef(mc.Method)
 		if err != nil || mth.Abstract {
 			continue

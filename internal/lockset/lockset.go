@@ -13,7 +13,7 @@
 package lockset
 
 import (
-	"sort"
+	"slices"
 
 	"nadroid/internal/ir"
 	"nadroid/internal/pointsto"
@@ -25,53 +25,79 @@ type LockID = pointsto.ObjID
 
 // Result answers "which locks are definitely held here".
 type Result struct {
-	m *threadify.Model
-	// entry[mc] is the set of locks held on every path reaching mc.
-	entry map[threadify.MCtx]lockSet
-	// intra caches per-method monitor-region analyses.
-	intra map[string][]lockSet // method ref -> per-instruction held set
+	m    *threadify.Model
+	ctxs map[threadify.MCtx]*ctxLocks
+	// live caches, per method, which instructions its entry reaches.
+	live map[*ir.Method][]bool
 	// none records that the program takes no lock at all.
 	none bool
 }
 
-type lockSet map[LockID]struct{}
-
-func (s lockSet) clone() lockSet {
-	out := make(lockSet, len(s))
-	for k := range s {
-		out[k] = struct{}{}
-	}
-	return out
+// ctxLocks is what one method context holds.
+type ctxLocks struct {
+	// entry is the set of locks held on every path reaching the context.
+	entry lockSet
+	// mth is the context's method, nil when abstract or unresolvable.
+	mth *ir.Method
+	// base is entry plus the receiver lock of a synchronized method.
+	base lockSet
+	// held is the per-instruction held set of a method with monitor
+	// instructions. It is nil for a method without them, where every
+	// instruction the entry reaches holds base (live marks those
+	// instructions, and is nil when base is empty).
+	held []lockSet
+	live []bool
 }
 
+// lockSet is a sorted set of locks. A set is never modified once built,
+// so vectors, contexts and call edges share them.
+type lockSet []LockID
+
+// with returns s plus objs, or s itself when it holds them all.
+func (s lockSet) with(objs []LockID) lockSet {
+	for _, o := range objs {
+		i, found := slices.BinarySearch(s, o)
+		if !found {
+			s = slices.Insert(slices.Clip(s), i, o)
+		}
+	}
+	return s
+}
+
+// without returns s minus objs, or s itself when it holds none of them.
+func (s lockSet) without(objs []LockID) lockSet {
+	for _, o := range objs {
+		if i, found := slices.BinarySearch(s, o); found {
+			s = slices.Delete(slices.Clone(s), i, i+1)
+		}
+	}
+	return s
+}
+
+// intersect returns a ∩ b, or a itself when b holds all of a.
 func intersect(a, b lockSet) lockSet {
-	out := make(lockSet)
-	for k := range a {
-		if _, ok := b[k]; ok {
-			out[k] = struct{}{}
+	var out lockSet
+	for k, o := range a {
+		if _, found := slices.BinarySearch(b, o); found {
+			if out != nil {
+				out = append(out, o)
+			}
+		} else if out == nil {
+			out = append(make(lockSet, 0, len(a)), a[:k]...)
 		}
+	}
+	if out == nil {
+		return a
 	}
 	return out
-}
-
-func equal(a, b lockSet) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if _, ok := b[k]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Analyze computes lock sets for every method context in the model.
 func Analyze(m *threadify.Model) *Result {
 	r := &Result{
-		m:     m,
-		entry: make(map[threadify.MCtx]lockSet),
-		intra: make(map[string][]lockSet),
+		m:    m,
+		ctxs: make(map[threadify.MCtx]*ctxLocks),
+		live: make(map[*ir.Method][]bool),
 	}
 	if !acquiresAny(m.H.Program()) {
 		r.none = true
@@ -89,37 +115,39 @@ func Analyze(m *threadify.Model) *Result {
 		if th.Kind == threadify.KindDummyMain {
 			continue
 		}
-		work = append(work, edge{th.Entry, make(lockSet)})
+		work = append(work, edge{th.Entry, nil})
 	}
 	for len(work) > 0 {
 		e := work[len(work)-1]
 		work = work[:len(work)-1]
-		cur, seen := r.entry[e.to]
-		var next lockSet
+		c, seen := r.ctxs[e.to]
 		if !seen {
-			next = e.held.clone()
+			c = &ctxLocks{entry: e.held}
+			if mth, err := m.H.MethodByRef(e.to.Method); err == nil && !mth.Abstract {
+				c.mth = mth
+			}
+			r.ctxs[e.to] = c
 		} else {
-			next = intersect(cur, e.held)
-			if equal(next, cur) {
+			next := intersect(c.entry, e.held)
+			if len(next) == len(c.entry) {
 				continue
 			}
+			c.entry = next
 		}
-		r.entry[e.to] = next
-
-		mth, err := m.H.MethodByRef(e.to.Method)
-		if err != nil || mth.Abstract {
+		if c.mth == nil {
 			continue
 		}
-		held := r.heldVector(e.to, mth, next)
+		r.settle(e.to, c)
 		// Propagate to callees; only invokes have call edges.
-		for i, in := range mth.Instrs {
+		for i, in := range c.mth.Instrs {
 			if in.Op != ir.OpInvoke && in.Op != ir.OpInvokeStatic {
 				continue
 			}
+			held := c.at(i)
 			for _, callee := range m.PTS.CalleeContextsAt(e.to.Method, e.to.Recv, i) {
 				work = append(work, edge{
 					to:   threadify.MCtx{Method: callee.Method, Recv: callee.Recv},
-					held: held[i],
+					held: held,
 				})
 			}
 		}
@@ -127,76 +155,91 @@ func Analyze(m *threadify.Model) *Result {
 	return r
 }
 
-// heldVector computes the per-instruction must-held set inside one
-// method context, given the locks held on entry.
-func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, entry lockSet) []lockSet {
-	n := len(mth.Instrs)
-	out := make([]lockSet, n+1)
-	base := entry.clone()
+// settle derives what each instruction of c holds from its entry set:
+// a held vector for a method with monitor instructions, base and the
+// reached instructions otherwise.
+func (r *Result) settle(mc threadify.MCtx, c *ctxLocks) {
+	mth := c.mth
+	c.base = c.entry
 	if mth.Synch && !mth.Static {
-		for _, o := range mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.ThisReg())) {
-			base[o] = struct{}{}
-		}
+		c.base = c.base.with(mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.ThisReg())))
 	}
-	if len(base) == 0 && !acquires(mth) {
-		// Nothing is held on entry and nothing is acquired: every
-		// instruction holds the empty set. Held sets are never mutated
-		// once built, so one empty set serves them all.
-		empty := make(lockSet)
-		for i := range out {
-			out[i] = empty
-		}
-		return out
+	c.held, c.live = nil, nil
+	if monitors(mth) {
+		c.held = r.heldVector(mc, mth, c.base)
+		return
 	}
-	// Forward must-dataflow over the CFG.
+	if len(c.base) > 0 {
+		live, ok := r.live[mth]
+		if !ok {
+			g := ir.BuildCFG(mth)
+			reached := g.Reachable()
+			live = make([]bool, len(mth.Instrs))
+			for i := range live {
+				live[i] = reached[g.BlockOf(i)]
+			}
+			r.live[mth] = live
+		}
+		c.live = live
+	}
+}
+
+// at returns the set held at instruction i of c's method.
+func (c *ctxLocks) at(i int) lockSet {
+	if c.held != nil {
+		return c.held[i]
+	}
+	if c.live != nil && !c.live[i] {
+		return nil
+	}
+	return c.base
+}
+
+// heldVector computes the per-instruction must-held set inside one
+// method context by a forward must-dataflow over the CFG, given the
+// locks held on entry. Instructions the entry does not reach hold
+// nothing.
+func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, base lockSet) []lockSet {
+	held := make([]lockSet, len(mth.Instrs))
 	g := ir.BuildCFG(mth)
 	in := make([]lockSet, len(g.Blocks))
-	in[0] = base
-	work := []int{0}
+	reached := make([]bool, len(g.Blocks))
 	inWork := make([]bool, len(g.Blocks))
-	inWork[0] = true
+	in[0], reached[0], inWork[0] = base, true, true
+	work := []int{0}
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		inWork[b] = false
-		state := in[b].clone()
+		state := in[b]
 		blk := g.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			out[i] = state.clone()
-			switch mth.Instrs[i].Op {
+			held[i] = state
+			switch ins := mth.Instrs[i]; ins.Op {
 			case ir.OpMonitorEnter:
-				for _, o := range mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.Instrs[i].B)) {
-					state[o] = struct{}{}
-				}
+				state = state.with(mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, ins.B)))
 			case ir.OpMonitorExit:
-				for _, o := range r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.Instrs[i].B) {
-					delete(state, o)
-				}
+				state = state.without(r.m.PTS.PointsTo(mc.Method, mc.Recv, ins.B))
 			}
 		}
 		for _, s := range blk.Succs {
-			var merged lockSet
-			if in[s] == nil {
-				merged = state.clone()
+			if !reached[s] {
+				reached[s] = true
+				in[s] = state
 			} else {
-				merged = intersect(in[s], state)
-				if equal(merged, in[s]) {
+				merged := intersect(in[s], state)
+				if len(merged) == len(in[s]) {
 					continue
 				}
+				in[s] = merged
 			}
-			in[s] = merged
 			if !inWork[s] {
 				work = append(work, s)
 				inWork[s] = true
 			}
 		}
 	}
-	for i := range out {
-		if out[i] == nil {
-			out[i] = make(lockSet)
-		}
-	}
-	return out
+	return held
 }
 
 // acquiresAny reports whether any method of prog takes a lock: a
@@ -204,18 +247,23 @@ func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, entry lockSet) []
 func acquiresAny(prog *ir.Program) bool {
 	for _, c := range prog.Classes() {
 		for _, mth := range c.Methods {
-			if (mth.Synch && !mth.Static) || acquires(mth) {
+			if mth.Synch && !mth.Static {
 				return true
+			}
+			for _, in := range mth.Instrs {
+				if in.Op == ir.OpMonitorEnter {
+					return true
+				}
 			}
 		}
 	}
 	return false
 }
 
-// acquires reports whether mth contains a monitorenter.
-func acquires(mth *ir.Method) bool {
+// monitors reports whether mth contains a monitor instruction.
+func monitors(mth *ir.Method) bool {
 	for _, in := range mth.Instrs {
-		if in.Op == ir.OpMonitorEnter {
+		if in.Op == ir.OpMonitorEnter || in.Op == ir.OpMonitorExit {
 			return true
 		}
 	}
@@ -234,24 +282,14 @@ func mustAlias(objs []pointsto.ObjID) []pointsto.ObjID {
 func (r *Result) None() bool { return r.none }
 
 // HeldAt returns the locks definitely held at instruction idx of the
-// given method context, sorted.
+// given method context, sorted. The slice is shared: callers must not
+// modify it.
 func (r *Result) HeldAt(mc threadify.MCtx, idx int) []LockID {
-	entry, ok := r.entry[mc]
-	if !ok {
+	c, ok := r.ctxs[mc]
+	if !ok || c.mth == nil || idx < 0 || idx >= len(c.mth.Instrs) {
 		return nil
 	}
-	mth, err := r.m.H.MethodByRef(mc.Method)
-	if err != nil || mth.Abstract || idx >= len(mth.Instrs) {
-		return nil
-	}
-	vec := r.heldVector(mc, mth, entry)
-	set := vec[idx]
-	out := make([]LockID, 0, len(set))
-	for o := range set {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return c.at(idx)
 }
 
 // CommonLock reports whether the two sites definitely hold a common lock.
@@ -260,13 +298,8 @@ func (r *Result) CommonLock(a threadify.MCtx, ai int, b threadify.MCtx, bi int) 
 	if len(la) == 0 {
 		return false
 	}
-	lb := r.HeldAt(b, bi)
-	set := make(map[LockID]bool, len(la))
-	for _, l := range la {
-		set[l] = true
-	}
-	for _, l := range lb {
-		if set[l] {
+	for _, l := range r.HeldAt(b, bi) {
+		if _, found := slices.BinarySearch(la, l); found {
 			return true
 		}
 	}

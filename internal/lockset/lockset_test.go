@@ -1,11 +1,13 @@
 package lockset
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/corpus"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
 	"nadroid/internal/threadify"
@@ -230,5 +232,209 @@ func TestInterproceduralLockPropagation(t *testing.T) {
 	}
 	if got := r.HeldAt(mc, idx); len(got) != 1 {
 		t.Errorf("callee access holds %v, want the caller's lock", got)
+	}
+}
+
+// refLocks is the map-based must-held analysis the package used to
+// run, kept as the reference for Analyze: per-context entry sets
+// propagated over call edges, and a per-instruction vector rebuilt by
+// the CFG dataflow for every query.
+type refLocks struct {
+	m     *threadify.Model
+	entry map[threadify.MCtx]map[LockID]bool
+}
+
+func refClone(s map[LockID]bool) map[LockID]bool {
+	out := make(map[LockID]bool, len(s))
+	for k := range s {
+		out[k] = true
+	}
+	return out
+}
+
+func refIntersect(a, b map[LockID]bool) map[LockID]bool {
+	out := make(map[LockID]bool)
+	for k := range a {
+		if b[k] {
+			out[k] = true
+		}
+	}
+	return out
+}
+
+func refEqual(a, b map[LockID]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
+func refAnalyze(m *threadify.Model) *refLocks {
+	r := &refLocks{m: m, entry: make(map[threadify.MCtx]map[LockID]bool)}
+	type edge struct {
+		to   threadify.MCtx
+		held map[LockID]bool
+	}
+	var work []edge
+	for _, th := range m.Threads {
+		if th.Kind != threadify.KindDummyMain {
+			work = append(work, edge{th.Entry, map[LockID]bool{}})
+		}
+	}
+	for len(work) > 0 {
+		e := work[len(work)-1]
+		work = work[:len(work)-1]
+		cur, seen := r.entry[e.to]
+		next := refClone(e.held)
+		if seen {
+			next = refIntersect(cur, e.held)
+			if refEqual(next, cur) {
+				continue
+			}
+		}
+		r.entry[e.to] = next
+		mth, err := m.H.MethodByRef(e.to.Method)
+		if err != nil || mth.Abstract {
+			continue
+		}
+		held := r.vector(e.to, mth, next)
+		for i, in := range mth.Instrs {
+			if in.Op != ir.OpInvoke && in.Op != ir.OpInvokeStatic {
+				continue
+			}
+			for _, callee := range m.PTS.CalleeContextsAt(e.to.Method, e.to.Recv, i) {
+				work = append(work, edge{threadify.MCtx{Method: callee.Method, Recv: callee.Recv}, held[i]})
+			}
+		}
+	}
+	return r
+}
+
+func (r *refLocks) vector(mc threadify.MCtx, mth *ir.Method, entry map[LockID]bool) []map[LockID]bool {
+	out := make([]map[LockID]bool, len(mth.Instrs))
+	base := refClone(entry)
+	if mth.Synch && !mth.Static {
+		for _, o := range mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.ThisReg())) {
+			base[o] = true
+		}
+	}
+	g := ir.BuildCFG(mth)
+	in := make([]map[LockID]bool, len(g.Blocks))
+	in[0] = base
+	work := []int{0}
+	inWork := make([]bool, len(g.Blocks))
+	inWork[0] = true
+	for len(work) > 0 {
+		b := work[0]
+		work = work[1:]
+		inWork[b] = false
+		state := refClone(in[b])
+		blk := g.Blocks[b]
+		for i := blk.Start; i < blk.End; i++ {
+			out[i] = refClone(state)
+			switch mth.Instrs[i].Op {
+			case ir.OpMonitorEnter:
+				for _, o := range mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.Instrs[i].B)) {
+					state[o] = true
+				}
+			case ir.OpMonitorExit:
+				for _, o := range r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.Instrs[i].B) {
+					delete(state, o)
+				}
+			}
+		}
+		for _, s := range blk.Succs {
+			var merged map[LockID]bool
+			if in[s] == nil {
+				merged = refClone(state)
+			} else {
+				merged = refIntersect(in[s], state)
+				if refEqual(merged, in[s]) {
+					continue
+				}
+			}
+			in[s] = merged
+			if !inWork[s] {
+				work = append(work, s)
+				inWork[s] = true
+			}
+		}
+	}
+	return out
+}
+
+// heldAt answers like HeldAt, sorted; nil for an unknown context.
+func (r *refLocks) heldAt(mc threadify.MCtx, idx int) []LockID {
+	entry, ok := r.entry[mc]
+	if !ok {
+		return nil
+	}
+	mth, err := r.m.H.MethodByRef(mc.Method)
+	if err != nil || mth.Abstract || idx >= len(mth.Instrs) {
+		return nil
+	}
+	var out []LockID
+	for o := range r.vector(mc, mth, entry)[idx] {
+		out = append(out, o)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestHeldAtMatchesReference compares HeldAt with the reference at every
+// instruction of every context any thread reaches, over the corpus apps
+// and corpus.RandomSpec seeds 1–6 that take a lock.
+func TestHeldAtMatchesReference(t *testing.T) {
+	var pkgs []*apk.Package
+	for _, name := range corpus.Names() {
+		app, _ := corpus.ByName(name)
+		pkgs = append(pkgs, app.Build())
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		pkgs = append(pkgs, corpus.RandomSpec(seed).Build())
+	}
+	apps, held := 0, 0
+	for _, pkg := range pkgs {
+		m, err := threadify.Build(pkg, threadify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Analyze(m)
+		if r.None() {
+			continue
+		}
+		apps++
+		ref := refAnalyze(m)
+		seen := map[threadify.MCtx]bool{}
+		for _, th := range m.Threads {
+			for _, mc := range m.Reach(th.ID) {
+				if seen[mc] {
+					continue
+				}
+				seen[mc] = true
+				mth, err := m.H.MethodByRef(mc.Method)
+				if err != nil {
+					continue
+				}
+				for i := range mth.Instrs {
+					got, want := r.HeldAt(mc, i), ref.heldAt(mc, i)
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: HeldAt(%v, %d) = %v, want %v", pkg.Name, mc, i, got, want)
+					}
+					if len(got) > 0 {
+						held++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d lock-taking apps, %d instructions holding a lock", apps, held)
+	if apps == 0 || held == 0 {
+		t.Fatal("no corpus program holds a lock; the comparison is vacuous")
 	}
 }

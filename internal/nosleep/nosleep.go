@@ -113,17 +113,7 @@ func collect(m *threadify.Model, res *Result) {
 		if th.Kind == threadify.KindDummyMain {
 			continue
 		}
-		mcs := make([]threadify.MCtx, 0, len(m.Reach(th.ID)))
-		for mc := range m.Reach(th.ID) {
-			mcs = append(mcs, mc)
-		}
-		sort.Slice(mcs, func(i, j int) bool {
-			if mcs[i].Method != mcs[j].Method {
-				return mcs[i].Method < mcs[j].Method
-			}
-			return mcs[i].Recv < mcs[j].Recv
-		})
-		for _, mc := range mcs {
+		for _, mc := range m.Reach(th.ID) {
 			mth, err := m.H.MethodByRef(mc.Method)
 			if err != nil || mth.Abstract {
 				continue

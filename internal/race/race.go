@@ -76,16 +76,19 @@ type Result struct {
 
 // CollectAccesses enumerates the field accesses of every modeled thread.
 // The same instruction yields one access per (thread, context) executing
-// it.
+// it. The result is allocated once, at its final length.
 func CollectAccesses(m *threadify.Model) []Access {
-	var out []Access
+	sites := make(map[string]int)
+	n := 0
 	for _, th := range m.Threads {
-		if th.Kind == threadify.KindDummyMain {
-			continue
+		if th.Kind != threadify.KindDummyMain {
+			n += countAccesses(m, th.ID, sites)
 		}
-		for _, acc := range CollectThreadAccesses(m, th.ID) {
-			acc.ID = len(out)
-			out = append(out, acc)
+	}
+	out := make([]Access, 0, n)
+	for _, th := range m.Threads {
+		if th.Kind != threadify.KindDummyMain {
+			out = appendAccesses(out, m, th.ID)
 		}
 	}
 	return out
@@ -98,52 +101,60 @@ func CollectAccesses(m *threadify.Model) []Access {
 // sequentially, which is what lets the incremental pipeline reuse
 // unchanged threads' partitions verbatim.
 func CollectThreadAccesses(m *threadify.Model, thread int) []Access {
-	var out []Access
-	mcs := make([]threadify.MCtx, 0, len(m.Reach(thread)))
-	for mc := range m.Reach(thread) {
-		mcs = append(mcs, mc)
-	}
-	sort.Slice(mcs, func(i, j int) bool {
-		if mcs[i].Method != mcs[j].Method {
-			return mcs[i].Method < mcs[j].Method
+	n := countAccesses(m, thread, make(map[string]int))
+	return appendAccesses(make([]Access, 0, n), m, thread)
+}
+
+// countAccesses counts the accesses appendAccesses emits for thread,
+// memoizing each method's count in sites.
+func countAccesses(m *threadify.Model, thread int, sites map[string]int) int {
+	n := 0
+	for _, mc := range m.Reach(thread) {
+		c, ok := sites[mc.Method]
+		if !ok {
+			if mth, err := m.H.MethodByRef(mc.Method); err == nil && !mth.Abstract {
+				for _, in := range mth.Instrs {
+					switch in.Op {
+					case ir.OpGetField, ir.OpPutField, ir.OpGetStatic, ir.OpPutStatic:
+						c++
+					}
+				}
+			}
+			sites[mc.Method] = c
 		}
-		return mcs[i].Recv < mcs[j].Recv
-	})
-	for _, mc := range mcs {
+		n += c
+	}
+	return n
+}
+
+// appendAccesses appends thread's accesses to out, in (method, receiver)
+// context order then instruction order, numbering each by its index in
+// out.
+func appendAccesses(out []Access, m *threadify.Model, thread int) []Access {
+	for _, mc := range m.Reach(thread) {
 		mth, err := m.H.MethodByRef(mc.Method)
 		if err != nil || mth.Abstract {
 			continue
 		}
 		oi := ir.ComputeOrigins(mth)
 		for i, in := range mth.Instrs {
-			var acc *Access
+			acc := Access{Field: in.Field}
 			switch in.Op {
 			case ir.OpGetField:
-				acc = &Access{
-					Kind:  Read,
-					Field: canonicalField(m, in.Field),
-					Objs:  m.PTS.PointsTo(mc.Method, mc.Recv, in.B),
-				}
+				acc.Kind = Read
+				acc.Field = canonicalField(m, in.Field)
+				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpPutField:
-				kind := Write
-				if ir.IsFree(oi, mth, i) {
-					kind = NullWrite
-				}
-				acc = &Access{
-					Kind:  kind,
-					Field: canonicalField(m, in.Field),
-					Objs:  m.PTS.PointsTo(mc.Method, mc.Recv, in.B),
-				}
+				acc.Kind = putKind(oi, mth, i)
+				acc.Field = canonicalField(m, in.Field)
+				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpGetStatic:
-				acc = &Access{Kind: Read, Field: in.Field, Static: true}
+				acc.Kind = Read
+				acc.Static = true
 			case ir.OpPutStatic:
-				kind := Write
-				if ir.IsFree(oi, mth, i) {
-					kind = NullWrite
-				}
-				acc = &Access{Kind: kind, Field: in.Field, Static: true}
-			}
-			if acc == nil {
+				acc.Kind = putKind(oi, mth, i)
+				acc.Static = true
+			default:
 				continue
 			}
 			acc.ID = len(out)
@@ -151,10 +162,19 @@ func CollectThreadAccesses(m *threadify.Model, thread int) []Access {
 			acc.MCtx = mc
 			acc.Instr = ir.InstrID{Method: mc.Method, Index: i}
 			acc.Index = i
-			out = append(out, *acc)
+			out = append(out, acc)
 		}
 	}
 	return out
+}
+
+// putKind classifies the put at instruction i: a free when the stored
+// value is definitely null, else a write.
+func putKind(oi *ir.OriginInfo, mth *ir.Method, i int) AccessKind {
+	if ir.IsFree(oi, mth, i) {
+		return NullWrite
+	}
+	return Write
 }
 
 // canonicalField resolves a field reference to its declaring class so

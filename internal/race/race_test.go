@@ -2,9 +2,11 @@ package race
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/corpus"
 	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/framework"
@@ -213,5 +215,52 @@ func TestSameFieldDifferentObjectsDoNotRace(t *testing.T) {
 	for _, p := range pairs {
 		a, b := accs[p.A], accs[p.B]
 		t.Errorf("cross-activity pair should not exist: %v vs %v", a.Instr, b.Instr)
+	}
+}
+
+// TestCollectAccessesConcatenatesThreads checks, over the 30 corpus apps
+// and corpus.RandomSpec seeds 1–6, that CollectAccesses is the
+// concatenation of every thread's CollectThreadAccesses renumbered in
+// order, and that both are allocated at their final length.
+func TestCollectAccessesConcatenatesThreads(t *testing.T) {
+	var apps []corpus.App
+	for _, name := range corpus.Names() {
+		app, _ := corpus.ByName(name)
+		apps = append(apps, app)
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
+	}
+	for _, app := range apps {
+		m, err := threadify.Build(app.Build(), threadify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Access
+		for _, th := range m.Threads {
+			part := CollectThreadAccesses(m, th.ID)
+			if cap(part) != len(part) {
+				t.Errorf("%s thread %d: cap %d != len %d", app.Name(), th.ID, cap(part), len(part))
+			}
+			for i, a := range part {
+				if a.ID != i {
+					t.Fatalf("%s thread %d: access %d has ID %d", app.Name(), th.ID, i, a.ID)
+				}
+				a.ID = len(want)
+				want = append(want, a)
+			}
+		}
+		got := CollectAccesses(m)
+		if cap(got) != len(got) {
+			t.Errorf("%s: cap %d != len %d", app.Name(), cap(got), len(got))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d accesses, concatenation has %d", app.Name(), len(got), len(want))
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s: access %d = %+v, want %+v", app.Name(), i, got[i], want[i])
+			}
+		}
 	}
 }

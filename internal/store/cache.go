@@ -67,11 +67,14 @@ func (s *Store) PutWitness(key string, e *WitnessEntry) error {
 	return nil
 }
 
-// GetWitness loads a cached validation outcome. A miss returns
-// (nil, nil); a corrupt entry returns (nil, err) and is counted as a
-// load error, so the caller can log the skip and fall back to cold
+// GetWitness loads the validation outcome cached under key for the
+// warning with the given fingerprint in the program with the given IR
+// digest. A miss returns (nil, nil). An entry that does not parse, lacks
+// its digest, or was stored for another program or warning (a copied or
+// hand-edited file) is corrupt: it returns (nil, err) and is counted as
+// a load error, so the caller can log the skip and fall back to cold
 // validation.
-func (s *Store) GetWitness(key string) (*WitnessEntry, error) {
+func (s *Store) GetWitness(key, irDigest, fingerprint string) (*WitnessEntry, error) {
 	if !safeKey(key) {
 		return nil, nil
 	}
@@ -80,13 +83,20 @@ func (s *Store) GetWitness(key string) (*WitnessEntry, error) {
 		return nil, nil // miss
 	}
 	var e WitnessEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.IRDigest == "" {
+	err = json.Unmarshal(data, &e)
+	switch {
+	case err != nil:
+	case e.IRDigest == "":
+		err = errors.New("missing ir_digest")
+	case e.IRDigest != irDigest:
+		err = fmt.Errorf("ir_digest %q, want %q", e.IRDigest, irDigest)
+	case e.Fingerprint != fingerprint:
+		err = fmt.Errorf("fingerprint %q, want %q", e.Fingerprint, fingerprint)
+	}
+	if err != nil {
 		s.mu.Lock()
 		s.c.LoadErrors++
 		s.mu.Unlock()
-		if err == nil {
-			err = errors.New("missing ir_digest")
-		}
 		return nil, fmt.Errorf("store: corrupt witness entry %s: %w", key, err)
 	}
 	return &e, nil

@@ -27,7 +27,7 @@ func TestWitnessRoundTrip(t *testing.T) {
 	if err := s.PutWitness(key, e); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetWitness(key)
+	got, err := s.GetWitness(key, "digestA", "fp1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWitnessRoundTrip(t *testing.T) {
 	}
 
 	// An absent key is a silent miss, not an error.
-	if e, err := s.GetWitness(WitnessKey("other", "fp", "opts", nil)); e != nil || err != nil {
+	if e, err := s.GetWitness(WitnessKey("other", "fp", "opts", nil), "other", "fp"); e != nil || err != nil {
 		t.Errorf("absent key: entry=%v err=%v, want nil/nil", e, err)
 	}
 }
@@ -60,7 +60,7 @@ func TestWitnessCorruptEntryIsError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "witness", key+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e, err := s.GetWitness(key)
+	e, err := s.GetWitness(key, "digestA", "fp1")
 	if e != nil || err == nil {
 		t.Fatalf("corrupt entry: entry=%v err=%v, want nil entry + error", e, err)
 	}
@@ -73,8 +73,26 @@ func TestWitnessCorruptEntryIsError(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "witness", key2+".json"), []byte(`{"harmful":true}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if e, err := s.GetWitness(key2); e != nil || err == nil {
+	if e, err := s.GetWitness(key2, "digestA", "fp2"); e != nil || err == nil {
 		t.Fatalf("digestless entry: entry=%v err=%v, want nil entry + error", e, err)
+	}
+	// An entry stored for another program or another warning (a copied
+	// or hand-edited file) must not answer for this one.
+	for _, foreign := range []*WitnessEntry{
+		{IRDigest: "digestB", Fingerprint: "fp3", Harmful: true},
+		{IRDigest: "digestA", Fingerprint: "fp4", Harmful: true},
+	} {
+		key3 := WitnessKey("digestA", "fp3", "opts", nil)
+		if err := s.PutWitness(key3, foreign); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := s.GetWitness(key3, "digestA", "fp3"); e != nil || err == nil {
+			t.Errorf("entry for %s/%s: entry=%v err=%v, want nil entry + error",
+				foreign.IRDigest, foreign.Fingerprint, e, err)
+		}
+	}
+	if s.Counters().LoadErrors != 4 {
+		t.Errorf("LoadErrors = %d, want 4", s.Counters().LoadErrors)
 	}
 }
 
@@ -198,14 +216,14 @@ func TestGCCollectsOrphanedCaches(t *testing.T) {
 		if _, ok := s.GetIRCache(digest + "-v1-k2.bin"); !ok {
 			t.Errorf("GC collected live ircache entry for %s", digest)
 		}
-		if e, err := s.GetWitness(WitnessKey(digest, "fp", "opts", nil)); e == nil || err != nil {
+		if e, err := s.GetWitness(WitnessKey(digest, "fp", "opts", nil), digest, "fp"); e == nil || err != nil {
 			t.Errorf("GC collected live witness entry for %s", digest)
 		}
 	}
 	if _, ok := s.GetIRCache("digestorphan-v1-k2.bin"); ok {
 		t.Error("orphaned ircache entry survived GC")
 	}
-	if e, _ := s.GetWitness(WitnessKey("digestorphan", "fp", "opts", nil)); e != nil {
+	if e, _ := s.GetWitness(WitnessKey("digestorphan", "fp", "opts", nil), "digestorphan", "fp"); e != nil {
 		t.Error("orphaned witness entry survived GC")
 	}
 	if _, ok := s.Get("run-older"); !ok {

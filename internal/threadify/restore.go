@@ -17,8 +17,7 @@ func Restore(pkg *apk.Package, pts *pointsto.Result, threads []*Thread, compObj 
 		H:       pts.Hierarchy(),
 		PTS:     pts,
 		Threads: threads,
-		reach:   make(map[int]map[MCtx]bool),
-		adj:     buildAdjacency(pts),
+		calls:   newCallGraph(pts),
 		compObj: compObj,
 	}
 }

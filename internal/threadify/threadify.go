@@ -19,8 +19,10 @@
 package threadify
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,10 +110,9 @@ type Model struct {
 	H       *cha.Hierarchy
 	PTS     *pointsto.Result
 	Threads []*Thread
-	// reach caches per-thread reachable method contexts.
-	reach map[int]map[MCtx]bool
-	// adj is the call-edge adjacency over method contexts.
-	adj map[MCtx][]MCtx
+	// reach[t] caches Reach(t); nil until first asked.
+	reach [][]MCtx
+	calls *callGraph
 	// compObj maps component class -> synthetic receiver object.
 	compObj map[string]pointsto.ObjID
 }
@@ -280,8 +281,7 @@ func BuildContext(ctx context.Context, pkg *apk.Package, opts Options) (*Model, 
 		Pkg:     pkg,
 		H:       h,
 		PTS:     pts,
-		reach:   make(map[int]map[MCtx]bool),
-		adj:     buildAdjacency(pts),
+		calls:   newCallGraph(pts),
 		compObj: compObj,
 	}
 
@@ -424,41 +424,115 @@ func (o *oracle) classify(caller *ir.Method, idx int, in ir.Instr) []pointsto.Sp
 	return nil
 }
 
-// buildAdjacency flattens the context-sensitive call graph.
-func buildAdjacency(pts *pointsto.Result) map[MCtx][]MCtx {
-	adj := make(map[MCtx][]MCtx)
-	for _, e := range pts.CallEdges() {
-		from := MCtx{e.CallerMethod, e.CallerRecv}
-		to := MCtx{e.CalleeMethod, e.CalleeRecv}
-		adj[from] = append(adj[from], to)
+// callGraph is the context-sensitive call graph in dense form. Method
+// contexts with a call edge are numbered in (method, receiver) order,
+// so a sorted list of numbers is a sorted list of contexts.
+type callGraph struct {
+	ctxs []MCtx
+	id   map[MCtx]int32
+	// The callees of context i are succ[off[i]:off[i+1]].
+	off, succ []int32
+	// reach[i] caches the contexts reachable from context i; threads
+	// with the same entry share it.
+	reach [][]MCtx
+	// seen and stack are depth-first search scratch: seen[i] == epoch
+	// marks context i visited by the current search.
+	seen  []uint32
+	epoch uint32
+	stack []int32
+}
+
+func newCallGraph(pts *pointsto.Result) *callGraph {
+	edges := pts.CallEdges()
+	g := &callGraph{id: make(map[MCtx]int32)}
+	for _, e := range edges {
+		for _, mc := range [2]MCtx{{e.CallerMethod, e.CallerRecv}, {e.CalleeMethod, e.CalleeRecv}} {
+			if _, ok := g.id[mc]; !ok {
+				g.id[mc] = 0
+				g.ctxs = append(g.ctxs, mc)
+			}
+		}
 	}
-	return adj
+	slices.SortFunc(g.ctxs, compareMCtx)
+	for i, mc := range g.ctxs {
+		g.id[mc] = int32(i)
+	}
+	n := len(g.ctxs)
+	g.off = make([]int32, n+1)
+	for _, e := range edges {
+		g.off[g.id[MCtx{e.CallerMethod, e.CallerRecv}]+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.off[i+1] += g.off[i]
+	}
+	g.succ = make([]int32, len(edges))
+	next := slices.Clone(g.off[:n])
+	for _, e := range edges {
+		from := g.id[MCtx{e.CallerMethod, e.CallerRecv}]
+		g.succ[next[from]] = g.id[MCtx{e.CalleeMethod, e.CalleeRecv}]
+		next[from]++
+	}
+	g.reach = make([][]MCtx, n)
+	g.seen = make([]uint32, n)
+	return g
+}
+
+func compareMCtx(a, b MCtx) int {
+	if c := strings.Compare(a.Method, b.Method); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Recv, b.Recv)
+}
+
+// from returns the contexts reachable from entry over call edges, entry
+// included, sorted by (method, receiver).
+func (g *callGraph) from(entry MCtx) []MCtx {
+	root, ok := g.id[entry]
+	if !ok {
+		// No call edge leaves or enters entry.
+		return []MCtx{entry}
+	}
+	if r := g.reach[root]; r != nil {
+		return r
+	}
+	g.epoch++
+	ids := []int32{root}
+	g.seen[root] = g.epoch
+	g.stack = append(g.stack[:0], root)
+	for len(g.stack) > 0 {
+		i := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		for _, j := range g.succ[g.off[i]:g.off[i+1]] {
+			if g.seen[j] != g.epoch {
+				g.seen[j] = g.epoch
+				ids = append(ids, j)
+				g.stack = append(g.stack, j)
+			}
+		}
+	}
+	slices.Sort(ids)
+	r := make([]MCtx, len(ids))
+	for k, i := range ids {
+		r[k] = g.ctxs[i]
+	}
+	g.reach[root] = r
+	return r
 }
 
 // Reach returns the method contexts thread t may execute (its entry plus
-// everything reachable over call edges — spawn edges excluded).
-func (m *Model) Reach(t int) map[MCtx]bool {
-	if r, ok := m.reach[t]; ok {
-		return r
+// everything reachable over call edges — spawn edges excluded), sorted
+// by (method, receiver). The slice is cached and shared: callers must
+// not modify it.
+func (m *Model) Reach(t int) []MCtx {
+	if t < len(m.reach) && m.reach[t] != nil {
+		return m.reach[t]
 	}
-	r := make(map[MCtx]bool)
-	th := m.Threads[t]
-	if th.Kind != KindDummyMain {
-		var stack []MCtx
-		push := func(mc MCtx) {
-			if !r[mc] {
-				r[mc] = true
-				stack = append(stack, mc)
-			}
-		}
-		push(th.Entry)
-		for len(stack) > 0 {
-			mc := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, next := range m.adj[mc] {
-				push(next)
-			}
-		}
+	if n := len(m.Threads); len(m.reach) < n {
+		m.reach = append(m.reach, make([][]MCtx, n-len(m.reach))...)
+	}
+	r := []MCtx{}
+	if th := m.Threads[t]; th.Kind != KindDummyMain {
+		r = m.calls.from(th.Entry)
 	}
 	m.reach[t] = r
 	return r
@@ -530,7 +604,7 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 		for tid := 0; tid < len(m.Threads); tid++ {
 			if tid == len(spawns) {
 				var own []int
-				for mc := range m.Reach(tid) {
+				for _, mc := range m.Reach(tid) {
 					own = append(own, byCaller[mc]...)
 				}
 				sort.Ints(own)
@@ -593,17 +667,6 @@ func (m *Model) taskBodyEntry(task pointsto.ObjID) (MCtx, bool) {
 func (m *Model) ComponentObj(class string) (pointsto.ObjID, bool) {
 	o, ok := m.compObj[class]
 	return o, ok
-}
-
-// ThreadsExecuting returns the IDs of threads that may execute mc.
-func (m *Model) ThreadsExecuting(mc MCtx) []int {
-	var out []int
-	for _, t := range m.Threads {
-		if m.Reach(t.ID)[mc] {
-			out = append(out, t.ID)
-		}
-	}
-	return out
 }
 
 // IsAncestor reports whether thread a is an ancestor of b (or a == b).

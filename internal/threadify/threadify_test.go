@@ -1,10 +1,12 @@
 package threadify
 
 import (
+	"slices"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/corpus"
 	"nadroid/internal/framework"
 )
 
@@ -362,7 +364,7 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-func TestThreadsExecutingSharedHelper(t *testing.T) {
+func TestReachSharedHelper(t *testing.T) {
 	b := appbuilder.New("shared")
 	act := b.Activity("s/A")
 	helper := act.Method("helper", 0)
@@ -382,9 +384,15 @@ func TestThreadsExecutingSharedHelper(t *testing.T) {
 	if !ok {
 		t.Fatal("component object missing")
 	}
-	ids := m.ThreadsExecuting(MCtx{Method: "s/A.helper", Recv: obj})
-	if len(ids) != 2 {
-		t.Fatalf("helper executed by %v, want onCreate and onResume", ids)
+	target := MCtx{Method: "s/A.helper", Recv: obj}
+	var names []string
+	for _, th := range m.Threads {
+		if slices.Contains(m.Reach(th.ID), target) {
+			names = append(names, th.Entry.Method)
+		}
+	}
+	if want := []string{"s/A.onCreate", "s/A.onResume"}; !slices.Equal(names, want) {
+		t.Fatalf("helper reached by %v, want %v", names, want)
 	}
 }
 
@@ -399,11 +407,60 @@ func TestReachIsCached(t *testing.T) {
 	m := mustModel(t, buildFigure3App(t))
 	r1 := m.Reach(1)
 	r2 := m.Reach(1)
-	if &r1 == &r2 {
-		// maps compare by header; identity check via mutation instead.
+	if len(r1) == 0 || &r1[0] != &r2[0] {
+		t.Error("Reach must return the cached slice")
 	}
-	r1[MCtx{Method: "sentinel", Recv: 0}] = true
-	if !m.Reach(1)[MCtx{Method: "sentinel", Recv: 0}] {
-		t.Error("Reach must return the cached set")
+}
+
+// TestReachMatchesCallEdgeDFS checks every thread's Reach over the 30
+// corpus apps and corpus.RandomSpec seeds 1–6: sorted by (method,
+// receiver), duplicate-free, and equal to a depth-first search over the
+// solver's call edges from the thread's entry.
+func TestReachMatchesCallEdgeDFS(t *testing.T) {
+	var pkgs []*apk.Package
+	for _, name := range corpus.Names() {
+		app, _ := corpus.ByName(name)
+		pkgs = append(pkgs, app.Build())
+	}
+	for seed := uint64(1); seed <= 6; seed++ {
+		pkgs = append(pkgs, corpus.RandomSpec(seed).Build())
+	}
+	for _, pkg := range pkgs {
+		m := mustModel(t, pkg)
+		adj := make(map[MCtx][]MCtx)
+		for _, e := range m.PTS.CallEdges() {
+			from := MCtx{e.CallerMethod, e.CallerRecv}
+			adj[from] = append(adj[from], MCtx{e.CalleeMethod, e.CalleeRecv})
+		}
+		for _, th := range m.Threads {
+			want := map[MCtx]bool{}
+			if th.Kind != KindDummyMain {
+				var visit func(MCtx)
+				visit = func(mc MCtx) {
+					if want[mc] {
+						return
+					}
+					want[mc] = true
+					for _, next := range adj[mc] {
+						visit(next)
+					}
+				}
+				visit(th.Entry)
+			}
+			got := m.Reach(th.ID)
+			for i := 1; i < len(got); i++ {
+				if a, b := got[i-1], got[i]; a.Method > b.Method || a.Method == b.Method && a.Recv >= b.Recv {
+					t.Fatalf("%s thread %d: Reach not strictly sorted at %d: %v, %v", pkg.Name, th.ID, i, a, b)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s thread %d: Reach has %d contexts, DFS %d", pkg.Name, th.ID, len(got), len(want))
+			}
+			for _, mc := range got {
+				if !want[mc] {
+					t.Fatalf("%s thread %d: Reach has %v, DFS does not", pkg.Name, th.ID, mc)
+				}
+			}
+		}
 	}
 }

@@ -320,12 +320,8 @@ func analyze(ctx context.Context, pkg *apk.Package, model *threadify.Model, esc 
 		if eopts.Workers == 0 {
 			eopts.Workers = opts.Workers
 		}
-		// Partial-order reduction: derive the callback conflict relation
-		// from the access facts the detectors already computed, so the
-		// explorer executes one schedule per trace-equivalence class.
-		eopts.Conflicts = explore.NewConflicts(res.Model, dc.Accesses)
 		vctx, span := obs.Start(ctx, "validation")
-		vals, err := validateWithCache(vctx, pkg, res.Model, res.Detection.Alive(), opts, eopts, detectorNames)
+		vals, err := validateWithCache(vctx, pkg, res.Model, dc.Accesses, res.Detection.Alive(), opts, eopts, detectorNames)
 		var harmful []*uaf.Warning
 		for _, v := range vals {
 			if v.Harmful {

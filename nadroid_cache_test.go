@@ -2,6 +2,7 @@ package nadroid_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -216,6 +217,85 @@ func TestWitnessCacheCorruptEntry(t *testing.T) {
 	data, err := os.ReadFile(entries[0])
 	if err != nil || !strings.Contains(string(data), "ir_digest") {
 		t.Errorf("corrupt entry was not rewritten: %v", err)
+	}
+}
+
+// TestWitnessCacheForeignEntry plants, under one warning's key, the
+// entry of another warning with the opposite verdict, as a copied or
+// hand-edited file would. The entry must not answer: the run logs a
+// skip, counts a load error, re-explores that warning, rewrites the
+// entry, and matches a run without a store.
+func TestWitnessCacheForeignEntry(t *testing.T) {
+	app, _ := corpus.ByName("ConnectBot")
+	src := dexasm.Format(app.Build())
+	storeless, err := nadroid.AnalyzeSource(context.Background(), src, nadroid.Options{
+		Validate: true,
+		Explore:  explore.Options{MaxSchedules: 3000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(storeless.Harmful) == 0 {
+		t.Fatal("ConnectBot validates no harmful warning; the planted verdict would not show")
+	}
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := cacheTestOptions(st)
+	if _, err := nadroid.AnalyzeSource(context.Background(), src, opts); err != nil {
+		t.Fatal(err)
+	}
+
+	paths, err := filepath.Glob(filepath.Join(dir, "witness", "*.json"))
+	if err != nil || len(paths) < 2 {
+		t.Fatalf("need at least 2 witness entries, got %d (err %v)", len(paths), err)
+	}
+	sort.Strings(paths)
+	read := func(path string) store.WitnessEntry {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e store.WitnessEntry
+		if err := json.Unmarshal(data, &e); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	a, b := read(paths[0]), read(paths[1])
+	if !a.Harmful || a.Fingerprint == b.Fingerprint {
+		t.Fatalf("want a harmful entry and a second warning, got %+v and %+v", a, b)
+	}
+	planted := b
+	planted.Harmful = false
+	planted.Schedule, planted.Executions, planted.NPE = nil, 0, nil
+	data, err := json.Marshal(planted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := obs.NewMetrics()
+	res, err := nadroid.AnalyzeSource(obs.WithMetrics(context.Background(), m), src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := resultSummary(res), resultSummary(storeless); got != want {
+		t.Errorf("run over the planted entry differs from a storeless run:\n got %s\nwant %s", got, want)
+	}
+	if m.Get("validation_witness_cache_misses") != 1 {
+		t.Errorf("planted entry: misses = %d, want 1", m.Get("validation_witness_cache_misses"))
+	}
+	if c := st.Counters(); c.LoadErrors != 1 {
+		t.Errorf("LoadErrors = %d, want 1", c.LoadErrors)
+	}
+	if got := read(paths[0]); got.Fingerprint != a.Fingerprint || got.Harmful != a.Harmful {
+		t.Errorf("planted entry not overwritten: %+v", got)
 	}
 }
 

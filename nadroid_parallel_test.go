@@ -16,16 +16,12 @@ import (
 	"nadroid/internal/fingerprint"
 )
 
-// runWorkers runs the full pipeline (with validation) on one corpus app
-// at a given worker count. Provenance is on so each harmful warning's
+// runWorkers runs the full pipeline (with validation) on one app at a
+// given worker count. Provenance is on so each harmful warning's
 // witness is in Result.Evidence.
-func runWorkers(t *testing.T, app string, workers int) *nadroid.Result {
+func runWorkers(t *testing.T, app corpus.App, workers int) *nadroid.Result {
 	t.Helper()
-	a, ok := corpus.ByName(app)
-	if !ok {
-		t.Fatalf("%s missing from corpus", app)
-	}
-	res, err := nadroid.AnalyzeContext(context.Background(), a.Build(), nadroid.Options{
+	res, err := nadroid.AnalyzeContext(context.Background(), app.Build(), nadroid.Options{
 		Workers:    workers,
 		Validate:   true,
 		Explore:    explore.Options{MaxSchedules: 200},
@@ -37,15 +33,31 @@ func runWorkers(t *testing.T, app string, workers int) *nadroid.Result {
 	return res
 }
 
+// TestPipelineParallelMatchesSequential covers three Table 1 apps and
+// corpus.RandomSpec seeds 1–6; -short keeps ConnectBot, which alone
+// exercises every parallel path, and seed 1.
 func TestPipelineParallelMatchesSequential(t *testing.T) {
-	apps := []string{"ConnectBot", "Mms", "K9Mail"}
+	names := []string{"ConnectBot", "Mms", "K9Mail"}
+	seeds := []uint64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
-		apps = apps[:1] // ConnectBot alone exercises every parallel path
+		names, seeds = names[:1], seeds[:1]
 	}
-	for _, app := range apps {
-		seq := runWorkers(t, app, 1)
+	var apps []corpus.App
+	for _, name := range names {
+		a, ok := corpus.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from corpus", name)
+		}
+		apps = append(apps, a)
+	}
+	for _, seed := range seeds {
+		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
+	}
+	for _, a := range apps {
+		app := a.Name()
+		seq := runWorkers(t, a, 1)
 		for _, workers := range []int{2, 8} {
-			par := runWorkers(t, app, workers)
+			par := runWorkers(t, a, workers)
 
 			if !reflect.DeepEqual(par.Stats, seq.Stats) {
 				t.Errorf("%s workers=%d: filter stats differ:\n got %+v\nwant %+v", app, workers, par.Stats, seq.Stats)
