@@ -8,6 +8,7 @@ import (
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/corpus"
+	"nadroid/internal/dexasm"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
 	"nadroid/internal/threadify"
@@ -386,11 +387,67 @@ func (r *refLocks) heldAt(mc threadify.MCtx, idx int) []LockID {
 	return out
 }
 
+// deadCallUnderLock calls, while holding a lock, a helper without
+// monitor instructions whose only call to dead sits after its return:
+// the helper holds the lock only where its entry reaches, so dead
+// holds nothing.
+const deadCallUnderLock = `app DeadCall
+
+manifest {
+  activity d/A main
+}
+
+class d/A extends android/app/Activity {
+  field lock d/V
+  field f d/V
+  method onCreate(1) {
+    r2 = new d/V
+    r0.d/A.lock = r2
+    r3 = new d/T
+    r3.d/T.outer = r0
+    call r3.d/T.start()
+    return
+  }
+}
+
+class d/V extends java/lang/Object {
+}
+
+class d/T extends java/lang/Thread {
+  field outer d/A
+  method run(0) {
+    r1 = r0.d/T.outer
+    r2 = r1.d/A.lock
+    lock r2
+    call r0.d/T.helper()
+    unlock r2
+    return
+  }
+  method helper(0) {
+    r1 = r0.d/T.outer
+    r2 = r1.d/A.f
+    return
+    call r0.d/T.dead()
+    return
+  }
+  method dead(0) {
+    r1 = r0.d/T.outer
+    r2 = r1.d/A.f
+    return
+  }
+}
+`
+
 // TestHeldAtMatchesReference compares HeldAt with the reference at every
 // instruction of every context any thread reaches, over the corpus apps
-// and corpus.RandomSpec seeds 1–6 that take a lock.
+// and corpus.RandomSpec seeds 1–6 that take a lock, and a program whose
+// only call to a method is unreachable code under a lock.
 func TestHeldAtMatchesReference(t *testing.T) {
-	var pkgs []*apk.Package
+	dead, err := dexasm.Parse(deadCallUnderLock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*apk.Package{dead}
 	for _, name := range corpus.Names() {
 		app, _ := corpus.ByName(name)
 		pkgs = append(pkgs, app.Build())
