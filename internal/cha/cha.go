@@ -52,9 +52,10 @@ func New(prog *ir.Program) *Hierarchy {
 	h.words = (h.nsup + 63) / 64
 	h.anc = make([]uint64, len(h.id)*h.words)
 
+	// state[i] is 0 until fill reaches class i, active while it fills
+	// the class's supertypes, and done after.
 	const (
-		pending = iota
-		active
+		active = iota + 1
 		done
 	)
 	state := make([]uint8, len(h.id))

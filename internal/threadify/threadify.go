@@ -110,7 +110,8 @@ type Model struct {
 	H       *cha.Hierarchy
 	PTS     *pointsto.Result
 	Threads []*Thread
-	// reach[t] caches Reach(t); nil until first asked.
+	// reach[t] caches Reach(t); nil until first asked. calls is the
+	// call graph Reach searches.
 	reach [][]MCtx
 	calls *callGraph
 	// compObj maps component class -> synthetic receiver object.
