@@ -436,7 +436,7 @@ type callGraph struct {
 	// reach[i] caches the contexts reachable from context i; threads
 	// with the same entry share it.
 	reach [][]MCtx
-	// seen and stack are depth-first search scratch: seen[i] == epoch
+	// seen and stack are reused by every depth-first search: seen[i] == epoch
 	// marks context i visited by the current search.
 	seen  []uint32
 	epoch uint32
