@@ -1,11 +1,12 @@
 # Build/verify entry points. `make check` is the CI gate: vet plus the
 # short test suite under the race detector (the internal/server pool and
 # cache tests are written to exercise their locking under -race), the
-# benchmark module's vet and tests, and the advisory benchmark diff.
+# benchmark module's vet and tests, and a one-second run of every
+# benchmark workload.
 
 GO ?= go
 
-.PHONY: build vet test test-short race bench-test bench bench-diff check serve
+.PHONY: build vet test test-short race bench-test bench bench-smoke check serve
 
 build:
 	$(GO) build ./...
@@ -27,27 +28,18 @@ race:
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# bench sweeps every benchmark once (1x keeps the full-corpus pipeline
-# benchmarks tractable) and converts the output into $(BENCH_OUT):
-# per-phase medians (including the per-detector PhaseDetection/<name>
-# split), deep counters, and the traced-vs-untraced pair. $(BENCH_OUT) is
-# git-ignored; committed BENCH_pr*.json files are the recorded baselines.
-BENCH_OUT := BENCH_local.json
-# The baseline is the newest committed BENCH_pr*.json (version-sorted,
-# so a pr10 would outrank a pr9).
-BENCH_BASE = $(shell ls BENCH_pr*.json 2>/dev/null | sort -V | tail -1)
-
+# bench runs the repository benchmark as BENCHMARK.json declares it:
+# all four workloads, 20 s each (see bench/README.md).
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	bash bench/run.sh
 
-# bench-diff compares the fresh sweep against the newest committed
-# baseline. Advisory because 1x benchmarks are noisy; read the per-line
-# percentages, not just the exit status.
-bench-diff: bench
-	@if [ -z "$(BENCH_BASE)" ]; then echo "bench-diff: no committed BENCH_pr*.json baseline, skipping"; \
-	else $(GO) run ./cmd/benchjson diff -advisory $(BENCH_BASE) $(BENCH_OUT); fi
+# bench-smoke runs every workload over its full app set for one second
+# (each still runs at least 200 ops). bench/run.sh exits 1 when any op's
+# report, CSV, counts, harmful total or disposition misses its golden.
+bench-smoke:
+	bash bench/run.sh -seconds 1
 
-check: build vet race bench-test bench-diff
+check: build vet race bench-test bench-smoke
 
 serve: build
 	$(GO) run ./cmd/nadroid-serve
