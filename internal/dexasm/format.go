@@ -130,7 +130,7 @@ func writeMethod(b *strings.Builder, m *ir.Method) {
 		for _, l := range sorted(labelAt[i]) {
 			fmt.Fprintf(b, "  %s:\n", l)
 		}
-		fmt.Fprintf(b, "    %s\n", formatInstr(in))
+		fmt.Fprintf(b, "    %s\n", in.String())
 	}
 	for _, l := range sorted(labelAt[len(m.Instrs)]) {
 		fmt.Fprintf(b, "  %s:\n", l)
@@ -142,35 +142,6 @@ func sorted(ss []string) []string {
 	out := append([]string(nil), ss...)
 	sort.Strings(out)
 	return out
-}
-
-// formatInstr renders one instruction; void invokes use the `call`
-// mnemonic so every line parses unambiguously.
-func formatInstr(in ir.Instr) string {
-	switch in.Op {
-	case ir.OpInvoke:
-		args := regList(in.Args)
-		if in.A == ir.NoReg {
-			return fmt.Sprintf("call r%d.%s(%s)", in.B, in.Callee, args)
-		}
-		return fmt.Sprintf("r%d = r%d.%s(%s)", in.A, in.B, in.Callee, args)
-	case ir.OpInvokeStatic:
-		args := regList(in.Args)
-		if in.A == ir.NoReg {
-			return fmt.Sprintf("call %s(%s)", in.Callee, args)
-		}
-		return fmt.Sprintf("r%d = %s(%s)", in.A, in.Callee, args)
-	default:
-		return in.String()
-	}
-}
-
-func regList(regs []int) string {
-	parts := make([]string, len(regs))
-	for i, r := range regs {
-		parts[i] = fmt.Sprintf("r%d", r)
-	}
-	return strings.Join(parts, ", ")
 }
 
 // componentKindFromName parses a manifest component keyword.

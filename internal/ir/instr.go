@@ -172,7 +172,8 @@ func (in Instr) IsTerminator() bool {
 	return false
 }
 
-// String renders the instruction in dexasm syntax.
+// String renders the instruction in dexasm syntax; void invokes use the
+// `call` mnemonic so every line parses unambiguously.
 func (in Instr) String() string {
 	switch in.Op {
 	case OpNop:
@@ -196,8 +197,14 @@ func (in Instr) String() string {
 	case OpPutStatic:
 		return fmt.Sprintf("static %s = r%d", in.Field, in.A)
 	case OpInvoke:
+		if in.A == NoReg {
+			return fmt.Sprintf("call r%d.%s(%s)", in.B, in.Callee, regList(in.Args))
+		}
 		return fmt.Sprintf("r%d = r%d.%s(%s)", in.A, in.B, in.Callee, regList(in.Args))
 	case OpInvokeStatic:
+		if in.A == NoReg {
+			return fmt.Sprintf("call %s(%s)", in.Callee, regList(in.Args))
+		}
 		return fmt.Sprintf("r%d = %s(%s)", in.A, in.Callee, regList(in.Args))
 	case OpReturn:
 		if in.A == NoReg {

@@ -256,3 +256,23 @@ func TestDumpContainsInstrs(t *testing.T) {
 		}
 	}
 }
+
+// String must render both invoke forms in the syntax dexasm.Parse
+// accepts: a void invoke uses `call`, never a `r-1 =` destination.
+func TestInvokeString(t *testing.T) {
+	callee := MethodRef{Class: "C", Name: "m"}
+	cases := []struct {
+		in   Instr
+		want string
+	}{
+		{Instr{Op: OpInvoke, A: 1, B: 2, Callee: callee, Args: []int{3, 4}}, "r1 = r2.C.m(r3, r4)"},
+		{Instr{Op: OpInvoke, A: NoReg, B: 2, Callee: callee, Args: []int{3}}, "call r2.C.m(r3)"},
+		{Instr{Op: OpInvokeStatic, A: 1, Callee: callee}, "r1 = C.m()"},
+		{Instr{Op: OpInvokeStatic, A: NoReg, Callee: callee, Args: []int{0, 5}}, "call C.m(r0, r5)"},
+	}
+	for _, c := range cases {
+		if got := c.in.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}

@@ -39,32 +39,3 @@ func (m *Method) Dump() string {
 	}
 	return b.String()
 }
-
-// Dump renders the whole class.
-func (c *Class) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "class %s extends %s", c.Name, c.Super)
-	if len(c.Interfaces) > 0 {
-		fmt.Fprintf(&b, " implements %s", strings.Join(c.Interfaces, ", "))
-	}
-	b.WriteString("\n")
-	for _, f := range c.Fields {
-		static := ""
-		if f.Static {
-			static = "static "
-		}
-		fmt.Fprintf(&b, "  %sfield %s %s\n", static, f.Name, f.Type)
-	}
-	for _, m := range c.Methods {
-		b.WriteString(indent(m.Dump(), "  "))
-	}
-	return b.String()
-}
-
-func indent(s, pad string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = pad + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
-}
