@@ -115,9 +115,8 @@ func normalizeK(k int) int {
 // the differential test).
 func validationOptionsKey(k int, eopts explore.Options) string {
 	i := eopts.Interp
-	return fmt.Sprintf("k=%d;max_schedules=%d;both=%t;max_steps=%d;ui=%d;resume=%d;opaque=%t",
-		normalizeK(k), eopts.MaxSchedules, eopts.BothBranchPolicies,
-		i.MaxSteps, i.MaxUIFires, i.MaxResumeCycles, i.TakeOpaqueBranches)
+	return fmt.Sprintf("k=%d;max_schedules=%d;max_steps=%d;ui=%d;opaque=%t",
+		normalizeK(k), eopts.MaxSchedules, i.MaxSteps, i.MaxUIFires, i.TakeOpaqueBranches)
 }
 
 // validateWithCache runs the validation sweep through the witness

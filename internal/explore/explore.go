@@ -40,9 +40,6 @@ type Options struct {
 	MaxSchedules int
 	// Interp configures each execution.
 	Interp interp.Options
-	// BothBranchPolicies additionally explores with opaque branches
-	// taken (doubling the budget's use).
-	BothBranchPolicies bool
 	// Workers bounds ValidateAllDetailed's fan-out across warnings
 	// (0 = GOMAXPROCS, 1 = sequential). The confirmed subset and its
 	// order are identical for any setting.
@@ -103,23 +100,9 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 // exhausted without a witness.
 func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
-	hit := npeMatching(match)
-	budget := opts.MaxSchedules
-	policies := []bool{false}
-	if opts.BothBranchPolicies {
-		policies = []bool{false, true}
-	}
-	executions := 0
-	for _, takeOpaque := range policies {
-		iopts := opts.Interp
-		iopts.TakeOpaqueBranches = takeOpaque
-		iopts.RecordChoices = pr != nil
-		w, ok, err := dfs(ctx, pkg, h, iopts, budget/len(policies), &executions, hit, pr)
-		if ok || err != nil {
-			return w, ok, err
-		}
-	}
-	return nil, false, nil
+	iopts := opts.Interp
+	iopts.RecordChoices = pr != nil
+	return dfs(ctx, pkg, h, iopts, opts.MaxSchedules, npeMatching(match), pr)
 }
 
 // accept decides whether an executed schedule is the witness a search
@@ -150,7 +133,7 @@ func npeMatching(match func(interp.NPE) bool) accept {
 // Every schedule but the root resumes from the snapshot its parent run
 // took at the schedule's branch point, so each run executes only what
 // it does not share with its parent.
-func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, executions *int, hit accept, pr *pruner) (wit *Witness, found bool, err error) {
+func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, hit accept, pr *pruner) (wit *Witness, found bool, err error) {
 	stack := []node{{}}
 	seen := map[string]bool{"": true}
 	// Scratch for sibling prefixes; a prefix is copied only when pushed.
@@ -178,7 +161,6 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 		stack = stack[:len(stack)-1]
 		schedule := next.schedule
 		budget--
-		*executions++
 		executed++
 
 		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(schedule)))
@@ -197,7 +179,7 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 				Schedule:            schedule,
 				NPE:                 npe,
 				OpaqueBranchesTaken: iopts.TakeOpaqueBranches,
-				Executions:          *executions,
+				Executions:          executed,
 			}, true, nil
 		}
 		// The action actually taken at each choice point of this run,
@@ -481,8 +463,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 	awake := func(w *interp.World, _ []int) (interp.NPE, bool) {
 		return interp.NPE{}, w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < iopts.MaxSteps
 	}
-	executions := 0
-	wit, ok, _ := dfs(context.Background(), pkg, cha.New(pkg.Program), iopts, opts.MaxSchedules, &executions, awake, nil)
+	wit, ok, _ := dfs(context.Background(), pkg, cha.New(pkg.Program), iopts, opts.MaxSchedules, awake, nil)
 	return wit, ok
 }
 

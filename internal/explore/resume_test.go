@@ -143,8 +143,7 @@ func resumeVsReplay(t *testing.T, name string, pkg *apk.Package, h *cha.Hierarch
 		}
 		return hit(w, schedule)
 	}
-	executions := 0
-	if _, _, err := dfs(context.Background(), pkg, h, iopts, budget, &executions, check, pr); err != nil {
+	if _, _, err := dfs(context.Background(), pkg, h, iopts, budget, check, pr); err != nil {
 		t.Fatal(err)
 	}
 	return runs, resumed

@@ -21,8 +21,6 @@ type Options struct {
 	// MaxUIFires bounds how often each UI/listener event fires (default 2,
 	// enough to expose the PHB unsoundness of repeated clicks).
 	MaxUIFires int
-	// MaxResumeCycles bounds onResume/onPause re-entries (default 2).
-	MaxResumeCycles int
 	// StopOnNPE ends the run at the first NullPointerException.
 	StopOnNPE bool
 	// TakeOpaqueBranches makes if-cond branches jump rather than fall
@@ -87,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxUIFires <= 0 {
 		o.MaxUIFires = 2
-	}
-	if o.MaxResumeCycles <= 0 {
-		o.MaxResumeCycles = 2
 	}
 	return o
 }
@@ -557,6 +552,9 @@ func (w *World) Snapshot() *World {
 	return &c
 }
 
+// maxResumeCycles bounds an activity's onResume/onPause re-entries.
+const maxResumeCycles = 2
+
 // installLifecycleEvents wires the component's framework-driven events.
 func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 	switch comp.Kind {
@@ -571,7 +569,7 @@ func (w *World) installLifecycleEvents(comp *manifest.Component, obj *Object) {
 			}
 			max := 1
 			if n == "onResume" || n == "onPause" {
-				max = w.opts.MaxResumeCycles
+				max = maxResumeCycles
 			}
 			ev := w.addEvent(extEvent{
 				kind: LifecycleEvent, component: comp.Class,
