@@ -157,7 +157,7 @@ func BenchmarkTable3DEvA(b *testing.B) {
 	}
 }
 
-// phaseApp models Mms, a mid-sized app, outside the timer.
+// phaseApp builds the thread model of Mms, a mid-sized app.
 func phaseApp(b *testing.B) *threadify.Model {
 	b.Helper()
 	app, _ := corpus.ByName("Mms")
