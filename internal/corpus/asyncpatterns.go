@@ -4,9 +4,9 @@ import "fmt"
 
 // Async-error seeds for the leaked-thread and lost-result detector
 // families (arXiv:1808.03178). Each pattern lives in its own activity so
-// the teardown declaration (onDestroy) never leaks TornDown facts into
-// sibling patterns, and every thread body touches only locals so the UAF
-// pipeline stays silent on these apps.
+// one pattern's teardown declaration (onDestroy) never gives a sibling
+// pattern's component a teardown path, and every thread body touches
+// only locals so the UAF pipeline stays silent on these apps.
 
 // leakedThread seeds one leaked native thread: onCreate starts a worker
 // the component stores but never joins or interrupts, while onDestroy

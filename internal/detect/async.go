@@ -3,9 +3,7 @@ package detect
 import (
 	"context"
 	"fmt"
-	"sort"
 
-	"nadroid/internal/datalog"
 	"nadroid/internal/fingerprint"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
@@ -27,34 +25,49 @@ import (
 //     the posted callback can run against a destroyed component, or the
 //     result is silently dropped.
 //
-// Each family is a positive-Datalog candidate rule over the shared fact
-// base plus a Go-side coverage subtraction (the engine has no negation):
-// candidates with teardown handling evidence are dropped.
+// Each family walks the thread forest for its candidates (threads of
+// one kind spawned by threads of another, in a component that declares
+// onDestroy) and drops the candidates with teardown handling evidence.
 
-// asyncRules installs both candidate rules; the two detectors share the
-// group so either may run first.
-func asyncRules(e *datalog.Engine) {
-	e.MustRule("LeakCand(t, c) :- NativeThr(t), SpawnEdge(p, t), CallbackThr(p), CompOf(t, c), TornDown(c)")
-	e.MustRule("LostCand(t, c) :- PostedThr(t), SpawnEdge(p, t), BackgroundThr(p), CompOf(t, c), TornDown(c)")
+// leakChild and leakParent select leaked-thread candidates: native
+// threads started by an entry or posted callback.
+func leakChild(t *threadify.Thread) bool { return t.Kind == threadify.KindNativeThread }
+
+func leakParent(p *threadify.Thread) bool {
+	return p.Kind == threadify.KindEntryCallback || p.Kind == threadify.KindPostedCallback
 }
 
-// candThreads runs the shared engine and decodes one candidate relation
-// into sorted thread IDs.
-func candThreads(dc *Context, rel string) []int {
-	dc.AddRulesOnce("async", asyncRules)
-	e := dc.Engine
-	e.Run()
-	seen := make(map[int]bool)
-	var out []int
-	for _, row := range e.Query(rel, datalog.Wild, datalog.Wild) {
-		_, tid, ok := e.IntSymVal(row[0])
-		if !ok || seen[tid] {
+// lostChild and lostParent select lost-result candidates: Runnables and
+// messages posted by a native thread or an AsyncTask body.
+func lostChild(t *threadify.Thread) bool {
+	return t.Kind == threadify.KindPostedCallback &&
+		(t.Post == framework.PostRunnable || t.Post == framework.PostSendMessage)
+}
+
+func lostParent(p *threadify.Thread) bool {
+	return p.Kind == threadify.KindNativeThread || p.Kind == threadify.KindTaskBody
+}
+
+// candidates walks the thread forest in thread order and returns the
+// threads child accepts whose parent thread parent accepts and whose
+// component declares a teardown. declaresTeardown is asked once per
+// component.
+func candidates(m *threadify.Model, child, parent func(*threadify.Thread) bool) []*threadify.Thread {
+	torn := make(map[string]bool)
+	var out []*threadify.Thread
+	for _, t := range m.Threads {
+		if !child(t) || t.Parent < 0 || !parent(m.Threads[t.Parent]) || t.Component == "" {
 			continue
 		}
-		seen[tid] = true
-		out = append(out, tid)
+		down, seen := torn[t.Component]
+		if !seen {
+			down = declaresTeardown(m, t.Component)
+			torn[t.Component] = down
+		}
+		if down {
+			out = append(out, t)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -71,8 +84,7 @@ func (leakedThreadDetector) Describe() string {
 func (leakedThreadDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
 	m := dc.Model
 	var ws []Warning
-	for _, tid := range candThreads(dc, "LeakCand") {
-		th := m.Threads[tid]
+	for _, th := range candidates(m, leakChild, leakParent) {
 		if threadControlled(m, th) {
 			continue
 		}
@@ -81,7 +93,7 @@ func (leakedThreadDetector) Detect(ctx context.Context, dc *Context) ([]Warning,
 			Tag:      "leaked-thread",
 			Subject:  fmt.Sprintf("thread %s of component %s", th.Entry.Method, th.Component),
 			Site:     th.Site,
-			Lineage:  m.Lineage(tid),
+			Lineage:  m.Lineage(th.ID),
 			Detail: fmt.Sprintf("started from callback %s; component %s declares onDestroy but never joins or interrupts it",
 				spawnerEntry(m, th), th.Component),
 			Fingerprint: fingerprint.Generic("leaked-thread", th.Site.Method, th.Entry.Method, th.Component),
@@ -103,8 +115,7 @@ func (lostResultDetector) Describe() string {
 func (lostResultDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
 	m := dc.Model
 	var ws []Warning
-	for _, tid := range candThreads(dc, "LostCand") {
-		th := m.Threads[tid]
+	for _, th := range candidates(m, lostChild, lostParent) {
 		if resultCancelled(m, th) {
 			continue
 		}
@@ -113,7 +124,7 @@ func (lostResultDetector) Detect(ctx context.Context, dc *Context) ([]Warning, e
 			Tag:      "lost-result",
 			Subject:  fmt.Sprintf("posted callback %s of component %s", th.Entry.Method, th.Component),
 			Site:     th.Site,
-			Lineage:  m.Lineage(tid),
+			Lineage:  m.Lineage(th.ID),
 			Detail: fmt.Sprintf("posted from background thread %s; component %s declares onDestroy but never drains the queue",
 				spawnerEntry(m, th), th.Component),
 			Fingerprint: fingerprint.Generic("lost-result", th.Site.Method, th.Entry.Method, th.Component),

@@ -2,24 +2,21 @@
 // detector (use-after-free, no-sleep, leaked-thread, lost-result)
 // implements one interface and runs against a shared Context holding the
 // threadified IR, the points-to result, the access/escape analyses, the
-// must-happen-before graph, and one populated Datalog engine — computed
-// once per app and consumed by every enabled detector.
+// must-happen-before graph, and the Datalog engine holding the §5 race
+// fact base and Racy rule — computed once per app and consumed by every
+// enabled detector.
 //
 // The registry fixes detector order, so output is deterministic no
 // matter how a caller spells its selection. New families plug in by
-// implementing Detector and appending to the registry; their Datalog
-// rules layer onto the shared engine via Context.AddRulesOnce.
+// implementing Detector and appending to the registry.
 package detect
 
 import (
 	"context"
-	"sort"
-	"sync"
 
 	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/fingerprint"
-	"nadroid/internal/framework"
 	"nadroid/internal/hb"
 	"nadroid/internal/ir"
 	"nadroid/internal/nosleep"
@@ -77,34 +74,16 @@ type Context struct {
 	Escape *escape.Result
 	// MHB is the must-happen-before graph over modeled threads.
 	MHB *hb.Graph
-	// Engine is the shared Datalog engine, preloaded with the race fact
-	// base (race.PopulateFacts: uses, frees, escaping objects) and the
-	// async-error facts (NativeThr, PostedThr, CallbackThr,
-	// BackgroundThr, SpawnEdge, CompOf, TornDown). Detectors add their
-	// rules via AddRulesOnce and Run it again; a late rule gets one
-	// seeding round over the full contents, so it sees every fact.
+	// Engine is the Datalog engine of the §5 race join, loaded with the
+	// race fact base (race.PopulateFacts: uses, frees, escaping objects)
+	// and the Racy rule (race.InstallRacyRules). The uaf detector runs
+	// it; the async families walk Model.Threads instead.
 	Engine *datalog.Engine
 
 	// UAF is set by the uaf detector when it runs.
 	UAF *uaf.Detection
 	// NoSleep is set by the nosleep detector when it runs.
 	NoSleep *nosleep.Result
-
-	mu         sync.Mutex
-	addedRules map[string]bool
-}
-
-// AddRulesOnce installs a named rule group on the shared engine at most
-// once, so a detector can run repeatedly (or share rules with another
-// family) without duplicating rules.
-func (dc *Context) AddRulesOnce(name string, fn func(e *datalog.Engine)) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if dc.addedRules[name] {
-		return
-	}
-	dc.addedRules[name] = true
-	fn(dc.Engine)
 }
 
 // Options tunes context construction.
@@ -125,9 +104,10 @@ type Options struct {
 }
 
 // BuildContext computes the shared analysis state for one app: access
-// collection, escape analysis, the MHB graph, and the populated Datalog
-// engine, each in its own span. The "detect_context_builds" counter
-// asserts the compute-once contract in tests.
+// collection, escape analysis, the MHB graph, and the Datalog engine
+// with the race facts and the Racy rule, each in its own span. The
+// "detect_context_builds" counter asserts the compute-once contract in
+// tests.
 func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Options) *Context {
 	_, span := obs.Start(ctx, "race.collect-accesses")
 	accesses := opts.Accesses
@@ -155,73 +135,18 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 		e.EnableProvenance()
 	}
 	race.PopulateFacts(e, accesses, esc)
-	emitAsyncFacts(e, m)
+	race.InstallRacyRules(e)
 	span.SetAttr("facts", e.Stats().Facts)
 	span.End()
 
 	obs.Add(ctx, "detect_context_builds", 1)
 	return &Context{
-		App:        app,
-		Model:      m,
-		Accesses:   accesses,
-		Escape:     esc,
-		MHB:        g,
-		Engine:     e,
-		addedRules: make(map[string]bool),
-	}
-}
-
-// emitAsyncFacts loads the thread-forest facts the async-error families
-// (arXiv:1808.03178) join over: thread kinds, spawn edges, component
-// ownership, and which components declare a teardown callback.
-func emitAsyncFacts(e *datalog.Engine, m *threadify.Model) {
-	thr := func(t int) datalog.Sym { return e.IntSym('t', t) }
-	comp := func(c string) datalog.Sym { return e.Sym("c:" + c) }
-
-	// Pre-declare so empty relations are still joinable.
-	e.Relation("NativeThr", 1)
-	e.Relation("PostedThr", 1)
-	e.Relation("CallbackThr", 1)
-	e.Relation("BackgroundThr", 1)
-	e.Relation("SpawnEdge", 2)
-	e.Relation("CompOf", 2)
-	e.Relation("TornDown", 1)
-
-	torn := make(map[string]bool)
-	for _, t := range m.Threads {
-		switch t.Kind {
-		case threadify.KindNativeThread:
-			e.Fact("NativeThr", thr(t.ID))
-			e.Fact("BackgroundThr", thr(t.ID))
-		case threadify.KindTaskBody:
-			e.Fact("BackgroundThr", thr(t.ID))
-		case threadify.KindEntryCallback:
-			e.Fact("CallbackThr", thr(t.ID))
-		case threadify.KindPostedCallback:
-			e.Fact("CallbackThr", thr(t.ID))
-			if t.Post == framework.PostRunnable || t.Post == framework.PostSendMessage {
-				e.Fact("PostedThr", thr(t.ID))
-			}
-		}
-		if t.Parent >= 0 {
-			e.Fact("SpawnEdge", thr(t.Parent), thr(t.ID))
-		}
-		if t.Component != "" {
-			e.Fact("CompOf", thr(t.ID), comp(t.Component))
-			if _, seen := torn[t.Component]; !seen {
-				torn[t.Component] = declaresTeardown(m, t.Component)
-			}
-		}
-	}
-	comps := make([]string, 0, len(torn))
-	for c, down := range torn {
-		if down {
-			comps = append(comps, c)
-		}
-	}
-	sort.Strings(comps)
-	for _, c := range comps {
-		e.Fact("TornDown", comp(c))
+		App:      app,
+		Model:    m,
+		Accesses: accesses,
+		Escape:   esc,
+		MHB:      g,
+		Engine:   e,
 	}
 }
 

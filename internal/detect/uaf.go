@@ -9,8 +9,8 @@ import (
 )
 
 // uafDetector is the classic §5 use-after-free family ported onto the
-// registry. It derives racy (use, free) pairs from the shared engine's
-// preloaded fact base and groups them into uaf.Warnings on the context,
+// registry. It runs the context's Racy join for the racy (use, free)
+// pairs and groups them into uaf.Warnings on the context,
 // so the §6 filters and §7 report consume exactly the structures they
 // always have.
 type uafDetector struct{}
@@ -29,7 +29,6 @@ func (uafDetector) count(dc *Context) int {
 }
 
 func (uafDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
-	dc.AddRulesOnce("uaf", race.InstallRacyRules)
 	pctx, span := obs.Start(ctx, "race.pair")
 	pairs := race.PairsFromEngine(pctx, dc.Engine)
 	span.SetAttr("pairs", len(pairs))

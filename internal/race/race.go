@@ -189,9 +189,9 @@ func canonicalField(m *threadify.Model, ref ir.FieldRef) ir.FieldRef {
 // PopulateFacts loads the access and escape fact base into e: RdAcc
 // tuples per (use, thread, field, object), WrAcc tuples per (free,
 // thread, field, object), and the Esc relation over thread-escaping
-// objects. Non-null writes contribute no access facts. Detectors that
-// share one engine call this once and layer their own relations and
-// rules on top.
+// objects. Non-null writes contribute no access facts.
+// detect.BuildContext calls it once per app and then installs the Racy
+// rule (InstallRacyRules).
 func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result) {
 	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
 	staticObj := e.Sym("h:static")

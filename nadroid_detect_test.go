@@ -26,11 +26,16 @@ func familyCounts(res *nadroid.Result) map[string]int {
 
 // TestAsyncDetectorGroundTruth checks every seeded async-error instance
 // is reported and every benign (joined / cancelled) variant is
-// recognized as covered, on each supplemental corpus app.
+// recognized as covered, on each supplemental corpus app, each Table 1
+// app (which seeds none) and RandomSpec seeds 1–6.
 func TestAsyncDetectorGroundTruth(t *testing.T) {
 	apps := corpus.AsyncApps()
 	if len(apps) == 0 {
 		t.Fatal("no async corpus apps")
+	}
+	apps = append(apps, corpus.Apps()...)
+	for seed := uint64(1); seed <= 6; seed++ {
+		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
 	}
 	for _, app := range apps {
 		app := app
