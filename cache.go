@@ -115,8 +115,8 @@ func normalizeK(k int) int {
 // the differential test).
 func validationOptionsKey(k int, eopts explore.Options) string {
 	i := eopts.Interp
-	return fmt.Sprintf("k=%d;max_schedules=%d;max_steps=%d;ui=%d;opaque=%t",
-		normalizeK(k), eopts.MaxSchedules, i.MaxSteps, i.MaxUIFires, i.TakeOpaqueBranches)
+	return fmt.Sprintf("k=%d;max_schedules=%d;max_steps=%d;ui=%d",
+		normalizeK(k), eopts.MaxSchedules, i.MaxSteps, i.MaxUIFires)
 }
 
 // validateWithCache runs the validation sweep through the witness
@@ -159,9 +159,8 @@ func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.M
 		v := explore.Validation{Warning: w, Harmful: e.Harmful}
 		if e.Harmful {
 			wit := &explore.Witness{
-				Schedule:            e.Schedule,
-				OpaqueBranchesTaken: e.OpaqueBranches,
-				Executions:          e.Executions,
+				Schedule:   e.Schedule,
+				Executions: e.Executions,
 			}
 			if len(e.NPE) > 0 {
 				if uerr := json.Unmarshal(e.NPE, &wit.NPE); uerr != nil {
@@ -191,7 +190,6 @@ func validateWithCache(ctx context.Context, pkg *apk.Package, model *threadify.M
 		}
 		if v.Witness != nil {
 			e.Schedule = v.Witness.Schedule
-			e.OpaqueBranches = v.Witness.OpaqueBranchesTaken
 			e.Executions = v.Witness.Executions
 			if npe, merr := json.Marshal(v.Witness.NPE); merr == nil {
 				e.NPE = npe

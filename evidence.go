@@ -58,10 +58,9 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 		}
 		if wit := witnesses[w]; wit != nil {
 			ev.Witness = &evidence.Witness{
-				Schedule:            wit.Schedule,
-				NPE:                 wit.NPE.String(),
-				OpaqueBranchesTaken: wit.OpaqueBranchesTaken,
-				Executions:          wit.Executions,
+				Schedule:   wit.Schedule,
+				NPE:        wit.NPE.String(),
+				Executions: wit.Executions,
 			}
 		}
 		out[string(fp)] = ev

@@ -18,10 +18,9 @@ import (
 // Witness is the dynamic-validation half of the record: the schedule
 // that dereferenced the null loaded at the warning's use site.
 type Witness struct {
-	Schedule            []int  `json:"schedule"`
-	NPE                 string `json:"npe,omitempty"`
-	OpaqueBranchesTaken bool   `json:"opaque_branches_taken,omitempty"`
-	Executions          int    `json:"executions,omitempty"`
+	Schedule   []int  `json:"schedule"`
+	NPE        string `json:"npe,omitempty"`
+	Executions int    `json:"executions,omitempty"`
 }
 
 // Evidence is one warning's full provenance record.

@@ -65,8 +65,6 @@ func (o Options) withDefaults() Options {
 type Witness struct {
 	Schedule []int
 	NPE      interp.NPE
-	// OpaqueBranchesTaken records which branch policy produced it.
-	OpaqueBranchesTaken bool
 	// Executions is how many schedules were run before the hit.
 	Executions int
 }
@@ -122,13 +120,13 @@ func npeMatching(match func(interp.NPE) bool) accept {
 	}
 }
 
-// dfs runs the schedule-tree exploration for one branch policy
-// (iopts.TakeOpaqueBranches) until hit accepts an execution, which it
-// reports as the witness with the NPE hit returns. With a nil pruner the
-// dedup map is keyed by the literal choice-index prefix (exhaustive
-// exploration); with a pruner it is keyed by the prefix's
-// trace-equivalence normal form, so permutations of independent actions
-// count as one node and only the first representative executes.
+// dfs runs the schedule-tree exploration until hit accepts an
+// execution, which it reports as the witness with the NPE hit returns.
+// With a nil pruner the dedup map is keyed by the literal choice-index
+// prefix (exhaustive exploration); with a pruner it is keyed by the
+// prefix's trace-equivalence normal form, so permutations of
+// independent actions count as one node and only the first
+// representative executes.
 //
 // Every schedule but the root resumes from the snapshot its parent run
 // took at the schedule's branch point, so each run executes only what
@@ -176,10 +174,9 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 		span.End()
 		if npe, ok := hit(w, schedule); ok {
 			return &Witness{
-				Schedule:            schedule,
-				NPE:                 npe,
-				OpaqueBranchesTaken: iopts.TakeOpaqueBranches,
-				Executions:          executed,
+				Schedule:   schedule,
+				NPE:        npe,
+				Executions: executed,
 			}, true, nil
 		}
 		// The action actually taken at each choice point of this run,
@@ -295,7 +292,7 @@ func warningSpawnFilter(model *threadify.Model, w *uaf.Warning) func(class strin
 		for cur := tid; cur >= 0; cur = model.Threads[cur].Parent {
 			t := model.Threads[cur]
 			if t.Kind == threadify.KindNativeThread || t.Kind == threadify.KindTaskBody {
-				cls, _, _ := splitRef(t.Entry.Method)
+				cls, _, _ := ir.SplitRef(t.Entry.Method)
 				classes[cls] = true
 			}
 		}
@@ -330,7 +327,7 @@ func warningEventFilter(model *threadify.Model, w *uaf.Warning) func(kind interp
 	}
 	// onServiceDisconnected is only enabled after its partner fires.
 	for m := range methods {
-		cls, name, ok := splitRef(m)
+		cls, name, ok := ir.SplitRef(m)
 		if ok && name == "onServiceDisconnected" {
 			methods[cls+".onServiceConnected"] = true
 		}
@@ -341,15 +338,6 @@ func warningEventFilter(model *threadify.Model, w *uaf.Warning) func(kind interp
 		}
 		return comps[component] && (kind == interp.LifecycleEvent || kind == interp.ServiceEvent)
 	}
-}
-
-func splitRef(ref string) (string, string, bool) {
-	for i := len(ref) - 1; i > 0; i-- {
-		if ref[i] == '.' {
-			return ref[:i], ref[i+1:], true
-		}
-	}
-	return "", ref, false
 }
 
 // Validation is one warning's dynamic-validation outcome: whether a
@@ -477,7 +465,6 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 func Replay(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, wit *Witness, opts Options) []string {
 	opts = opts.withDefaults()
 	iopts := focus(opts.Interp, model, w)
-	iopts.TakeOpaqueBranches = wit.OpaqueBranchesTaken
 	iopts.Trace = true
 	iopts.StopOnNPE = true
 	world := interp.NewWorld(pkg, hierarchyFor(pkg, model), iopts)

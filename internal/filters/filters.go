@@ -258,24 +258,6 @@ func UnsoundFilters() []Filter {
 	return []Filter{rhbFilter{}, chbFilter{}, phbFilter{}, maFilter{}, urFilter{}, ttFilter{}}
 }
 
-// ByName resolves filter names; unknown names return an error.
-func ByName(names []string) ([]Filter, error) {
-	all := append(SoundFilters(), UnsoundFilters()...)
-	idx := make(map[string]Filter, len(all))
-	for _, f := range all {
-		idx[f.Name()] = f
-	}
-	var out []Filter
-	for _, n := range names {
-		f, ok := idx[n]
-		if !ok {
-			return nil, fmt.Errorf("filters: unknown filter %q", n)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // Verdict is one filter's outcome on one warning: what it examined and
 // what it decided, with a human-readable reason. A sequence of verdicts
 // is the warning's filter trail — the §6 half of its evidence record.

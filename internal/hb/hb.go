@@ -14,6 +14,7 @@ package hb
 
 import (
 	"nadroid/internal/framework"
+	"nadroid/internal/ir"
 	"nadroid/internal/threadify"
 )
 
@@ -59,7 +60,7 @@ func BuildMHB(m *threadify.Model) *Graph {
 	names := make([]string, n)
 	for i, t := range m.Threads {
 		if t.Kind != threadify.KindDummyMain {
-			_, names[i], _ = splitRef(t.Entry.Method)
+			_, names[i], _ = ir.SplitRef(t.Entry.Method)
 		}
 	}
 
@@ -139,13 +140,4 @@ func (g *Graph) close() {
 // flow-sensitive MHP with (§5): exposed for ablation benchmarks.
 func (g *Graph) MayHappenInParallel(a, b int) bool {
 	return a != b && !g.HB(a, b) && !g.HB(b, a)
-}
-
-func splitRef(ref string) (string, string, bool) {
-	for i := len(ref) - 1; i > 0; i-- {
-		if ref[i] == '.' {
-			return ref[:i], ref[i+1:], true
-		}
-	}
-	return "", ref, false
 }

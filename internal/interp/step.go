@@ -137,11 +137,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 			advance()
 		}
 	case ir.OpIfCond:
-		if w.opts.TakeOpaqueBranches {
-			f.pc = f.m.Index(in.Target)
-		} else {
-			advance()
-		}
+		advance()
 
 	case ir.OpMonitorEnter:
 		obj, ok := f.regs[in.B].v.(*Object)

@@ -23,10 +23,6 @@ type Options struct {
 	MaxUIFires int
 	// StopOnNPE ends the run at the first NullPointerException.
 	StopOnNPE bool
-	// TakeOpaqueBranches makes if-cond branches jump rather than fall
-	// through (the static analysis is path-insensitive; the interpreter
-	// must pick one policy per run).
-	TakeOpaqueBranches bool
 	// Trace records a human-readable execution trace.
 	Trace bool
 	// EventFilter, when set, restricts which external events the world

@@ -1,10 +1,10 @@
 // Package ircache is the binary cold-start cache: a versioned,
-// digest-keyed serialization of everything the parse and modeling
-// phases produce — the IR program, the manifest, the threadified model,
-// and the solved points-to state (the base facts every detector builds
-// on). A warm run decodes the blob instead of parsing dexasm and
-// re-running the points-to solve, which eliminates PhaseParse and
-// PhaseModeling entirely.
+// digest-keyed serialization of the IR program, the manifest, the
+// threadified model with its solved points-to state (the base facts
+// every detector builds on), and the thread-escape result. A warm run
+// decodes the blob instead, so it skips dexasm.Parse (which has no
+// span), the "modeling" span with its "pointsto.solve" and
+// "threadify.attach" children, and the "escape.analyze" span.
 //
 // The format is hand-rolled (no gob, no reflection on the hot path):
 // a magic + version header, an interned string table, then a body of
@@ -49,17 +49,6 @@ var magic = [4]byte{'N', 'I', 'R', 'C'}
 // store's GC can map entries back to runs.
 func Name(digest string, k int) string {
 	return fmt.Sprintf("%s-v%d-k%d.bin", digest, Version, k)
-}
-
-// DigestOf extracts the app digest back out of a cache filename
-// (ok=false for names not produced by Name).
-func DigestOf(filename string) (string, bool) {
-	for i := 0; i < len(filename); i++ {
-		if filename[i] == '-' {
-			return filename[:i], i > 0
-		}
-	}
-	return "", false
 }
 
 // --- encoder ----------------------------------------------------------

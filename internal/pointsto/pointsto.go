@@ -168,15 +168,11 @@ func (r *Result) Stats() SolveStats {
 	return st
 }
 
-// Solve runs the analysis from the given entries.
-func Solve(h *cha.Hierarchy, entries []Entry, opts Options) *Result {
-	return SolveWithSynthetics(h, nil, entries, opts)
-}
-
-// SolveWithSynthetics runs Solve with pre-interned synthetic objects:
-// synths[i] is assigned ObjID(i), letting threadification seed entry
-// receivers (component instances "allocated by the framework") before
-// the solve.
+// SolveWithSynthetics runs the analysis from the given entries with
+// pre-interned synthetic objects: synths[i] is assigned ObjID(i),
+// letting threadification seed entry receivers (component instances
+// "allocated by the framework") before the solve. Pass nil synths for a
+// plain solve.
 func SolveWithSynthetics(h *cha.Hierarchy, synths []Obj, entries []Entry, opts Options) *Result {
 	return SolveWithSyntheticsContext(context.Background(), h, synths, entries, opts)
 }

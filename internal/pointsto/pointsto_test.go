@@ -61,7 +61,7 @@ func buildBoxApp(t *testing.T) (*cha.Hierarchy, *ir.Method) {
 
 func TestObjectSensitivityDistinguishesReceivers(t *testing.T) {
 	h, main := buildBoxApp(t)
-	res := Solve(h, []Entry{{Method: main}}, Options{K: 2})
+	res := SolveWithSynthetics(h, nil, []Entry{{Method: main}}, Options{K: 2})
 	// Flow-insensitively, b1.f holds {a1, make-alloc-under-b1}; the key
 	// object-sensitivity property is that b1's and b2's contents are
 	// disjoint.
@@ -77,7 +77,7 @@ func TestObjectSensitivityDistinguishesReceivers(t *testing.T) {
 
 func TestHeapContextK2SplitsInnerAllocs(t *testing.T) {
 	h, main := buildBoxApp(t)
-	res := Solve(h, []Entry{{Method: main}}, Options{K: 2})
+	res := SolveWithSynthetics(h, nil, []Entry{{Method: main}}, Options{K: 2})
 	m1 := res.PointsTo(main.Ref(), NoRecv, regOfInvokeResult(main, "get", 2))
 	m2 := res.PointsTo(main.Ref(), NoRecv, regOfInvokeResult(main, "get", 3))
 	// Pick the make() allocations: objects whose site is inside Box.make.
@@ -100,7 +100,7 @@ func TestHeapContextK2SplitsInnerAllocs(t *testing.T) {
 
 func TestHeapContextK1MergesInnerAllocs(t *testing.T) {
 	h, main := buildBoxApp(t)
-	res := Solve(h, []Entry{{Method: main}}, Options{K: 1})
+	res := SolveWithSynthetics(h, nil, []Entry{{Method: main}}, Options{K: 1})
 	m1 := res.PointsTo(main.Ref(), NoRecv, regOfInvokeResult(main, "get", 2))
 	m2 := res.PointsTo(main.Ref(), NoRecv, regOfInvokeResult(main, "get", 3))
 	mk1 := filterBySite(res, m1, "Box.make")
@@ -155,7 +155,7 @@ func TestStaticFieldFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cha.New(pkg.Program)
-	res := Solve(h, []Entry{
+	res := SolveWithSynthetics(h, nil, []Entry{
 		{Method: w.Method()},
 		{Method: rd.Method()},
 	}, Options{K: 2})
@@ -249,7 +249,7 @@ func TestVirtualDispatchUsesRuntimeClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cha.New(pkg.Program)
-	res := Solve(h, []Entry{{Method: mb.Method()}}, Options{K: 2})
+	res := SolveWithSynthetics(h, nil, []Entry{{Method: mb.Method()}}, Options{K: 2})
 	if !res.Reachable("Sub.m") {
 		t.Error("dispatch must reach Sub.m")
 	}

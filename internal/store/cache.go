@@ -38,14 +38,13 @@ func (s *Store) incrDir() string    { return filepath.Join(s.dir, "incr") }
 // witness's interp.NPE record verbatim (wire JSON) when Harmful; the
 // store stays ignorant of the interpreter's types.
 type WitnessEntry struct {
-	IRDigest       string          `json:"ir_digest"`
-	Fingerprint    string          `json:"fingerprint"`
-	Harmful        bool            `json:"harmful"`
-	Schedule       []int           `json:"schedule,omitempty"`
-	OpaqueBranches bool            `json:"opaque_branches,omitempty"`
-	Executions     int             `json:"executions,omitempty"`
-	NPE            json.RawMessage `json:"npe,omitempty"`
-	CreatedAt      time.Time       `json:"created_at"`
+	IRDigest    string          `json:"ir_digest"`
+	Fingerprint string          `json:"fingerprint"`
+	Harmful     bool            `json:"harmful"`
+	Schedule    []int           `json:"schedule,omitempty"`
+	Executions  int             `json:"executions,omitempty"`
+	NPE         json.RawMessage `json:"npe,omitempty"`
+	CreatedAt   time.Time       `json:"created_at"`
 }
 
 // PutWitness persists one validation outcome under key (a hex hash from

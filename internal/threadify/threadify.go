@@ -183,7 +183,8 @@ type ecSeed struct {
 // solver: the hierarchy, the synthetic component objects, the entry
 // contexts, and the solver options (spawn/factory oracles included).
 // PrepareSolve exposes it so benchmarks and tools can measure or rerun
-// pointsto.Solve in isolation without duplicating the setup.
+// pointsto.SolveWithSynthetics in isolation without duplicating the
+// setup.
 type SolveInputs struct {
 	H       *cha.Hierarchy
 	Synths  []pointsto.Obj

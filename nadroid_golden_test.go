@@ -159,12 +159,11 @@ func TestCorpusGolden(t *testing.T) {
 // fingerprint: the schedules they exhaust are pinned by the per-app
 // counters instead.
 type goldenWitness struct {
-	Fingerprint    string `json:"fingerprint"`
-	Harmful        bool   `json:"harmful"`
-	Schedule       []int  `json:"schedule,omitempty"`
-	Executions     int    `json:"executions,omitempty"`
-	OpaqueBranches bool   `json:"opaque_branches,omitempty"`
-	NPE            string `json:"npe,omitempty"`
+	Fingerprint string `json:"fingerprint"`
+	Harmful     bool   `json:"harmful"`
+	Schedule    []int  `json:"schedule,omitempty"`
+	Executions  int    `json:"executions,omitempty"`
+	NPE         string `json:"npe,omitempty"`
 }
 
 // goldenValidation is one app's record in testdata/golden/witnesses.json.
@@ -223,7 +222,6 @@ func runWitnesses(t *testing.T) []goldenValidation {
 			if ev := res.Evidence[fp]; ev != nil && ev.Witness != nil {
 				gw.Schedule = ev.Witness.Schedule
 				gw.Executions = ev.Witness.Executions
-				gw.OpaqueBranches = ev.Witness.OpaqueBranchesTaken
 				gw.NPE = ev.Witness.NPE
 			}
 			gv.Warnings = append(gv.Warnings, gw)
