@@ -92,7 +92,7 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile after the run to FILE (go tool pprof)")
 		provOn    = flag.Bool("provenance", false, "record warning provenance (derivations, filter trails); explore with `nadroid explain`")
 		storeDir  = flag.String("store-dir", "", "persist this analysis into a run store (enables `nadroid diff` / `baseline write`)")
-		irCache   = flag.Bool("ir-cache", true, "with -store-dir: reuse cached IR/model blobs and witness outcomes across runs")
+		irCache   = flag.Bool("ir-cache", true, "with -store-dir: reuse cached IR/model blobs across runs (witness outcomes are cached whenever -store-dir is set)")
 		increm    = flag.Bool("incremental", true, "with -store-dir: on a cache miss, diff against the nearest stored run and re-analyze only what changed")
 		baseFile  = flag.String("baseline", "", "suppress warnings listed in this baseline file (see `baseline write -o`)")
 	)

@@ -86,10 +86,11 @@ func AnalyzeCorpusContext(ctx context.Context, apps []CorpusApp, opts CorpusOpti
 				if aopts.Workers == 0 && workers > 1 {
 					aopts.Workers = 1
 				}
-				// The IR digest is per-app; derive it from the canonical
+				// The IR digest is per-app and keys every store cache, the
+				// witness cache included; derive it from the canonical
 				// dexasm rendering so corpus sweeps share cache entries
 				// with CLI and service runs of the same program.
-				if aopts.Store != nil && (aopts.IRCache || aopts.Incremental) && aopts.IRDigest == "" {
+				if aopts.Store != nil && aopts.IRDigest == "" {
 					aopts.IRDigest = store.IRDigest(dexasm.Format(pkg))
 				}
 				res, err := AnalyzeContext(ctx, pkg, aopts)

@@ -169,6 +169,50 @@ func TestWitnessCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestCorpusSweepWitnessCache sweeps ConnectBot twice through
+// AnalyzeCorpusContext with a store but with neither IRCache nor
+// Incremental set. The witness cache keys on the IR digest alone, so
+// the second sweep must replay every outcome and explore nothing, as
+// AnalyzeSource does.
+func TestCorpusSweepWitnessCache(t *testing.T) {
+	app, _ := corpus.ByName("ConnectBot")
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := []nadroid.CorpusApp{{Name: app.Name(), Build: app.Build}}
+	opts := nadroid.CorpusOptions{Workers: 1, Analysis: nadroid.Options{
+		Validate: true,
+		Explore:  explore.Options{MaxSchedules: 3000},
+		Store:    st,
+	}}
+	sweep := func() *obs.Metrics {
+		t.Helper()
+		m := obs.NewMetrics()
+		for _, r := range nadroid.AnalyzeCorpusContext(obs.WithMetrics(context.Background(), m), work, opts) {
+			if r.Err != nil {
+				t.Fatalf("%s: %v", r.App, r.Err)
+			}
+		}
+		return m
+	}
+
+	cold := sweep()
+	misses := cold.Get("validation_witness_cache_misses")
+	if misses == 0 || cold.Get("validation_witness_cache_hits") != 0 {
+		t.Fatalf("first sweep: witness hits=%d misses=%d, want 0/>0",
+			cold.Get("validation_witness_cache_hits"), misses)
+	}
+	warm := sweep()
+	if warm.Get("validation_witness_cache_hits") != misses || warm.Get("validation_witness_cache_misses") != 0 {
+		t.Errorf("second sweep: witness hits=%d misses=%d, want %d/0",
+			warm.Get("validation_witness_cache_hits"), warm.Get("validation_witness_cache_misses"), misses)
+	}
+	if n := warm.Get("validation_schedules_executed"); n != 0 {
+		t.Errorf("second sweep executed %d schedules, want 0", n)
+	}
+}
+
 // TestWitnessCacheCorruptEntry corrupts one cached outcome: the warm
 // run must log a skip, re-explore just that warning, and still match
 // the cold result.
