@@ -1,15 +1,20 @@
-# Build/verify entry points. `make check` is the CI gate: vet plus the
-# short test suite under the race detector (the internal/server pool and
-# cache tests are written to exercise their locking under -race), the
-# benchmark module's vet and tests, and a one-second run of every
-# benchmark workload.
+# Build/verify entry points. `make check` is the CI gate: the gofmt
+# check of CI's lint job, vet, the short test suite under the race
+# detector (the internal/server pool and cache tests are written to
+# exercise their locking under -race), the benchmark module's vet and
+# tests, and a one-second run of every benchmark workload.
 
 GO ?= go
 
-.PHONY: build vet test test-short race bench-test bench bench-smoke check serve
+.PHONY: build fmt-check vet test test-short race bench-test bench bench-smoke check serve
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would rewrite any file, as CI's lint job
+# does.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -39,7 +44,7 @@ bench:
 bench-smoke:
 	bash bench/run.sh -seconds 1
 
-check: build vet race bench-test bench-smoke
+check: build fmt-check vet race bench-test bench-smoke
 
 serve: build
 	$(GO) run ./cmd/nadroid-serve
