@@ -1,19 +1,31 @@
 // Package evidence defines the per-warning provenance record the
-// analyzer assembles when Options.Provenance is on: the Datalog
-// derivation tree behind the candidate racy pair, the points-to
-// aliasing chain of the racing accesses, every filter's keep/kill
-// verdict, and the validating witness schedule when one exists. The
-// record is plain data — JSON for the wire and store, Render for
-// humans — keyed by the warning's stable fingerprint.
+// analyzer assembles when Options.Provenance is on: the proof of the
+// Racy rule behind the candidate racy pair, the points-to aliasing
+// chain of the racing accesses, every filter's keep/kill verdict, and
+// the validating witness schedule when one exists. The record is plain
+// data — JSON for the wire and store, Render for humans — keyed by the
+// warning's stable fingerprint.
 package evidence
 
 import (
 	"fmt"
 	"strings"
 
-	"nadroid/internal/datalog"
 	"nadroid/internal/filters"
 )
+
+// Derivation is one node of a derivation tree: a tuple, the rule that
+// derived it (empty for base facts), and the premises of that
+// derivation.
+type Derivation struct {
+	Rel      string        `json:"rel"`
+	Tuple    []string      `json:"tuple,omitempty"`
+	Rule     string        `json:"rule,omitempty"`
+	Premises []*Derivation `json:"premises,omitempty"`
+}
+
+// IsBase reports whether the node is an asserted fact.
+func (d *Derivation) IsBase() bool { return d.Rule == "" }
 
 // Witness is the dynamic-validation half of the record: the schedule
 // that dereferenced the null loaded at the warning's use site.
@@ -35,10 +47,10 @@ type Evidence struct {
 	Category string `json:"category,omitempty"`
 	// Alive reports whether the warning survived the filter pipeline.
 	Alive bool `json:"alive"`
-	// Derivation is the bounded Datalog proof tree of the first racy
-	// pair underlying the warning; its leaves are base facts extracted
-	// straight from the program.
-	Derivation *datalog.Derivation `json:"derivation,omitempty"`
+	// Derivation is the Racy rule's proof of the first racy pair
+	// underlying the warning: the rule over its three premises, base
+	// facts extracted straight from the program.
+	Derivation *Derivation `json:"derivation,omitempty"`
 	// Aliasing describes the points-to chains that made the two
 	// accesses touch the same memory.
 	Aliasing []string `json:"aliasing,omitempty"`
@@ -100,15 +112,12 @@ func (ev *Evidence) Render() string {
 	return b.String()
 }
 
-func renderDerivation(b *strings.Builder, d *datalog.Derivation, indent string) {
+func renderDerivation(b *strings.Builder, d *Derivation, indent string) {
 	fmt.Fprintf(b, "%s%s(%s)", indent, d.Rel, strings.Join(d.Tuple, ", "))
 	if d.IsBase() {
 		b.WriteString("  [fact]")
 	} else {
 		fmt.Fprintf(b, "  <- %s", d.Rule)
-	}
-	if d.Truncated {
-		b.WriteString("  [truncated]")
 	}
 	b.WriteByte('\n')
 	for _, p := range d.Premises {

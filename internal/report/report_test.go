@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nadroid/internal/corpus"
-	"nadroid/internal/datalog"
 	"nadroid/internal/detect"
 	"nadroid/internal/evidence"
 	"nadroid/internal/filters"
@@ -145,7 +144,7 @@ func TestCSVWithEvidenceShape(t *testing.T) {
 
 	ev := map[string]*evidence.Evidence{
 		string(rep.Entries[0].Fingerprint): {
-			Derivation: &datalog.Derivation{Rel: "Racy"},
+			Derivation: &evidence.Derivation{Rel: "Racy"},
 			Filters:    []filters.Verdict{{Filter: "MHB"}},
 		},
 	}
