@@ -39,8 +39,8 @@ type crule struct {
 	head    []cterm
 	nvars   int
 	plans   []cplan
-	// idx is the rule's position in e.compiled; it keys provenance cells
-	// and the per-rule stat counters.
+	// idx is the rule's position in e.compiled; it keys the per-rule stat
+	// counters.
 	idx int
 }
 

@@ -272,3 +272,33 @@ func TestDuplicateFactsIdempotent(t *testing.T) {
 		t.Errorf("R count = %d, want 1", e.Count("R"))
 	}
 }
+
+func TestRuleStats(t *testing.T) {
+	e := NewEngine()
+	e.MustRule("Path(x, y) :- Edge(x, y)")
+	e.MustRule("Path(x, z) :- Path(x, y), Edge(y, z)")
+	e.FactStrings("Edge", "a", "b")
+	e.FactStrings("Edge", "b", "c")
+	e.FactStrings("Edge", "c", "d")
+	e.Run()
+	stats := e.RuleStats()
+	if len(stats) != 2 {
+		t.Fatalf("want 2 rule stats, got %d", len(stats))
+	}
+	if stats[0].Head != "Path" || stats[1].Head != "Path" {
+		t.Fatalf("unexpected heads: %+v", stats)
+	}
+	// Edge->Path copies 3 tuples; the transitive rule derives Path(a,c),
+	// Path(b,d), Path(a,d).
+	if stats[0].Derived != 3 {
+		t.Fatalf("rule 0 derived = %d, want 3", stats[0].Derived)
+	}
+	if stats[1].Derived != 3 {
+		t.Fatalf("rule 1 derived = %d, want 3", stats[1].Derived)
+	}
+	for _, s := range stats {
+		if s.Rounds == 0 {
+			t.Fatalf("rule %q fired but has 0 rounds", s.Rule)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package datalog
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -43,263 +42,9 @@ func dumpNames(e *Engine) map[string][]string {
 	return out
 }
 
-// program is a buildable rule-and-fact set, applied to fresh engines so
-// evaluation modes can be compared on identical inputs.
-type program struct {
-	rules []string
-	facts func(e *Engine)
-}
-
-func (p program) build(provenance bool) *Engine {
-	e := NewEngine()
-	if provenance {
-		e.EnableProvenance()
-	}
-	p.facts(e)
-	for _, r := range p.rules {
-		e.MustRule(r)
-	}
-	e.Run()
-	return e
-}
-
-// requireProvenanceTransparent builds p with provenance off and on and
-// requires the same fixpoint, the same engine and per-rule stats, and a
-// checkable derivation for every derived tuple: each node of its Why
-// tree is a tuple Has confirms, each derived node's premises derive it
-// under its rule, and the tree bottoms out in asserted facts (or a node
-// Why's size bound cut off).
-func requireProvenanceTransparent(t *testing.T, p program) {
-	t.Helper()
-	off, on := p.build(false), p.build(true)
-	if got, want := dump(on), dump(off); !reflect.DeepEqual(got, want) {
-		t.Fatalf("provenance-on fixpoint differs from provenance-off:\n got %v\nwant %v", got, want)
-	}
-	if got, want := on.Stats(), off.Stats(); got != want {
-		t.Fatalf("stats differ: provenance on %+v, off %+v", got, want)
-	}
-	offRules, onRules := off.RuleStats(), on.RuleStats()
-	for i := range offRules {
-		if onRules[i].Derived != offRules[i].Derived || onRules[i].Rounds != offRules[i].Rounds {
-			t.Fatalf("rule %q: provenance on derived %d in %d rounds, off %d in %d",
-				offRules[i].Rule, onRules[i].Derived, onRules[i].Rounds, offRules[i].Derived, offRules[i].Rounds)
-		}
-	}
-
-	facts := NewEngine()
-	p.facts(facts)
-	asserted := dumpNames(facts)
-	isAsserted := func(rel string, tuple []string) bool {
-		key := strings.Join(tuple, "|")
-		i := sort.SearchStrings(asserted[rel], key)
-		return i < len(asserted[rel]) && asserted[rel][i] == key
-	}
-	var check func(n *Derivation)
-	check = func(n *Derivation) {
-		syms := make([]Sym, len(n.Tuple))
-		for i, s := range n.Tuple {
-			syms[i] = on.Sym(s)
-		}
-		if !on.Has(n.Rel, syms...) {
-			t.Fatalf("derivation cites %s%v, which is not in the database", n.Rel, n.Tuple)
-		}
-		switch {
-		case n.IsBase():
-			if !isAsserted(n.Rel, n.Tuple) {
-				t.Fatalf("base leaf %s%v was never asserted", n.Rel, n.Tuple)
-			}
-		case !n.Truncated && !derives(t, n):
-			t.Fatalf("premises %v do not derive %s%v under rule %q", n.Premises, n.Rel, n.Tuple, n.Rule)
-		}
-		for _, pr := range n.Premises {
-			check(pr)
-		}
-	}
-	for rel, rows := range dump(on) {
-		for _, row := range rows {
-			d := on.Why(rel, row...)
-			if d == nil {
-				t.Fatalf("no derivation for %s%v", rel, row)
-			}
-			if !isAsserted(rel, d.Tuple) && d.IsBase() {
-				t.Fatalf("derived tuple %s%v reads as a base fact", rel, d.Tuple)
-			}
-			check(d)
-		}
-	}
-}
-
-// derives reports whether a derived node's premises, matched to its
-// rule's positive body literals in some order, bind the rule's variables
-// consistently, pass its builtins, and yield the node's tuple.
-func derives(t *testing.T, n *Derivation) bool {
-	r, err := ParseRule(n.Rule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pos []Literal
-	for _, l := range r.Body {
-		if l.Builtin == BuiltinNone {
-			pos = append(pos, l)
-		}
-	}
-	if len(pos) != len(n.Premises) {
-		return false
-	}
-	used := make([]bool, len(n.Premises))
-	var try func(i int, env map[string]string) bool
-	try = func(i int, env map[string]string) bool {
-		if i == len(pos) {
-			return builtinsHold(r, env) && bindTerms(r.Head.Terms, n.Tuple, env)
-		}
-		for j, p := range n.Premises {
-			if used[j] || p.Rel != pos[i].Pred {
-				continue
-			}
-			next := maps.Clone(env)
-			if bindTerms(pos[i].Terms, p.Tuple, next) {
-				used[j] = true
-				if try(i+1, next) {
-					return true
-				}
-				used[j] = false
-			}
-		}
-		return false
-	}
-	return try(0, map[string]string{})
-}
-
-// bindTerms unifies terms with tuple under env, extending env.
-func bindTerms(terms []Term, tuple []string, env map[string]string) bool {
-	if len(terms) != len(tuple) {
-		return false
-	}
-	for i, term := range terms {
-		if term.Var == "_" {
-			continue
-		}
-		if v, ok := env[term.Var]; ok && v != tuple[i] {
-			return false
-		}
-		env[term.Var] = tuple[i]
-	}
-	return true
-}
-
-// builtinsHold binds r's `=` chains in env and checks every builtin.
-func builtinsHold(r *Rule, env map[string]string) bool {
-	for changed := true; changed; {
-		changed = false
-		for _, l := range r.Body {
-			if l.Builtin != BuiltinEq {
-				continue
-			}
-			a, b := l.Terms[0].Var, l.Terms[1].Var
-			va, aok := env[a]
-			vb, bok := env[b]
-			switch {
-			case aok && !bok && b != "_":
-				env[b], changed = va, true
-			case bok && !aok && a != "_":
-				env[a], changed = vb, true
-			}
-		}
-	}
-	for _, l := range r.Body {
-		if l.Builtin == BuiltinNone {
-			continue
-		}
-		va, vb := env[l.Terms[0].Var], env[l.Terms[1].Var]
-		if l.Builtin == BuiltinNeq && va == vb {
-			return false
-		}
-		if l.Builtin == BuiltinEq && l.Terms[0].Var != "_" && l.Terms[1].Var != "_" && va != vb {
-			return false
-		}
-	}
-	return true
-}
-
-// TestProvenanceMatchesPlainFixed runs a diverse fixed rule set —
-// recursion, multi-way joins, builtins, wildcards, self-joins — with
-// provenance off and on.
-func TestProvenanceMatchesPlainFixed(t *testing.T) {
-	p := program{
-		rules: []string{
-			"Path(x, y) :- Edge(x, y)",
-			"Path(x, z) :- Path(x, y), Edge(y, z)",
-			"Sym2(x, y) :- Edge(x, y), Edge(y, x)",
-			"Tri(x, y, z) :- Edge(x, y), Edge(y, z), Edge(z, x), x != y",
-			"Eq2(x, y) :- Edge(x, _), y = x",
-			"Pair(x, y) :- Node(x), Node(y), x != y",
-			"Node(x) :- Edge(x, _)",
-			"Node(y) :- Edge(_, y)",
-		},
-		facts: func(e *Engine) {
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 400; i++ {
-				a, b := rng.Intn(40), rng.Intn(40)
-				e.Fact("Edge", e.IntSym('n', a), e.IntSym('n', b))
-			}
-		},
-	}
-	requireProvenanceTransparent(t, p)
-}
-
-// TestProvenanceMatchesPlainRandom generates random small rule programs
-// over random fact sets — rule heads may also hold asserted facts — and
-// runs each with provenance off and on.
-func TestProvenanceMatchesPlainRandom(t *testing.T) {
-	preds := []string{"A", "B", "C", "D"}
-	vars := []string{"x", "y", "z"}
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial) * 131))
-		var rules []string
-		for ri := 0; ri < 2+rng.Intn(4); ri++ {
-			head := preds[rng.Intn(len(preds))]
-			hv := []string{vars[rng.Intn(len(vars))], vars[rng.Intn(len(vars))]}
-			var body []string
-			used := map[string]bool{}
-			nBody := 1 + rng.Intn(3)
-			for bi := 0; bi < nBody; bi++ {
-				p := preds[rng.Intn(len(preds))]
-				v1, v2 := vars[rng.Intn(len(vars))], vars[rng.Intn(len(vars))]
-				body = append(body, fmt.Sprintf("%s(%s, %s)", p, v1, v2))
-				used[v1], used[v2] = true, true
-			}
-			// Ensure head vars are bound: substitute unbound ones.
-			for i, v := range hv {
-				if !used[v] {
-					for u := range used {
-						hv[i] = u
-						break
-					}
-				}
-			}
-			if rng.Intn(3) == 0 && used["x"] && used["y"] {
-				body = append(body, "x != y")
-			}
-			rules = append(rules, fmt.Sprintf("%s(%s, %s) :- %s", head, hv[0], hv[1], strings.Join(body, ", ")))
-		}
-		seed := rng.Int63()
-		p := program{
-			rules: rules,
-			facts: func(e *Engine) {
-				frng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 120; i++ {
-					e.Fact(preds[frng.Intn(len(preds))], e.IntSym('s', frng.Intn(12)), e.IntSym('s', frng.Intn(12)))
-				}
-			},
-		}
-		requireProvenanceTransparent(t, p)
-	}
-}
-
-// TestDeltaRunMatchesColdRun checks incremental Run — the path the uaf
-// and async families take on the shared engine: load facts and rules,
-// Run, then assert more facts plus late rules that read both old and new
-// rows, and Run again. The result must match one cold Run of the final
+// TestDeltaRunMatchesColdRun checks incremental Run: load facts and
+// rules, Run, then assert more facts plus late rules that read both old
+// and new rows, and Run again. The result must match one cold Run of the final
 // program, over randomized reach-shaped programs.
 func TestDeltaRunMatchesColdRun(t *testing.T) {
 	early := []string{

@@ -6,8 +6,8 @@ import "time"
 // as a delta range and evaluates one item per (rule, delta plan) over
 // that whole range against the relations as they stood at round start;
 // it then inserts the emitted tuples into the head relations in item
-// order. Joins bind into a reusable flat environment — with provenance
-// off, the per-tuple hot path performs no allocation.
+// order. Joins bind into a reusable flat environment, so the per-tuple
+// hot path performs no allocation.
 
 // unboundSym marks an empty environment slot. Interned symbols are
 // always >= 0.
@@ -28,8 +28,6 @@ type scratch struct {
 	out   []Sym
 	start int
 	items []item
-	// rec records derivations; nil when provenance is off.
-	rec *recorder
 }
 
 func newScratch(e *Engine) *scratch {
@@ -43,11 +41,7 @@ func newScratch(e *Engine) *scratch {
 	for i := range env {
 		env[i] = unboundSym
 	}
-	sc := &scratch{env: env}
-	if e.provOn {
-		sc.rec = &recorder{}
-	}
-	return sc
+	return &scratch{env: env}
 }
 
 // Run evaluates all rules to fixpoint using semi-naive iteration.
@@ -147,7 +141,6 @@ func (e *Engine) fixpoint(sc *scratch) {
 // It reports whether any item ran.
 func (e *Engine) evalRound(sc *scratch, rules []*crule) bool {
 	sc.out, sc.items = sc.out[:0], sc.items[:0]
-	sc.rec.reset()
 	for _, cr := range rules {
 		fired := false
 		for pi := range cr.plans {
@@ -173,11 +166,9 @@ func (e *Engine) evalRound(sc *scratch, rules []*crule) bool {
 }
 
 // merge inserts the round's emitted tuples into their head relations in
-// item order and returns the number of new tuples. In provenance mode
-// each newly inserted row takes the cell of the derivation that emitted
-// it, so a tuple records the first derivation in item order.
+// item order and returns the number of new tuples.
 func (e *Engine) merge(sc *scratch) int {
-	derived, off, k := 0, 0, 0
+	derived, off := 0, 0
 	for _, it := range sc.items {
 		r := it.cr.headRel
 		// An arity-0 head leaves a one-symbol marker.
@@ -189,11 +180,7 @@ func (e *Engine) merge(sc *scratch) int {
 		for ; off < it.end; off += width {
 			if r.insert(sc.out[off : off+r.arity]) {
 				itemNew++
-				if sc.rec != nil {
-					r.prov[r.rows-1] = sc.rec.cells[k]
-				}
 			}
-			k++
 		}
 		e.ruleDerived[it.cr.idx] += itemNew
 		derived += itemNew
@@ -248,9 +235,7 @@ func (sc *scratch) joinBody(cr *crule, p *cplan, i int) {
 	r := l.rel
 	if r.arity == 0 {
 		if r.rows > 0 {
-			sc.rec.push(r.id, 0)
 			sc.joinBody(cr, p, i+1)
-			sc.rec.pop()
 		}
 		return
 	}
@@ -301,9 +286,7 @@ func (sc *scratch) joinRow(cr *crule, p *cplan, i int, l *clit, rowID int) {
 		}
 	}
 	if ok {
-		sc.rec.push(l.rel.id, rowID)
 		sc.joinBody(cr, p, i+1)
-		sc.rec.pop()
 	}
 	for k := 0; k < nb; k++ {
 		env[boundSlots[k]] = unboundSym
@@ -319,7 +302,6 @@ func (sc *scratch) emitHead(cr *crule) {
 	if ha == 0 {
 		if len(sc.out) == sc.start {
 			sc.out = append(sc.out, 0)
-			sc.rec.emit(cr.idx)
 		}
 		return
 	}
@@ -345,7 +327,6 @@ func (sc *scratch) emitHead(cr *crule) {
 		}
 	}
 	sc.out = append(sc.out, tup[:ha]...)
-	sc.rec.emit(cr.idx)
 }
 
 // termVal resolves a term the planner guaranteed is bound.

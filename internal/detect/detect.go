@@ -76,8 +76,10 @@ type Context struct {
 	MHB *hb.Graph
 	// Engine is the Datalog engine of the §5 race join, loaded with the
 	// race fact base (race.PopulateFacts: uses, frees, escaping objects)
-	// and the Racy rule (race.InstallRacyRules). The uaf detector runs
-	// it; the async families walk Model.Threads instead.
+	// and race.RacyRule. The uaf detector runs it for the racy pairs. It
+	// records no derivations: an evidence record writes a pair's proof
+	// down from Accesses and Escape. The async families walk
+	// Model.Threads instead.
 	Engine *datalog.Engine
 
 	// UAF is set by the uaf detector when it runs.
@@ -88,10 +90,6 @@ type Context struct {
 
 // Options tunes context construction.
 type Options struct {
-	// Provenance switches the shared Datalog engine into derivation
-	// recording mode before the fact base is loaded, so every derived
-	// tuple can later be explained via Engine.Why.
-	Provenance bool
 	// Escape, when non-nil, is a precomputed thread-escape result (e.g.
 	// restored from the cold-start cache) that BuildContext uses instead
 	// of running the escape analysis.
@@ -131,9 +129,6 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 
 	_, span = obs.Start(ctx, "detect.facts")
 	e := datalog.NewEngine()
-	if opts.Provenance {
-		e.EnableProvenance()
-	}
 	race.PopulateFacts(e, accesses, esc)
 	race.InstallRacyRules(e)
 	span.SetAttr("facts", e.Stats().Facts)
