@@ -121,7 +121,8 @@ func main() {
 	fmt.Printf("potential %d -> sound %d -> unsound %d; validated harmful %d\n\n",
 		res.Stats.Potential, res.Stats.AfterSound, res.Stats.AfterUnsound, len(res.Harmful))
 
-	for _, w := range res.Harmful {
+	for _, v := range res.Harmful {
+		w := v.Warning
 		label := "?"
 		switch {
 		case strings.Contains(w.Use.Method, "onCreateContextMenu"):
@@ -131,9 +132,7 @@ func main() {
 		}
 		fmt.Printf("%s\n", label)
 		fmt.Printf("  field %s\n  use  %s\n  free %s\n", w.Field, w.Use, w.Free)
-		if wit, ok := explore.ValidateWarning(pkg, res.Model, w, explore.Options{MaxSchedules: 3000}); ok {
-			fmt.Printf("  witness after %d executions: %v\n\n", wit.Executions, wit.NPE)
-		}
+		fmt.Printf("  witness after %d executions: %v\n\n", v.Witness.Executions, v.Witness.NPE)
 	}
 
 	// The checking load in onClick is itself benign: the UR/IG reasoning

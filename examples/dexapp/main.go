@@ -83,10 +83,7 @@ func main() {
 	fmt.Printf("potential %d -> sound %d -> unsound %d; harmful %d\n\n",
 		res.Stats.Potential, res.Stats.AfterSound, res.Stats.AfterUnsound, len(res.Harmful))
 	fmt.Print(res.Report)
-	for _, w := range res.Harmful {
-		wit, ok := explore.ValidateWarning(pkg, res.Model, w, explore.Options{MaxSchedules: 2000})
-		if ok {
-			fmt.Printf("\nwitness: %v\n", wit.NPE)
-		}
+	for _, v := range res.Harmful {
+		fmt.Printf("\nwitness: %v\n", v.Witness.NPE)
 	}
 }

@@ -89,13 +89,9 @@ func main() {
 	fmt.Print(res.Report)
 
 	fmt.Printf("\nvalidated harmful: %d\n", len(res.Harmful))
-	for _, w := range res.Harmful {
-		wit, ok := explore.ValidateWarning(pkg, res.Model, w, explore.Options{MaxSchedules: 4000})
-		if !ok {
-			continue
-		}
-		fmt.Printf("  %s: the pool thread's free interleaves between the\n", w.Field)
-		fmt.Printf("  null check and the abort() call — %v\n", wit.NPE)
+	for _, v := range res.Harmful {
+		fmt.Printf("  %s: the pool thread's free interleaves between the\n", v.Warning.Field)
+		fmt.Printf("  null check and the abort() call — %v\n", v.Witness.NPE)
 	}
 	fmt.Println("\nwhy the guard is unsound here (§6.1.2): the IG filter prunes the")
 	fmt.Println("same pattern between looper callbacks (atomic), but a C-NT pair has")

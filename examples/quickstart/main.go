@@ -76,10 +76,7 @@ func main() {
 	fmt.Print(res.Report)
 
 	fmt.Printf("\ndynamic validation confirmed %d harmful UAF(s):\n", len(res.Harmful))
-	for _, w := range res.Harmful {
-		wit, ok := explore.ValidateWarning(pkg, res.Model, w, explore.Options{MaxSchedules: 2000})
-		if ok {
-			fmt.Printf("  %s — witness: %v\n", w.Field, wit.NPE)
-		}
+	for _, v := range res.Harmful {
+		fmt.Printf("  %s — witness: %v\n", v.Warning.Field, v.Witness.NPE)
 	}
 }

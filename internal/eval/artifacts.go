@@ -8,7 +8,6 @@ import (
 
 	"nadroid"
 	"nadroid/internal/corpus"
-	"nadroid/internal/explore"
 	"nadroid/internal/inject"
 )
 
@@ -98,33 +97,4 @@ func resultAnalysisCSV(rows []Table1Row, f *Figure5) string {
 		fmt.Fprintf(&b, "%s,%d,%d\n", name, f.UnsoundRemoved[name], f.AfterSound)
 	}
 	return b.String()
-}
-
-// ValidateAndExplain validates one app's surviving warnings, pairing
-// each confirmed bug with its replayed schedule narrative — the CLI's
-// -explain mode.
-func ValidateAndExplain(appName string, budget int) (string, error) {
-	app, ok := corpus.ByName(appName)
-	if !ok {
-		return "", fmt.Errorf("eval: unknown corpus app %q", appName)
-	}
-	pkg := app.Build()
-	res, err := nadroid.Analyze(pkg, nadroid.Options{})
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	opts := explore.Options{MaxSchedules: budget}
-	for _, w := range res.Detection.Alive() {
-		wit, ok := explore.ValidateWarning(pkg, res.Model, w, opts)
-		if !ok {
-			fmt.Fprintf(&b, "UNCONFIRMED %s (no witness within %d schedules)\n", w.Field, budget)
-			continue
-		}
-		fmt.Fprintf(&b, "HARMFUL %s — %v\n", w.Field, wit.NPE)
-		for _, line := range explore.Replay(pkg, res.Model, w, wit, opts) {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
-	}
-	return b.String(), nil
 }

@@ -197,23 +197,6 @@ func TestWriteArtifacts(t *testing.T) {
 	}
 }
 
-// TestValidateAndExplain pairs witnesses with replayed narratives.
-func TestValidateAndExplain(t *testing.T) {
-	out, err := ValidateAndExplain("ConnectBot", 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "UNCONFIRMED") {
-		t.Errorf("all ConnectBot warnings must confirm:\n%s", out)
-	}
-	if c := strings.Count(out, "HARMFUL"); c != 13 {
-		t.Errorf("HARMFUL lines = %d, want 13", c)
-	}
-	if !strings.Contains(out, "fire lifecycle:onCreate") || !strings.Contains(out, "NPE") {
-		t.Errorf("narratives missing events:\n%s", out)
-	}
-}
-
 // TestComparePaperAllCheckpointsHold is the one-shot reproduction gate.
 func TestComparePaperAllCheckpointsHold(t *testing.T) {
 	if testing.Short() {

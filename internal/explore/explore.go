@@ -48,8 +48,8 @@ type Options struct {
 	// validation: schedule prefixes that only permute independent
 	// actions collapse into one trace-equivalence class, and the DFS
 	// executes a single representative per class. nil explores
-	// exhaustively. Only ValidateWarning-family searches prune (they
-	// know the warning's use site); FindNPE/FindNoSleep never do.
+	// exhaustively. Only warning validation prunes (it knows the
+	// warning's use site); FindNoSleep never does.
 	Conflicts *Conflicts
 }
 
@@ -73,13 +73,6 @@ func (w *Witness) String() string {
 	return fmt.Sprintf("%v after %d executions (schedule %v)", w.NPE, w.Executions, w.Schedule)
 }
 
-// FindNPE searches for any schedule whose execution raises an NPE
-// accepted by match (nil matches every NPE).
-func FindNPE(pkg *apk.Package, opts Options, match func(interp.NPE) bool) (*Witness, bool) {
-	w, ok, _ := findNPE(context.Background(), pkg, cha.New(pkg.Program), opts, match, nil)
-	return w, ok
-}
-
 // hierarchyFor returns the class hierarchy the worlds of one search
 // share: the model's when it was built over pkg's program, else a fresh
 // one.
@@ -90,9 +83,10 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 	return cha.New(pkg.Program)
 }
 
-// findNPE is the shared search core; h is pkg's class hierarchy, and pr
-// enables partial-order reduction when non-nil (ValidateWarning-family
-// callers only). ctx is checked before every schedule execution, so a
+// findNPE searches for any schedule whose execution raises an NPE
+// accepted by match (nil matches every NPE). h is pkg's class
+// hierarchy, and pr enables partial-order reduction when non-nil
+// (warning validation only). ctx is checked before every schedule execution, so a
 // canceled or expired context stops the search mid-budget and reports
 // ctx.Err(). A nil error with ok == false means the budget was
 // exhausted without a witness.
@@ -249,20 +243,14 @@ func (b *branch) take() *interp.World {
 	return w
 }
 
-// ValidateWarning searches for a schedule in which the value loaded at
+// validateWarning searches for a schedule in which the value loaded at
 // the warning's use site is null when dereferenced — the mechanical
 // definition of "true harmful UAF". When model is non-nil the search is
 // focused: only external events belonging to the warning's callback
 // lineages (plus their components' lifecycle chains) may fire, which is
 // the paper's §7 hint of starting exploration from the root entry
-// callbacks.
-func ValidateWarning(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool) {
-	wit, ok, _ := validateWarning(context.Background(), pkg, hierarchyFor(pkg, model), model, w, opts)
-	return wit, ok
-}
-
-// validateWarning is ValidateWarning over pkg's class hierarchy h, with
-// cancellation (see findNPE for the error contract).
+// callbacks. h is pkg's class hierarchy; see findNPE for the error
+// contract.
 func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
 	opts.Interp = focus(opts.Interp, model, w)
 	var pr *pruner
@@ -352,7 +340,7 @@ type Validation struct {
 	Witness *Witness
 }
 
-// ValidateAllDetailed classifies each warning with ValidateWarning's
+// ValidateAllDetailed classifies each warning with validateWarning's
 // search and returns every outcome, witness included, in input order.
 // model focuses each warning's search; pass nil to explore unfocused.
 //
@@ -459,9 +447,9 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 // the event-level narrative (which callbacks fired in which order, where
 // the exception struck) — the §7 aid in executable form. The schedule is
 // only meaningful under the same scheduler option set it was found with,
-// so Replay takes the same focusing inputs as ValidateWarning: pass the
-// model and warning used to find the witness (nil model replays
-// unfocused searches, e.g. FindNPE/FindNoSleep results).
+// so Replay takes the same focusing inputs as the validation search:
+// pass the model and warning used to find the witness (nil model
+// replays unfocused searches, e.g. FindNoSleep results).
 func Replay(pkg *apk.Package, model *threadify.Model, w *uaf.Warning, wit *Witness, opts Options) []string {
 	opts = opts.withDefaults()
 	iopts := focus(opts.Interp, model, w)

@@ -11,6 +11,7 @@ import (
 	"nadroid/internal/detect"
 	"nadroid/internal/framework"
 	"nadroid/internal/interp"
+	"nadroid/internal/race"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
@@ -19,6 +20,12 @@ const (
 	actCls = "x/A"
 	valCls = "x/V"
 )
+
+// findAnyNPE runs an unfocused, unpruned search for any NPE.
+func findAnyNPE(pkg *apk.Package, opts Options) (*Witness, bool) {
+	wit, ok, _ := findNPE(context.Background(), pkg, cha.New(pkg.Program), opts, nil, nil)
+	return wit, ok
+}
 
 // base returns an activity fixture with field f and a `use`-able value
 // class.
@@ -103,7 +110,7 @@ func TestDefaultScheduleRunsLifecycle(t *testing.T) {
 
 func TestExplorerFindsConnectBotUAF(t *testing.T) {
 	pkg := connectBotApp(t)
-	wit, ok := FindNPE(pkg, Options{MaxSchedules: 2000}, nil)
+	wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 2000})
 	if !ok {
 		t.Fatal("explorer must find the Figure 1(a) NPE")
 	}
@@ -132,7 +139,11 @@ func TestValidateWarningConfirmsStaticReport(t *testing.T) {
 	if target == nil {
 		t.Fatal("static stage missed the warning")
 	}
-	if _, ok := ValidateWarning(pkg, m, target, Options{MaxSchedules: 2000}); !ok {
+	vals, err := ValidateAllDetailed(context.Background(), pkg, m, []*uaf.Warning{target}, Options{MaxSchedules: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vals[0].Harmful {
 		t.Error("dynamic validation must confirm the warning as harmful")
 	}
 }
@@ -169,7 +180,7 @@ func TestGuardedLooperCallbacksAreSafe(t *testing.T) {
 	}
 	oc.Return()
 	pkg := build(t, b)
-	if wit, ok := FindNPE(pkg, Options{MaxSchedules: 3000}, nil); ok {
+	if wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 3000}); ok {
 		t.Fatalf("guarded looper callbacks must be safe, got %v", wit)
 	}
 }
@@ -206,7 +217,7 @@ func TestGuardUnsafeAgainstBackgroundThread(t *testing.T) {
 	oc.InvokeVoid(th, "x/W", "start")
 	oc.Return()
 	pkg := build(t, b)
-	wit, ok := FindNPE(pkg, Options{MaxSchedules: 4000}, nil)
+	wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 4000})
 	if !ok {
 		t.Fatal("check-then-use vs background free must be explorable to an NPE")
 	}
@@ -245,7 +256,7 @@ func TestFinishPreventsLaterUICallbacks(t *testing.T) {
 	}
 	oc.Return()
 	pkg := build(t, b)
-	if wit, ok := FindNPE(pkg, Options{MaxSchedules: 4000}, nil); ok {
+	if wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 4000}); ok {
 		t.Fatalf("finish() must prevent the post-free use, got %v", wit)
 	}
 }
@@ -284,11 +295,11 @@ func TestSecondClickExposesPostedFree(t *testing.T) {
 	oc.Return()
 	pkg := build(t, b)
 	// One click: safe (PHB reasoning holds).
-	if wit, ok := FindNPE(pkg, Options{MaxSchedules: 3000, Interp: interp.Options{MaxUIFires: 1}}, nil); ok {
+	if wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 3000, Interp: interp.Options{MaxUIFires: 1}}); ok {
 		t.Fatalf("single click must be safe, got %v", wit)
 	}
 	// Two clicks: the second click's use can follow the first's posted free.
-	if _, ok := FindNPE(pkg, Options{MaxSchedules: 6000, Interp: interp.Options{MaxUIFires: 2}}, nil); !ok {
+	if _, ok := findAnyNPE(pkg, Options{MaxSchedules: 6000, Interp: interp.Options{MaxUIFires: 2}}); !ok {
 		t.Fatal("double click must expose the posted free (PHB unsoundness)")
 	}
 }
@@ -335,7 +346,7 @@ func TestLocksPreventInterleaving(t *testing.T) {
 	oc.InvokeVoid(th, "x/W", "start")
 	oc.Return()
 	pkg := build(t, b)
-	if wit, ok := FindNPE(pkg, Options{MaxSchedules: 4000}, nil); ok {
+	if wit, ok := findAnyNPE(pkg, Options{MaxSchedules: 4000}); ok {
 		t.Fatalf("lock-protected check-then-use must be safe, got %v", wit)
 	}
 }
@@ -393,8 +404,9 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// A witness found by ValidateWarning must reproduce under Replay (the
-// narrative must end in the same NPE).
+// A witness the pruned validation search finds, as the pipeline runs
+// it, must reproduce under Replay (the narrative must end in the same
+// NPE).
 func TestWitnessReplayReproduces(t *testing.T) {
 	pkg := connectBotApp(t)
 	m, err := threadify.Build(pkg, threadify.Options{})
@@ -406,14 +418,19 @@ func TestWitnessReplayReproduces(t *testing.T) {
 		if !strings.Contains(w.Use.Method, "onCreateContextMenu") {
 			continue
 		}
-		wit, ok := ValidateWarning(pkg, m, w, Options{MaxSchedules: 2000})
-		if !ok {
+		opts := Options{MaxSchedules: 2000, Conflicts: NewConflicts(m, race.CollectAccesses(m))}
+		vals, err := ValidateAllDetailed(context.Background(), pkg, m, []*uaf.Warning{w}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wit := vals[0].Witness
+		if wit == nil {
 			t.Fatal("no witness")
 		}
 		lines := Replay(pkg, m, w, wit, Options{})
 		joined := strings.Join(lines, "\n")
-		if !strings.Contains(joined, "NPE") {
-			t.Errorf("replay narrative missing the NPE:\n%s", joined)
+		if !strings.Contains(joined, "NPE "+wit.NPE.String()) {
+			t.Errorf("replay narrative missing the NPE %v:\n%s", wit.NPE, joined)
 		}
 		return
 	}

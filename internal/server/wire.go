@@ -258,7 +258,8 @@ func EncodeResult(app string, res *nadroid.Result) *ResultWire {
 		})
 	}
 	out.Evidence = res.Evidence
-	for _, h := range res.Harmful {
+	for _, v := range res.Harmful {
+		h := v.Warning
 		if w, ok := byKey[h.Key()]; ok {
 			out.Harmful = append(out.Harmful, w)
 		} else {

@@ -94,9 +94,9 @@ func TestAnalyzeWithValidation(t *testing.T) {
 	if len(res.Harmful) != 13 {
 		t.Errorf("validated = %d, want 13", len(res.Harmful))
 	}
-	for _, w := range res.Harmful {
-		if !strings.HasPrefix(w.Field.Class, "ConnectBot/") {
-			t.Errorf("unexpected field %v", w.Field)
+	for _, v := range res.Harmful {
+		if !strings.HasPrefix(v.Warning.Field.Class, "ConnectBot/") {
+			t.Errorf("unexpected field %v", v.Warning.Field)
 		}
 	}
 }

@@ -83,12 +83,12 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 				}
 			}
 			gotHarmful := make([]string, 0, len(par.Harmful))
-			for _, w := range par.Harmful {
-				gotHarmful = append(gotHarmful, w.Key())
+			for _, v := range par.Harmful {
+				gotHarmful = append(gotHarmful, v.Warning.Key())
 			}
 			wantHarmful := make([]string, 0, len(seq.Harmful))
-			for _, w := range seq.Harmful {
-				wantHarmful = append(wantHarmful, w.Key())
+			for _, v := range seq.Harmful {
+				wantHarmful = append(wantHarmful, v.Warning.Key())
 			}
 			if !reflect.DeepEqual(gotHarmful, wantHarmful) {
 				t.Errorf("%s workers=%d: harmful set differs:\n got %v\nwant %v", app, workers, gotHarmful, wantHarmful)
@@ -96,7 +96,8 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 			// Every worker reads the sweep's one class hierarchy; each
 			// witness must still be the sequential sweep's schedule,
 			// found after the same number of executions.
-			for _, w := range seq.Harmful {
+			for _, v := range seq.Harmful {
+				w := v.Warning
 				fp := string(fingerprint.Warning(seq.Model, w))
 				want := seq.Evidence[fp]
 				if want == nil || want.Witness == nil {
