@@ -407,6 +407,9 @@ func Decode(data []byte) (out *Decoded, err error) {
 	if d.pos != len(d.data) {
 		return nil, fmt.Errorf("ircache: %d trailing bytes", len(d.data)-d.pos)
 	}
+	if err := checkModel(threads, compObj, len(snap.Objs)); err != nil {
+		return nil, err
+	}
 
 	h := cha.New(pkg.Program)
 	pts := pointsto.FromSnapshot(h, snap)
@@ -495,6 +498,32 @@ func (d *dec) decodeModelParts() ([]*threadify.Thread, map[string]pointsto.ObjID
 		compObj[d.s()] = pointsto.ObjID(d.i())
 	}
 	return threads, compObj
+}
+
+// checkModel rejects a thread forest the pipeline would index out of
+// range: every thread's ID is its index, its parent is an earlier
+// thread (-1 for thread 0 only), and its entry receiver, like every
+// component object, lies inside the snapshot's table of nobjs objects.
+// The receivers are checked here, after the snapshot, because the
+// snapshot follows the model in the blob.
+func checkModel(threads []*threadify.Thread, compObj map[string]pointsto.ObjID, nobjs int) error {
+	inTable := func(o pointsto.ObjID) bool { return o >= 0 && int(o) < nobjs }
+	for i, t := range threads {
+		switch {
+		case t.ID != i:
+			return fmt.Errorf("ircache: thread %d has ID %d", i, t.ID)
+		case i == 0 && t.Parent != -1, i > 0 && (t.Parent < 0 || t.Parent >= i):
+			return fmt.Errorf("ircache: thread %d has parent %d", i, t.Parent)
+		case !inTable(t.Entry.Recv):
+			return fmt.Errorf("ircache: thread %d has receiver %d of %d objects", i, t.Entry.Recv, nobjs)
+		}
+	}
+	for cls, o := range compObj {
+		if !inTable(o) {
+			return fmt.Errorf("ircache: component %s has object %d of %d objects", cls, o, nobjs)
+		}
+	}
+	return nil
 }
 
 func (d *dec) decodeSnapshot() *pointsto.Snapshot {
