@@ -134,10 +134,3 @@ func (g *Graph) close() {
 		}
 	}
 }
-
-// MayHappenInParallel reports the complement of the ordering: neither
-// a HB b nor b HB a. This is the trivial MHP the paper replaces Chord's
-// flow-sensitive MHP with (§5): exposed for ablation benchmarks.
-func (g *Graph) MayHappenInParallel(a, b int) bool {
-	return a != b && !g.HB(a, b) && !g.HB(b, a)
-}

