@@ -1,12 +1,13 @@
 # Build/verify entry points. `make check` is the CI gate: the gofmt
 # check of CI's lint job, vet, the short test suite under the race
 # detector (the internal/server pool and cache tests are written to
-# exercise their locking under -race), the benchmark module's vet and
-# tests, and a one-second run of every benchmark workload.
+# exercise their locking under -race), a run of every example program,
+# the benchmark module's vet and tests, and a one-second run of every
+# benchmark workload.
 
 GO ?= go
 
-.PHONY: build fmt-check vet test test-short race bench-test bench bench-smoke check serve
+.PHONY: build fmt-check vet test test-short race examples bench-test bench bench-smoke check serve
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,14 @@ test-short:
 race:
 	$(GO) test -short -race ./...
 
+# examples runs every program under examples/ and fails on the first
+# that exits non-zero; no test builds or runs them.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 # bench/ is its own module (see BENCHMARK.json), so the root `go test
 # ./...` never builds it; a root API change that breaks it shows up here.
 bench-test:
@@ -44,7 +53,7 @@ bench:
 bench-smoke:
 	bash bench/run.sh -seconds 1
 
-check: build fmt-check vet race bench-test bench-smoke
+check: build fmt-check vet race examples bench-test bench-smoke
 
 serve: build
 	$(GO) run ./cmd/nadroid-serve
