@@ -78,8 +78,8 @@ func BenchmarkTable1Pipeline(b *testing.B) { benchmarkTable1Pipeline(b, 1, false
 func BenchmarkTable1PipelineParallel(b *testing.B) { benchmarkTable1Pipeline(b, 0, false) }
 
 // BenchmarkTable1PipelineProvenance is the sequential sweep in
-// provenance mode: every derived tuple records its first derivation and
-// every warning assembles an evidence record. The delta against
+// provenance mode: the filters keep their trail and every warning
+// assembles an evidence record. The delta against
 // BenchmarkTable1Pipeline is the provenance overhead quoted in
 // EXPERIMENTS.md; the headline warning counts must not move.
 func BenchmarkTable1PipelineProvenance(b *testing.B) { benchmarkTable1Pipeline(b, 1, true) }
