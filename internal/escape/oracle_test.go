@@ -108,6 +108,86 @@ func datalogOracle(in escapeInput) oracleResult {
 	return res
 }
 
+// ruleOracle evaluates the Datalog program the bitset solver replaced,
+// Chord's five escape rules, by naive fixpoint iteration: every round
+// applies the recursive rules to the whole database, until a round adds
+// nothing. Escapes reads only Reach, so it is evaluated once Reach is
+// complete.
+//
+//	Reach(t, h)   :- Root(t, h)
+//	Reach(t, h2)  :- Reach(t, h1), HeapPT(h1, f, h2)
+//	Reach(t, h)   :- Touches(t), StaticPT(h)
+//	StaticPT(h2)  :- StaticPT(h1), HeapPT(h1, f, h2)
+//	Escapes(h)    :- Reach(t1, h), Reach(t2, h), t1 != t2
+//
+// Touches holds every thread with a row; StaticPT starts from the seeds.
+func ruleOracle(in escapeInput) oracleResult {
+	type reachT struct {
+		t int
+		h pointsto.ObjID
+	}
+	succ := make(map[pointsto.ObjID][]pointsto.ObjID) // HeapPT by h1
+	for _, e := range in.edges {
+		succ[e.Src] = append(succ[e.Src], e.Dst)
+	}
+	reach := make(map[reachT]bool)
+	static := make(map[pointsto.ObjID]bool)
+	for t, roots := range in.roots {
+		for _, h := range roots {
+			reach[reachT{t, h}] = true
+		}
+	}
+	for _, h := range in.seeds {
+		static[h] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		var newReach []reachT
+		var newStatic []pointsto.ObjID
+		for r := range reach {
+			for _, h2 := range succ[r.h] {
+				newReach = append(newReach, reachT{r.t, h2})
+			}
+		}
+		for h := range static {
+			for t := range in.roots {
+				newReach = append(newReach, reachT{t, h})
+			}
+			newStatic = append(newStatic, succ[h]...)
+		}
+		for _, r := range newReach {
+			if !reach[r] {
+				reach[r], changed = true, true
+			}
+		}
+		for _, h := range newStatic {
+			if !static[h] {
+				static[h], changed = true, true
+			}
+		}
+	}
+
+	res := oracleResult{reach: make(map[int][]pointsto.ObjID), escapes: make(map[pointsto.ObjID]bool)}
+	firstReacher := make(map[pointsto.ObjID]int)
+	for r := range reach {
+		res.reach[r.t] = append(res.reach[r.t], r.h)
+		if t, ok := firstReacher[r.h]; !ok {
+			firstReacher[r.h] = r.t
+		} else if t != r.t {
+			res.escapes[r.h] = true
+		}
+	}
+	for t := range in.roots {
+		res.reach[t] = sortedIDs(res.reach[t])
+	}
+	var statics []pointsto.ObjID
+	for h := range static {
+		statics = append(statics, h)
+	}
+	res.statics = sortedIDs(statics)
+	return res
+}
+
 func sortedIDs(ids []pointsto.ObjID) []pointsto.ObjID {
 	var set pointsto.Bitset
 	for _, o := range ids {
@@ -141,30 +221,37 @@ func checkAgainstOracle(t *testing.T, in escapeInput, rows []pointsto.Bitset, re
 	}
 }
 
+// randomInput draws an escape problem with cycles, self-loops,
+// duplicate edges, rootless threads and unreachable objects. threads
+// counts the thread rows, dummy mains included.
+func randomInput(seed int64) (in escapeInput, threads int) {
+	rng := rand.New(rand.NewSource(seed))
+	in = escapeInput{objs: 1 + rng.Intn(150), roots: make(map[int][]pointsto.ObjID)}
+	obj := func() pointsto.ObjID { return pointsto.ObjID(rng.Intn(in.objs)) }
+	threads = 1 + rng.Intn(8)
+	for th := 0; th < threads; th++ {
+		if rng.Intn(5) == 0 {
+			continue // a dummy main: no row
+		}
+		in.roots[th] = []pointsto.ObjID{}
+		for i := rng.Intn(6); i > 0; i-- {
+			in.roots[th] = append(in.roots[th], obj())
+		}
+	}
+	for i := rng.Intn(3 * in.objs); i > 0; i-- {
+		in.edges = append(in.edges, heapEdge{Src: obj(), Field: fmt.Sprint(rng.Intn(3)), Dst: obj()})
+	}
+	for i := rng.Intn(4); i > 0; i-- {
+		in.seeds = append(in.seeds, obj())
+	}
+	return in, threads
+}
+
 // TestSolverMatchesDatalogOnRandomGraphs runs the search over random
-// heap graphs (cycles, self-loops, duplicate edges, rootless threads,
-// unreachable objects) against the Datalog fixpoint.
+// heap graphs against the Datalog fixpoint.
 func TestSolverMatchesDatalogOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		in := escapeInput{objs: 1 + rng.Intn(150), roots: make(map[int][]pointsto.ObjID)}
-		obj := func() pointsto.ObjID { return pointsto.ObjID(rng.Intn(in.objs)) }
-		threads := 1 + rng.Intn(8)
-		for th := 0; th < threads; th++ {
-			if rng.Intn(5) == 0 {
-				continue // a dummy main: no row
-			}
-			in.roots[th] = []pointsto.ObjID{}
-			for i := rng.Intn(6); i > 0; i-- {
-				in.roots[th] = append(in.roots[th], obj())
-			}
-		}
-		for i := rng.Intn(3 * in.objs); i > 0; i-- {
-			in.edges = append(in.edges, heapEdge{Src: obj(), Field: fmt.Sprint(rng.Intn(3)), Dst: obj()})
-		}
-		for i := rng.Intn(4); i > 0; i-- {
-			in.seeds = append(in.seeds, obj())
-		}
+		in, threads := randomInput(seed)
 		want := datalogOracle(in)
 
 		s := &solver{succ: make([]pointsto.Bitset, in.objs)}
@@ -239,5 +326,27 @@ func TestAnalyzeMatchesDatalogOnCorpus(t *testing.T) {
 			in := modelInput(m)
 			checkAgainstOracle(t, in, reachRows(m), Analyze(m), datalogOracle(in))
 		})
+	}
+}
+
+// TestRuleOracleMatchesEngine checks the naive fixpoint against the
+// Datalog engine on the random graphs and the corpus apps.
+func TestRuleOracleMatchesEngine(t *testing.T) {
+	check := func(name string, in escapeInput) {
+		got, want := ruleOracle(in), datalogOracle(in)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: naive fixpoint %+v, engine %+v", name, got, want)
+		}
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		in, _ := randomInput(seed)
+		check(fmt.Sprintf("seed%d", seed), in)
+	}
+	for _, app := range append(corpus.Apps(), corpus.AsyncApps()...) {
+		m, err := threadify.Build(app.Build(), threadify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(app.Name(), modelInput(m))
 	}
 }
