@@ -2,9 +2,8 @@
 // detector (use-after-free, no-sleep, leaked-thread, lost-result)
 // implements one interface and runs against a shared Context holding the
 // threadified IR, the points-to result, the access/escape analyses, the
-// must-happen-before graph, and the Datalog engine holding the §5 race
-// fact base and Racy rule — computed once per app and consumed by every
-// enabled detector.
+// must-happen-before graph, and the §5 Racy join over the uses and frees
+// — computed once per app and consumed by every enabled detector.
 //
 // The registry fixes detector order, so output is deterministic no
 // matter how a caller spells its selection. New families plug in by
@@ -14,7 +13,6 @@ package detect
 import (
 	"context"
 
-	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/fingerprint"
 	"nadroid/internal/hb"
@@ -74,13 +72,11 @@ type Context struct {
 	Escape *escape.Result
 	// MHB is the must-happen-before graph over modeled threads.
 	MHB *hb.Graph
-	// Engine is the Datalog engine of the §5 race join, loaded with the
-	// race fact base (race.PopulateFacts: uses, frees, escaping objects)
-	// and race.RacyRule. The uaf detector runs it for the racy pairs. It
-	// records no derivations: an evidence record writes a pair's proof
-	// down from Accesses and Escape. The async families walk
-	// Model.Threads instead.
-	Engine *datalog.Engine
+	// Engine is the §5 Racy join (race.RacyRule), its frees already
+	// bucketed by field and escaping object; the uaf detector probes it
+	// for the racy pairs. The name is kept only because the benchmark
+	// module reads Engine.Stats().Facts.
+	Engine *race.Join
 
 	// UAF is set by the uaf detector when it runs.
 	UAF *uaf.Detection
@@ -102,10 +98,10 @@ type Options struct {
 }
 
 // BuildContext computes the shared analysis state for one app: access
-// collection, escape analysis, the MHB graph, and the Datalog engine
-// with the race facts and the Racy rule, each in its own span. The
-// "detect_context_builds" counter asserts the compute-once contract in
-// tests.
+// collection, escape analysis, the MHB graph, and the Racy join's
+// buckets, each in its own span. The "race_facts" counter reports the
+// size of the join's fact base; the "detect_context_builds" counter
+// asserts the compute-once contract in tests.
 func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Options) *Context {
 	_, span := obs.Start(ctx, "race.collect-accesses")
 	accesses := opts.Accesses
@@ -128,11 +124,10 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 	span.End()
 
 	_, span = obs.Start(ctx, "detect.facts")
-	e := datalog.NewEngine()
-	race.PopulateFacts(e, accesses, esc)
-	race.InstallRacyRules(e)
-	span.SetAttr("facts", e.Stats().Facts)
+	j := race.NewJoin(accesses, esc.Escaped)
+	span.SetAttr("facts", j.Stats().Facts)
 	span.End()
+	obs.Add(ctx, "race_facts", int64(j.Stats().Facts))
 
 	obs.Add(ctx, "detect_context_builds", 1)
 	return &Context{
@@ -141,7 +136,7 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 		Accesses: accesses,
 		Escape:   esc,
 		MHB:      g,
-		Engine:   e,
+		Engine:   j,
 	}
 }
 

@@ -34,9 +34,9 @@ type counter interface {
 // Run executes the selected detectors, in canonical order, against one
 // shared context. Each detector runs under a "detect:<name>" span and
 // lands its warning count in the "detector_warnings{detector=…}"
-// pipeline counter. Detectors run sequentially: the shared Datalog
-// engine is not safe for concurrent use, and per-detector phases keep
-// timings attributable.
+// pipeline counter. Detectors run sequentially, so per-detector phases
+// keep timings attributable and a detector may set its structured
+// result on the shared context.
 func Run(ctx context.Context, dc *Context, ds []Detector) (*Results, error) {
 	res := &Results{Counts: make(map[string]int, len(ds))}
 	for _, d := range ds {

@@ -9,7 +9,7 @@ import (
 )
 
 // uafDetector is the classic §5 use-after-free family ported onto the
-// registry. It runs the context's Racy join for the racy (use, free)
+// registry. It probes the context's Racy join for the racy (use, free)
 // pairs and groups them into uaf.Warnings on the context,
 // so the §6 filters and §7 report consume exactly the structures they
 // always have.
@@ -29,8 +29,8 @@ func (uafDetector) count(dc *Context) int {
 }
 
 func (uafDetector) Detect(ctx context.Context, dc *Context) ([]Warning, error) {
-	pctx, span := obs.Start(ctx, "race.pair")
-	pairs := race.PairsFromEngine(pctx, dc.Engine)
+	_, span := obs.Start(ctx, "race.pair")
+	pairs := dc.Engine.Pairs()
 	span.SetAttr("pairs", len(pairs))
 	span.End()
 	obs.Add(ctx, "race_pairs", int64(len(pairs)))

@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"nadroid/internal/corpus"
-	"nadroid/internal/datalog"
 	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
 
 // The Datalog program the bitset solver replaced is kept here as its
-// reference: every test below loads the same inputs into a Datalog
-// engine and requires identical reach rows, static sets, reacher counts
-// and escape verdicts.
+// reference: every test below evaluates its rules over the same inputs
+// (ruleOracle) and requires identical reach rows, static sets, reacher
+// counts and escape verdicts.
 
 // escapeInput is one escape problem in fact form: per-thread roots
 // (threads absent from the map, like dummy mains, get no row), heap
@@ -55,57 +54,12 @@ func staticSeeds(pts *pointsto.Result) []pointsto.ObjID {
 	return out
 }
 
-// oracleResult is the Datalog fixpoint: sorted reach rows per thread,
+// oracleResult is the rules' fixpoint: sorted reach rows per thread,
 // the sorted closed static set, and the objects Escapes derives.
 type oracleResult struct {
 	reach   map[int][]pointsto.ObjID
 	statics []pointsto.ObjID
 	escapes map[pointsto.ObjID]bool
-}
-
-func datalogOracle(in escapeInput) oracleResult {
-	e := datalog.NewEngine()
-	obj := func(o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }
-	thr := func(t int) datalog.Sym { return e.IntSym('t', t) }
-	e.Relation("Root", 2)
-	e.Relation("HeapPT", 3)
-	e.Relation("StaticPT", 1)
-	for t, roots := range in.roots {
-		for _, o := range roots {
-			e.Fact("Root", thr(t), obj(o))
-		}
-		e.Fact("Touches", thr(t))
-	}
-	for _, edge := range in.edges {
-		e.Fact("HeapPT", obj(edge.Src), e.Sym("f:"+edge.Field), obj(edge.Dst))
-	}
-	for _, o := range in.seeds {
-		e.Fact("StaticPT", obj(o))
-	}
-	e.MustRule("Reach(t, h) :- Root(t, h)")
-	e.MustRule("Reach(t, h2) :- Reach(t, h1), HeapPT(h1, f, h2)")
-	e.MustRule("Reach(t, h) :- Touches(t), StaticPT(h)")
-	e.MustRule("StaticPT(h2) :- StaticPT(h1), HeapPT(h1, f, h2)")
-	e.MustRule("Escapes(h) :- Reach(t1, h), Reach(t2, h), t1 != t2")
-	e.Run()
-
-	objsOf := func(rows [][]datalog.Sym, col int) []pointsto.ObjID {
-		out := make([]pointsto.ObjID, 0, len(rows))
-		for _, row := range rows {
-			_, v, _ := e.IntSymVal(row[col])
-			out = append(out, pointsto.ObjID(v))
-		}
-		return sortedIDs(out)
-	}
-	res := oracleResult{reach: make(map[int][]pointsto.ObjID), escapes: make(map[pointsto.ObjID]bool)}
-	for t := range in.roots {
-		res.reach[t] = objsOf(e.Query("Reach", thr(t), datalog.Wild), 1)
-	}
-	res.statics = objsOf(e.Query("StaticPT", datalog.Wild), 0)
-	for _, o := range objsOf(e.Query("Escapes", datalog.Wild), 0) {
-		res.escapes[o] = true
-	}
-	return res
 }
 
 // ruleOracle evaluates the Datalog program the bitset solver replaced,
@@ -248,11 +202,11 @@ func randomInput(seed int64) (in escapeInput, threads int) {
 }
 
 // TestSolverMatchesDatalogOnRandomGraphs runs the search over random
-// heap graphs against the Datalog fixpoint.
+// heap graphs against the fixpoint of the Datalog rules.
 func TestSolverMatchesDatalogOnRandomGraphs(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		in, threads := randomInput(seed)
-		want := datalogOracle(in)
+		want := ruleOracle(in)
 
 		s := &solver{succ: make([]pointsto.Bitset, in.objs)}
 		for _, edge := range in.edges {
@@ -324,29 +278,7 @@ func TestAnalyzeMatchesDatalogOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			in := modelInput(m)
-			checkAgainstOracle(t, in, reachRows(m), Analyze(m), datalogOracle(in))
+			checkAgainstOracle(t, in, reachRows(m), Analyze(m), ruleOracle(in))
 		})
-	}
-}
-
-// TestRuleOracleMatchesEngine checks the naive fixpoint against the
-// Datalog engine on the random graphs and the corpus apps.
-func TestRuleOracleMatchesEngine(t *testing.T) {
-	check := func(name string, in escapeInput) {
-		got, want := ruleOracle(in), datalogOracle(in)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: naive fixpoint %+v, engine %+v", name, got, want)
-		}
-	}
-	for seed := int64(0); seed < 200; seed++ {
-		in, _ := randomInput(seed)
-		check(fmt.Sprintf("seed%d", seed), in)
-	}
-	for _, app := range append(corpus.Apps(), corpus.AsyncApps()...) {
-		m, err := threadify.Build(app.Build(), threadify.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(app.Name(), modelInput(m))
 	}
 }

@@ -1,14 +1,12 @@
 package fingerprint
 
 import (
-	"context"
 	"regexp"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
-	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/race"
 	"nadroid/internal/threadify"
@@ -125,10 +123,7 @@ func detect(t *testing.T, pkg *apk.Package) (*threadify.Model, *uaf.Detection) {
 		t.Fatalf("threadify: %v", err)
 	}
 	accs := race.CollectAccesses(m)
-	e := datalog.NewEngine()
-	race.PopulateFacts(e, accs, escape.Analyze(m))
-	race.InstallRacyRules(e)
-	pairs := race.PairsFromEngine(context.Background(), e)
+	pairs := race.NewJoin(accs, escape.Analyze(m).Escaped).Pairs()
 	return m, uaf.Group(m, &race.Result{Accesses: accs, Pairs: pairs})
 }
 

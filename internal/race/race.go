@@ -3,7 +3,9 @@
 // shape: it enumerates field accesses per modeled thread, and reports
 // racy pairs — a use (read) and a free (null write) of the same field of
 // an aliased, thread-escaping object, from different modeled threads.
-// Non-null writes are collected but never pair.
+// Non-null writes are collected but never pair. Chord states the
+// detector as one Datalog rule, RacyRule; it is not recursive, so Join
+// evaluates it as a single hash join with the same relation.
 //
 // Per the paper, the detector deliberately ignores lockset analysis
 // (locks do not prevent ordering violations) and MHP analysis (replaced
@@ -12,14 +14,9 @@
 package race
 
 import (
-	"context"
 	"fmt"
-	"sort"
 
-	"nadroid/internal/datalog"
-	"nadroid/internal/escape"
 	"nadroid/internal/ir"
-	"nadroid/internal/obs"
 	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
@@ -186,103 +183,7 @@ func canonicalField(m *threadify.Model, ref ir.FieldRef) ir.FieldRef {
 	return ref
 }
 
-// PopulateFacts loads the access and escape fact base into e: RdAcc
-// tuples per (use, thread, field, object), WrAcc tuples per (free,
-// thread, field, object), and the Esc relation over thread-escaping
-// objects. Non-null writes contribute no access facts.
-// detect.BuildContext calls it once per app and then installs the Racy
-// rule (InstallRacyRules).
-func PopulateFacts(e *datalog.Engine, accesses []Access, esc *escape.Result) {
-	thrSym := func(t int) datalog.Sym { return e.IntSym('t', t) }
-	staticObj := e.Sym("h:static")
-
-	// Make sure relations exist even when a side contributes no facts.
-	e.Relation("RdAcc", 4)
-	e.Relation("WrAcc", 4)
-	e.Relation("Esc", 1)
-
-	for _, a := range accesses {
-		if a.Kind == Write {
-			continue
-		}
-		fieldSym := e.Sym("f:" + a.Field.String())
-		rel := "WrAcc"
-		if a.Kind == Read {
-			rel = "RdAcc"
-		}
-		if a.Static {
-			e.Fact(rel, accSym(e, a.ID), thrSym(a.Thread), fieldSym, staticObj)
-			continue
-		}
-		for _, o := range a.Objs {
-			e.Fact(rel, accSym(e, a.ID), thrSym(a.Thread), fieldSym, objSym(e, o))
-		}
-	}
-	// Escape facts; statics always escape.
-	e.Fact("Esc", staticObj)
-	seenObj := make(map[pointsto.ObjID]bool)
-	for _, a := range accesses {
-		for _, o := range a.Objs {
-			if seenObj[o] {
-				continue
-			}
-			seenObj[o] = true
-			if esc.Escaped(o) {
-				e.Fact("Esc", objSym(e, o))
-			}
-		}
-	}
-}
-
 // RacyRule is the race detector as Chord states it: a use a and a free
 // b of the same field f of the same thread-escaping object h, on
-// different threads.
+// different threads. Join evaluates it; evidence records cite it.
 const RacyRule = "Racy(a, b) :- RdAcc(a, t1, f, h), WrAcc(b, t2, f, h), t1 != t2, Esc(h)"
-
-// InstallRacyRules adds RacyRule to an engine loaded by PopulateFacts.
-// Install at most once per engine — the engine does not dedupe rules, so
-// a second install would re-fire the same derivations on every later
-// Run.
-func InstallRacyRules(e *datalog.Engine) {
-	e.MustRule(RacyRule)
-}
-
-// PairsFromEngine runs an engine loaded by PopulateFacts with the Racy
-// rule installed (InstallRacyRules) and decodes the racy pairs, sorted.
-// Engine telemetry (fact/derived-tuple/iteration counters) is reported
-// through ctx.
-func PairsFromEngine(ctx context.Context, e *datalog.Engine) []Pair {
-	e.Run()
-	st := e.Stats()
-	obs.Add(ctx, "datalog_facts", int64(st.Facts))
-	obs.Add(ctx, "datalog_derived", int64(st.Derived))
-	obs.Add(ctx, "datalog_iterations", int64(st.Iterations))
-	// Per-rule evaluation stats, labeled by head relation (rules sharing
-	// a head accumulate into one series). The server exposes these as
-	// the nadroid_datalog_rule_* metric families.
-	for _, rs := range e.RuleStats() {
-		obs.Add(ctx, fmt.Sprintf("datalog_rule_derived{rule=%q}", rs.Head), int64(rs.Derived))
-		obs.Add(ctx, fmt.Sprintf("datalog_rule_rounds{rule=%q}", rs.Head), int64(rs.Rounds))
-		obs.Add(ctx, fmt.Sprintf("datalog_rule_time_us{rule=%q}", rs.Head), rs.Time.Microseconds())
-	}
-
-	var pairs []Pair
-	for _, row := range e.Query("Racy", datalog.Wild, datalog.Wild) {
-		_, a, _ := e.IntSymVal(row[0])
-		_, b, _ := e.IntSymVal(row[1])
-		pairs = append(pairs, Pair{A: a, B: b})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-	return pairs
-}
-
-// accSym and objSym encode access IDs and abstract objects as engine
-// symbols.
-func accSym(e *datalog.Engine, id int) datalog.Sym { return e.IntSym('a', id) }
-
-func objSym(e *datalog.Engine, o pointsto.ObjID) datalog.Sym { return e.IntSym('h', int(o)) }

@@ -1,13 +1,11 @@
 package race
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/corpus"
-	"nadroid/internal/datalog"
 	"nadroid/internal/escape"
 	"nadroid/internal/framework"
 	"nadroid/internal/ir"
@@ -61,14 +59,11 @@ func twoListenerApp(t *testing.T, l1Free, l2Write bool) *threadify.Model {
 }
 
 // detectPairs runs the steps the shared detector context runs
-// (internal/detect): collect accesses, solve escape, load the fact base
-// and derive the racy pairs.
+// (internal/detect): collect accesses, solve escape, and join the uses
+// with the frees.
 func detectPairs(m *threadify.Model) ([]Access, []Pair) {
 	accs := CollectAccesses(m)
-	e := datalog.NewEngine()
-	PopulateFacts(e, accs, escape.Analyze(m))
-	InstallRacyRules(e)
-	return accs, PairsFromEngine(context.Background(), e)
+	return accs, NewJoin(accs, escape.Analyze(m).Escaped).Pairs()
 }
 
 func TestCollectAccessesKinds(t *testing.T) {

@@ -111,7 +111,7 @@ func TestMetricsExposition(t *testing.T) {
 	// The analysis must have surfaced deep pipeline counters.
 	for _, name := range []string{
 		"nadroid_pipeline_pointsto_iterations",
-		"nadroid_pipeline_datalog_facts",
+		"nadroid_pipeline_race_facts",
 		"nadroid_pipeline_race_pairs",
 		"nadroid_pipeline_filter_examined",
 	} {

@@ -35,8 +35,8 @@ type Warning struct {
 	// FilteredBy records, per removed pair, which filter removed it.
 	FilteredBy map[ThreadPair]string
 	// Races are the racy access-ID pairs that contributed to this
-	// warning, in detection order — the hooks provenance queries use to
-	// re-derive the warning from the Datalog engine.
+	// warning, in detection order; an evidence record writes the Racy
+	// derivation of the first one down from its two accesses.
 	Races []race.Pair
 }
 

@@ -148,7 +148,7 @@ func TestUnknownDetectorRejected(t *testing.T) {
 }
 
 // TestSharedContextComputedOnce: all four detectors ride one shared
-// analysis context — accesses, escape, MHB, and the Datalog engine are
+// analysis context — accesses, escape, MHB, and the Racy join are
 // built exactly once per analysis.
 func TestSharedContextComputedOnce(t *testing.T) {
 	app, _ := corpus.ByName("AsyncGrabBag")

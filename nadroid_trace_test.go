@@ -85,7 +85,17 @@ func TestAnalyzeTraceTree(t *testing.T) {
 	}
 	findChild(t, detection, "race.collect-accesses")
 	findChild(t, detection, "hb.build")
-	// The Datalog pairing now runs inside the uaf detector's span.
+	// The Racy join's fact count lands on its span and in race_facts.
+	var facts interface{}
+	for _, a := range findChild(t, detection, "detect.facts").Attrs() {
+		if a.Key == "facts" {
+			facts = a.Val
+		}
+	}
+	if n, ok := facts.(int); !ok || n <= 0 || int64(n) != metrics.Get("race_facts") {
+		t.Errorf("detect.facts span has facts=%v, race_facts counter %d", facts, metrics.Get("race_facts"))
+	}
+	// The Racy join's probe runs inside the uaf detector's span.
 	findChild(t, findChild(t, detection, "detect:uaf"), "race.pair")
 	for _, name := range []string{"detect:nosleep", "detect:leaked-thread", "detect:lost-result"} {
 		findChild(t, detection, name)
@@ -120,7 +130,7 @@ func TestAnalyzeTraceTree(t *testing.T) {
 	// Deep counters from every phase.
 	for _, name := range []string{
 		"pointsto_iterations", "pointsto_delta_objs", "pointsto_var_facts",
-		"datalog_facts", "datalog_derived",
+		"race_facts",
 		"race_accesses", "race_pairs",
 		"uaf_warnings",
 		"threads_modeled",
