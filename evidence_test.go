@@ -78,10 +78,13 @@ var (
 
 // clickPair builds an activity whose onCreate runs setup and registers
 // two click listeners, one running use and the other free, each with
-// the activity in its outer field.
+// the activity in its outer field. The activity class x/A has a
+// subclass x/Sub that declares nothing, so a ref may name x/A's fields
+// through it.
 func clickPair(name string, setup, use, free func(mb *appbuilder.MethodBuilder, act int)) *apk.Package {
 	b := appbuilder.New(name)
 	act := b.Activity("x/A")
+	b.Class("x/Sub", "x/A")
 	act.StaticField("cur", "x/V")
 	act.Field("h", "x/H")
 	b.Class("x/H", framework.Object).Field("v", "x/V")
@@ -125,6 +128,28 @@ func derivationFixtures() []*apk.Package {
 			mb.Free(mb.GetField(act, "x/A", "h"), "x/H", "v")
 		})
 	return []*apk.Package{static, twoObjs}
+}
+
+// TestStaticFieldThroughSubclass checks that a use naming x/A's static
+// field through the subclass x/Sub races with the free naming it on
+// x/A, exactly as the same use naming x/A does: the access collection,
+// the points-to static table and the interpreter's static slots all key
+// a static field by its declaring class.
+func TestStaticFieldThroughSubclass(t *testing.T) {
+	for _, owner := range []string{"x/A", "x/Sub"} {
+		pkg := clickPair("StaticVia"+owner[2:],
+			func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.New("x/V")) },
+			func(mb *appbuilder.MethodBuilder, act int) { mb.Use(mb.GetStatic(owner, "cur"), "x/V") },
+			func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.NullReg()) })
+		res, err := Analyze(pkg, Options{Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Potential != 1 || res.Stats.AfterUnsound != 1 || len(res.Harmful) != 1 {
+			t.Errorf("use via %s: %d potential, %d surviving, %d harmful; want 1, 1, 1",
+				owner, res.Stats.Potential, res.Stats.AfterUnsound, len(res.Harmful))
+		}
+	}
 }
 
 // TestRacyDerivationFixtures pins the tree on the two fixtures. The

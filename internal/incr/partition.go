@@ -13,8 +13,9 @@ import (
 
 // Version is the partition format version. It is baked into the file
 // name (see Name), so a format change makes old partitions invisible
-// rather than mis-decoded.
-const Version = 2
+// rather than mis-decoded. v3: a static access names its field by the
+// declaring class.
+const Version = 3
 
 var magic = [4]byte{'N', 'I', 'N', 'C'}
 

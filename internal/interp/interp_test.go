@@ -187,6 +187,27 @@ func TestNPEAttributionNamesLoadSite(t *testing.T) {
 	}
 }
 
+// TestStaticFieldThroughSubclass: a static load reads the slot a
+// static store wrote, also when either ref names the field through a
+// subclass of the class that declares it, so the use does not throw.
+func TestStaticFieldThroughSubclass(t *testing.T) {
+	for _, owners := range [][2]string{{"it/A", "it/Sub"}, {"it/Sub", "it/A"}} {
+		pkg := buildPkg(t, func(b *appbuilder.Builder) {
+			act := b.Activity("it/A")
+			act.StaticField("cur", "it/V")
+			b.Class("it/Sub", "it/A")
+			b.Class("it/V", framework.Object).Method("use", 0).Return()
+			oc := act.Method("onCreate", 1)
+			oc.PutStatic(owners[0], "cur", oc.New("it/V"))
+			oc.Use(oc.GetStatic(owners[1], "cur"), "it/V")
+			oc.Return()
+		})
+		if npes := runAll(pkg, Options{}).NPEs(); len(npes) != 0 {
+			t.Errorf("store via %s, load via %s: NPEs = %v, want none", owners[0], owners[1], npes)
+		}
+	}
+}
+
 func TestNPEAttributionThroughCallArguments(t *testing.T) {
 	pkg := buildPkg(t, func(b *appbuilder.Builder) {
 		act := b.Activity("it/A")

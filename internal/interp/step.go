@@ -104,13 +104,13 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = reg{v: w.get(0, in.Field), site: f.m, at: f.pc}
+		f.regs[in.A] = reg{v: w.get(0, w.h.CanonicalField(in.Field)), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
 		v := f.regs[in.A].v
-		w.set(0, in.Field, v)
+		w.set(0, w.h.CanonicalField(in.Field), v)
 		w.recordAccess(e, f, in, nil, true, v == nil)
 		advance()
 		return true, false

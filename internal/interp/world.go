@@ -293,7 +293,8 @@ type compState struct {
 }
 
 // field is one written field of an object. Instance fields are keyed by
-// name alone (Class empty), statics by their full reference.
+// name alone (Class empty), statics by the reference of their declaring
+// class (cha.Hierarchy.CanonicalField).
 type field struct {
 	ref ir.FieldRef
 	v   Value

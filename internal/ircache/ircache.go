@@ -39,8 +39,9 @@ import (
 // changes shape; mismatched blobs are treated as cache misses.
 //
 // v2 appended the thread-escape result (the costliest of the base facts
-// the detection context builds on).
-const Version = 2
+// the detection context builds on). v3: the points-to result keys a
+// static field by its declaring class, not by the ref that names it.
+const Version = 3
 
 var magic = [4]byte{'N', 'I', 'R', 'C'}
 

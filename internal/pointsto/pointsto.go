@@ -269,7 +269,8 @@ func (r *Result) StaticSet(field string) Bitset {
 	return c.staticSets[sid]
 }
 
-// StaticPointsTo returns the pointees of a static field "Class.name".
+// StaticPointsTo returns the pointees of a static field "Class.name",
+// named by its declaring class.
 func (r *Result) StaticPointsTo(field string) []ObjID {
 	return r.StaticSet(field).AppendIDs(nil)
 }

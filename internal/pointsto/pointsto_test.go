@@ -136,35 +136,41 @@ func filterBySite(res *Result, ids []ObjID, sitePrefix string) []ObjID {
 	return out
 }
 
+// TestStaticFieldFlow: a static load sees what a static store put
+// there, also when either ref names the field through a subclass of
+// the class that declares it.
 func TestStaticFieldFlow(t *testing.T) {
-	b := appbuilder.New("staticapp")
-	b.Class("G", framework.Object).StaticField("shared", "A")
-	b.Class("A", framework.Object)
-	c := b.Class("Main", framework.Object)
-	w := c.Method("writer", 0)
-	w.Method().Static = true
-	a := w.New("A")
-	w.PutStatic("G", "shared", a)
-	w.Return()
-	rd := c.Method("reader", 0)
-	rd.Method().Static = true
-	got := rd.GetStatic("G", "shared")
-	rd.ReturnReg(got)
-	pkg, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := cha.New(pkg.Program)
-	res := SolveWithSynthetics(h, nil, []Entry{
-		{Method: w.Method()},
-		{Method: rd.Method()},
-	}, Options{K: 2})
-	pts := res.PointsTo(rd.Method().Ref(), NoRecv, got)
-	if len(pts) != 1 {
-		t.Fatalf("reader sees %v, want one object", pts)
-	}
-	if res.Obj(pts[0]).Class != "A" {
-		t.Errorf("class = %q, want A", res.Obj(pts[0]).Class)
+	for _, owners := range [][2]string{{"G", "G"}, {"G", "Sub"}, {"Sub", "G"}} {
+		b := appbuilder.New("staticapp")
+		b.Class("G", framework.Object).StaticField("shared", "A")
+		b.Class("Sub", "G")
+		b.Class("A", framework.Object)
+		c := b.Class("Main", framework.Object)
+		w := c.Method("writer", 0)
+		w.Method().Static = true
+		a := w.New("A")
+		w.PutStatic(owners[0], "shared", a)
+		w.Return()
+		rd := c.Method("reader", 0)
+		rd.Method().Static = true
+		got := rd.GetStatic(owners[1], "shared")
+		rd.ReturnReg(got)
+		pkg, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := cha.New(pkg.Program)
+		res := SolveWithSynthetics(h, nil, []Entry{
+			{Method: w.Method()},
+			{Method: rd.Method()},
+		}, Options{K: 2})
+		pts := res.PointsTo(rd.Method().Ref(), NoRecv, got)
+		if len(pts) != 1 {
+			t.Fatalf("store via %s, load via %s: reader sees %v, want one object", owners[0], owners[1], pts)
+		}
+		if res.Obj(pts[0]).Class != "A" {
+			t.Errorf("class = %q, want A", res.Obj(pts[0]).Class)
+		}
 	}
 }
 

@@ -475,9 +475,9 @@ func (s *solver) processMethod(mid methodID, recv ObjID) mctxID {
 			s.retrigger(b)
 			s.retrigger(src)
 		case ir.OpGetStatic:
-			s.addStaticLoad(in.Field.String(), vk(in.A))
+			s.addStaticLoad(s.h.CanonicalField(in.Field).String(), vk(in.A))
 		case ir.OpPutStatic:
-			s.addStaticStore(vk(in.A), in.Field.String())
+			s.addStaticStore(vk(in.A), s.h.CanonicalField(in.Field).String())
 		case ir.OpInvoke:
 			if s.opts.SkipCall != nil && s.opts.SkipCall(m, i, in) {
 				continue

@@ -135,15 +135,13 @@ func appendAccesses(out []Access, m *threadify.Model, thread int) []Access {
 		}
 		oi := ir.ComputeOrigins(mth)
 		for i, in := range mth.Instrs {
-			acc := Access{Field: in.Field}
+			var acc Access
 			switch in.Op {
 			case ir.OpGetField:
 				acc.Kind = Read
-				acc.Field = canonicalField(m, in.Field)
 				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpPutField:
 				acc.Kind = putKind(oi, mth, i)
-				acc.Field = canonicalField(m, in.Field)
 				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpGetStatic:
 				acc.Kind = Read
@@ -154,6 +152,9 @@ func appendAccesses(out []Access, m *threadify.Model, thread int) []Access {
 			default:
 				continue
 			}
+			// Accesses through a subclass name the declaring class, so
+			// they meet the accesses that name it in the Racy join.
+			acc.Field = m.H.CanonicalField(in.Field)
 			acc.ID = len(out)
 			acc.Thread = thread
 			acc.MCtx = mc
@@ -172,15 +173,6 @@ func putKind(oi *ir.OriginInfo, mth *ir.Method, i int) AccessKind {
 		return NullWrite
 	}
 	return Write
-}
-
-// canonicalField resolves a field reference to its declaring class so
-// accesses through subclasses unify.
-func canonicalField(m *threadify.Model, ref ir.FieldRef) ir.FieldRef {
-	if f := m.H.DeclaringClassOfField(ref); f != nil {
-		return ir.FieldRef{Class: f.Class, Name: f.Name}
-	}
-	return ref
 }
 
 // RacyRule is the race detector as Chord states it: a use a and a free

@@ -113,7 +113,7 @@ func TestFieldCanonicalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := canonicalField(model, ir.FieldRef{Class: "c/Sub", Name: "f"})
+	ref := model.H.CanonicalField(ir.FieldRef{Class: "c/Sub", Name: "f"})
 	if ref.Class != "c/Base" {
 		t.Errorf("canonical class = %q, want c/Base", ref.Class)
 	}

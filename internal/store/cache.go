@@ -239,10 +239,12 @@ func IRDigest(canonicalText string) string {
 // (digest), the warning (fingerprint), the validation options, or the
 // enabled detector set lands on a different key, which is how
 // invalidation works — stale entries are simply never looked up again
-// (GC collects them once their digest has no surviving run).
+// (GC collects them once their digest has no surviving run). The tag
+// moves when validation itself changes: v2 reads a static field through
+// a subclass from its declaring class's slot.
 func WitnessKey(irDigest, fingerprint, normalizedOptions string, detectors []string) string {
 	h := sha256.New()
-	h.Write([]byte("nadroid-witness-v1"))
+	h.Write([]byte("nadroid-witness-v2"))
 	for _, part := range []string{irDigest, fingerprint, normalizedOptions, strings.Join(detectors, ",")} {
 		h.Write([]byte{0})
 		h.Write([]byte(part))
