@@ -24,9 +24,9 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 	d := res.Detection
 	out := make(map[string]*evidence.Evidence, len(d.Warnings))
 
-	categories := make(map[string]string)
+	categories := make(map[*uaf.Warning]string, len(res.Report.Entries))
 	for _, e := range res.Report.Entries {
-		categories[e.Warning.Key()] = e.Category.String()
+		categories[e.Warning] = e.Category.String()
 	}
 	witnesses := make(map[*uaf.Warning]*explore.Witness)
 	for _, v := range res.Harmful {
@@ -42,7 +42,7 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 			Field:       w.Field.String(),
 			Use:         w.Use.String(),
 			Free:        w.Free.String(),
-			Category:    categories[w.Key()],
+			Category:    categories[w],
 			Alive:       w.Alive(),
 		}
 		if len(w.Races) > 0 {
@@ -51,7 +51,7 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 			ev.Aliasing = aliasingChain(dc, d, p)
 		}
 		if trail != nil {
-			ev.Filters = trail.For(w.Key())
+			ev.Filters = trail.For(w)
 		}
 		if wit := witnesses[w]; wit != nil {
 			ev.Witness = &evidence.Witness{

@@ -290,16 +290,17 @@ var filterCriterion = map[string]string{
 	NameTT:  "both sides run on native threads (deprioritized, not dismissed)",
 }
 
-// Trail collects per-warning filter verdicts, keyed by uaf.Warning.Key.
-// It is safe for concurrent use; verdicts land in pipeline order because
-// filters run strictly one at a time, each over the warnings in order.
+// Trail collects per-warning filter verdicts, keyed by the warning
+// (uaf.Group makes one per key). It is safe for concurrent use; verdicts
+// land in pipeline order because filters run strictly one at a time,
+// each over the warnings in order.
 type Trail struct {
-	mu    sync.Mutex
-	byKey map[string][]Verdict
+	mu        sync.Mutex
+	byWarning map[*uaf.Warning][]Verdict
 }
 
 // NewTrail returns an empty trail.
-func NewTrail() *Trail { return &Trail{byKey: make(map[string][]Verdict)} }
+func NewTrail() *Trail { return &Trail{byWarning: make(map[*uaf.Warning][]Verdict)} }
 
 // record appends one filter's verdict on one warning.
 func (t *Trail) record(w *uaf.Warning, f Filter, before, removed int) {
@@ -323,15 +324,15 @@ func (t *Trail) record(w *uaf.Warning, f Filter, before, removed int) {
 		v.Reason = "matched every pair: " + crit
 	}
 	t.mu.Lock()
-	t.byKey[w.Key()] = append(t.byKey[w.Key()], v)
+	t.byWarning[w] = append(t.byWarning[w], v)
 	t.mu.Unlock()
 }
 
-// For returns the verdict sequence recorded for a warning key.
-func (t *Trail) For(key string) []Verdict {
+// For returns the verdict sequence recorded for a warning.
+func (t *Trail) For(w *uaf.Warning) []Verdict {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.byKey[key]
+	return t.byWarning[w]
 }
 
 // Stats reports the outcome of a pipeline run.

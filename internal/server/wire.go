@@ -16,6 +16,7 @@ import (
 	"nadroid/internal/evidence"
 	"nadroid/internal/explore"
 	"nadroid/internal/store"
+	"nadroid/internal/uaf"
 )
 
 // OptionsWire mirrors nadroid.Options for transport. Zero values mean
@@ -228,7 +229,7 @@ func EncodeResult(app string, res *nadroid.Result) *ResultWire {
 			out.Stats.RemovedBy[k] = v
 		}
 	}
-	byKey := make(map[string]WarningWire)
+	byWarning := make(map[*uaf.Warning]WarningWire, len(res.Report.Entries))
 	for _, e := range res.Report.Entries {
 		w := WarningWire{
 			Fingerprint: string(e.Fingerprint),
@@ -240,7 +241,7 @@ func EncodeResult(app string, res *nadroid.Result) *ResultWire {
 			FreeLineage: e.FreeLineage,
 		}
 		out.Warnings = append(out.Warnings, w)
-		byKey[e.Warning.Key()] = w
+		byWarning[e.Warning] = w
 	}
 	// Non-UAF detector warnings ride along with the detector name set,
 	// mirroring the report's Extras rows (subject in the field column,
@@ -260,7 +261,7 @@ func EncodeResult(app string, res *nadroid.Result) *ResultWire {
 	out.Evidence = res.Evidence
 	for _, v := range res.Harmful {
 		h := v.Warning
-		if w, ok := byKey[h.Key()]; ok {
+		if w, ok := byWarning[h]; ok {
 			out.Harmful = append(out.Harmful, w)
 		} else {
 			// A validated warning should always be a report entry, but
