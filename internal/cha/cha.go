@@ -157,28 +157,21 @@ func (h *Hierarchy) MethodByRef(ref string) (*ir.Method, error) {
 	return m, nil
 }
 
-// CanonicalField names ref by the class that declares the field, so
-// references through subclasses, static or instance, key one storage
-// location. A ref no class on the chain declares is returned as is.
+// CanonicalField resolves a field reference against the hierarchy: a
+// reference to C.f may denote a field declared on a superclass of C. It
+// names the field by its declaring class, so references through
+// subclasses, static or instance, key one storage location. A ref no
+// class on the chain declares is returned as is.
 func (h *Hierarchy) CanonicalField(ref ir.FieldRef) ir.FieldRef {
-	if f := h.DeclaringClassOfField(ref); f != nil {
-		return ir.FieldRef{Class: f.Class, Name: f.Name}
-	}
-	return ref
-}
-
-// DeclaringClassOfField resolves a field reference against the hierarchy:
-// a reference to C.f may denote a field declared on a superclass of C.
-func (h *Hierarchy) DeclaringClassOfField(ref ir.FieldRef) *ir.Field {
 	for cur := ref.Class; cur != ""; {
 		c := h.prog.Class(cur)
 		if c == nil {
-			return nil
+			break
 		}
 		if f := c.Field(ref.Name); f != nil {
-			return f
+			return ir.FieldRef{Class: f.Class, Name: f.Name}
 		}
 		cur = c.Super
 	}
-	return nil
+	return ref
 }

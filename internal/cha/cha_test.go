@@ -83,12 +83,12 @@ func TestFieldResolutionAcrossHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(pkg.Program)
-	f := h.DeclaringClassOfField(ir.FieldRef{Class: "f/Sub", Name: "x"})
-	if f == nil || f.Class != "f/Base" {
+	if f := h.CanonicalField(ir.FieldRef{Class: "f/Sub", Name: "x"}); f != (ir.FieldRef{Class: "f/Base", Name: "x"}) {
 		t.Errorf("field x should resolve to f/Base, got %v", f)
 	}
-	if h.DeclaringClassOfField(ir.FieldRef{Class: "f/Sub", Name: "missing"}) != nil {
-		t.Error("missing fields resolve to nil")
+	missing := ir.FieldRef{Class: "f/Sub", Name: "missing"}
+	if f := h.CanonicalField(missing); f != missing {
+		t.Errorf("a field no class declares keeps its ref, got %v", f)
 	}
 }
 
