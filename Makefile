@@ -3,11 +3,11 @@
 # detector (the internal/server pool and cache tests are written to
 # exercise their locking under -race), a run of every example program,
 # the benchmark module's vet and tests, and a one-second run of every
-# benchmark workload.
+# benchmark workload, plain and traced.
 
 GO ?= go
 
-.PHONY: build fmt-check vet test test-short race examples bench-test bench bench-smoke check serve
+.PHONY: build fmt-check vet test test-short race examples bench-test bench bench-smoke bench-trace-smoke check serve
 
 build:
 	$(GO) build ./...
@@ -53,7 +53,14 @@ bench:
 bench-smoke:
 	bash bench/run.sh -seconds 1
 
-check: build fmt-check vet race examples bench-test bench-smoke
+# bench-trace-smoke runs every workload through the traced replay for
+# one second: each app's report is rebuilt stage by stage from
+# detect.BuildContext plus one detect.Run per detector, and checked
+# against the same goldens.
+bench-trace-smoke:
+	bash bench/run.sh -seconds 1 -trace 1
+
+check: build fmt-check vet race examples bench-test bench-smoke bench-trace-smoke
 
 serve: build
 	$(GO) run ./cmd/nadroid-serve
