@@ -70,7 +70,8 @@ func assembleEvidence(app string, dc *detect.Context, res *Result, trail *filter
 // over its three base-fact premises, and p's two accesses plus the
 // escape result fix them: h is h:static for a static field, and
 // otherwise the lowest-numbered escaping object both accesses point to.
-// The symbols are the ones race.PopulateFacts asserts.
+// Terms are written as Chord names them: a<access>, t<thread>,
+// f:<Class.field> and h<object>.
 func racyDerivation(dc *detect.Context, p race.Pair) *evidence.Derivation {
 	use, free := dc.Accesses[p.A], dc.Accesses[p.B]
 	var h string

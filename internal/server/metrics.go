@@ -1,7 +1,7 @@
 // metrics.go keeps the service's observable state: monotonic job
 // counters, gauges for queue/worker occupancy, the cache hit/miss pair,
 // per-phase latency histograms fed from Result.Timing, and the deep
-// pipeline counters (points-to iterations, datalog facts, per-filter
+// pipeline counters (points-to iterations, Racy join facts, per-filter
 // removals, schedules explored, …) merged in from every finished job's
 // obs.Metrics. Rendering is a Prometheus-parseable plain-text format:
 // every line is `name value` or `name{labels} value`, histogram buckets
