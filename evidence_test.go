@@ -52,11 +52,15 @@ func racyFacts(dc *detect.Context) map[string]bool {
 				}
 			}
 		}
-		rel := map[race.AccessKind]string{race.Read: "RdAcc", race.NullWrite: "WrAcc"}[a.Kind]
+		rel := "RdAcc"
+		switch a.Kind {
+		case race.Write:
+			continue
+		case race.NullWrite:
+			rel = "WrAcc"
+		}
 		for _, h := range objs {
-			if rel != "" {
-				add(rel, fmt.Sprintf("a%d", a.ID), fmt.Sprintf("t%d", a.Thread), "f:"+a.Field.String(), h)
-			}
+			add(rel, fmt.Sprintf("a%d", a.ID), fmt.Sprintf("t%d", a.Thread), "f:"+a.Field.String(), h)
 		}
 	}
 	for _, p := range dc.Engine.Pairs() {

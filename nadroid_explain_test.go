@@ -134,13 +134,6 @@ func TestExplainEndToEnd(t *testing.T) {
 	// the context reproduces the accesses and escape result the pipeline
 	// derived the pair from.
 	dc := detect.BuildContext(context.Background(), injected.Name, res.Model, detect.Options{})
-	detectors, err := detect.Select(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := detect.Run(context.Background(), dc, detectors); err != nil {
-		t.Fatal(err)
-	}
 	facts := nadroid.RacyFacts(dc)
 	var checkFacts func(d *evidence.Derivation)
 	checkFacts = func(d *evidence.Derivation) {
