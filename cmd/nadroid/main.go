@@ -247,7 +247,7 @@ func main() {
 	if st != nil {
 		// Persist the pristine result (before any baseline suppression):
 		// stored history stays reviewable even as baselines evolve.
-		key := persistResult(st, canonical, optsWire, server.EncodeResult(pkg.Name, res))
+		key := persistResult(st, canonical, aopts.IRDigest, optsWire, server.EncodeResult(pkg.Name, res))
 		fmt.Fprintf(os.Stderr, "nadroid: stored run %s in %s (cache=%s)\n", shortID(key), *storeDir, res.Disposition)
 	}
 	var base *store.Baseline
@@ -337,8 +337,7 @@ func runCorpus(opts nadroid.CorpusOptions, csv bool, storeDir string, optsWire s
 			fatalf("%s: %v", r.App, r.Err)
 		}
 		if st != nil {
-			app, _ := corpus.ByName(r.App)
-			persistResult(st, dexasm.Format(app.Build()), optsWire, server.EncodeResult(r.App, r.Result))
+			persistResult(st, r.Canonical, r.IRDigest, optsWire, server.EncodeResult(r.App, r.Result))
 		}
 		if csv {
 			fmt.Print(r.Result.Report.CSV())

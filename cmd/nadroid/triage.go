@@ -158,14 +158,15 @@ func mustOpenStore(dir string) *store.Store {
 
 // persistResult writes one finished analysis into the store, addressed
 // by the same content key nadroid-serve uses, so CLI and service share
-// history.
-func persistResult(st *store.Store, canonical string, optsWire server.OptionsWire, out *server.ResultWire) string {
+// history. canonical is the program's dexasm rendering and digest its
+// store.IRDigest.
+func persistResult(st *store.Store, canonical, digest string, optsWire server.OptionsWire, out *server.ResultWire) string {
 	key := server.ResultKey(canonical, optsWire)
 	run, err := server.StoreRun(key, optsWire, out, time.Now())
 	if err == nil {
 		// Record the program digest so GC can protect the run's IR-cache
 		// and witness-cache entries for as long as the run survives.
-		run.IRDigest = store.IRDigest(canonical)
+		run.IRDigest = digest
 		err = st.Put(run)
 	}
 	if err != nil {

@@ -26,6 +26,11 @@ type CorpusResult struct {
 	App    string
 	Result *Result
 	Err    error
+	// Canonical is the app's canonical dexasm rendering and IRDigest its
+	// store.IRDigest, which keys the run's store caches. Both are set
+	// only when Analysis.Store is set and Analysis.IRDigest is not, so a
+	// caller persisting the run need not render the app again.
+	Canonical, IRDigest string
 }
 
 // CorpusOptions configures a corpus sweep.
@@ -91,7 +96,9 @@ func AnalyzeCorpusContext(ctx context.Context, apps []CorpusApp, opts CorpusOpti
 				// dexasm rendering so corpus sweeps share cache entries
 				// with CLI and service runs of the same program.
 				if aopts.Store != nil && aopts.IRDigest == "" {
-					aopts.IRDigest = store.IRDigest(dexasm.Format(pkg))
+					results[i].Canonical = dexasm.Format(pkg)
+					results[i].IRDigest = store.IRDigest(results[i].Canonical)
+					aopts.IRDigest = results[i].IRDigest
 				}
 				res, err := AnalyzeContext(ctx, pkg, aopts)
 				results[i].Result, results[i].Err = res, err

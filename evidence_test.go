@@ -10,10 +10,13 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
+	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/detect"
+	"nadroid/internal/dynrace"
 	"nadroid/internal/evidence"
 	"nadroid/internal/framework"
+	"nadroid/internal/interp"
 	"nadroid/internal/race"
 	"nadroid/internal/threadify"
 )
@@ -134,6 +137,15 @@ func derivationFixtures() []*apk.Package {
 	return []*apk.Package{static, twoObjs}
 }
 
+// staticVia is the click pair over x/A's static field cur whose use
+// names the field through owner (x/A or its subclass x/Sub).
+func staticVia(owner string) *apk.Package {
+	return clickPair("StaticVia"+owner[2:],
+		func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.New("x/V")) },
+		func(mb *appbuilder.MethodBuilder, act int) { mb.Use(mb.GetStatic(owner, "cur"), "x/V") },
+		func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.NullReg()) })
+}
+
 // TestStaticFieldThroughSubclass checks that a use naming x/A's static
 // field through the subclass x/Sub races with the free naming it on
 // x/A, exactly as the same use naming x/A does: the access collection,
@@ -141,17 +153,28 @@ func derivationFixtures() []*apk.Package {
 // a static field by its declaring class.
 func TestStaticFieldThroughSubclass(t *testing.T) {
 	for _, owner := range []string{"x/A", "x/Sub"} {
-		pkg := clickPair("StaticVia"+owner[2:],
-			func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.New("x/V")) },
-			func(mb *appbuilder.MethodBuilder, act int) { mb.Use(mb.GetStatic(owner, "cur"), "x/V") },
-			func(mb *appbuilder.MethodBuilder, act int) { mb.PutStatic("x/A", "cur", mb.NullReg()) })
-		res, err := Analyze(pkg, Options{Validate: true})
+		res, err := Analyze(staticVia(owner), Options{Validate: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.Potential != 1 || res.Stats.AfterUnsound != 1 || len(res.Harmful) != 1 {
 			t.Errorf("use via %s: %d potential, %d surviving, %d harmful; want 1, 1, 1",
 				owner, res.Stats.Potential, res.Stats.AfterUnsound, len(res.Harmful))
+		}
+	}
+}
+
+// TestDynamicRaceThroughSubclass checks that the dynamic detector pairs
+// the use and the free of staticVia's field whichever class the use
+// names: a recorded default-schedule run gives one use/free race either
+// way, because trace events name a field by its declaring class.
+func TestDynamicRaceThroughSubclass(t *testing.T) {
+	for _, owner := range []string{"x/A", "x/Sub"} {
+		pkg := staticVia(owner)
+		w := interp.NewWorld(pkg, cha.New(pkg.Program), interp.Options{Record: true})
+		interp.Run(w, nil)
+		if races := dynrace.Analyze(w.Recorded(), dynrace.Options{UseFreeOnly: true}); len(races) != 1 {
+			t.Errorf("use via %s: %d use/free races, want 1: %v", owner, len(races), races)
 		}
 	}
 }

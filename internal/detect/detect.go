@@ -66,8 +66,13 @@ type Context struct {
 	// Model is the threadified program (with its points-to result and
 	// class hierarchy).
 	Model *threadify.Model
-	// Accesses are the per-thread field accesses (race.CollectAccesses).
+	// Accesses are the per-thread field accesses (race.Collect).
 	Accesses []race.Access
+	// Origins is the analysis's value-origin table: access collection
+	// fills it at the puts it classifies, and the §6 filters read it
+	// (filters.RunConfig.Origins) instead of analysing those methods
+	// again. It lives no longer than the context.
+	Origins *ir.Origins
 	// Escape is the thread-escape analysis result.
 	Escape *escape.Result
 	// MHB is the must-happen-before graph over modeled threads.
@@ -101,16 +106,22 @@ type Options struct {
 // collection, escape analysis, the MHB graph, and the Racy join's
 // buckets, each in its own span. The "race_facts" counter reports the
 // size of the join's fact base; the "detect_context_builds" counter
-// asserts the compute-once contract in tests.
+// asserts the compute-once contract in tests. Collection's span and the
+// "origins_computed" counter carry how many methods' origins it
+// computed.
 func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Options) *Context {
+	origins := ir.NewOrigins()
 	_, span := obs.Start(ctx, "race.collect-accesses")
 	accesses := opts.Accesses
 	if accesses == nil {
-		accesses = race.CollectAccesses(m)
+		accesses = race.Collect(m, origins)
 	}
+	computed := origins.Computed()
 	span.SetAttr("accesses", len(accesses))
+	span.SetAttr("origins", computed)
 	span.End()
 	obs.Add(ctx, "race_accesses", int64(len(accesses)))
+	obs.Add(ctx, "origins_computed", int64(computed))
 
 	esc := opts.Escape
 	if esc == nil {
@@ -134,6 +145,7 @@ func BuildContext(ctx context.Context, app string, m *threadify.Model, opts Opti
 		App:      app,
 		Model:    m,
 		Accesses: accesses,
+		Origins:  origins,
 		Escape:   esc,
 		MHB:      g,
 		Engine:   j,

@@ -98,6 +98,7 @@ func analyzeScope(prog *ir.Program, scope []*ir.Class) []Anomaly {
 			if m.Abstract || !isEventCallback(m.Name) {
 				continue
 			}
+			// One dataflow per callback serves its frees, guards and allocations.
 			oi := ir.ComputeOrigins(m)
 			for i, in := range m.Instrs {
 				switch in.Op {
@@ -107,7 +108,7 @@ func analyzeScope(prog *ir.Program, scope []*ir.Class) []Anomaly {
 					}
 					// Unsound IG: any guard or preceding allocation
 					// suppresses the use, atomic or not.
-					if guardedAnywhere(m, i) || allocatedBefore(m, i) {
+					if guardedAnywhere(m, oi, i) || allocatedBefore(m, oi, i) {
 						continue
 					}
 					reads = append(reads, access{m.Ref(), ir.InstrID{Method: m.Ref(), Index: i}, in.Field, false})
@@ -163,9 +164,8 @@ func isEventCallback(name string) bool {
 
 // guardedAnywhere is DEvA's unsound if-guard: any null check of the same
 // field before the use, with no dominance or store-interference checks.
-func guardedAnywhere(m *ir.Method, idx int) bool {
+func guardedAnywhere(m *ir.Method, oi *ir.OriginInfo, idx int) bool {
 	use := m.Instrs[idx]
-	oi := ir.ComputeOrigins(m)
 	for j := 0; j < idx; j++ {
 		in := m.Instrs[j]
 		if in.Op != ir.OpIfNull && in.Op != ir.OpIfNonNull {
@@ -184,9 +184,8 @@ func guardedAnywhere(m *ir.Method, idx int) bool {
 
 // allocatedBefore is DEvA's unsound intra-allocation: any earlier store
 // of a fresh allocation (or call result) to the field.
-func allocatedBefore(m *ir.Method, idx int) bool {
+func allocatedBefore(m *ir.Method, oi *ir.OriginInfo, idx int) bool {
 	use := m.Instrs[idx]
-	oi := ir.ComputeOrigins(m)
 	for j := 0; j < idx; j++ {
 		in := m.Instrs[j]
 		if in.Op != ir.OpPutField && in.Op != ir.OpPutStatic {

@@ -54,6 +54,10 @@ func TestTable1ValidatedMatchesPaper(t *testing.T) {
 	if !strings.Contains(out, "ConnectBot") || !strings.Contains(out, "EC-PC:12") {
 		t.Errorf("render missing expected content:\n%s", out)
 	}
+	if !t.Failed() {
+		t.Logf("§8.8 split: modeling %.1f%%, detection %.1f%%, filtering %.1f%%",
+			tm.ModelingPct, tm.DetectionPct, tm.FilteringPct)
+	}
 }
 
 // TestFigure5Shape asserts the filter-effectiveness ordering and rough

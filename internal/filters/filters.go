@@ -47,10 +47,13 @@ type Context struct {
 	lockOnce sync.Once
 	locks    *lockset.Result
 	accIdx   map[accKey]int
-	// methodCache avoids re-fetching methods and factsCache re-running
-	// the pattern analyses of a method. The pipeline applies filters to
-	// one warning at a time; mu guards both caches so a Context stays
-	// safe to share between goroutines.
+	// origins is the analysis's value-origin table, shared with access
+	// collection when the caller passes it (RunConfig.Origins).
+	origins *ir.Origins
+	// methodCache avoids re-fetching methods and factsCache re-building
+	// the dominators of a method. The pipeline applies filters to one
+	// warning at a time; mu guards both caches so a Context stays safe to
+	// share between goroutines.
 	mu          sync.Mutex
 	methodCache map[string]*ir.Method
 	factsCache  map[*ir.Method]*methodFacts
@@ -84,19 +87,26 @@ type cancelOp struct {
 
 // NewContext builds the filter context: the MHB graph, lock sets, and
 // access/cancellation indexes.
-func NewContext(d *uaf.Detection) *Context { return newContextMHB(d, Options{}, nil) }
+func NewContext(d *uaf.Detection) *Context { return newContext(d, RunConfig{}) }
 
-// newContextMHB builds the filter context around a prebuilt MHB graph
-// (nil rebuilds it from the model).
-func newContextMHB(d *uaf.Detection, opts Options, g *hb.Graph) *Context {
+// newContext builds the filter context around cfg's prebuilt MHB graph
+// and origin table (nil rebuilds the graph from the model and starts an
+// empty table).
+func newContext(d *uaf.Detection, cfg RunConfig) *Context {
+	g := cfg.MHB
 	if g == nil {
 		g = hb.BuildMHB(d.Model)
+	}
+	origins := cfg.Origins
+	if origins == nil {
+		origins = ir.NewOrigins()
 	}
 	ctx := &Context{
 		D:                    d,
 		Model:                d.Model,
 		MHB:                  g,
-		trustLooperAtomicity: !opts.MultiLooper,
+		trustLooperAtomicity: !cfg.MultiLooper,
+		origins:              origins,
 		methodCache:          make(map[string]*ir.Method),
 		factsCache:           make(map[*ir.Method]*methodFacts),
 		cancels:              make(map[int][]cancelOp),
@@ -122,9 +132,9 @@ func (ctx *Context) method(ref string) *ir.Method {
 	return m
 }
 
-// facts returns the pattern-analysis facts of mth, computing them on
-// first use: several filters inspect the same use method, and one
-// method often holds the use of several warnings.
+// facts returns the dominance facts of mth, building them on first use:
+// several filters inspect the same use method, and one method often
+// holds the use of several warnings.
 func (ctx *Context) facts(mth *ir.Method) *methodFacts {
 	ctx.mu.Lock()
 	f, ok := ctx.factsCache[mth]
@@ -132,7 +142,7 @@ func (ctx *Context) facts(mth *ir.Method) *methodFacts {
 	if ok {
 		return f
 	}
-	f = newMethodFacts(mth)
+	f = newMethodFacts(ctx.origins.Of(mth))
 	ctx.mu.Lock()
 	ctx.factsCache[mth] = f
 	ctx.mu.Unlock()
@@ -359,6 +369,10 @@ type RunConfig struct {
 	// MHB, when non-nil, is a prebuilt must-happen-before graph reused
 	// from the shared detector context; nil rebuilds it from the model.
 	MHB *hb.Graph
+	// Origins, when non-nil, is the analysis's value-origin table
+	// (detect.Context.Origins), so the pattern filters reuse the origins
+	// access collection computed; nil gives the run a table of its own.
+	Origins *ir.Origins
 	// Trail, when non-nil, records every filter's verdict on every
 	// warning it examined. Off by default: the record costs one entry
 	// per (warning, filter) and is only wanted for evidence assembly.
@@ -377,7 +391,7 @@ func Run(d *uaf.Detection) *Stats {
 // pairs removed, and warnings killed as per-filter pipeline counters.
 func RunWith(octx context.Context, d *uaf.Detection, cfg RunConfig) *Stats {
 	_, span := obs.Start(octx, "filters.context")
-	ctx := newContextMHB(d, cfg.Options, cfg.MHB)
+	ctx := newContext(d, cfg)
 	span.End()
 
 	st := &Stats{Potential: d.AliveCount(), Removed: make(map[string]int)}

@@ -9,6 +9,7 @@ import (
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/detect"
 	"nadroid/internal/framework"
+	"nadroid/internal/ir"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
@@ -233,6 +234,24 @@ func TestIGPrunesGuardedUseBetweenCallbacks(t *testing.T) {
 	applyFilter(ctx, d, igFilter{})
 	if w.Alive() {
 		t.Error("IG must prune a guarded use between same-looper callbacks")
+	}
+}
+
+// TestRunWithSharesOriginTable checks that RunWith reads the origin
+// table it is given: the IG filter's guard check fills it with the use
+// method's origins.
+func TestRunWithSharesOriginTable(t *testing.T) {
+	d, _ := buildIGFixture().detect(t)
+	w := findWarning(t, d, "L1.onClick", "L2.onClick")
+	origins := ir.NewOrigins()
+	RunWith(context.Background(), d, RunConfig{SkipUnsound: true, Origins: origins})
+	if w.Alive() {
+		t.Fatal("IG must prune a guarded use between same-looper callbacks")
+	}
+	shared := false
+	origins.Each(func(m *ir.Method, _ *ir.OriginInfo) { shared = shared || m.Ref() == w.Use.Method })
+	if !shared {
+		t.Errorf("the table RunWith was given holds no origins for %s", w.Use.Method)
 	}
 }
 
@@ -680,7 +699,7 @@ func TestMultiLooperDowngradesIG(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := detectUAF(t, m)
-	ctx := newContextMHB(d, Options{MultiLooper: true}, nil)
+	ctx := newContext(d, RunConfig{Options: Options{MultiLooper: true}})
 	w := findWarning(t, d, "L1.onClick", "L2.onClick")
 	applyFilter(ctx, d, igFilter{})
 	if !w.Alive() {

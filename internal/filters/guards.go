@@ -6,18 +6,18 @@ import "nadroid/internal/ir"
 // IA, MA, RHB and UR filters: if-guard detection, dominating
 // allocation-store detection, and benign-use classification.
 
-// methodFacts holds the intra-procedural facts the pattern analyses
-// read: value origins, the CFG and its immediate dominators.
+// methodFacts holds the intra-procedural facts the dominance-based
+// patterns read: value origins, the CFG the origin dataflow ran over,
+// and its immediate dominators.
 type methodFacts struct {
-	m    *ir.Method
 	oi   *ir.OriginInfo
 	cfg  *ir.CFG
 	idom []int
 }
 
-func newMethodFacts(m *ir.Method) *methodFacts {
-	g := ir.BuildCFG(m)
-	return &methodFacts{m: m, oi: ir.ComputeOrigins(m), cfg: g, idom: g.Dominators()}
+func newMethodFacts(oi *ir.OriginInfo) *methodFacts {
+	g := oi.CFG()
+	return &methodFacts{oi: oi, cfg: g, idom: g.Dominators()}
 }
 
 // sameBase reports whether the base registers of two field accesses in
@@ -169,7 +169,7 @@ func methodMayAllocateField(ctx *Context, mth *ir.Method, field ir.FieldRef) boo
 		if in.Field.Name != field.Name {
 			continue
 		}
-		switch ctx.facts(mth).oi.At(j, in.A).Kind {
+		switch ctx.origins.Of(mth).At(j, in.A).Kind {
 		case ir.OriginNew, ir.OriginCall:
 			return true
 		}
@@ -200,7 +200,7 @@ func isBenignUse(ctx *Context, mth *ir.Method, idx int) bool {
 			continue
 		case ir.OpInvoke:
 			// Receiver dereference faults; argument passing does not.
-			if regFeedsReceiver(ctx.facts(mth), idx, def, u) {
+			if regFeedsReceiver(ctx.origins.Of(mth), mth, idx, def, u) {
 				return false
 			}
 			continue
@@ -218,9 +218,9 @@ func isBenignUse(ctx *Context, mth *ir.Method, idx int) bool {
 
 // regFeedsReceiver reports whether the value defined at def reaches the
 // receiver operand of the invoke at u (directly or through moves).
-func regFeedsReceiver(f *methodFacts, defIdx, defReg, u int) bool {
-	in := f.m.Instrs[u]
-	o := f.oi.At(u, in.B)
+func regFeedsReceiver(oi *ir.OriginInfo, mth *ir.Method, defIdx, defReg, u int) bool {
+	in := mth.Instrs[u]
+	o := oi.At(u, in.B)
 	switch o.Kind {
 	case ir.OriginLoad:
 		return o.Site == defIdx

@@ -222,7 +222,10 @@ func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
 	return boundary
 }
 
-// recordAccess appends one trace access event (Options.Record).
+// recordAccess appends one trace access event (Options.Record). The
+// event names the field by its declaring class, as the world's storage
+// and the static analysis do, so accesses naming one field through
+// different classes meet in the dynamic detector.
 func (w *World) recordAccess(e *executor, f *frame, in *ir.Instr, base *Object, isWrite, isNull bool) {
 	if !w.opts.Record {
 		return
@@ -234,7 +237,7 @@ func (w *World) recordAccess(e *executor, f *frame, in *ir.Instr, base *Object, 
 	w.rec.Accesses = append(w.rec.Accesses, AccessEvent{
 		Task:    e.curTask,
 		Instr:   f.here(),
-		Field:   in.Field,
+		Field:   w.h.CanonicalField(in.Field),
 		Obj:     objID,
 		IsWrite: isWrite,
 		IsNull:  isNull,

@@ -1,5 +1,7 @@
 package ir
 
+import "sync"
+
 // OriginKind classifies where a register's value came from, as far as a
 // simple intra-procedural forward analysis can tell. The UAF definition
 // ("free" = putfield of null), the IA filter (store of a fresh allocation)
@@ -68,11 +70,15 @@ func mergeOrigin(a, b Origin) Origin {
 
 // OriginInfo holds the per-instruction origin states of one method.
 type OriginInfo struct {
-	m *Method
+	m   *Method
+	cfg *CFG
 	// before[i][r] is the origin of register r immediately before
 	// instruction i executes.
 	before []map[int]Origin
 }
+
+// CFG returns the control-flow graph the dataflow ran over.
+func (oi *OriginInfo) CFG() *CFG { return oi.cfg }
 
 // At returns the origin of register r immediately before instruction i.
 func (oi *OriginInfo) At(i, r int) Origin {
@@ -86,7 +92,7 @@ func (oi *OriginInfo) At(i, r int) Origin {
 func ComputeOrigins(m *Method) *OriginInfo {
 	g := BuildCFG(m)
 	n := len(m.Instrs)
-	oi := &OriginInfo{m: m, before: make([]map[int]Origin, n+1)}
+	oi := &OriginInfo{m: m, cfg: g, before: make([]map[int]Origin, n+1)}
 	entry := make(map[int]Origin)
 	for r := 0; r <= m.NumArgs; r++ {
 		entry[r] = Origin{Kind: OriginParam, Site: -1}
@@ -124,6 +130,55 @@ func ComputeOrigins(m *Method) *OriginInfo {
 		}
 	}
 	return oi
+}
+
+// Origins is one analysis's table of value origins: a method's
+// OriginInfo is computed the first time it is asked for, and every later
+// request shares it. Access collection asks at each put it classifies
+// and the §6 pattern filters at the uses they inspect, so a method is
+// analysed at most once per table. The table belongs to one analysis and
+// is dropped with it; a re-analysis of the same methods computes their
+// origins afresh. It is safe for concurrent use.
+type Origins struct {
+	mu       sync.Mutex
+	byMethod map[*Method]*OriginInfo
+}
+
+// NewOrigins returns an empty table.
+func NewOrigins() *Origins { return &Origins{byMethod: make(map[*Method]*OriginInfo)} }
+
+// Of returns m's origins, computing them on the first request. The lock
+// is held while computing, so concurrent first requests compute once.
+func (t *Origins) Of(m *Method) *OriginInfo {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	oi, ok := t.byMethod[m]
+	if !ok {
+		oi = ComputeOrigins(m)
+		t.byMethod[m] = oi
+	}
+	return oi
+}
+
+// Computed reports how many methods' origins the table has computed.
+func (t *Origins) Computed() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byMethod)
+}
+
+// Each calls fn for every entry computed so far, in no particular order,
+// without holding the table's lock.
+func (t *Origins) Each(fn func(m *Method, oi *OriginInfo)) {
+	t.mu.Lock()
+	entries := make(map[*Method]*OriginInfo, len(t.byMethod))
+	for m, oi := range t.byMethod {
+		entries[m] = oi
+	}
+	t.mu.Unlock()
+	for m, oi := range entries {
+		fn(m, oi)
+	}
 }
 
 func applyOrigin(state *map[int]Origin, in Instr, idx int) {

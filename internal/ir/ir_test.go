@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +110,40 @@ func TestOriginMergeLosesNull(t *testing.T) {
 	}
 	if IsFree(oi, m, 4) {
 		t.Error("merged null/new store must not be a free")
+	}
+}
+
+// TestOriginsTableSharedAcrossGoroutines asks one table for the origins
+// of a few methods from several goroutines at once: each method gets one
+// entry, every request sees it, and it answers like ComputeOrigins.
+func TestOriginsTableSharedAcrossGoroutines(t *testing.T) {
+	methods := []*Method{sampleMethod(t), sampleMethod(t), sampleMethod(t)}
+	table := NewOrigins()
+	const workers = 8
+	got := make([][]*OriginInfo, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, m := range methods {
+				got[g] = append(got[g], table.Of(m))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := table.Computed(); n != len(methods) {
+		t.Fatalf("table computed %d entries for %d methods", n, len(methods))
+	}
+	for i, m := range methods {
+		for g := 1; g < workers; g++ {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("goroutines %d and 0 got different entries for method %d", g, i)
+			}
+		}
+		if got[0][i].CFG() == nil || got[0][i].At(3, 2) != ComputeOrigins(m).At(3, 2) {
+			t.Errorf("method %d: entry does not answer like ComputeOrigins", i)
+		}
 	}
 }
 

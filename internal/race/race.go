@@ -71,10 +71,16 @@ type Result struct {
 	Pairs    []Pair
 }
 
-// CollectAccesses enumerates the field accesses of every modeled thread.
-// The same instruction yields one access per (thread, context) executing
-// it. The result is allocated once, at its final length.
-func CollectAccesses(m *threadify.Model) []Access {
+// CollectAccesses enumerates the field accesses of every modeled thread
+// (Collect with a table of its own).
+func CollectAccesses(m *threadify.Model) []Access { return Collect(m, ir.NewOrigins()) }
+
+// Collect enumerates the field accesses of every modeled thread. The
+// same instruction yields one access per (thread, context) executing it.
+// A put asks origins for its method's value origins, to tell a free from
+// a write; methods without a put are never analysed. The result is
+// allocated once, at its final length.
+func Collect(m *threadify.Model, origins *ir.Origins) []Access {
 	sites := make(map[string]int)
 	n := 0
 	for _, th := range m.Threads {
@@ -85,7 +91,7 @@ func CollectAccesses(m *threadify.Model) []Access {
 	out := make([]Access, 0, n)
 	for _, th := range m.Threads {
 		if th.Kind != threadify.KindDummyMain {
-			out = appendAccesses(out, m, th.ID)
+			out = appendAccesses(out, m, th.ID, origins)
 		}
 	}
 	return out
@@ -99,7 +105,7 @@ func CollectAccesses(m *threadify.Model) []Access {
 // unchanged threads' partitions verbatim.
 func CollectThreadAccesses(m *threadify.Model, thread int) []Access {
 	n := countAccesses(m, thread, make(map[string]int))
-	return appendAccesses(make([]Access, 0, n), m, thread)
+	return appendAccesses(make([]Access, 0, n), m, thread, ir.NewOrigins())
 }
 
 // countAccesses counts the accesses appendAccesses emits for thread,
@@ -127,13 +133,12 @@ func countAccesses(m *threadify.Model, thread int, sites map[string]int) int {
 // appendAccesses appends thread's accesses to out, in (method, receiver)
 // context order then instruction order, numbering each by its index in
 // out.
-func appendAccesses(out []Access, m *threadify.Model, thread int) []Access {
+func appendAccesses(out []Access, m *threadify.Model, thread int, origins *ir.Origins) []Access {
 	for _, mc := range m.Reach(thread) {
 		mth, err := m.H.MethodByRef(mc.Method)
 		if err != nil || mth.Abstract {
 			continue
 		}
-		oi := ir.ComputeOrigins(mth)
 		for i, in := range mth.Instrs {
 			var acc Access
 			switch in.Op {
@@ -141,13 +146,13 @@ func appendAccesses(out []Access, m *threadify.Model, thread int) []Access {
 				acc.Kind = Read
 				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpPutField:
-				acc.Kind = putKind(oi, mth, i)
+				acc.Kind = putKind(origins.Of(mth), mth, i)
 				acc.Objs = m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
 			case ir.OpGetStatic:
 				acc.Kind = Read
 				acc.Static = true
 			case ir.OpPutStatic:
-				acc.Kind = putKind(oi, mth, i)
+				acc.Kind = putKind(origins.Of(mth), mth, i)
 				acc.Static = true
 			default:
 				continue

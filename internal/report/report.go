@@ -8,7 +8,7 @@ package report
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"nadroid/internal/evidence"
@@ -164,13 +164,25 @@ func New(app string, d *uaf.Detection) *Report {
 	}
 	// Most suspicious first: the unsound filters double as ranking, and
 	// within survivors the category hypothesis orders review effort.
+	// Ties go in warning-key order, each key formatted once.
 	rank := map[Category]int{CNT: 5, CRT: 4, PCPC: 3, ECPC: 2, ECEC: 1, TT: 0}
-	sort.SliceStable(r.Entries, func(i, j int) bool {
-		if rank[r.Entries[i].Category] != rank[r.Entries[j].Category] {
-			return rank[r.Entries[i].Category] > rank[r.Entries[j].Category]
+	type keyed struct {
+		key string
+		e   Entry
+	}
+	ks := make([]keyed, len(r.Entries))
+	for i, e := range r.Entries {
+		ks[i] = keyed{e.Warning.Key(), e}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if ra, rb := rank[a.e.Category], rank[b.e.Category]; ra != rb {
+			return rb - ra
 		}
-		return r.Entries[i].Warning.Key() < r.Entries[j].Warning.Key()
+		return strings.Compare(a.key, b.key)
 	})
+	for i, k := range ks {
+		r.Entries[i] = k.e
+	}
 	return r
 }
 

@@ -8,7 +8,9 @@ package uaf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"nadroid/internal/ir"
 	"nadroid/internal/pointsto"
@@ -86,33 +88,35 @@ func (d *Detection) AccessFor(id int) race.Access {
 	return d.Race.Accesses[id]
 }
 
-// Group assembles warnings from a race result, keyed by (field, use
-// instr, free instr).
+// warningID identifies a warning by its use and free instructions; the
+// use instruction names the field.
+type warningID struct {
+	use, free ir.InstrID
+}
+
+// Group assembles warnings from a race result, one per (field, use
+// instr, free instr), ordered by Key. Racy pairs rarely share their two
+// instructions, so the index is sized for one warning per pair.
 func Group(m *threadify.Model, rr *race.Result) *Detection {
 	d := &Detection{Model: m, Race: rr}
-	byKey := make(map[string]*Warning)
-	var order []string
+	byID := make(map[warningID]*Warning, len(rr.Pairs))
 	for _, p := range rr.Pairs {
 		use, free := d.AccessFor(p.A), d.AccessFor(p.B)
-		w := &Warning{Field: use.Field, Use: use.Instr, Free: free.Instr}
-		k := w.Key()
-		existing, ok := byKey[k]
+		id := warningID{use.Instr, free.Instr}
+		w, ok := byID[id]
 		if !ok {
-			byKey[k] = w
-			order = append(order, k)
-			existing = w
+			w = &Warning{Field: use.Field, Use: use.Instr, Free: free.Instr}
+			byID[id] = w
+			d.Warnings = append(d.Warnings, w)
 		}
 		pair := ThreadPair{Use: use.Thread, Free: free.Thread}
-		if !hasPair(existing.Pairs, pair) {
-			existing.Pairs = append(existing.Pairs, pair)
+		if !hasPair(w.Pairs, pair) {
+			w.Pairs = append(w.Pairs, pair)
 		}
-		existing.Races = append(existing.Races, p)
-		existing.Objs = mergeObjs(existing.Objs, intersect(use.Objs, free.Objs))
+		w.Races = append(w.Races, p)
+		w.Objs = mergeObjs(w.Objs, intersect(use.Objs, free.Objs))
 	}
-	sort.Strings(order)
-	for _, k := range order {
-		d.Warnings = append(d.Warnings, byKey[k])
-	}
+	sortByKey(d.Warnings)
 	for _, w := range d.Warnings {
 		sort.Slice(w.Pairs, func(i, j int) bool {
 			if w.Pairs[i].Use != w.Pairs[j].Use {
@@ -122,6 +126,24 @@ func Group(m *threadify.Model, rr *race.Result) *Detection {
 		})
 	}
 	return d
+}
+
+// sortByKey orders warnings by their Key strings, formatting each key
+// once. Key order is not field-by-field order: '|' sorts after letters
+// and digits, so a field name that extends another sorts first.
+func sortByKey(ws []*Warning) {
+	type keyed struct {
+		key string
+		w   *Warning
+	}
+	ks := make([]keyed, len(ws))
+	for i, w := range ws {
+		ks[i] = keyed{w.Key(), w}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		ws[i] = k.w
+	}
 }
 
 // AliveCount counts warnings with at least one surviving pair.

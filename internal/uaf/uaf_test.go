@@ -286,3 +286,34 @@ func TestWarningKeyStable(t *testing.T) {
 		t.Error("different frees must differ")
 	}
 }
+
+// TestGroupOrdersByKey checks that Group merges the racy pairs of one
+// (use, free) instruction pair into one warning, and orders warnings by
+// their formatted keys, which is not field-by-field order: '|' sorts
+// after letters and digits, so C.xy comes before C.x.
+func TestGroupOrdersByKey(t *testing.T) {
+	acc := func(id, thread int, field, method string, idx int, kind race.AccessKind) race.Access {
+		return race.Access{ID: id, Thread: thread, Field: fieldRef("C", field), Instr: instrID(method, idx), Index: idx, Kind: kind}
+	}
+	rr := &race.Result{
+		Accesses: []race.Access{
+			acc(0, 1, "x", "C.m", 9, race.Read),
+			acc(1, 2, "x", "C.n", 1, race.NullWrite),
+			acc(2, 1, "xy", "C.m", 10, race.Read),
+			acc(3, 2, "xy", "C.n", 2, race.NullWrite),
+			acc(4, 3, "xy", "C.m", 10, race.Read),
+		},
+		Pairs: []race.Pair{{A: 0, B: 1}, {A: 2, B: 3}, {A: 4, B: 3}},
+	}
+	d := uaf.Group(nil, rr)
+	var keys []string
+	for _, w := range d.Warnings {
+		keys = append(keys, w.Key())
+	}
+	if got, want := strings.Join(keys, " "), "C.xy|C.m:10|C.n:2 C.x|C.m:9|C.n:1"; got != want {
+		t.Fatalf("warnings in order %s, want %s", got, want)
+	}
+	if w := d.Warnings[0]; len(w.Pairs) != 2 || len(w.Races) != 2 {
+		t.Errorf("C.xy warning has %d thread pairs and %d races, want 2 and 2", len(w.Pairs), len(w.Races))
+	}
+}

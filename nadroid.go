@@ -278,14 +278,19 @@ func analyze(ctx context.Context, pkg *apk.Package, model *threadify.Model, esc 
 	}
 	if res.Detection != nil {
 		fctx, span := obs.Start(ctx, "filtering")
+		computed := dc.Origins.Computed()
 		res.Stats = filters.RunWith(fctx, res.Detection, filters.RunConfig{
 			Options:     filters.Options{MultiLooper: opts.MultiLooper},
 			SkipSound:   opts.SkipSoundFilters,
 			SkipUnsound: opts.SkipUnsoundFilters,
 			MHB:         dc.MHB,
+			Origins:     dc.Origins,
 			Trail:       trail,
 		})
+		computed = dc.Origins.Computed() - computed
+		span.SetAttr("origins", computed)
 		span.End()
+		obs.Add(ctx, "origins_computed", int64(computed))
 	} else {
 		// The uaf detector is disabled: nothing to filter.
 		res.Stats = &filters.Stats{Removed: make(map[string]int)}
