@@ -212,9 +212,12 @@ func main() {
 	}
 	// Open the store before analysis so warm runs can reuse cached IR
 	// blobs and witness outcomes instead of re-modeling and re-exploring.
+	// Only the store reads the canonical rendering: the IR digest and the
+	// stored run are keyed by it.
 	var st *store.Store
-	canonical := dexasm.Format(pkg)
+	var canonical string
 	if *storeDir != "" {
+		canonical = dexasm.Format(pkg)
 		st = mustOpenStore(*storeDir)
 		aopts.Store = st
 		aopts.IRCache = *irCache

@@ -310,6 +310,9 @@ func (mb *MethodBuilder) Use(r int, cls string) *MethodBuilder {
 
 // Label defines a label at the next instruction index.
 func (mb *MethodBuilder) Label(name string) *MethodBuilder {
+	if mb.m.Labels == nil {
+		mb.m.Labels = make(map[string]int)
+	}
 	mb.m.Labels[name] = len(mb.m.Instrs)
 	return mb
 }

@@ -16,9 +16,10 @@ import (
 // (cha.New panics on what the analysis cannot handle), and the
 // accepted program must format to text that parses back and formats
 // identically (Format is a fixed point after one round). The seeds are
-// every formatted corpus app plus inputs that once panicked, made the
+// every formatted corpus app, inputs that once panicked, made the
 // analysis run out of memory, or parsed to a different program than
-// they spell.
+// they spell, and the line-rule inputs (CRLF, no trailing newline,
+// blank and comment lines in a body, a label before a closing brace).
 func FuzzParse(f *testing.F) {
 	for _, name := range corpus.Names() {
 		app, _ := corpus.ByName(name)
@@ -31,6 +32,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("app a\nclass X extends android/app/Activity {\n  method onCreate(1) {\n    r20000000 = null\n    return\n  }\n}\n")
 	f.Add("app a\nclass X extends java/lang/Object {\n  method m(0) {\n  L:\n    nop\n  L:\n    goto L\n  }\n}\n")
 	f.Add("app a\nclass X extends java/lang/Object {\n  method m(0) {\n    r1 = r+2\n    return r-1\n  }\n}\n")
+	for _, src := range dexasm.LineRuleSeeds() {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		pkg, err := dexasm.Parse(src)
 		if err != nil {

@@ -2,8 +2,10 @@ package dexasm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/framework"
@@ -15,17 +17,24 @@ import (
 // always pre-declared, so app classes may extend them without declaring
 // them in the file.
 func Parse(src string) (*apk.Package, error) {
-	p := &parser{lines: strings.Split(src, "\n"), classLine: make(map[string]int)}
+	p := &parser{src: src}
 	return p.parse()
 }
 
+// parser reads src line by line in place. Its lines are those
+// strings.Split(src, "\n") would list, each trimmed with
+// strings.TrimSpace before use.
 type parser struct {
-	lines []string
-	pos   int
-	// classes are the declared classes in file order, and classLine
-	// maps each name to the line of its header.
-	classes   []*ir.Class
-	classLine map[string]int
+	src string
+	// off is the byte offset of the next line, past len(src) once the
+	// last line has been read; pos is the number of lines read, so an
+	// error names the line read last.
+	off int
+	pos int
+	// classes are the declared classes in file order, and classLines
+	// holds the line of each one's header.
+	classes    []*ir.Class
+	classLines []int
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -36,15 +45,25 @@ func errAt(line int, format string, args ...interface{}) error {
 	return fmt.Errorf("dexasm: line %d: %s", line, fmt.Sprintf(format, args...))
 }
 
+// lineAt returns the untrimmed line of src that starts at byte offset
+// off, and the offset of the line after it.
+func lineAt(src string, off int) (string, int) {
+	line := src[off:]
+	if i := strings.IndexByte(line, '\n'); i >= 0 {
+		line = line[:i]
+	}
+	return line, off + len(line) + 1
+}
+
 // next returns the next non-empty, non-comment line (trimmed).
 func (p *parser) next() (string, bool) {
-	for p.pos < len(p.lines) {
-		line := strings.TrimSpace(p.lines[p.pos])
+	for p.off <= len(p.src) {
+		var raw string
+		raw, p.off = lineAt(p.src, p.off)
 		p.pos++
-		if isBlank(line) {
-			continue
+		if line := strings.TrimSpace(raw); !isBlank(line) {
+			return line, true
 		}
-		return line, true
 	}
 	return "", false
 }
@@ -57,25 +76,68 @@ func isBlank(line string) bool {
 // isLabel reports whether a trimmed method-body line defines a label.
 func isLabel(line string) bool { return strings.HasSuffix(line, ":") }
 
-// bodyLen counts the instruction lines from the cursor up to the next
-// closing brace (to the end of the input when there is none), so a
-// method body is allocated once at its final size.
-func (p *parser) bodyLen() int {
+// bodyLen counts the instruction and label lines from the cursor up to
+// the next closing brace (to the end of the input when there is none),
+// so a method body and its labels are allocated once at their final
+// size.
+func (p *parser) bodyLen() (instrs, labels int) {
+	for off := p.off; off <= len(p.src); {
+		var raw string
+		raw, off = lineAt(p.src, off)
+		switch line := strings.TrimSpace(raw); {
+		case line == "}":
+			return instrs, labels
+		case isBlank(line):
+		case isLabel(line):
+			labels++
+		default:
+			instrs++
+		}
+	}
+	return instrs, labels
+}
+
+// cutField returns the first field of s and what follows it, splitting
+// where strings.Fields does; field is "" when s holds none.
+func cutField(s string) (field, rest string) {
+	start := -1
+	for i, r := range s {
+		switch {
+		case !unicode.IsSpace(r):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			return s[start:i], s[i:]
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
+}
+
+// fieldsInto stores the fields strings.Fields would return for s into
+// buf, as many as fit, and returns how many s has.
+func fieldsInto(buf []string, s string) int {
 	n := 0
-	for _, raw := range p.lines[p.pos:] {
-		line := strings.TrimSpace(raw)
-		if line == "}" {
-			break
+	for f, rest := cutField(s); f != ""; f, rest = cutField(rest) {
+		if n < len(buf) {
+			buf[n] = f
 		}
-		if !isBlank(line) && !isLabel(line) {
-			n++
-		}
+		n++
 	}
 	return n
 }
 
 func (p *parser) parse() (*apk.Package, error) {
+	// Every class header holds "class ", so this count bounds the
+	// number of classes the file declares.
+	n := strings.Count(p.src, "class ")
+	p.classes = make([]*ir.Class, 0, n)
+	p.classLines = make([]int, 0, n)
 	prog := ir.NewProgram()
+	prog.Grow(framework.SkeletonSize() + n)
 	framework.Declare(prog)
 	var man *manifest.Manifest
 	appName := ""
@@ -129,16 +191,17 @@ func (p *parser) parseManifest(man *manifest.Manifest) error {
 		if line == "}" {
 			return nil
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		kindName, rest := cutField(line)
+		class, rest := cutField(rest)
+		if class == "" {
 			return p.errf("malformed manifest entry %q", line)
 		}
-		kind, ok := componentKindFromName(fields[0])
+		kind, ok := componentKindFromName(kindName)
 		if !ok {
-			return p.errf("unknown component kind %q", fields[0])
+			return p.errf("unknown component kind %q", kindName)
 		}
-		comp := &manifest.Component{Kind: kind, Class: fields[1], Reachable: true}
-		for _, flag := range fields[2:] {
+		comp := &manifest.Component{Kind: kind, Class: class, Reachable: true}
+		for flag, rest := cutField(rest); flag != ""; flag, rest = cutField(rest) {
 			switch flag {
 			case "main":
 				comp.Main = true
@@ -157,29 +220,33 @@ func (p *parser) parseManifest(man *manifest.Manifest) error {
 
 func (p *parser) parseClass(prog *ir.Program, header string) error {
 	// class NAME extends SUPER [implements I1 I2 ...] [inner OUTER] {
-	h := strings.TrimSuffix(strings.TrimSpace(header), "{")
-	fields := strings.Fields(h)
-	if len(fields) < 4 || fields[0] != "class" || fields[2] != "extends" {
+	kw, rest := cutField(strings.TrimSuffix(strings.TrimSpace(header), "{"))
+	name, rest := cutField(rest)
+	extends, rest := cutField(rest)
+	super, rest := cutField(rest)
+	if super == "" || kw != "class" || extends != "extends" {
 		return p.errf("malformed class header %q", header)
 	}
-	c := ir.NewClass(fields[1], fields[3])
-	rest := fields[4:]
-	for len(rest) > 0 {
-		switch rest[0] {
+	c := ir.NewClass(name, super)
+	tok, rest := cutField(rest)
+	for tok != "" {
+		switch tok {
 		case "implements":
-			rest = rest[1:]
-			for len(rest) > 0 && rest[0] != "inner" {
-				c.Interfaces = append(c.Interfaces, rest[0])
-				rest = rest[1:]
+			n := 0
+			for name, more := cutField(rest); name != "" && name != "inner"; name, more = cutField(more) {
+				n++
+			}
+			c.Interfaces = slices.Grow(c.Interfaces, n)
+			for tok, rest = cutField(rest); tok != "" && tok != "inner"; tok, rest = cutField(rest) {
+				c.Interfaces = append(c.Interfaces, tok)
 			}
 		case "inner":
-			if len(rest) < 2 {
+			if c.Outer, rest = cutField(rest); c.Outer == "" {
 				return p.errf("inner without outer class")
 			}
-			c.Outer = rest[1]
-			rest = rest[2:]
+			tok, rest = cutField(rest)
 		default:
-			return p.errf("unexpected token %q in class header", rest[0])
+			return p.errf("unexpected token %q in class header", tok)
 		}
 	}
 	if prog.Class(c.Name) != nil {
@@ -187,7 +254,7 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 	}
 	prog.AddClass(c)
 	p.classes = append(p.classes, c)
-	p.classLine[c.Name] = p.pos
+	p.classLines = append(p.classLines, p.pos)
 
 	for {
 		line, ok := p.next()
@@ -198,24 +265,19 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 			return nil
 		}
 		switch {
-		case strings.HasPrefix(line, "field "):
-			f := strings.Fields(line)
-			if len(f) != 3 {
+		case strings.HasPrefix(line, "field "), strings.HasPrefix(line, "static-field "):
+			static := line[0] == 's'
+			var f [3]string
+			if fieldsInto(f[:], line) != 3 {
+				if static {
+					return p.errf("malformed static field %q", line)
+				}
 				return p.errf("malformed field %q", line)
 			}
 			if c.Field(f[1]) != nil {
 				return p.errf("duplicate field %s.%s", c.Name, f[1])
 			}
-			c.AddField(&ir.Field{Name: f[1], Type: f[2]})
-		case strings.HasPrefix(line, "static-field "):
-			f := strings.Fields(line)
-			if len(f) != 3 {
-				return p.errf("malformed static field %q", line)
-			}
-			if c.Field(f[1]) != nil {
-				return p.errf("duplicate field %s.%s", c.Name, f[1])
-			}
-			c.AddField(&ir.Field{Name: f[1], Type: f[2], Static: true})
+			c.AddField(&ir.Field{Name: f[1], Type: f[2], Static: static})
 		case strings.Contains(line, "method "):
 			if err := p.parseMethod(c, line); err != nil {
 				return err
@@ -228,9 +290,9 @@ func (p *parser) parseClass(prog *ir.Program, header string) error {
 
 // checkAcyclic rejects a class that is its own supertype, directly or
 // through other declared classes: cha.New cannot build a hierarchy over
-// such a program. Only declared classes can close a cycle (the
-// framework skeletons extend nothing declared in the file), so one
-// depth-first walk over them finds every cycle.
+// such a program. The framework skeletons extend only each other and
+// close no cycle, so one depth-first walk from the declared classes
+// finds every cycle.
 func (p *parser) checkAcyclic(prog *ir.Program) error {
 	const (
 		onPath = 1
@@ -241,14 +303,14 @@ func (p *parser) checkAcyclic(prog *ir.Program) error {
 	// "" when there is none.
 	var visit func(name string) string
 	visit = func(name string) string {
-		if _, declared := p.classLine[name]; !declared || state[name] == done {
+		c := prog.Class(name)
+		if c == nil || state[name] == done {
 			return ""
 		}
 		if state[name] == onPath {
 			return name
 		}
 		state[name] = onPath
-		c := prog.Class(name)
 		if at := visit(c.Super); at != "" {
 			return at
 		}
@@ -262,7 +324,11 @@ func (p *parser) checkAcyclic(prog *ir.Program) error {
 	}
 	for _, c := range p.classes {
 		if at := visit(c.Name); at != "" {
-			return errAt(p.classLine[at], "cyclic class hierarchy at %s", at)
+			for i, d := range p.classes {
+				if d.Name == at {
+					return errAt(p.classLines[i], "cyclic class hierarchy at %s", at)
+				}
+			}
 		}
 	}
 	return nil
@@ -312,7 +378,8 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 	}
 
 	maxReg := m.NumRegs - 1
-	m.Instrs = make([]ir.Instr, 0, p.bodyLen())
+	instrs, labels := p.bodyLen()
+	m.Instrs = make([]ir.Instr, 0, instrs)
 	for {
 		line, ok := p.next()
 		if !ok {
@@ -327,6 +394,9 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 			if _, dup := m.Labels[label]; dup {
 				return p.errf("duplicate label %s in %s", label, m.Ref())
 			}
+			if m.Labels == nil {
+				m.Labels = make(map[string]int, labels)
+			}
 			m.Labels[label] = len(m.Instrs)
 			continue
 		}
@@ -334,10 +404,7 @@ func (p *parser) parseMethod(c *ir.Class, header string) error {
 		if err != nil {
 			return err
 		}
-		top, _ := in.DefReg() // NoReg when in defines none
-		for _, r := range in.Uses() {
-			top = max(top, r)
-		}
+		top := in.MaxReg()
 		if top > regLimit {
 			return p.errf("register r%d above r%d in %s", top, regLimit, m.Ref())
 		}
@@ -366,8 +433,8 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		return ir.Instr{Op: ir.OpIfCond, Target: strings.TrimSpace(strings.TrimPrefix(line, "if ? goto "))}, nil
 	case strings.HasPrefix(line, "if "):
 		// if rN == null goto L | if rN != null goto L
-		f := strings.Fields(line)
-		if len(f) != 6 || f[2] != "null" && f[3] != "null" {
+		var f [6]string
+		if fieldsInto(f[:], line) != 6 || f[2] != "null" && f[3] != "null" {
 			return bad()
 		}
 		r, err := parseReg(f[1])
@@ -492,9 +559,11 @@ func (p *parser) parseCall(s string, dst int) (ir.Instr, error) {
 	}
 	target := s[:open]
 	var args []int
-	inner := strings.TrimSpace(s[open+1 : len(s)-1])
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
+	if inner := strings.TrimSpace(s[open+1 : len(s)-1]); inner != "" {
+		args = make([]int, 0, strings.Count(inner, ",")+1)
+		for more := true; more; {
+			var part string
+			part, inner, more = strings.Cut(inner, ",")
 			r, err := parseReg(strings.TrimSpace(part))
 			if err != nil {
 				return ir.Instr{}, p.errf("bad call arg %q", part)

@@ -422,11 +422,14 @@ func Timing(rows []Table1Row) TimingBreakdown {
 	return t
 }
 
-// RenderTiming formats the §8.8 breakdown.
+// RenderTiming formats the §8.8 breakdown. Phase times print to 0.1 ms:
+// modeling and filtering take a few milliseconds over the corpus, where
+// whole milliseconds would hide changes of several percent.
 func RenderTiming(t TimingBreakdown) string {
+	const unit = 100 * time.Microsecond
 	return fmt.Sprintf(
 		"Phase breakdown (§8.8): modeling %v (%.2f%%), detection %v (%.2f%%), filtering %v (%.2f%%)\n",
-		t.Modeling.Round(time.Millisecond), t.ModelingPct,
-		t.Detection.Round(time.Millisecond), t.DetectionPct,
-		t.Filtering.Round(time.Millisecond), t.FilteringPct)
+		t.Modeling.Round(unit), t.ModelingPct,
+		t.Detection.Round(unit), t.DetectionPct,
+		t.Filtering.Round(unit), t.FilteringPct)
 }

@@ -40,13 +40,11 @@ type Context struct {
 	// looper callbacks never preempt each other. Apps with user-created
 	// looper threads break it, downgrading IG/IA to lock-only atomicity.
 	trustLooperAtomicity bool
-	// locks (the must-held lock analysis) and accIdx (which resolves
-	// (thread, instr, kind) to the access ID) answer the lock half of
-	// atomicPair. The looper settles most pairs, so both are built on
-	// first need.
+	// locks (the must-held lock analysis) answers the lock half of
+	// atomicPair. The looper settles most pairs, so it is built on first
+	// need.
 	lockOnce sync.Once
 	locks    *lockset.Result
-	accIdx   map[accKey]int
 	// origins is the analysis's value-origin table, shared with access
 	// collection when the caller passes it (RunConfig.Origins).
 	origins *ir.Origins
@@ -71,12 +69,6 @@ type Options struct {
 	// looper callbacks, making them behave like unsound filters demoted
 	// to sound-under-locks.
 	MultiLooper bool
-}
-
-type accKey struct {
-	thread int
-	instr  ir.InstrID
-	kind   race.AccessKind
 }
 
 type cancelOp struct {
@@ -157,12 +149,12 @@ func (ctx *Context) atomicPair(w *uaf.Warning, p uaf.ThreadPair) bool {
 	if ctx.trustLooperAtomicity && tu.Looper && tf.Looper {
 		return true
 	}
-	ctx.lockOnce.Do(ctx.buildLockIndex)
+	ctx.lockOnce.Do(func() { ctx.locks = lockset.Analyze(ctx.Model) })
 	if ctx.locks.None() {
 		return false
 	}
-	ui, ok1 := ctx.accIdx[accKey{p.Use, w.Use, race.Read}]
-	fi, ok2 := ctx.accIdx[accKey{p.Free, w.Free, race.NullWrite}]
+	ui, ok1 := ctx.accessAt(p.Use, w.Use, race.Read)
+	fi, ok2 := ctx.accessAt(p.Free, w.Free, race.NullWrite)
 	if !ok1 || !ok2 {
 		return false
 	}
@@ -170,18 +162,23 @@ func (ctx *Context) atomicPair(w *uaf.Warning, p uaf.ThreadPair) bool {
 	return ctx.locks.CommonLock(ua.MCtx, ua.Index, fa.MCtx, fa.Index)
 }
 
-// buildLockIndex runs the lock analysis and, when the program takes
-// locks at all, indexes the accesses.
-func (ctx *Context) buildLockIndex() {
-	ctx.locks = lockset.Analyze(ctx.Model)
-	if ctx.locks.None() {
-		return
+// accessAt returns the index in Race.Accesses of thread t's last access
+// of kind at instr. Collection lists each thread's accesses together, in
+// thread order, and a thread's in (method, receiver) context order, so
+// binary searches find the thread's accesses of instr's method.
+func (ctx *Context) accessAt(t int, instr ir.InstrID, kind race.AccessKind) (int, bool) {
+	accs := ctx.D.Race.Accesses
+	lo := sort.Search(len(accs), func(i int) bool { return accs[i].Thread >= t })
+	hi := lo + sort.Search(len(accs)-lo, func(i int) bool {
+		a := &accs[lo+i]
+		return a.Thread > t || a.Instr.Method > instr.Method
+	})
+	for i := hi - 1; i >= lo && accs[i].Instr.Method == instr.Method; i-- {
+		if accs[i].Instr.Index == instr.Index && accs[i].Kind == kind {
+			return i, true
+		}
 	}
-	ctx.accIdx = make(map[accKey]int, len(ctx.D.Race.Accesses))
-	for i := range ctx.D.Race.Accesses {
-		a := &ctx.D.Race.Accesses[i]
-		ctx.accIdx[accKey{a.Thread, a.Instr, a.Kind}] = i
-	}
+	return 0, false
 }
 
 // cancelsOf returns the cancellation API calls in thread t's reachable
@@ -395,10 +392,11 @@ func RunWith(octx context.Context, d *uaf.Detection, cfg RunConfig) *Stats {
 	span.End()
 
 	st := &Stats{Potential: d.AliveCount(), Removed: make(map[string]int)}
+	alive := make([]*uaf.Warning, 0, len(d.Warnings))
 	apply := func(fs []Filter) {
 		for _, f := range fs {
 			_, fspan := obs.Start(octx, "filter:"+f.Name(), obs.KV("sound", f.Sound()))
-			alive := make([]*uaf.Warning, 0, len(d.Warnings))
+			alive = alive[:0]
 			for _, w := range d.Warnings {
 				if w.Alive() {
 					alive = append(alive, w)

@@ -7,9 +7,23 @@ import "nadroid/internal/ir"
 // static analyses treat calls to them as intrinsics (ClassifyPost /
 // ClassifyCancel / IsRegistrationCall), and the dynamic interpreter
 // implements their semantics natively.
+//
+// Every program shares one skeleton, built once: nothing may modify a
+// framework class or method after Declare.
 func Declare(prog *ir.Program) {
-	obj := ir.NewClass(Object, "")
-	prog.AddClass(obj)
+	for _, c := range skeleton {
+		prog.AddClass(c)
+	}
+}
+
+// SkeletonSize returns the number of classes Declare adds.
+func SkeletonSize() int { return len(skeleton) }
+
+var skeleton = buildSkeleton()
+
+// buildSkeleton returns the framework classes in declaration order.
+func buildSkeleton() []*ir.Class {
+	classes := []*ir.Class{ir.NewClass(Object, "")}
 
 	iface := func(name string, methods ...string) *ir.Class {
 		c := ir.NewClass(name, Object)
@@ -19,7 +33,7 @@ func Declare(prog *ir.Program) {
 			am.Abstract = true
 			c.AddMethod(am)
 		}
-		prog.AddClass(c)
+		classes = append(classes, c)
 		return c
 	}
 	class := func(name, super string, methods ...string) *ir.Class {
@@ -29,7 +43,7 @@ func Declare(prog *ir.Program) {
 			am.Abstract = true
 			c.AddMethod(am)
 		}
-		prog.AddClass(c)
+		classes = append(classes, c)
 		return c
 	}
 
@@ -50,11 +64,8 @@ func Declare(prog *ir.Program) {
 	class(Bundle, Object)
 	class(Message, Object)
 	class(Looper, Object)
-	class(Binder, Object, "transact")
-	prog.Class(Binder).Interfaces = []string{IBinder}
-
-	thread := class(Thread, Object, "start", RunMethod, "join", "interrupt")
-	thread.Interfaces = []string{Runnable}
+	class(Binder, Object, "transact").Interfaces = []string{IBinder}
+	class(Thread, Object, "start", RunMethod, "join", "interrupt").Interfaces = []string{Runnable}
 
 	class(Context, Object,
 		"bindService", "unbindService", "registerReceiver", "unregisterReceiver",
@@ -75,12 +86,12 @@ func Declare(prog *ir.Program) {
 	class(LocationManager, Object, "requestLocationUpdates", "removeUpdates")
 	class(SensorManager, Object, "registerListener", "unregisterListener")
 	class(Timer, Object, "schedule", "cancel")
-	class(TimerTask, Object, RunMethod)
-	prog.Class(TimerTask).Interfaces = []string{Runnable}
+	class(TimerTask, Object, RunMethod).Interfaces = []string{Runnable}
 	class(Fragment, Object)
 	class(ServiceManager, Object, "addService")
 	class(PowerManager, Object, "newWakeLock")
 	class(WakeLock, Object, "acquire", "release", "isHeld")
+	return classes
 }
 
 // methodArity gives the parameter count used for abstract framework

@@ -123,36 +123,73 @@ func (in Instr) DefReg() (int, bool) {
 	return NoReg, false
 }
 
-// readRegs returns the registers read by this instruction.
-func (in Instr) readRegs() []int {
+// operands returns the registers the instruction reads, in Uses order:
+// up to two fixed operands (base, then value), then the call arguments.
+// It allocates nothing.
+func (in Instr) operands() (fixed [2]int, n int, args []int) {
 	switch in.Op {
-	case OpMove:
-		return []int{in.B}
-	case OpGetField:
-		return []int{in.B}
+	case OpMove, OpGetField, OpIfNull, OpIfNonNull, OpMonitorEnter, OpMonitorExit, OpThrow:
+		return [2]int{in.B}, 1, nil
 	case OpPutField:
-		return []int{in.B, in.A}
+		return [2]int{in.B, in.A}, 2, nil
 	case OpPutStatic:
-		return []int{in.A}
+		return [2]int{in.A}, 1, nil
 	case OpInvoke:
-		return append([]int{in.B}, in.Args...)
+		return [2]int{in.B}, 1, in.Args
 	case OpInvokeStatic:
-		return append([]int(nil), in.Args...)
+		return fixed, 0, in.Args
 	case OpReturn:
 		if in.A != NoReg {
-			return []int{in.A}
+			return [2]int{in.A}, 1, nil
 		}
-		return nil
-	case OpIfNull, OpIfNonNull:
-		return []int{in.B}
-	case OpMonitorEnter, OpMonitorExit, OpThrow:
-		return []int{in.B}
 	}
-	return nil
+	return fixed, 0, nil
 }
 
-// Uses returns the registers read by this instruction (public wrapper).
-func (in Instr) Uses() []int { return in.readRegs() }
+// Uses returns the registers read by this instruction, or nil when it
+// reads none.
+func (in Instr) Uses() []int {
+	fixed, n, args := in.operands()
+	if n+len(args) == 0 {
+		return nil
+	}
+	return append(append(make([]int, 0, n+len(args)), fixed[:n]...), args...)
+}
+
+// MaxReg returns the highest register the instruction reads or writes,
+// or NoReg when it names none. Unlike Uses it allocates nothing.
+func (in Instr) MaxReg() int {
+	top, _ := in.DefReg()
+	fixed, n, args := in.operands()
+	for _, r := range fixed[:n] {
+		top = max(top, r)
+	}
+	for _, r := range args {
+		top = max(top, r)
+	}
+	return top
+}
+
+// regOutside returns the first register the instruction names outside
+// [0, numRegs): those it reads, in Uses order, then the one it defines.
+func (in Instr) regOutside(numRegs int) (int, bool) {
+	out := func(r int) bool { return r < 0 || r >= numRegs }
+	fixed, n, args := in.operands()
+	for _, r := range fixed[:n] {
+		if out(r) {
+			return r, true
+		}
+	}
+	for _, r := range args {
+		if out(r) {
+			return r, true
+		}
+	}
+	if in.defsReg() && out(in.A) {
+		return in.A, true
+	}
+	return 0, false
+}
 
 // IsBranch reports whether the instruction may transfer control to Target.
 func (in Instr) IsBranch() bool {

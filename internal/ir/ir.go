@@ -12,6 +12,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -20,12 +21,26 @@ import (
 // (e.g. "com/connectbot/ConsoleActivity").
 type Program struct {
 	classes map[string]*Class
-	order   []string // insertion order, for deterministic iteration
+	order   []*Class // insertion order, for deterministic iteration
 }
 
 // NewProgram returns an empty program.
 func NewProgram() *Program {
 	return &Program{classes: make(map[string]*Class)}
+}
+
+// Grow reserves room for n more classes, so adding them does not grow
+// the program's index.
+func (p *Program) Grow(n int) {
+	if n <= 0 {
+		return
+	}
+	classes := make(map[string]*Class, len(p.classes)+n)
+	for name, c := range p.classes {
+		classes[name] = c
+	}
+	p.classes = classes
+	p.order = slices.Grow(p.order, n)
 }
 
 // AddClass inserts c. It panics if a class with the same name exists:
@@ -38,24 +53,21 @@ func (p *Program) AddClass(c *Class) {
 		panic("ir: duplicate class " + c.Name)
 	}
 	p.classes[c.Name] = c
-	p.order = append(p.order, c.Name)
+	p.order = append(p.order, c)
 }
 
 // Class returns the class with the given name, or nil.
 func (p *Program) Class(name string) *Class { return p.classes[name] }
 
 // Classes returns all classes in insertion order.
-func (p *Program) Classes() []*Class {
-	out := make([]*Class, 0, len(p.order))
-	for _, n := range p.order {
-		out = append(out, p.classes[n])
-	}
-	return out
-}
+func (p *Program) Classes() []*Class { return slices.Clone(p.order) }
 
 // SortedClassNames returns class names sorted lexicographically.
 func (p *Program) SortedClassNames() []string {
-	out := append([]string(nil), p.order...)
+	out := make([]string, len(p.order))
+	for i, c := range p.order {
+		out[i] = c.Name
+	}
 	sort.Strings(out)
 	return out
 }
@@ -64,7 +76,7 @@ func (p *Program) SortedClassNames() []string {
 // uses it as the stand-in for an app's LOC.
 func (p *Program) Size() int {
 	n := 0
-	for _, c := range p.Classes() {
+	for _, c := range p.order {
 		for _, m := range c.Methods {
 			n += len(m.Instrs)
 		}
@@ -84,19 +96,22 @@ type Class struct {
 	Fields     []*Field
 	Methods    []*Method
 
+	// fieldIdx and methodIdx index Fields and Methods by name once the
+	// class declares more than smallClass of them; until then they are
+	// nil and lookups scan the slice, so a small class has no maps.
 	fieldIdx  map[string]*Field
 	methodIdx map[string]*Method
 }
 
+// smallClass is the member count up to which lookups scan in
+// declaration order. A scan of that many names costs about what one
+// small-map lookup does.
+const smallClass = 8
+
 // NewClass returns a class extending super (use framework.Object for the
 // root) with no members.
 func NewClass(name, super string) *Class {
-	return &Class{
-		Name:      name,
-		Super:     super,
-		fieldIdx:  make(map[string]*Field),
-		methodIdx: make(map[string]*Method),
-	}
+	return &Class{Name: name, Super: super}
 }
 
 // AddField appends a field and indexes it by name.
@@ -104,16 +119,34 @@ func (c *Class) AddField(f *Field) *Field {
 	if f.Class == "" {
 		f.Class = c.Name
 	}
-	if _, dup := c.fieldIdx[f.Name]; dup {
+	if c.Field(f.Name) != nil {
 		panic(fmt.Sprintf("ir: duplicate field %s.%s", c.Name, f.Name))
 	}
 	c.Fields = append(c.Fields, f)
-	c.fieldIdx[f.Name] = f
+	switch {
+	case c.fieldIdx != nil:
+		c.fieldIdx[f.Name] = f
+	case len(c.Fields) > smallClass:
+		c.fieldIdx = make(map[string]*Field, 2*len(c.Fields))
+		for _, f := range c.Fields {
+			c.fieldIdx[f.Name] = f
+		}
+	}
 	return f
 }
 
 // Field returns the named field declared on this class (not inherited).
-func (c *Class) Field(name string) *Field { return c.fieldIdx[name] }
+func (c *Class) Field(name string) *Field {
+	if c.fieldIdx != nil {
+		return c.fieldIdx[name]
+	}
+	for _, f := range c.Fields {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}
 
 // AddMethod appends a method and indexes it by name. Method overloading
 // is not modeled: one method per name per class.
@@ -122,16 +155,34 @@ func (c *Class) AddMethod(m *Method) *Method {
 		m.Class = c.Name
 		m.ref = m.Class + "." + m.Name
 	}
-	if _, dup := c.methodIdx[m.Name]; dup {
+	if c.Method(m.Name) != nil {
 		panic(fmt.Sprintf("ir: duplicate method %s.%s", c.Name, m.Name))
 	}
 	c.Methods = append(c.Methods, m)
-	c.methodIdx[m.Name] = m
+	switch {
+	case c.methodIdx != nil:
+		c.methodIdx[m.Name] = m
+	case len(c.Methods) > smallClass:
+		c.methodIdx = make(map[string]*Method, 2*len(c.Methods))
+		for _, m := range c.Methods {
+			c.methodIdx[m.Name] = m
+		}
+	}
 	return m
 }
 
 // Method returns the named method declared on this class (not inherited).
-func (c *Class) Method(name string) *Method { return c.methodIdx[name] }
+func (c *Class) Method(name string) *Method {
+	if c.methodIdx != nil {
+		return c.methodIdx[name]
+	}
+	for _, m := range c.Methods {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
+}
 
 // Field is a named, typed member. Type is a class name or a primitive
 // ("int", "string"); only reference-typed fields can participate in UAFs.
@@ -174,7 +225,9 @@ type Method struct {
 	Synch    bool // synchronized method: body runs holding the receiver lock
 	Abstract bool
 	Instrs   []Instr
-	Labels   map[string]int // label -> index of labeled instruction
+	// Labels maps each label to the index of the instruction it labels.
+	// It is nil until a builder adds the method's first label.
+	Labels map[string]int
 
 	NumRegs int // 1 + NumArgs + locals; maintained by the builder
 
@@ -184,7 +237,7 @@ type Method struct {
 // NewMethod returns an empty method. Callers normally use appbuilder
 // rather than constructing methods by hand.
 func NewMethod(class, name string, numArgs int) *Method {
-	m := &Method{Class: class, Name: name, NumArgs: numArgs, Labels: make(map[string]int)}
+	m := &Method{Class: class, Name: name, NumArgs: numArgs}
 	m.NumRegs = 1 + numArgs
 	m.ref = class + "." + name
 	return m
@@ -214,14 +267,8 @@ func (m *Method) Index(label string) int {
 // range, field/method refs are well formed. It returns the first problem.
 func (m *Method) Validate() error {
 	for i, in := range m.Instrs {
-		regs := in.readRegs()
-		if in.defsReg() {
-			regs = append(regs, in.A)
-		}
-		for _, r := range regs {
-			if r < 0 || r >= m.NumRegs {
-				return fmt.Errorf("%s: instr %d (%s): register %d out of range [0,%d)", m.Ref(), i, in.Op, r, m.NumRegs)
-			}
+		if r, bad := in.regOutside(m.NumRegs); bad {
+			return fmt.Errorf("%s: instr %d (%s): register %d out of range [0,%d)", m.Ref(), i, in.Op, r, m.NumRegs)
 		}
 		switch in.Op {
 		case OpGoto, OpIfNull, OpIfNonNull, OpIfCond:
@@ -249,7 +296,7 @@ func (m *Method) Validate() error {
 // Validate checks every method in the program.
 func (p *Program) Validate() error {
 	var errs []string
-	for _, c := range p.Classes() {
+	for _, c := range p.order {
 		for _, m := range c.Methods {
 			if m.Abstract {
 				continue

@@ -25,7 +25,7 @@ func sampleMethod(t *testing.T) *Method {
 		{Op: OpInvoke, A: 3, B: 2, Callee: MethodRef{Class: "F", Name: "use"}},
 		{Op: OpReturn, A: NoReg},
 	}
-	m.Labels["end"] = 4
+	m.Labels = map[string]int{"end": 4}
 	if err := m.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
@@ -102,8 +102,7 @@ func TestOriginMergeLosesNull(t *testing.T) {
 		{Op: OpPutField, B: 0, A: 1, Field: f}, // 4 store:
 		{Op: OpReturn, A: NoReg},               // 5
 	}
-	m.Labels["alloc"] = 3
-	m.Labels["store"] = 4
+	m.Labels = map[string]int{"alloc": 3, "store": 4}
 	oi := ComputeOrigins(m)
 	if got := oi.At(4, 1).Kind; got != OriginUnknown {
 		t.Errorf("merged origin = %v, want unknown", got)

@@ -454,8 +454,11 @@ func (d *dec) decodeMethod(class string) *ir.Method {
 	m.Synch = d.b()
 	m.Abstract = d.b()
 	m.NumRegs = int(d.i())
-	for n := d.n(); n > 0; n-- {
-		m.Labels[d.s()] = int(d.i())
+	if n := d.n(); n > 0 {
+		m.Labels = make(map[string]int, n)
+		for ; n > 0; n-- {
+			m.Labels[d.s()] = int(d.i())
+		}
 	}
 	ni := d.n()
 	if ni > 0 {

@@ -25,8 +25,9 @@ type LockID = pointsto.ObjID
 
 // Result answers "which locks are definitely held here".
 type Result struct {
-	m    *threadify.Model
-	ctxs map[threadify.MCtx]*ctxLocks
+	m *threadify.Model
+	// ctxs[id] is what the points-to solve's context id holds.
+	ctxs []ctxLocks
 	// live caches, per method, which instructions its entry reaches.
 	live map[*ir.Method][]bool
 	// none records that the program takes no lock at all.
@@ -35,6 +36,8 @@ type Result struct {
 
 // ctxLocks is what one method context holds.
 type ctxLocks struct {
+	// reached records that some thread reaches the context.
+	reached bool
 	// entry is the set of locks held on every path reaching the context.
 	entry lockSet
 	// mth is the context's method, nil when abstract or unresolvable.
@@ -94,39 +97,39 @@ func intersect(a, b lockSet) lockSet {
 
 // Analyze computes lock sets for every method context in the model.
 func Analyze(m *threadify.Model) *Result {
-	r := &Result{
-		m:    m,
-		ctxs: make(map[threadify.MCtx]*ctxLocks),
-		live: make(map[*ir.Method][]bool),
-	}
+	r := &Result{m: m}
 	if !acquiresAny(m.H.Program()) {
 		r.none = true
 		return r
 	}
+	r.ctxs = make([]ctxLocks, m.PTS.NumContexts())
+	r.live = make(map[*ir.Method][]bool)
 
 	// Entry-lock propagation: a worklist over call edges. Thread entries
-	// start with no locks.
+	// start with no locks. Every thread entry is a context of the solve.
 	type edge struct {
-		to   threadify.MCtx
+		to   int32
 		held lockSet
 	}
-	var work []edge
+	work := make([]edge, 0, len(m.Threads))
 	for _, th := range m.Threads {
 		if th.Kind == threadify.KindDummyMain {
 			continue
 		}
-		work = append(work, edge{th.Entry, nil})
+		if id, ok := m.PTS.ContextID(th.Entry.Method, th.Entry.Recv); ok {
+			work = append(work, edge{id, nil})
+		}
 	}
 	for len(work) > 0 {
 		e := work[len(work)-1]
 		work = work[:len(work)-1]
-		c, seen := r.ctxs[e.to]
-		if !seen {
-			c = &ctxLocks{entry: e.held}
-			if mth, err := m.H.MethodByRef(e.to.Method); err == nil && !mth.Abstract {
+		c := &r.ctxs[e.to]
+		if !c.reached {
+			c.reached, c.entry = true, e.held
+			method, _ := m.PTS.Context(e.to)
+			if mth, err := m.H.MethodByRef(method); err == nil && !mth.Abstract {
 				c.mth = mth
 			}
-			r.ctxs[e.to] = c
 		} else {
 			next := intersect(c.entry, e.held)
 			if len(next) == len(c.entry) {
@@ -144,11 +147,8 @@ func Analyze(m *threadify.Model) *Result {
 				continue
 			}
 			held := c.at(i)
-			for _, callee := range m.PTS.CalleeContextsAt(e.to.Method, e.to.Recv, i) {
-				work = append(work, edge{
-					to:   threadify.MCtx{Method: callee.Method, Recv: callee.Recv},
-					held: held,
-				})
+			for _, callee := range m.PTS.CalleesAt(e.to, i) {
+				work = append(work, edge{callee, held})
 			}
 		}
 	}
@@ -158,15 +158,16 @@ func Analyze(m *threadify.Model) *Result {
 // settle derives what each instruction of c holds from its entry set:
 // a held vector for a method with monitor instructions, base and the
 // reached instructions otherwise.
-func (r *Result) settle(mc threadify.MCtx, c *ctxLocks) {
+func (r *Result) settle(id int32, c *ctxLocks) {
 	mth := c.mth
+	method, recv := r.m.PTS.Context(id)
 	c.base = c.entry
 	if mth.Synch && !mth.Static {
-		c.base = c.base.with(mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, mth.ThisReg())))
+		c.base = c.base.with(mustAlias(r.m.PTS.PointsTo(method, recv, mth.ThisReg())))
 	}
 	c.held, c.live = nil, nil
 	if monitors(mth) {
-		c.held = r.heldVector(mc, mth, c.base)
+		c.held = r.heldVector(method, recv, mth, c.base)
 		return
 	}
 	if len(c.base) > 0 {
@@ -199,7 +200,7 @@ func (c *ctxLocks) at(i int) lockSet {
 // method context by a forward must-dataflow over the CFG, given the
 // locks held on entry. Instructions the entry does not reach hold
 // nothing.
-func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, base lockSet) []lockSet {
+func (r *Result) heldVector(method string, recv pointsto.ObjID, mth *ir.Method, base lockSet) []lockSet {
 	held := make([]lockSet, len(mth.Instrs))
 	g := ir.BuildCFG(mth)
 	in := make([]lockSet, len(g.Blocks))
@@ -217,9 +218,9 @@ func (r *Result) heldVector(mc threadify.MCtx, mth *ir.Method, base lockSet) []l
 			held[i] = state
 			switch ins := mth.Instrs[i]; ins.Op {
 			case ir.OpMonitorEnter:
-				state = state.with(mustAlias(r.m.PTS.PointsTo(mc.Method, mc.Recv, ins.B)))
+				state = state.with(mustAlias(r.m.PTS.PointsTo(method, recv, ins.B)))
 			case ir.OpMonitorExit:
-				state = state.without(r.m.PTS.PointsTo(mc.Method, mc.Recv, ins.B))
+				state = state.without(r.m.PTS.PointsTo(method, recv, ins.B))
 			}
 		}
 		for _, s := range blk.Succs {
@@ -285,8 +286,15 @@ func (r *Result) None() bool { return r.none }
 // given method context, sorted. The slice is shared: callers must not
 // modify it.
 func (r *Result) HeldAt(mc threadify.MCtx, idx int) []LockID {
-	c, ok := r.ctxs[mc]
-	if !ok || c.mth == nil || idx < 0 || idx >= len(c.mth.Instrs) {
+	if r.none {
+		return nil
+	}
+	id, ok := r.m.PTS.ContextID(mc.Method, mc.Recv)
+	if !ok {
+		return nil
+	}
+	c := &r.ctxs[id]
+	if c.mth == nil || idx < 0 || idx >= len(c.mth.Instrs) {
 		return nil
 	}
 	return c.at(idx)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"context"
+	"slices"
 	"sort"
 
 	"nadroid/internal/cha"
@@ -301,16 +302,62 @@ func (r *Result) CalleeContextsAt(method string, recv ObjID, site int) []struct 
 }
 
 func (r *Result) calleeMctxsAt(method string, recv ObjID, site int) []mctxID {
+	mc, ok := r.ContextID(method, recv)
+	if !ok {
+		return nil
+	}
+	return r.CalleesAt(mc, site)
+}
+
+// NumContexts returns how many method contexts the solve analyzed.
+// Context ids run from 0 to NumContexts()-1.
+func (r *Result) NumContexts() int { return len(r.c.mctxs) }
+
+// Context returns the method and receiver of context id.
+func (r *Result) Context(id int32) (method string, recv ObjID) {
+	mc := &r.c.mctxs[id]
+	return r.c.methodNames[mc.method], mc.recv
+}
+
+// ContextID returns the id of the context (method, recv), or false when
+// the solve analyzed no such context.
+func (r *Result) ContextID(method string, recv ObjID) (int32, bool) {
+	mid, ok := r.c.methodIdx[method]
+	if !ok {
+		return 0, false
+	}
+	mc, ok := r.c.mctxIdx[mctxKeyOf(mid, recv)]
+	return mc, ok
+}
+
+// CalleesAt returns the callee contexts of context id at instruction
+// site, in the order the solve found them. The slice is shared: callers
+// must not modify it.
+func (r *Result) CalleesAt(id int32, site int) []int32 {
+	return r.c.calleeEdges[edgeKeyOf(id, int32(site))]
+}
+
+// CallGraph returns the context call graph with contexts as ids: the
+// callees of context i are succ[off[i]:off[i+1]], one entry per call
+// site that reaches the callee, in no particular order.
+func (r *Result) CallGraph() (off, succ []int32) {
 	c := r.c
-	mid, ok := c.methodIdx[method]
-	if !ok {
-		return nil
+	off = make([]int32, len(c.mctxs)+1)
+	n := 0
+	for ek, callees := range c.calleeEdges {
+		off[ek>>32+1] += int32(len(callees))
+		n += len(callees)
 	}
-	mc, ok := c.mctxIdx[mctxKeyOf(mid, recv)]
-	if !ok {
-		return nil
+	for i := range c.mctxs {
+		off[i+1] += off[i]
 	}
-	return c.calleeEdges[edgeKeyOf(mc, int32(site))]
+	succ = make([]int32, n)
+	next := slices.Clone(off[:len(c.mctxs)])
+	for ek, callees := range c.calleeEdges {
+		caller := ek >> 32
+		next[caller] += int32(copy(succ[next[caller]:], callees))
+	}
+	return off, succ
 }
 
 // SpawnEdges returns the resolved spawn edges in discovery order.

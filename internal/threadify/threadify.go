@@ -426,55 +426,59 @@ func (o *oracle) classify(caller *ir.Method, idx int, in ir.Instr) []pointsto.Sp
 	return nil
 }
 
-// callGraph is the context-sensitive call graph in dense form. Method
-// contexts with a call edge are numbered in (method, receiver) order,
-// so a sorted list of numbers is a sorted list of contexts.
+// callGraph is the context-sensitive call graph in dense form. It
+// numbers every method context of the points-to solve in (method,
+// receiver) order, so a sorted list of numbers is a sorted list of
+// contexts.
 type callGraph struct {
+	pts  *pointsto.Result
 	ctxs []MCtx
-	id   map[MCtx]int32
+	// rank[id] is the number of the solver's context id.
+	rank []int32
 	// The callees of context i are succ[off[i]:off[i+1]].
 	off, succ []int32
-	// reach[i] caches the contexts reachable from context i; threads
-	// with the same entry share it.
-	reach [][]MCtx
-	// seen and stack are reused by every depth-first search: seen[i] == epoch
-	// marks context i visited by the current search.
-	seen  []uint32
-	epoch uint32
-	stack []int32
+	// reach[i] caches the contexts reachable from context i, and
+	// reachNums the same as numbers; threads with the same entry share
+	// them.
+	reach     [][]MCtx
+	reachNums [][]int32
+	// seen, stack and found are reused by every depth-first search:
+	// seen[i] == epoch marks context i visited by the current search.
+	seen         []uint32
+	epoch        uint32
+	stack, found []int32
 }
 
+// newCallGraph numbers the solver's contexts and renumbers its call
+// graph to match.
 func newCallGraph(pts *pointsto.Result) *callGraph {
-	edges := pts.CallEdges()
-	g := &callGraph{id: make(map[MCtx]int32)}
-	for _, e := range edges {
-		for _, mc := range [2]MCtx{{e.CallerMethod, e.CallerRecv}, {e.CalleeMethod, e.CalleeRecv}} {
-			if _, ok := g.id[mc]; !ok {
-				g.id[mc] = 0
-				g.ctxs = append(g.ctxs, mc)
-			}
-		}
+	n := pts.NumContexts()
+	g := &callGraph{pts: pts, ctxs: make([]MCtx, n), rank: make([]int32, n)}
+	byRank := make([]int32, n)
+	for id := range byRank {
+		byRank[id] = int32(id)
 	}
-	slices.SortFunc(g.ctxs, compareMCtx)
-	for i, mc := range g.ctxs {
-		g.id[mc] = int32(i)
+	slices.SortFunc(byRank, func(a, b int32) int {
+		am, ar := pts.Context(a)
+		bm, br := pts.Context(b)
+		return compareMCtx(MCtx{am, ar}, MCtx{bm, br})
+	})
+	for r, id := range byRank {
+		g.rank[id] = int32(r)
+		method, recv := pts.Context(id)
+		g.ctxs[r] = MCtx{method, recv}
 	}
-	n := len(g.ctxs)
+	off, succ := pts.CallGraph()
 	g.off = make([]int32, n+1)
-	for _, e := range edges {
-		g.off[g.id[MCtx{e.CallerMethod, e.CallerRecv}]+1]++
-	}
-	for i := 0; i < n; i++ {
-		g.off[i+1] += g.off[i]
-	}
-	g.succ = make([]int32, len(edges))
-	next := slices.Clone(g.off[:n])
-	for _, e := range edges {
-		from := g.id[MCtx{e.CallerMethod, e.CallerRecv}]
-		g.succ[next[from]] = g.id[MCtx{e.CalleeMethod, e.CalleeRecv}]
-		next[from]++
+	g.succ = make([]int32, 0, len(succ))
+	for r, id := range byRank {
+		for _, callee := range succ[off[id]:off[id+1]] {
+			g.succ = append(g.succ, g.rank[callee])
+		}
+		g.off[r+1] = int32(len(g.succ))
 	}
 	g.reach = make([][]MCtx, n)
+	g.reachNums = make([][]int32, n)
 	g.seen = make([]uint32, n)
 	return g
 }
@@ -486,19 +490,29 @@ func compareMCtx(a, b MCtx) int {
 	return cmp.Compare(a.Recv, b.Recv)
 }
 
-// from returns the contexts reachable from entry over call edges, entry
-// included, sorted by (method, receiver).
-func (g *callGraph) from(entry MCtx) []MCtx {
-	root, ok := g.id[entry]
+// num returns the number of context mc, or false when the solve did not
+// analyze it.
+func (g *callGraph) num(mc MCtx) (int32, bool) {
+	id, ok := g.pts.ContextID(mc.Method, mc.Recv)
 	if !ok {
-		// No call edge leaves or enters entry.
-		return []MCtx{entry}
+		return 0, false
+	}
+	return g.rank[id], true
+}
+
+// from returns the contexts reachable from entry over call edges, entry
+// included, sorted by (method, receiver), and their numbers (nil when
+// the solve did not analyze entry).
+func (g *callGraph) from(entry MCtx) ([]MCtx, []int32) {
+	root, ok := g.num(entry)
+	if !ok {
+		return []MCtx{entry}, nil
 	}
 	if r := g.reach[root]; r != nil {
-		return r
+		return r, g.reachNums[root]
 	}
 	g.epoch++
-	ids := []int32{root}
+	g.found = append(g.found[:0], root)
 	g.seen[root] = g.epoch
 	g.stack = append(g.stack[:0], root)
 	for len(g.stack) > 0 {
@@ -507,18 +521,19 @@ func (g *callGraph) from(entry MCtx) []MCtx {
 		for _, j := range g.succ[g.off[i]:g.off[i+1]] {
 			if g.seen[j] != g.epoch {
 				g.seen[j] = g.epoch
-				ids = append(ids, j)
+				g.found = append(g.found, j)
 				g.stack = append(g.stack, j)
 			}
 		}
 	}
-	slices.Sort(ids)
-	r := make([]MCtx, len(ids))
-	for k, i := range ids {
+	nums := slices.Clone(g.found)
+	slices.Sort(nums)
+	r := make([]MCtx, len(nums))
+	for k, i := range nums {
 		r[k] = g.ctxs[i]
 	}
-	g.reach[root] = r
-	return r
+	g.reach[root], g.reachNums[root] = r, nums
+	return r, nums
 }
 
 // Reach returns the method contexts thread t may execute (its entry plus
@@ -534,7 +549,7 @@ func (m *Model) Reach(t int) []MCtx {
 	}
 	r := []MCtx{}
 	if th := m.Threads[t]; th.Kind != KindDummyMain {
-		r = m.calls.from(th.Entry)
+		r, _ = m.calls.from(th.Entry)
 	}
 	m.reach[t] = r
 	return r
@@ -543,26 +558,58 @@ func (m *Model) Reach(t int) []MCtx {
 // attachSpawnedThreads grows the forest to fixpoint: a spawn edge whose
 // caller context is executed by thread t adds a child of t.
 func (m *Model) attachSpawnedThreads(maxThreads int) error {
+	g := m.calls
 	edges := m.PTS.SpawnEdges()
-	// Group deferred AsyncTask callbacks (children of the task body).
+	// A made thread is keyed by its parent, its entry context's number,
+	// and its spawn site as (number of the site method's first context,
+	// instruction index).
 	type childKey struct {
-		parent int
-		entry  MCtx
-		site   ir.InstrID
+		parent, entry, siteMethod, site int32
 	}
-	made := make(map[childKey]int)
+	made := make(map[childKey]int32)
+	// keys[i] is spawn edge i's key without the parent; the edges
+	// callers[c] makes are byCaller[callerOff[c]:callerOff[c+1]], in
+	// edge order. The solve analyzes both ends of every spawn edge, so
+	// an edge with an end it did not number belongs to a corrupt result
+	// and is dropped.
+	keys := make([]childKey, len(edges))
+	callerOf := make([]int32, len(edges))
+	callerOff := make([]int32, len(g.ctxs)+1)
+	for i, e := range edges {
+		caller, ok1 := g.num(MCtx{e.CallerMethod, e.CallerRecv})
+		entry, ok2 := g.num(MCtx{e.TargetMethod, e.TargetRecv})
+		if !ok1 || !ok2 {
+			callerOf[i] = -1
+			continue
+		}
+		siteMethod := sort.Search(len(g.ctxs), func(r int) bool { return g.ctxs[r].Method >= e.CallerMethod })
+		keys[i] = childKey{entry: entry, siteMethod: int32(siteMethod), site: int32(e.Site)}
+		callerOf[i] = caller
+		callerOff[caller+1]++
+	}
+	for c := range g.ctxs {
+		callerOff[c+1] += callerOff[c]
+	}
+	byCaller := make([]int32, callerOff[len(g.ctxs)])
+	next := slices.Clone(callerOff[:len(g.ctxs)])
+	for i, c := range callerOf {
+		if c >= 0 {
+			byCaller[next[c]] = int32(i)
+			next[c]++
+		}
+	}
 
-	mkThread := func(parent int, kind Kind, tag int, entry MCtx, site ir.InstrID, looper bool, component string) int {
-		key := childKey{parent, entry, site}
+	mkThread := func(parent int, kind Kind, tag int, key childKey, entry MCtx, site ir.InstrID, looper bool, component string) int {
+		key.parent = int32(parent)
 		if id, ok := made[key]; ok {
-			return id
+			return int(id)
 		}
 		// Refuse to re-create an entry that is already on the ancestor
 		// chain: posting cycles would otherwise unroll forever.
 		for a := parent; a >= 0; a = m.Threads[a].Parent {
 			t := m.Threads[a]
 			if t.Entry == entry && t.Site == site {
-				made[key] = a
+				made[key] = int32(a)
 				return a
 			}
 		}
@@ -582,19 +629,14 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 			th.Post = framework.PostNone
 		}
 		m.Threads = append(m.Threads, th)
-		made[key] = th.ID
+		made[key] = int32(th.ID)
 		return th.ID
 	}
 
 	// spawns[tid] lists, in edge order, the edges whose caller context
 	// thread tid executes. A thread's reach set never changes, so the
 	// list is built on the thread's first pass.
-	var spawns [][]int
-	byCaller := make(map[MCtx][]int)
-	for i, e := range edges {
-		caller := MCtx{e.CallerMethod, e.CallerRecv}
-		byCaller[caller] = append(byCaller[caller], i)
-	}
+	var spawns [][]int32
 	for changed := true; changed; {
 		changed = false
 		if len(m.Threads) > maxThreads {
@@ -605,15 +647,18 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 		// dedupe through `made`.
 		for tid := 0; tid < len(m.Threads); tid++ {
 			if tid == len(spawns) {
-				var own []int
-				for _, mc := range m.Reach(tid) {
-					own = append(own, byCaller[mc]...)
+				var own []int32
+				if th := m.Threads[tid]; th.Kind != KindDummyMain {
+					_, nums := g.from(th.Entry)
+					for _, c := range nums {
+						own = append(own, byCaller[callerOff[c]:callerOff[c+1]]...)
+					}
 				}
-				sort.Ints(own)
+				slices.Sort(own)
 				spawns = append(spawns, own)
 			}
 			for _, i := range spawns[tid] {
-				e := edges[i]
+				e, key := edges[i], keys[i]
 				site := ir.InstrID{Method: e.CallerMethod, Index: e.Site}
 				entry := MCtx{e.TargetMethod, e.TargetRecv}
 				before := len(m.Threads)
@@ -624,11 +669,11 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 					// the dummy main regardless of who registered them
 					// (§4.1), but they still belong to the registering
 					// thread's component for lifecycle/CHB reasoning.
-					mkThread(0, KindEntryCallback, e.Tag, entry, site, true, comp)
+					mkThread(0, KindEntryCallback, e.Tag, key, entry, site, true, comp)
 				case tagNative:
-					mkThread(tid, KindNativeThread, e.Tag, entry, site, false, comp)
+					mkThread(tid, KindNativeThread, e.Tag, key, entry, site, false, comp)
 				case tagTaskBody:
-					mkThread(tid, KindTaskBody, e.Tag, entry, site, false, comp)
+					mkThread(tid, KindTaskBody, e.Tag, key, entry, site, false, comp)
 				case tagTaskCallback:
 					// onPreExecute/onPostExecute: children of the AsyncTask
 					// body thread for the same task object (§4.2).
@@ -636,15 +681,21 @@ func (m *Model) attachSpawnedThreads(maxThreads int) error {
 					if !ok {
 						break
 					}
-					bodyID, ok := made[childKey{tid, bodyEntry, site}]
+					body, ok := g.num(bodyEntry)
 					if !ok {
 						break
 					}
-					mkThread(bodyID, KindPostedCallback, e.Tag, entry, site, true, comp)
+					bodyKey := key
+					bodyKey.parent, bodyKey.entry = int32(tid), body
+					bodyID, ok := made[bodyKey]
+					if !ok {
+						break
+					}
+					mkThread(int(bodyID), KindPostedCallback, e.Tag, key, entry, site, true, comp)
 				case tagTaskProgress:
-					mkThread(tid, KindPostedCallback, e.Tag, entry, site, true, comp)
+					mkThread(tid, KindPostedCallback, e.Tag, key, entry, site, true, comp)
 				default:
-					mkThread(tid, KindPostedCallback, e.Tag, entry, site, true, comp)
+					mkThread(tid, KindPostedCallback, e.Tag, key, entry, site, true, comp)
 				}
 				if len(m.Threads) != before {
 					changed = true

@@ -309,7 +309,9 @@ func TestIsAncestor(t *testing.T) {
 	}
 }
 
-func TestPostCycleTerminates(t *testing.T) {
+// buildPostCycleApp builds two runnables that post each other forever.
+func buildPostCycleApp(t *testing.T) *apk.Package {
+	t.Helper()
 	b := appbuilder.New("cycle")
 	act := b.Activity("app/A")
 	act.Field("handler", "app/H")
@@ -346,7 +348,11 @@ func TestPostCycleTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Build(pkg, Options{MaxThreads: 512})
+	return pkg
+}
+
+func TestPostCycleTerminates(t *testing.T) {
+	m, err := Build(buildPostCycleApp(t), Options{MaxThreads: 512})
 	if err != nil {
 		t.Fatalf("cyclic posting must terminate, got %v", err)
 	}
