@@ -115,7 +115,6 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 	c := &core{
 		h:           h,
 		objs:        s.Objs,
-		objIdx:      make(map[Obj]ObjID, len(s.Objs)),
 		methodNames: s.MethodNames,
 		methodIdx:   make(map[string]methodID, len(s.MethodNames)),
 		methodOf:    make([]*ir.Method, len(s.MethodNames)),
@@ -129,9 +128,6 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 		iterations:  s.Iterations,
 		deltaObjs:   s.DeltaObjs,
 	}
-	for i, o := range s.Objs {
-		c.objIdx[o] = ObjID(i)
-	}
 	for i, name := range s.MethodNames {
 		c.methodIdx[name] = methodID(i)
 		if m, err := h.MethodByRef(name); err == nil {
@@ -142,11 +138,21 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 	for i, mcs := range s.MethodMctxs {
 		c.methodMctxs[i] = mcs
 	}
+	// A block as long as its method's register count numbers every
+	// register as itself (a snapshot taken before blocks were numbered
+	// has only such blocks); any other block is numbered again from the
+	// method, as the solve numbered it.
+	c.methodRegs = make([][]int32, len(s.MethodNames))
+	var mark []uint64
 	c.mctxs = make([]mctxInfo, len(s.Mctxs))
 	for i, ms := range s.Mctxs {
 		c.mctxs[i] = mctxInfo{method: ms.Method, recv: ObjID(ms.Recv), varBase: ms.VarBase, nregs: ms.NRegs}
 		if int(ms.Method) < len(c.methodOf) {
-			c.mctxs[i].m = c.methodOf[ms.Method]
+			m := c.methodOf[ms.Method]
+			c.mctxs[i].m = m
+			if m != nil && ms.VarBase >= 0 && int(ms.NRegs) != m.NumRegs && c.methodRegs[ms.Method] == nil {
+				c.methodRegs[ms.Method], mark = numberRegs(m, mark)
+			}
 		}
 		c.mctxIdx[mctxKeyOf(ms.Method, ObjID(ms.Recv))] = mctxID(i)
 	}
