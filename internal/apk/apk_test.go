@@ -24,7 +24,7 @@ func TestValidateCatchesBadIR(t *testing.T) {
 	framework.Declare(prog)
 	c := ir.NewClass("demo/A", framework.Activity)
 	m := ir.NewMethod("demo/A", "onCreate", 1)
-	m.Instrs = []ir.Instr{{Op: ir.OpGoto, Target: "nowhere"}}
+	m.Instrs = []ir.Instr{ir.Instr{Op: ir.OpGoto}.WithTarget("nowhere")}
 	c.AddMethod(m)
 	prog.AddClass(c)
 	man := manifest.New("demo")

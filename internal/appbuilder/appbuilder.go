@@ -213,19 +213,19 @@ func (mb *MethodBuilder) Int(r int, v int64) *MethodBuilder {
 
 // Str sets register r to a string constant.
 func (mb *MethodBuilder) Str(r int, s string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpConstStr, A: r, StrVal: s})
+	return mb.emit(ir.Instr{Op: ir.OpConstStr, A: r}.WithStrVal(s))
 }
 
 // New allocates an instance of cls into a fresh register.
 func (mb *MethodBuilder) New(cls string) int {
 	r := mb.Reg()
-	mb.emit(ir.Instr{Op: ir.OpNew, A: r, Type: cls})
+	mb.emit(ir.Instr{Op: ir.OpNew, A: r}.WithType(cls))
 	return r
 }
 
 // NewInto allocates an instance of cls into r.
 func (mb *MethodBuilder) NewInto(r int, cls string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpNew, A: r, Type: cls})
+	return mb.emit(ir.Instr{Op: ir.OpNew, A: r}.WithType(cls))
 }
 
 // Move copies src into dst.
@@ -236,7 +236,7 @@ func (mb *MethodBuilder) Move(dst, src int) *MethodBuilder {
 // GetField loads base.cls.fld into a fresh register.
 func (mb *MethodBuilder) GetField(base int, cls, fld string) int {
 	r := mb.Reg()
-	mb.emit(ir.Instr{Op: ir.OpGetField, A: r, B: base, Field: ir.FieldRef{Class: cls, Name: fld}})
+	mb.emit(ir.Instr{Op: ir.OpGetField, A: r, B: base}.WithField(ir.FieldRef{Class: cls, Name: fld}))
 	return r
 }
 
@@ -247,7 +247,7 @@ func (mb *MethodBuilder) GetThis(fld string) int {
 
 // PutField stores src into base.cls.fld.
 func (mb *MethodBuilder) PutField(base int, cls, fld string, src int) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpPutField, B: base, A: src, Field: ir.FieldRef{Class: cls, Name: fld}})
+	return mb.emit(ir.Instr{Op: ir.OpPutField, B: base, A: src}.WithField(ir.FieldRef{Class: cls, Name: fld}))
 }
 
 // PutThis stores src into this.fld.
@@ -268,25 +268,25 @@ func (mb *MethodBuilder) Free(base int, cls, fld string) *MethodBuilder {
 // GetStatic loads a static field into a fresh register.
 func (mb *MethodBuilder) GetStatic(cls, fld string) int {
 	r := mb.Reg()
-	mb.emit(ir.Instr{Op: ir.OpGetStatic, A: r, Field: ir.FieldRef{Class: cls, Name: fld}})
+	mb.emit(ir.Instr{Op: ir.OpGetStatic, A: r}.WithField(ir.FieldRef{Class: cls, Name: fld}))
 	return r
 }
 
 // PutStatic stores src into a static field.
 func (mb *MethodBuilder) PutStatic(cls, fld string, src int) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpPutStatic, A: src, Field: ir.FieldRef{Class: cls, Name: fld}})
+	return mb.emit(ir.Instr{Op: ir.OpPutStatic, A: src}.WithField(ir.FieldRef{Class: cls, Name: fld}))
 }
 
 // Invoke calls recv.cls.name(args...) returning a fresh result register.
 func (mb *MethodBuilder) Invoke(recv int, cls, name string, args ...int) int {
 	r := mb.Reg()
-	mb.emit(ir.Instr{Op: ir.OpInvoke, A: r, B: recv, Args: args, Callee: ir.MethodRef{Class: cls, Name: name}})
+	mb.emit(ir.Instr{Op: ir.OpInvoke, A: r, B: recv, Args: args}.WithCallee(ir.MethodRef{Class: cls, Name: name}))
 	return r
 }
 
 // InvokeVoid calls recv.cls.name(args...) discarding the result.
 func (mb *MethodBuilder) InvokeVoid(recv int, cls, name string, args ...int) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpInvoke, A: ir.NoReg, B: recv, Args: args, Callee: ir.MethodRef{Class: cls, Name: name}})
+	return mb.emit(ir.Instr{Op: ir.OpInvoke, A: ir.NoReg, B: recv, Args: args}.WithCallee(ir.MethodRef{Class: cls, Name: name}))
 }
 
 // InvokeThis calls this.name(args...) on the declaring class.
@@ -297,7 +297,7 @@ func (mb *MethodBuilder) InvokeThis(name string, args ...int) int {
 // InvokeStatic calls cls.name(args...).
 func (mb *MethodBuilder) InvokeStatic(cls, name string, args ...int) int {
 	r := mb.Reg()
-	mb.emit(ir.Instr{Op: ir.OpInvokeStatic, A: r, Args: args, Callee: ir.MethodRef{Class: cls, Name: name}})
+	mb.emit(ir.Instr{Op: ir.OpInvokeStatic, A: r, Args: args}.WithCallee(ir.MethodRef{Class: cls, Name: name}))
 	return r
 }
 
@@ -319,23 +319,23 @@ func (mb *MethodBuilder) Label(name string) *MethodBuilder {
 
 // Goto jumps to label.
 func (mb *MethodBuilder) Goto(label string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpGoto, Target: label})
+	return mb.emit(ir.Instr{Op: ir.OpGoto}.WithTarget(label))
 }
 
 // IfNull branches to label when r is null.
 func (mb *MethodBuilder) IfNull(r int, label string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpIfNull, B: r, Target: label})
+	return mb.emit(ir.Instr{Op: ir.OpIfNull, B: r}.WithTarget(label))
 }
 
 // IfNonNull branches to label when r is non-null.
 func (mb *MethodBuilder) IfNonNull(r int, label string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpIfNonNull, B: r, Target: label})
+	return mb.emit(ir.Instr{Op: ir.OpIfNonNull, B: r}.WithTarget(label))
 }
 
 // IfCond emits an opaque conditional branch (path-insensitive to the
 // static analysis; the interpreter treats it per interp.Options).
 func (mb *MethodBuilder) IfCond(label string) *MethodBuilder {
-	return mb.emit(ir.Instr{Op: ir.OpIfCond, Target: label})
+	return mb.emit(ir.Instr{Op: ir.OpIfCond}.WithTarget(label))
 }
 
 // Return emits a void return.

@@ -162,7 +162,7 @@ func threadControlled(m *threadify.Model, th *threadify.Thread) bool {
 				if in.Op != ir.OpInvoke {
 					continue
 				}
-				if framework.ClassifyThreadControl(m.H, in.Callee.Class, in.Callee.Name) == framework.ThreadControlNone {
+				if framework.ClassifyThreadControl(m.H, in.Callee().Class, in.Callee().Name) == framework.ThreadControlNone {
 					continue
 				}
 				objs := m.PTS.PointsTo(mc.Method, mc.Recv, in.B)
@@ -220,7 +220,7 @@ func resultCancelled(m *threadify.Model, th *threadify.Thread) bool {
 				if in.Op != ir.OpInvoke {
 					continue
 				}
-				if framework.ClassifyCancel(m.H, in.Callee.Class, in.Callee.Name) != framework.CancelRemoveCallbacks {
+				if framework.ClassifyCancel(m.H, in.Callee().Class, in.Callee().Name) != framework.CancelRemoveCallbacks {
 					continue
 				}
 				objs := m.PTS.PointsTo(mc.Method, mc.Recv, in.B)

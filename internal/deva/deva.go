@@ -103,7 +103,7 @@ func analyzeScope(prog *ir.Program, scope []*ir.Class) []Anomaly {
 			for i, in := range m.Instrs {
 				switch in.Op {
 				case ir.OpGetField, ir.OpGetStatic:
-					if !inScope[in.Field.Class] {
+					if !inScope[in.Field().Class] {
 						continue // intra-class restriction
 					}
 					// Unsound IG: any guard or preceding allocation
@@ -111,13 +111,13 @@ func analyzeScope(prog *ir.Program, scope []*ir.Class) []Anomaly {
 					if guardedAnywhere(m, oi, i) || allocatedBefore(m, oi, i) {
 						continue
 					}
-					reads = append(reads, access{m.Ref(), ir.InstrID{Method: m.Ref(), Index: i}, in.Field, false})
+					reads = append(reads, access{m.Ref(), ir.InstrID{Method: m.Ref(), Index: i}, in.Field(), false})
 				case ir.OpPutField, ir.OpPutStatic:
-					if !inScope[in.Field.Class] {
+					if !inScope[in.Field().Class] {
 						continue
 					}
 					if ir.IsFree(oi, m, i) {
-						frees = append(frees, access{m.Ref(), ir.InstrID{Method: m.Ref(), Index: i}, in.Field, true})
+						frees = append(frees, access{m.Ref(), ir.InstrID{Method: m.Ref(), Index: i}, in.Field(), true})
 					}
 				}
 			}
@@ -175,7 +175,7 @@ func guardedAnywhere(m *ir.Method, oi *ir.OriginInfo, idx int) bool {
 		if chk.Kind != ir.OriginLoad {
 			continue
 		}
-		if m.Instrs[chk.Site].Field == use.Field {
+		if m.Instrs[chk.Site].Field() == use.Field() {
 			return true
 		}
 	}
@@ -191,7 +191,7 @@ func allocatedBefore(m *ir.Method, oi *ir.OriginInfo, idx int) bool {
 		if in.Op != ir.OpPutField && in.Op != ir.OpPutStatic {
 			continue
 		}
-		if in.Field != use.Field {
+		if in.Field() != use.Field() {
 			continue
 		}
 		switch oi.At(j, in.A).Kind {

@@ -428,9 +428,9 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		}
 		return ir.Instr{Op: ir.OpReturn, A: r}, nil
 	case strings.HasPrefix(line, "goto "):
-		return ir.Instr{Op: ir.OpGoto, Target: strings.TrimSpace(strings.TrimPrefix(line, "goto "))}, nil
+		return ir.Instr{Op: ir.OpGoto}.WithTarget(strings.TrimSpace(strings.TrimPrefix(line, "goto "))), nil
 	case strings.HasPrefix(line, "if ? goto "):
-		return ir.Instr{Op: ir.OpIfCond, Target: strings.TrimSpace(strings.TrimPrefix(line, "if ? goto "))}, nil
+		return ir.Instr{Op: ir.OpIfCond}.WithTarget(strings.TrimSpace(strings.TrimPrefix(line, "if ? goto "))), nil
 	case strings.HasPrefix(line, "if "):
 		// if rN == null goto L | if rN != null goto L
 		var f [6]string
@@ -447,7 +447,7 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		} else if f[2] != "==" {
 			return bad()
 		}
-		return ir.Instr{Op: op, B: r, Target: f[5]}, nil
+		return ir.Instr{Op: op, B: r}.WithTarget(f[5]), nil
 	case strings.HasPrefix(line, "lock r"):
 		r, err := parseReg(strings.TrimPrefix(line, "lock "))
 		if err != nil {
@@ -483,7 +483,7 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		if err != nil {
 			return bad()
 		}
-		return ir.Instr{Op: ir.OpPutStatic, A: r, Field: ref}, nil
+		return ir.Instr{Op: ir.OpPutStatic, A: r}.WithField(ref), nil
 	}
 
 	lhs, rhs, ok := cutAssign(line)
@@ -500,7 +500,7 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		if err != nil {
 			return bad()
 		}
-		return ir.Instr{Op: ir.OpPutField, B: base, A: r, Field: ref}, nil
+		return ir.Instr{Op: ir.OpPutField, B: base, A: r}.WithField(ref), nil
 	}
 	// Everything else defines a register.
 	dst, err := parseReg(lhs)
@@ -515,15 +515,15 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		if err != nil {
 			return bad()
 		}
-		return ir.Instr{Op: ir.OpConstStr, A: dst, StrVal: s}, nil
+		return ir.Instr{Op: ir.OpConstStr, A: dst}.WithStrVal(s), nil
 	case strings.HasPrefix(rhs, "new "):
-		return ir.Instr{Op: ir.OpNew, A: dst, Type: strings.TrimSpace(strings.TrimPrefix(rhs, "new "))}, nil
+		return ir.Instr{Op: ir.OpNew, A: dst}.WithType(strings.TrimSpace(strings.TrimPrefix(rhs, "new "))), nil
 	case strings.HasPrefix(rhs, "static "):
 		ref, ok := parseFieldRef(strings.TrimSpace(strings.TrimPrefix(rhs, "static ")))
 		if !ok {
 			return bad()
 		}
-		return ir.Instr{Op: ir.OpGetStatic, A: dst, Field: ref}, nil
+		return ir.Instr{Op: ir.OpGetStatic, A: dst}.WithField(ref), nil
 	case strings.HasSuffix(rhs, ")"):
 		in, err := p.parseCall(rhs, dst)
 		if err != nil {
@@ -535,7 +535,7 @@ func (p *parser) parseInstr(line string) (ir.Instr, error) {
 		if !ok {
 			return bad()
 		}
-		return ir.Instr{Op: ir.OpGetField, A: dst, B: base, Field: ref}, nil
+		return ir.Instr{Op: ir.OpGetField, A: dst, B: base}.WithField(ref), nil
 	case strings.HasPrefix(rhs, "r"):
 		src, err := parseReg(rhs)
 		if err != nil {
@@ -585,13 +585,13 @@ func (p *parser) parseCall(s string, dst int) (ir.Instr, error) {
 		if !ok {
 			return ir.Instr{}, p.errf("bad callee ref in %q", s)
 		}
-		return ir.Instr{Op: ir.OpInvoke, A: dst, B: recv, Args: args, Callee: ir.MethodRef{Class: cls, Name: name}}, nil
+		return ir.Instr{Op: ir.OpInvoke, A: dst, B: recv, Args: args}.WithCallee(ir.MethodRef{Class: cls, Name: name}), nil
 	}
 	cls, name, ok := ir.SplitRef(target)
 	if !ok {
 		return ir.Instr{}, p.errf("bad static callee in %q", s)
 	}
-	return ir.Instr{Op: ir.OpInvokeStatic, A: dst, Args: args, Callee: ir.MethodRef{Class: cls, Name: name}}, nil
+	return ir.Instr{Op: ir.OpInvokeStatic, A: dst, Args: args}.WithCallee(ir.MethodRef{Class: cls, Name: name}), nil
 }
 
 // cutAssign splits "lhs = rhs" on the first top-level " = ".

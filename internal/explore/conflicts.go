@@ -217,7 +217,7 @@ func scanEffects(s *summary, m *ir.Method) {
 			// scheduler-sensitive.
 			s.quantumClean = false
 		case ir.OpInvoke, ir.OpInvokeStatic:
-			n := in.Callee.Name
+			n := in.Callee().Name
 			switch {
 			case queueNames[n]:
 				s.queue = true

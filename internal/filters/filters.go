@@ -216,7 +216,7 @@ func (ctx *Context) cancelOps(mc threadify.MCtx) []cancelOp {
 		if in.Op != ir.OpInvoke {
 			continue
 		}
-		kind := framework.ClassifyCancel(m.H, in.Callee.Class, in.Callee.Name)
+		kind := framework.ClassifyCancel(m.H, in.Callee().Class, in.Callee().Name)
 		if kind == framework.CancelNone {
 			continue
 		}
@@ -228,7 +228,7 @@ func (ctx *Context) cancelOps(mc threadify.MCtx) []cancelOp {
 				op.component = m.PTS.Obj(o).Class
 			}
 			if op.component == "" {
-				op.component = in.Callee.Class
+				op.component = in.Callee().Class
 			}
 		case framework.CancelUnbindService, framework.CancelUnregisterReceiver:
 			if len(in.Args) > 0 {

@@ -60,7 +60,7 @@ func isGuardedUse(ctx *Context, mth *ir.Method, idx int) bool {
 			continue
 		}
 		ld := mth.Instrs[chk.Site]
-		if ld.Field != use.Field {
+		if ld.Field() != use.Field() {
 			continue
 		}
 		if use.Op == ir.OpGetField {
@@ -75,7 +75,7 @@ func isGuardedUse(ctx *Context, mth *ir.Method, idx int) bool {
 		if in.Op == ir.OpIfNull {
 			nonNull = j + 1 // fall through when non-null
 		} else {
-			nonNull = mth.Index(in.Target)
+			nonNull = mth.Index(in.Target())
 		}
 		if nonNull >= len(mth.Instrs) {
 			continue
@@ -83,7 +83,7 @@ func isGuardedUse(ctx *Context, mth *ir.Method, idx int) bool {
 		if !g.Dominates(idom, nonNull, idx) {
 			continue
 		}
-		if storeBetween(mth, use.Field, min(j, idx), max(j, idx)) {
+		if storeBetween(mth, use.Field(), min(j, idx), max(j, idx)) {
 			continue
 		}
 		return true
@@ -122,7 +122,7 @@ func hasDominatingStoreOf(ctx *Context, mth *ir.Method, idx int, kinds ...ir.Ori
 		return false
 	}
 	isStore := func(in ir.Instr) bool {
-		return in.Field == use.Field && ((use.Op == ir.OpGetField && in.Op == ir.OpPutField) ||
+		return in.Field() == use.Field() && ((use.Op == ir.OpGetField && in.Op == ir.OpPutField) ||
 			(use.Op == ir.OpGetStatic && in.Op == ir.OpPutStatic))
 	}
 	for j, in := range mth.Instrs[:idx] {
@@ -147,7 +147,7 @@ func hasDominatingStoreOf(ctx *Context, mth *ir.Method, idx int, kinds ...ir.Ori
 		if !g.Dominates(idom, j, idx) {
 			continue
 		}
-		if storeBetween(mth, use.Field, j+1, idx) {
+		if storeBetween(mth, use.Field(), j+1, idx) {
 			continue
 		}
 		return true
@@ -166,7 +166,7 @@ func methodMayAllocateField(ctx *Context, mth *ir.Method, field ir.FieldRef) boo
 		if in.Op != ir.OpPutField && in.Op != ir.OpPutStatic {
 			continue
 		}
-		if in.Field.Name != field.Name {
+		if in.Field().Name != field.Name {
 			continue
 		}
 		switch ctx.origins.Of(mth).At(j, in.A).Kind {
@@ -245,7 +245,7 @@ func hasOp(mth *ir.Method, ops ...ir.Op) bool {
 func storeBetween(mth *ir.Method, f ir.FieldRef, lo, hi int) bool {
 	for j := lo + 1; j < hi; j++ {
 		in := mth.Instrs[j]
-		if (in.Op == ir.OpPutField || in.Op == ir.OpPutStatic) && in.Field == f {
+		if (in.Op == ir.OpPutField || in.Op == ir.OpPutStatic) && in.Field() == f {
 			return true
 		}
 	}

@@ -111,7 +111,7 @@ func normalizeSite(m *threadify.Model, id ir.InstrID) (sig, kind string, ordinal
 	kind = accessKind(site.Op)
 	for i := 0; i < id.Index; i++ {
 		in := method.Instrs[i]
-		if accessKind(in.Op) == kind && in.Field == site.Field {
+		if accessKind(in.Op) == kind && in.Field() == site.Field() {
 			ordinal++
 		}
 	}

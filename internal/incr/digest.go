@@ -82,14 +82,14 @@ func MethodDigest(m *ir.Method) uint64 {
 		for _, a := range in.Args {
 			x.i(a)
 		}
-		x.str(in.Field.Class)
-		x.str(in.Field.Name)
-		x.str(in.Type)
-		x.str(in.Callee.Class)
-		x.str(in.Callee.Name)
-		x.str(in.Target)
+		x.str(in.Field().Class)
+		x.str(in.Field().Name)
+		x.str(in.Type())
+		x.str(in.Callee().Class)
+		x.str(in.Callee().Name)
+		x.str(in.Target())
 		x.i64(in.IntVal)
-		x.str(in.StrVal)
+		x.str(in.StrVal())
 	}
 	return x.h
 }
@@ -228,12 +228,12 @@ func PtsProjection(pkg *apk.Package, k int) uint64 {
 				for _, a := range in.Args {
 					x.i(a)
 				}
-				x.str(in.Field.Class)
-				x.str(in.Field.Name)
-				x.str(in.Type)
-				x.str(in.Callee.Class)
-				x.str(in.Callee.Name)
-				x.str(in.Target)
+				x.str(in.Field().Class)
+				x.str(in.Field().Name)
+				x.str(in.Type())
+				x.str(in.Callee().Class)
+				x.str(in.Callee().Name)
+				x.str(in.Target())
 			}
 		}
 	}

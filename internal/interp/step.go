@@ -76,7 +76,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 		f.regs[in.A] = reg{v: in.StrVal}
 		advance()
 	case ir.OpNew:
-		f.regs[in.A] = reg{v: w.alloc(in.Type)}
+		f.regs[in.A] = reg{v: w.alloc(in.Type())}
 		advance()
 	case ir.OpMove:
 		f.regs[in.A] = f.regs[in.B]
@@ -88,7 +88,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		f.regs[in.A] = reg{v: w.get(base.ID, ir.FieldRef{Name: in.Field.Name}), site: f.m, at: f.pc}
+		f.regs[in.A] = reg{v: w.get(base.ID, ir.FieldRef{Name: in.Field().Name}), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, base, false, false)
 		advance()
 		return true, false
@@ -99,18 +99,18 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 			return true, false
 		}
 		v := f.regs[in.A].v
-		w.set(base.ID, ir.FieldRef{Name: in.Field.Name}, v)
+		w.set(base.ID, ir.FieldRef{Name: in.Field().Name}, v)
 		w.recordAccess(e, f, in, base, true, v == nil)
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = reg{v: w.get(0, w.h.CanonicalField(in.Field)), site: f.m, at: f.pc}
+		f.regs[in.A] = reg{v: w.get(0, w.h.CanonicalField(in.Field())), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
 		v := f.regs[in.A].v
-		w.set(0, w.h.CanonicalField(in.Field), v)
+		w.set(0, w.h.CanonicalField(in.Field()), v)
 		w.recordAccess(e, f, in, nil, true, v == nil)
 		advance()
 		return true, false
@@ -123,16 +123,16 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 		w.popFrame(e, ret)
 
 	case ir.OpGoto:
-		f.pc = f.m.Index(in.Target)
+		f.pc = f.m.Index(in.Target())
 	case ir.OpIfNull:
 		if f.regs[in.B].v == nil {
-			f.pc = f.m.Index(in.Target)
+			f.pc = f.m.Index(in.Target())
 		} else {
 			advance()
 		}
 	case ir.OpIfNonNull:
 		if f.regs[in.B].v != nil {
-			f.pc = f.m.Index(in.Target)
+			f.pc = f.m.Index(in.Target())
 		} else {
 			advance()
 		}
@@ -162,7 +162,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 	case ir.OpInvoke:
 		return w.execInvoke(e, f, in), false
 	case ir.OpInvokeStatic:
-		if m := w.h.Resolve(in.Callee.Class, in.Callee.Name); m != nil && !m.Abstract {
+		if m := w.h.Resolve(in.Callee().Class, in.Callee().Name); m != nil && !m.Abstract {
 			// A static callee gets the argument values, not their load
 			// sites.
 			f.pc++
@@ -198,7 +198,7 @@ func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
 	// Concrete app method? The receiver and arguments go straight into
 	// the callee frame with their load sites, so an NPE deep in a callee
 	// still names the getfield that produced the null.
-	if m := w.h.Resolve(obj.Class, in.Callee.Name); m != nil && !m.Abstract {
+	if m := w.h.Resolve(obj.Class, in.Callee().Name); m != nil && !m.Abstract {
 		f.pc++
 		callee := newFrame(m, in.A)
 		if !m.Static {
@@ -237,7 +237,7 @@ func (w *World) recordAccess(e *executor, f *frame, in *ir.Instr, base *Object, 
 	w.rec.Accesses = append(w.rec.Accesses, AccessEvent{
 		Task:    e.curTask,
 		Instr:   f.here(),
-		Field:   w.h.CanonicalField(in.Field),
+		Field:   w.h.CanonicalField(in.Field()),
 		Obj:     objID,
 		IsWrite: isWrite,
 		IsNull:  isNull,
@@ -291,7 +291,7 @@ func (w *World) throwNPE(e *executor, f *frame, in *ir.Instr) {
 	npe := NPE{At: f.here(), Task: e.name}
 	if r := f.regs[in.B]; r.site != nil {
 		npe.LoadedAt = ir.InstrID{Method: r.site.Ref(), Index: r.at}
-		npe.Field = r.site.Instrs[r.at].Field
+		npe.Field = r.site.Instrs[r.at].Field()
 	}
 	w.npes = append(w.npes, npe)
 	if w.opts.Trace {
@@ -319,7 +319,7 @@ func (w *World) abortTask(e *executor) {
 // call is a scheduling boundary.
 func (w *World) intrinsic(e *executor, f *frame, in *ir.Instr, recv *Object) (Value, bool) {
 	h := w.h
-	name := in.Callee.Name
+	name := in.Callee().Name
 	argObj := func(i int) *Object {
 		if i < len(in.Args) {
 			o, _ := f.regs[in.Args[i]].v.(*Object)

@@ -29,7 +29,7 @@ func BuildCFG(m *Method) *CFG {
 	}
 	for i, in := range m.Instrs {
 		if in.IsBranch() {
-			leader[m.Index(in.Target)] = true
+			leader[m.Index(in.Target())] = true
 			if i+1 <= n {
 				leader[min(i+1, n)] = true
 			}
@@ -68,7 +68,7 @@ func BuildCFG(m *Method) *CFG {
 			cfg.Blocks[to].Preds = append(cfg.Blocks[to].Preds, b.Index)
 		}
 		if last.IsBranch() {
-			addEdge(cfg.blockOf[m.Index(last.Target)])
+			addEdge(cfg.blockOf[m.Index(last.Target())])
 		}
 		if !last.IsTerminator() && b.End < n {
 			addEdge(cfg.blockOf[b.End])

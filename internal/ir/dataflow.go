@@ -284,7 +284,7 @@ func UsesOfDef(m *Method, def int) []int {
 				return // redefined
 			}
 			if in.IsBranch() {
-				walk(m.Index(in.Target), reg)
+				walk(m.Index(in.Target()), reg)
 				if in.Op == OpGoto {
 					return
 				}

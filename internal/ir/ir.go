@@ -272,15 +272,15 @@ func (m *Method) Validate() error {
 		}
 		switch in.Op {
 		case OpGoto, OpIfNull, OpIfNonNull, OpIfCond:
-			if _, ok := m.Labels[in.Target]; !ok {
-				return fmt.Errorf("%s: instr %d: unresolved label %q", m.Ref(), i, in.Target)
+			if _, ok := m.Labels[in.Target()]; !ok {
+				return fmt.Errorf("%s: instr %d: unresolved label %q", m.Ref(), i, in.Target())
 			}
 		case OpGetField, OpPutField, OpGetStatic, OpPutStatic:
-			if in.Field.Name == "" {
+			if in.Field().Name == "" {
 				return fmt.Errorf("%s: instr %d: missing field ref", m.Ref(), i)
 			}
 		case OpInvoke, OpInvokeStatic:
-			if in.Callee.Name == "" {
+			if in.Callee().Name == "" {
 				return fmt.Errorf("%s: instr %d: missing callee", m.Ref(), i)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleMethod(t *testing.T) *Method {
@@ -19,10 +20,10 @@ func sampleMethod(t *testing.T) *Method {
 	m.NumRegs = 4
 	f := FieldRef{Class: "C", Name: "f"}
 	m.Instrs = []Instr{
-		{Op: OpGetField, A: 1, B: 0, Field: f},
-		{Op: OpIfNull, B: 1, Target: "end"},
-		{Op: OpGetField, A: 2, B: 0, Field: f},
-		{Op: OpInvoke, A: 3, B: 2, Callee: MethodRef{Class: "F", Name: "use"}},
+		Instr{Op: OpGetField, A: 1, B: 0}.WithField(f),
+		Instr{Op: OpIfNull, B: 1}.WithTarget("end"),
+		Instr{Op: OpGetField, A: 2, B: 0}.WithField(f),
+		Instr{Op: OpInvoke, A: 3, B: 2}.WithCallee(MethodRef{Class: "F", Name: "use"}),
 		{Op: OpReturn, A: NoReg},
 	}
 	m.Labels = map[string]int{"end": 4}
@@ -77,7 +78,7 @@ func TestOriginNullTracking(t *testing.T) {
 	f := FieldRef{Class: "C", Name: "f"}
 	m.Instrs = []Instr{
 		{Op: OpConstNull, A: 1},
-		{Op: OpPutField, B: 0, A: 1, Field: f},
+		Instr{Op: OpPutField, B: 0, A: 1}.WithField(f),
 		{Op: OpReturn, A: NoReg},
 	}
 	oi := ComputeOrigins(m)
@@ -95,12 +96,12 @@ func TestOriginMergeLosesNull(t *testing.T) {
 	m.NumRegs = 2
 	f := FieldRef{Class: "C", Name: "f"}
 	m.Instrs = []Instr{
-		{Op: OpIfCond, Target: "alloc"},        // 0
-		{Op: OpConstNull, A: 1},                // 1
-		{Op: OpGoto, Target: "store"},          // 2
-		{Op: OpNew, A: 1, Type: "F"},           // 3 alloc:
-		{Op: OpPutField, B: 0, A: 1, Field: f}, // 4 store:
-		{Op: OpReturn, A: NoReg},               // 5
+		Instr{Op: OpIfCond}.WithTarget("alloc"),        // 0
+		{Op: OpConstNull, A: 1},                        // 1
+		Instr{Op: OpGoto}.WithTarget("store"),          // 2
+		Instr{Op: OpNew, A: 1}.WithType("F"),           // 3 alloc:
+		Instr{Op: OpPutField, B: 0, A: 1}.WithField(f), // 4 store:
+		{Op: OpReturn, A: NoReg},                       // 5
 	}
 	m.Labels = map[string]int{"alloc": 3, "store": 4}
 	oi := ComputeOrigins(m)
@@ -163,9 +164,9 @@ func TestUsesOfDefFollowsMoves(t *testing.T) {
 	m := NewMethod("C", "m", 0)
 	m.NumRegs = 4
 	m.Instrs = []Instr{
-		{Op: OpNew, A: 1, Type: "F"},
+		Instr{Op: OpNew, A: 1}.WithType("F"),
 		{Op: OpMove, A: 2, B: 1},
-		{Op: OpInvoke, A: 3, B: 2, Callee: MethodRef{Class: "F", Name: "use"}},
+		Instr{Op: OpInvoke, A: 3, B: 2}.WithCallee(MethodRef{Class: "F", Name: "use"}),
 		{Op: OpReturn, A: NoReg},
 	}
 	uses := UsesOfDef(m, 0)
@@ -177,7 +178,7 @@ func TestUsesOfDefFollowsMoves(t *testing.T) {
 
 func TestValidateCatchesBadLabel(t *testing.T) {
 	m := NewMethod("C", "bad", 0)
-	m.Instrs = []Instr{{Op: OpGoto, Target: "nowhere"}}
+	m.Instrs = []Instr{Instr{Op: OpGoto}.WithTarget("nowhere")}
 	if err := m.Validate(); err == nil {
 		t.Fatal("expected error for unresolved label")
 	}
@@ -288,14 +289,56 @@ func TestInvokeString(t *testing.T) {
 		in   Instr
 		want string
 	}{
-		{Instr{Op: OpInvoke, A: 1, B: 2, Callee: callee, Args: []int{3, 4}}, "r1 = r2.C.m(r3, r4)"},
-		{Instr{Op: OpInvoke, A: NoReg, B: 2, Callee: callee, Args: []int{3}}, "call r2.C.m(r3)"},
-		{Instr{Op: OpInvokeStatic, A: 1, Callee: callee}, "r1 = C.m()"},
-		{Instr{Op: OpInvokeStatic, A: NoReg, Callee: callee, Args: []int{0, 5}}, "call C.m(r0, r5)"},
+		{Instr{Op: OpInvoke, A: 1, B: 2, Args: []int{3, 4}}.WithCallee(callee), "r1 = r2.C.m(r3, r4)"},
+		{Instr{Op: OpInvoke, A: NoReg, B: 2, Args: []int{3}}.WithCallee(callee), "call r2.C.m(r3)"},
+		{Instr{Op: OpInvokeStatic, A: 1}.WithCallee(callee), "r1 = C.m()"},
+		{Instr{Op: OpInvokeStatic, A: NoReg, Args: []int{0, 5}}.WithCallee(callee), "call C.m(r0, r5)"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}
+
+// Method bodies are most of what a parse allocates, so an instruction
+// keeps one symbolic operand, not one slot per kind.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Instr{}) = %d bytes, want at most 96", got)
+	}
+}
+
+// Each op reads back the one symbolic operand it was given, and every
+// other accessor reads the zero value, as the separate fields did.
+func TestInstrOperandsByOp(t *testing.T) {
+	ref := FieldRef{Class: "C", Name: "f"}
+	callee := MethodRef{Class: "C", Name: "m"}
+	type operands struct {
+		field          FieldRef
+		callee         MethodRef
+		typ, tgt, sval string
+	}
+	read := func(in Instr) operands {
+		return operands{in.Field(), in.Callee(), in.Type(), in.Target(), in.StrVal()}
+	}
+	cases := []struct {
+		in   Instr
+		want operands
+	}{
+		{Instr{Op: OpGetField}.WithField(ref), operands{field: ref}},
+		{Instr{Op: OpPutStatic}.WithField(ref), operands{field: ref}},
+		{Instr{Op: OpInvoke}.WithCallee(callee), operands{callee: callee}},
+		{Instr{Op: OpInvokeStatic}.WithCallee(callee), operands{callee: callee}},
+		{Instr{Op: OpNew}.WithType("T"), operands{typ: "T"}},
+		{Instr{Op: OpGoto}.WithTarget("L"), operands{tgt: "L"}},
+		{Instr{Op: OpIfCond}.WithTarget("L"), operands{tgt: "L"}},
+		{Instr{Op: OpConstStr}.WithStrVal("s"), operands{sval: "s"}},
+		{Instr{Op: OpMove}.WithField(ref), operands{}},
+	}
+	for _, c := range cases {
+		if got := read(c.in); got != c.want {
+			t.Errorf("%s: operands %+v, want %+v", c.in.Op, got, c.want)
 		}
 	}
 }

@@ -178,14 +178,14 @@ func (e *enc) encodeMethod(m *ir.Method) {
 		e.i(int64(in.A))
 		e.i(int64(in.B))
 		e.ints(in.Args)
-		e.s(in.Field.Class)
-		e.s(in.Field.Name)
-		e.s(in.Type)
-		e.s(in.Callee.Class)
-		e.s(in.Callee.Name)
-		e.s(in.Target)
+		e.s(in.Field().Class)
+		e.s(in.Field().Name)
+		e.s(in.Type())
+		e.s(in.Callee().Class)
+		e.s(in.Callee().Name)
+		e.s(in.Target())
 		e.i(in.IntVal)
-		e.s(in.StrVal)
+		e.s(in.StrVal())
 	}
 }
 
@@ -465,18 +465,28 @@ func (d *dec) decodeMethod(class string) *ir.Method {
 		m.Instrs = make([]ir.Instr, ni)
 	}
 	for i := 0; i < ni; i++ {
-		m.Instrs[i] = ir.Instr{
-			Op:     ir.Op(d.i()),
-			A:      int(d.i()),
-			B:      int(d.i()),
-			Args:   d.ints(),
-			Field:  ir.FieldRef{Class: d.s(), Name: d.s()},
-			Type:   d.s(),
-			Callee: ir.MethodRef{Class: d.s(), Name: d.s()},
-			Target: d.s(),
-			IntVal: d.i(),
-			StrVal: d.s(),
+		in := ir.Instr{Op: ir.Op(d.i()), A: int(d.i()), B: int(d.i()), Args: d.ints()}
+		// The blob spells every symbolic operand an instruction could
+		// have; the instruction keeps the one its op names.
+		field := ir.FieldRef{Class: d.s(), Name: d.s()}
+		typ := d.s()
+		callee := ir.MethodRef{Class: d.s(), Name: d.s()}
+		target := d.s()
+		in.IntVal = d.i()
+		str := d.s()
+		switch in.Op {
+		case ir.OpGetField, ir.OpPutField, ir.OpGetStatic, ir.OpPutStatic:
+			in = in.WithField(field)
+		case ir.OpInvoke, ir.OpInvokeStatic:
+			in = in.WithCallee(callee)
+		case ir.OpNew:
+			in = in.WithType(typ)
+		case ir.OpIfNull, ir.OpIfNonNull, ir.OpIfCond, ir.OpGoto:
+			in = in.WithTarget(target)
+		case ir.OpConstStr:
+			in = in.WithStrVal(str)
 		}
+		m.Instrs[i] = in
 	}
 	return m
 }

@@ -85,7 +85,7 @@ func accessSite(t *testing.T, m *threadify.Model, cls string) (threadify.MCtx, i
 			t.Fatal(err)
 		}
 		for i, in := range mth.Instrs {
-			if in.Op == ir.OpGetField && in.Field.Name == "f" {
+			if in.Op == ir.OpGetField && in.Field().Name == "f" {
 				return th.Entry, i
 			}
 		}
@@ -217,7 +217,7 @@ func TestInterproceduralLockPropagation(t *testing.T) {
 	}
 	idx := -1
 	for i, in := range mth.Instrs {
-		if in.Op == ir.OpGetField && in.Field.Name == "f" {
+		if in.Op == ir.OpGetField && in.Field().Name == "f" {
 			idx = i
 		}
 	}

@@ -122,7 +122,7 @@ func collect(m *threadify.Model, res *Result) {
 				if in.Op != ir.OpInvoke {
 					continue
 				}
-				op := framework.ClassifyWakeLock(m.H, in.Callee.Class, in.Callee.Name)
+				op := framework.ClassifyWakeLock(m.H, in.Callee().Class, in.Callee().Name)
 				if op != framework.WakeAcquire && op != framework.WakeRelease {
 					continue
 				}
@@ -159,7 +159,7 @@ func coveredIntra(m *threadify.Model, a Site) bool {
 		if in.Op != ir.OpInvoke {
 			continue
 		}
-		if framework.ClassifyWakeLock(m.H, in.Callee.Class, in.Callee.Name) != framework.WakeRelease {
+		if framework.ClassifyWakeLock(m.H, in.Callee().Class, in.Callee().Name) != framework.WakeRelease {
 			continue
 		}
 		if sharesLock(a, Site{Locks: m.PTS.PointsTo(a.MCtx.Method, a.MCtx.Recv, in.B)}) {
@@ -190,9 +190,9 @@ func coveredIntra(m *threadify.Model, a Site) bool {
 			case in.Op == ir.OpReturn || in.Op == ir.OpThrow:
 				return true
 			case in.Op == ir.OpGoto:
-				i = mth.Index(in.Target)
+				i = mth.Index(in.Target())
 			case in.IsBranch():
-				if reachExit(mth.Index(in.Target)) {
+				if reachExit(mth.Index(in.Target())) {
 					return true
 				}
 				i++

@@ -159,7 +159,7 @@ func appendAccesses(out []Access, m *threadify.Model, thread int, origins *ir.Or
 			}
 			// Accesses through a subclass name the declaring class, so
 			// they meet the accesses that name it in the Racy join.
-			acc.Field = m.H.CanonicalField(in.Field)
+			acc.Field = m.H.CanonicalField(in.Field())
 			acc.ID = len(out)
 			acc.Thread = thread
 			acc.MCtx = mc

@@ -374,16 +374,16 @@ func (o *oracle) factory(caller *ir.Method, idx int, in ir.Instr) (string, bool)
 	if in.Op != ir.OpInvoke {
 		return "", false
 	}
-	if framework.ClassifyWakeLock(o.h, in.Callee.Class, in.Callee.Name) == framework.WakeNew {
+	if framework.ClassifyWakeLock(o.h, in.Callee().Class, in.Callee().Name) == framework.WakeNew {
 		return framework.WakeLock, true
 	}
-	switch in.Callee.Name {
+	switch in.Callee().Name {
 	case "findViewById":
-		if o.h.IsSubtypeOf(in.Callee.Class, framework.Activity) {
+		if o.h.IsSubtypeOf(in.Callee().Class, framework.Activity) {
 			return framework.View, true
 		}
 	case "obtainMessage":
-		if o.h.IsSubtypeOf(in.Callee.Class, framework.Handler) {
+		if o.h.IsSubtypeOf(in.Callee().Class, framework.Handler) {
 			return framework.Message, true
 		}
 	}
@@ -394,15 +394,15 @@ func (o *oracle) classify(caller *ir.Method, idx int, in ir.Instr) []pointsto.Sp
 	if in.Op != ir.OpInvoke {
 		return nil
 	}
-	recvClass := in.Callee.Class
-	if argIdx, iface, ok := framework.IsRegistrationCall(o.h, recvClass, in.Callee.Name); ok {
+	recvClass := in.Callee().Class
+	if argIdx, iface, ok := framework.IsRegistrationCall(o.h, recvClass, in.Callee().Name); ok {
 		return []pointsto.SpawnSpec{{
 			Tag:     tagListener,
 			FromArg: argIdx,
 			Methods: framework.ListenerMethods(iface),
 		}}
 	}
-	switch framework.ClassifyPost(o.h, recvClass, in.Callee.Name) {
+	switch framework.ClassifyPost(o.h, recvClass, in.Callee().Name) {
 	case framework.PostRunnable:
 		return []pointsto.SpawnSpec{{Tag: tagRunnablePC, FromArg: 0, Methods: []string{framework.RunMethod}}}
 	case framework.PostSendMessage:

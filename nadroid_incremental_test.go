@@ -137,7 +137,7 @@ var mutations = []mutation{
 			for _, m := range c.Methods {
 				for i := range m.Instrs {
 					if m.Instrs[i].Op == ir.OpGetField {
-						m.Instrs[i].Field.Name = "incrMutatedField"
+						m.Instrs[i] = m.Instrs[i].WithField(ir.FieldRef{Class: m.Instrs[i].Field().Class, Name: "incrMutatedField"})
 						return
 					}
 				}
