@@ -12,21 +12,27 @@
 package nadroid_test
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"nadroid"
 	"nadroid/internal/corpus"
 	"nadroid/internal/explore"
 	"nadroid/internal/fingerprint"
+	"nadroid/internal/ir"
 	"nadroid/internal/obs"
+	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 	"nadroid/internal/uaf"
 )
@@ -271,8 +277,8 @@ func TestWitnessGolden(t *testing.T) {
 }
 
 // goldenSolve is one app's record in testdata/golden/pointsto.json: the
-// points-to solve's statistics and the sizes of the call and spawn
-// graphs it discovered.
+// points-to solve's statistics, the sizes of the call and spawn graphs
+// it discovered, and a digest of every points-to set (solveDigest).
 type goldenSolve struct {
 	App        string `json:"app"`
 	Iterations int    `json:"iterations"`
@@ -282,15 +288,96 @@ type goldenSolve struct {
 	MCtxs      int    `json:"mctxs"`
 	CallEdges  int    `json:"call_edges"`
 	SpawnEdges int    `json:"spawn_edges"`
+	Sets       string `json:"sets"`
 }
 
 const goldenSolvePath = goldenDir + "/pointsto.json"
 
-// runSolves threadifies every corpus app and each witnessSeeds random
-// spec, and returns the statistics of each app's points-to solve.
+// solveDigest is the SHA-256 of everything a points-to solve concludes,
+// read through the public accessors so that it does not depend on how
+// the solver numbers variables, contexts or fields: the object table,
+// each context's register sets (contexts in (method, receiver) order),
+// every (object, field) set for the field names the program's
+// instructions use, every static set, the sorted call edges and the
+// sorted spawn edges. Empty sets are left out.
+func solveDigest(m *threadify.Model) string {
+	pts := m.PTS
+	h := sha256.New()
+	ids := func(set pointsto.Bitset) string { return fmt.Sprint(set.AppendIDs(nil)) }
+	for id, o := range pts.Objects() {
+		fmt.Fprintf(h, "obj %d %s %s\n", id, o, o.Class)
+	}
+	type mctx struct {
+		method string
+		recv   pointsto.ObjID
+	}
+	ctxs := make([]mctx, pts.NumContexts())
+	for i := range ctxs {
+		ctxs[i].method, ctxs[i].recv = pts.Context(int32(i))
+	}
+	slices.SortFunc(ctxs, func(a, b mctx) int {
+		return cmp.Or(strings.Compare(a.method, b.method), cmp.Compare(a.recv, b.recv))
+	})
+	for _, c := range ctxs {
+		fmt.Fprintf(h, "ctx %s %d\n", c.method, c.recv)
+		mth, err := m.H.MethodByRef(c.method)
+		if err != nil {
+			continue
+		}
+		for reg := 0; reg < mth.NumRegs; reg++ {
+			if set := pts.VarSet(c.method, c.recv, reg); set.Count() > 0 {
+				fmt.Fprintf(h, "r%d %s\n", reg, ids(set))
+			}
+		}
+	}
+	var fields, statics []string
+	for _, c := range m.H.Program().Classes() {
+		for _, mth := range c.Methods {
+			for _, in := range mth.Instrs {
+				switch in.Op {
+				case ir.OpGetField, ir.OpPutField:
+					fields = append(fields, in.Field().Name)
+				case ir.OpGetStatic, ir.OpPutStatic:
+					statics = append(statics, m.H.CanonicalField(in.Field()).String())
+				}
+			}
+		}
+	}
+	slices.Sort(fields)
+	slices.Sort(statics)
+	fields, statics = slices.Compact(fields), slices.Compact(statics)
+	for o := range pts.Objects() {
+		for _, f := range fields {
+			if set := pts.FieldSet(pointsto.ObjID(o), f); set.Count() > 0 {
+				fmt.Fprintf(h, "field %d %s %s\n", o, f, ids(set))
+			}
+		}
+	}
+	for _, f := range statics {
+		if set := pts.StaticSet(f); set.Count() > 0 {
+			fmt.Fprintf(h, "static %s %s\n", f, ids(set))
+		}
+	}
+	for _, e := range pts.CallEdges() {
+		fmt.Fprintf(h, "call %+v\n", e)
+	}
+	spawns := make([]string, 0, len(pts.SpawnEdges()))
+	for _, e := range pts.SpawnEdges() {
+		spawns = append(spawns, fmt.Sprintf("spawn %+v\n", e))
+	}
+	slices.Sort(spawns)
+	for _, s := range spawns {
+		io.WriteString(h, s)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// runSolves threadifies every corpus app (Table 1 plus the async
+// supplement) and each witnessSeeds random spec, and returns the
+// statistics of each app's points-to solve.
 func runSolves(t *testing.T) []goldenSolve {
 	t.Helper()
-	apps := corpus.Apps()
+	apps := append(corpus.Apps(), corpus.AsyncApps()...)
 	for _, seed := range witnessSeeds {
 		apps = append(apps, corpus.App{Spec: corpus.RandomSpec(seed)})
 	}
@@ -310,16 +397,18 @@ func runSolves(t *testing.T) []goldenSolve {
 			MCtxs:      st.MCtxs,
 			CallEdges:  len(m.PTS.CallEdges()),
 			SpawnEdges: len(m.PTS.SpawnEdges()),
+			Sets:       solveDigest(m),
 		})
 	}
 	return out
 }
 
-// TestPointsToGolden pins the points-to solve on every corpus app and on
-// Random1…Random6: worklist iterations, difference-propagation volume,
-// points-to facts, objects, method contexts, and call and spawn edges.
-// A solver change that reorders the worklist or moves a points-to set
-// shows up here even when no warning moves.
+// TestPointsToGolden pins the points-to solve on the 30 corpus apps and
+// on Random1…Random6: worklist iterations, difference-propagation
+// volume, points-to facts, objects, method contexts, call and spawn
+// edges, and the digest of every set. A solver change that reorders the
+// worklist or moves a points-to set shows up here even when no warning
+// moves.
 func TestPointsToGolden(t *testing.T) {
 	got := runSolves(t)
 	if *updateGolden {
