@@ -41,7 +41,9 @@ import (
 // v2 appended the thread-escape result (the costliest of the base facts
 // the detection context builds on). v3: the points-to result keys a
 // static field by its declaring class, not by the ref that names it.
-const Version = 3
+// v4: the points-to snapshot drops the union-find parent array (the
+// solver no longer merges variables).
+const Version = 4
 
 var magic = [4]byte{'N', 'I', 'R', 'C'}
 
@@ -247,7 +249,6 @@ func (e *enc) encodeSnapshot(s *pointsto.Snapshot) {
 	for _, w := range s.VarPts {
 		e.words(w)
 	}
-	e.i32s(s.Parent)
 	e.words(s.FPKeys)
 	e.u(uint64(len(s.FPSets)))
 	for _, w := range s.FPSets {
@@ -569,7 +570,6 @@ func (d *dec) decodeSnapshot() *pointsto.Snapshot {
 	for i := range s.VarPts {
 		s.VarPts[i] = d.words()
 	}
-	s.Parent = d.i32s()
 	s.FPKeys = d.words()
 	s.FPSets = make([][]uint64, d.n())
 	for i := range s.FPSets {

@@ -12,11 +12,10 @@
 // Internally the solver runs on a dense, interned constraint graph:
 // method refs, method contexts, field names, and static fields become
 // int32 handles; each method context owns a contiguous block of variable
-// IDs (one per register its method names); points-to sets are
+// IDs (one per register its method names); and points-to sets are
 // word-packed bitsets with difference propagation (each worklist drain
-// pushes only the delta); and copy-edge cycles are collapsed online
-// through a path-compressed union-find so context-cloned copy chains
-// stop re-propagating.
+// pushes only the delta, so each points-to fact crosses the worklist
+// once).
 package pointsto
 
 import (
@@ -124,8 +123,7 @@ type Entry struct {
 const NoRecv = ObjID(-1)
 
 // Result is the solved points-to state. Accessors are safe for
-// concurrent use: the union-find is fully flattened when the solve
-// finishes, so lookups never mutate shared state.
+// concurrent use: nothing writes the state once the solve returns.
 type Result struct {
 	c *core
 }
@@ -159,13 +157,8 @@ func (r *Result) Stats() SolveStats {
 		Objects:    len(c.objs),
 		MCtxs:      len(c.mctxs),
 	}
-	for _, mc := range c.mctxs {
-		if mc.varBase < 0 {
-			continue
-		}
-		for slot := range varID(mc.nregs) {
-			st.VarFacts += c.varPts[c.root(mc.varBase+slot)].Count()
-		}
+	for _, set := range c.varPts {
+		st.VarFacts += set.Count()
 	}
 	return st
 }
@@ -213,24 +206,40 @@ func (r *Result) Obj(id ObjID) Obj { return r.c.objs[id] }
 // callers read it and must not modify it. The other *Set accessors
 // share the same contract.
 func (r *Result) VarSet(method string, recv ObjID, reg int) Bitset {
-	c := r.c
-	mid, ok := c.methodIdx[method]
+	info := r.block(method, recv)
+	if info == nil {
+		return nil
+	}
+	slot, ok := slotOf(r.c.methodRegs[info.method], info.nregs, reg)
 	if !ok {
 		return nil
 	}
-	mc, ok := c.mctxIdx[mctxKeyOf(mid, recv)]
-	if !ok {
+	return r.c.varPts[info.varBase+slot]
+}
+
+// RegisterSets returns the points-to sets of the registers method names
+// under the context keyed by recv, in register order, or nil when the
+// solve analyzed no such context or the method has no body. Which
+// register each set belongs to is VarSet's concern; a caller that only
+// unions or digests a context's sets reads them here without a lookup
+// per register number.
+func (r *Result) RegisterSets(method string, recv ObjID) []Bitset {
+	info := r.block(method, recv)
+	if info == nil {
 		return nil
 	}
-	info := &c.mctxs[mc]
-	if info.varBase < 0 {
+	end := info.varBase + info.nregs
+	return r.c.varPts[info.varBase:end:end]
+}
+
+// block returns the context (method, recv) when the solve analyzed it
+// and gave it a variable block, else nil.
+func (r *Result) block(method string, recv ObjID) *mctxInfo {
+	mc, ok := r.ContextID(method, recv)
+	if !ok || r.c.mctxs[mc].varBase < 0 {
 		return nil
 	}
-	slot, ok := slotOf(c.methodRegs[mid], info.nregs, reg)
-	if !ok {
-		return nil
-	}
-	return c.varPts[c.root(info.varBase+slot)]
+	return &r.c.mctxs[mc]
 }
 
 // PointsTo returns the sorted points-to set of register reg of method

@@ -3,6 +3,7 @@ package pointsto
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -412,10 +413,10 @@ func solveCost(t *testing.T, n int) (bytes, allocs float64) {
 // past the fixed cost of an empty app, twice as many activities must cost
 // at most 2.1 times the bytes and allocations. It is the solver's
 // counterpart of dexasm's TestParseLinear and keeps the tables the solver
-// sizes from the program linear in it. Both sizes run copy-cycle
-// collapse passes (two copies per activity, a pass per 128). The dense
-// receiver bitsets add n²/64 words, which reads 2.07 times here and
-// would read 2.11 at 200 → 400 activities.
+// sizes from the program linear in it. Each activity adds two copy
+// edges, so 256 activities install 512. The dense receiver bitsets add
+// n²/64 words, which reads 2.07 times here and would read 2.11 at
+// 200 → 400 activities.
 func TestSolveLinear(t *testing.T) {
 	const n = 128
 	baseBytes, baseAllocs := solveCost(t, 0)
@@ -427,4 +428,95 @@ func TestSolveLinear(t *testing.T) {
 		t.Errorf("%d → %d activities cost %.0f → %.0f bytes and %.0f → %.0f allocations past an empty app, more than 2.1 times",
 			n, 2*n, b1, b2, a1, a2)
 	}
+}
+
+// wantSet fails unless register reg of method (under no receiver)
+// points to exactly the objects allocated at want.
+func wantSet(t *testing.T, res *Result, method *ir.Method, reg int, want []string) {
+	t.Helper()
+	var got []string
+	for _, o := range res.PointsTo(method.Ref(), NoRecv, reg) {
+		got = append(got, res.Obj(o).Site)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s r%d points to %v, want %v", method.Ref(), reg, got, want)
+	}
+}
+
+// TestCopyCycles solves copy cycles by difference propagation alone:
+// every register on a cycle ends pointing to the union of the objects
+// allocated on it, and each (variable, object) fact crosses the worklist
+// exactly once. The rings are n moves through n registers of one static
+// method, each register also allocating an object; 200 is past the 128
+// new copy edges that once started a cycle-collapse pass. The last case
+// is a cycle through a static call's parameter and return value.
+func TestCopyCycles(t *testing.T) {
+	for _, n := range []int{2, 3, 4, 200} {
+		t.Run(fmt.Sprintf("ring%d", n), func(t *testing.T) {
+			b := appbuilder.New("ring")
+			b.Class("A", framework.Object)
+			mb := b.Class("Main", framework.Object).Method("main", 0)
+			mb.Method().Static = true
+			regs := make([]int, n)
+			for i := range regs {
+				regs[i] = mb.New("A")
+			}
+			for i, r := range regs {
+				mb.Move(regs[(i+1)%n], r)
+			}
+			mb.Return()
+			pkg, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := SolveWithSynthetics(cha.New(pkg.Program), nil, []Entry{{Method: mb.Method()}}, Options{K: 2})
+			var sites []string
+			for _, o := range res.Objects() {
+				sites = append(sites, o.Site)
+			}
+			slices.Sort(sites)
+			for _, r := range regs {
+				wantSet(t, res, mb.Method(), r, sites)
+			}
+			st := res.Stats()
+			if st.VarFacts != n*n || st.DeltaObjs != st.VarFacts {
+				t.Errorf("var facts %d, delta objects %d; want %d each", st.VarFacts, st.DeltaObjs, n*n)
+			}
+			if st.Iterations > 2*n {
+				t.Errorf("%d iterations for a ring of %d moves, want at most %d", st.Iterations, n, 2*n)
+			}
+		})
+	}
+	t.Run("static call", func(t *testing.T) {
+		// main: r = new A; res = C.id(r); r = res
+		// id(x): y = new B; y = x; return y
+		b := appbuilder.New("callcycle")
+		b.Class("A", framework.Object)
+		b.Class("B", framework.Object)
+		c := b.Class("C", framework.Object)
+		id := c.Method("id", 1)
+		id.Method().Static = true
+		y := id.New("B")
+		id.Move(y, id.Arg(0))
+		id.ReturnReg(y)
+		mb := c.Method("main", 0)
+		mb.Method().Static = true
+		r := mb.New("A")
+		mb.Move(r, mb.InvokeStatic("C", "id", r))
+		mb.Return()
+		pkg, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := SolveWithSynthetics(cha.New(pkg.Program), nil, []Entry{{Method: mb.Method()}}, Options{K: 2})
+		sites := []string{"C.id:0", "C.main:0"}
+		wantSet(t, res, mb.Method(), r, sites)
+		wantSet(t, res, mb.Method(), r+1, sites)
+		wantSet(t, res, id.Method(), id.Arg(0), sites)
+		wantSet(t, res, id.Method(), y, sites)
+		if st := res.Stats(); st.VarFacts != 8 || st.DeltaObjs != st.VarFacts {
+			t.Errorf("var facts %d, delta objects %d; want 8 each", st.VarFacts, st.DeltaObjs)
+		}
+	})
 }

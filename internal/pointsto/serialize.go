@@ -25,7 +25,6 @@ type Snapshot struct {
 	Mctxs       []MctxSnap
 	FieldNames  []string
 	VarPts      [][]uint64
-	Parent      []int32
 	FPKeys      []uint64
 	FPSets      [][]uint64
 	StaticNames []string
@@ -70,7 +69,6 @@ func (r *Result) Snapshot() *Snapshot {
 	for i, b := range c.varPts {
 		s.VarPts[i] = b
 	}
-	s.Parent = c.parent
 
 	fpKeys := make([]uint64, 0, len(c.fpIdx))
 	for k := range c.fpIdx {
@@ -163,7 +161,6 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 	for i, w := range s.VarPts {
 		c.varPts[i] = w
 	}
-	c.parent = s.Parent
 	c.fpSets = make([]Bitset, len(s.FPKeys))
 	for i, k := range s.FPKeys {
 		c.fpIdx[k] = int32(i)

@@ -38,9 +38,8 @@ type mctxInfo struct {
 }
 
 // core is the interned analysis state shared by the solver and the
-// public Result accessors. After the solve finishes the union-find in
-// parent is flattened (parent[v] is the class representative directly),
-// so accessors never mutate it and a Result is safe for concurrent use.
+// public Result accessors. Nothing writes it once the solve returns, so
+// a Result is safe for concurrent use.
 type core struct {
 	h *cha.Hierarchy
 
@@ -61,10 +60,9 @@ type core struct {
 	fieldNames []string
 	fieldIdx   map[string]fieldID
 
-	// Per-variable points-to state, indexed by varID through parent.
+	// Per-variable points-to state, indexed by varID.
 	varPts   []Bitset
 	varDelta []Bitset
-	parent   []varID // union-find over copy-cycle-collapsed variables
 
 	// Instance-field points-to: (obj, field) -> set.
 	fpIdx  map[uint64]int32
@@ -155,31 +153,6 @@ func (c *core) regVar(info *mctxInfo, reg int) varID {
 	return info.varBase + slot
 }
 
-// find returns v's class representative with path compression. Solver
-// use only: it mutates parent, so post-solve readers go through the
-// flattened parent slice instead.
-func (c *core) find(v varID) varID {
-	for c.parent[v] != v {
-		c.parent[v] = c.parent[c.parent[v]]
-		v = c.parent[v]
-	}
-	return v
-}
-
-// flattenParent path-compresses every variable to its root so that
-// parent[v] is always a direct representative and concurrent readers
-// never write.
-func (c *core) flattenParent() {
-	for v := range c.parent {
-		c.parent[v] = c.find(varID(v))
-	}
-}
-
-// root returns v's class representative without mutation. Only valid
-// after flattenParent, which every solve runs before returning; Result
-// accessors use it so they are safe for concurrent readers.
-func (c *core) root(v varID) varID { return c.parent[v] }
-
 // Constraint edge types, attached to the variable whose growth triggers
 // them (base var for loads/stores/invokes, value var for store-sources
 // and static stores, target var for spawns).
@@ -248,31 +221,6 @@ func (l *varLists[T]) add(v varID, x T) {
 	l.lists[i-1] = append(l.lists[i-1], x)
 }
 
-// set replaces v's list with xs, which v's list already holds.
-func (l *varLists[T]) set(v varID, xs []T) { l.lists[l.at[v]-1] = xs }
-
-// move appends src's list to dst's and leaves src without one.
-func (l *varLists[T]) move(dst, src varID) {
-	j := l.at[src]
-	if j == 0 {
-		return
-	}
-	l.at[src] = 0
-	if i := l.at[dst]; i > 0 {
-		l.lists[i-1] = append(l.lists[i-1], l.lists[j-1]...)
-		l.lists[j-1] = nil
-		return
-	}
-	l.at[dst] = j
-}
-
-// collapseEvery is the number of newly inserted copy edges between
-// online SCC-collapse passes. Copy cycles come from context cloning
-// (the same parameter chains re-materialized per receiver object), and
-// collapsing them early keeps one merged set per cycle instead of
-// ping-ponging deltas around it.
-const collapseEvery = 128
-
 // objKey identifies an allocated object: its allocation site (method
 // and instruction index) and its heap context.
 type objKey struct {
@@ -309,9 +257,6 @@ type solver struct {
 	work      []varID
 	copySeen  map[uint64]bool
 	spawnSeen map[spawnKey]bool
-
-	copiesSinceCollapse int
-	scc                 sccScratch
 
 	hctx []string // heap-context cache per receiver ObjID; "" until computed
 }
@@ -377,7 +322,6 @@ func solveWithSynthetics(h *cha.Hierarchy, synths []Obj, entries []Entry, opts O
 		}
 	}
 	s.run()
-	c.flattenParent()
 	c.elapsed = time.Since(start)
 	return &Result{c: c}
 }
@@ -456,11 +400,8 @@ func (s *solver) internMctx(mid methodID, recv ObjID) (mctxID, bool) {
 		if regs := s.c.methodRegs[mid]; regs != nil {
 			info.nregs = int32(len(regs))
 		}
-		info.varBase = varID(len(s.c.parent))
+		info.varBase = varID(len(s.c.varPts))
 		s.growVars(int(info.nregs))
-		for v := info.varBase; v < varID(len(s.c.parent)); v++ {
-			s.c.parent[v] = v
-		}
 	}
 	s.c.mctxs = append(s.c.mctxs, info)
 	s.c.mctxIdx[key] = mc
@@ -510,7 +451,6 @@ func measure(p *ir.Program) programSize {
 func (s *solver) reserveVars(n int) {
 	s.c.varPts = make([]Bitset, 0, n)
 	s.c.varDelta = make([]Bitset, 0, n)
-	s.c.parent = make([]varID, 0, n)
 	s.inWork = make([]bool, 0, n)
 	s.copyOut.at = make([]int32, 0, n)
 	s.loads.at = make([]int32, 0, n)
@@ -526,7 +466,6 @@ func (s *solver) reserveVars(n int) {
 func (s *solver) growVars(n int) {
 	s.c.varPts = extend(s.c.varPts, n)
 	s.c.varDelta = extend(s.c.varDelta, n)
-	s.c.parent = extend(s.c.parent, n)
 	s.inWork = extend(s.inWork, n)
 	s.copyOut.at = extend(s.copyOut.at, n)
 	s.loads.at = extend(s.loads.at, n)
@@ -796,7 +735,7 @@ func (s *solver) linkSpawn(sc spawnC, target ObjID) {
 	}
 }
 
-// push schedules v (a class representative) for a worklist drain.
+// push schedules v for a worklist drain.
 func (s *solver) push(v varID) {
 	if !s.inWork[v] {
 		s.inWork[v] = true
@@ -806,7 +745,6 @@ func (s *solver) push(v varID) {
 
 // addObj adds one object to a var's set, scheduling propagation.
 func (s *solver) addObj(v varID, o ObjID) {
-	v = s.c.find(v)
 	if s.c.varPts[v].Add(o) {
 		s.c.varDelta[v].Add(o)
 		s.push(v)
@@ -815,7 +753,6 @@ func (s *solver) addObj(v varID, o ObjID) {
 
 // addSet unions set into dst's points-to set with delta tracking.
 func (s *solver) addSet(dst varID, set Bitset) {
-	dst = s.c.find(dst)
 	if s.c.varPts[dst].orInto(set, &s.c.varDelta[dst]) > 0 {
 		s.push(dst)
 	}
@@ -823,7 +760,6 @@ func (s *solver) addSet(dst varID, set Bitset) {
 
 // retrigger reprocesses constraints hanging off v against its full set.
 func (s *solver) retrigger(v varID) {
-	v = s.c.find(v)
 	if !s.c.varPts[v].empty() {
 		s.c.varDelta[v].Or(s.c.varPts[v])
 		s.push(v)
@@ -832,9 +768,8 @@ func (s *solver) retrigger(v varID) {
 
 // addCopy installs src ⊆ dst and propagates existing facts.
 func (s *solver) addCopy(src, dst varID) {
-	src, dst = s.c.find(src), s.c.find(dst)
 	if src == dst {
-		return // collapsed into the same class: the edge is a tautology
+		return // a self-copy is a tautology
 	}
 	key := uint64(uint32(src))<<32 | uint64(uint32(dst))
 	if s.copySeen[key] {
@@ -842,7 +777,6 @@ func (s *solver) addCopy(src, dst varID) {
 	}
 	s.copySeen[key] = true
 	s.copyOut.add(src, dst)
-	s.copiesSinceCollapse++
 	s.addSet(dst, s.c.varPts[src])
 }
 
@@ -854,11 +788,10 @@ func (s *solver) addStaticLoad(field string, dst varID) {
 
 func (s *solver) addStaticStore(src varID, field string) {
 	sid := s.internStatic(field)
-	v := s.c.find(src)
 	// A static store rides the value var's store list with a negative
 	// field id; growth re-triggers it like any other store constraint.
-	s.stores.add(v, storeC{field: ^int32(sid)})
-	s.staticAddBits(sid, s.c.varPts[v])
+	s.stores.add(src, storeC{field: ^int32(sid)})
+	s.staticAddBits(sid, s.c.varPts[src])
 }
 
 // staticAddBits unions bits into a static field's set, feeding loads.
@@ -883,25 +816,15 @@ func (s *solver) fpAddBits(si int32, bits Bitset) {
 	}
 }
 
-// run drains the worklist to fixpoint, collapsing copy cycles whenever
-// enough new copy edges have accumulated.
+// run drains the worklist to fixpoint. A variable is on the worklist at
+// most once, and only with a non-empty delta.
 func (s *solver) run() {
 	for len(s.work) > 0 {
-		if s.copiesSinceCollapse >= collapseEvery {
-			s.collapseSCCs()
-		}
 		v := s.work[len(s.work)-1]
 		s.work = s.work[:len(s.work)-1]
-		v = s.c.find(v)
-		if !s.inWork[v] {
-			continue // stale entry: drained or merged away
-		}
 		s.inWork[v] = false
 		d := s.c.varDelta[v]
 		s.c.varDelta[v] = nil
-		if d.empty() {
-			continue
-		}
 		s.c.iterations++
 		s.c.deltaObjs += int64(d.Count())
 		s.drain(v, d)
@@ -915,11 +838,7 @@ func (s *solver) run() {
 func (s *solver) drain(v varID, d Bitset) {
 	// Copies.
 	cps := s.copyOut.of(v)
-	for i := range cps {
-		dst := s.c.find(cps[i])
-		if dst == v {
-			continue
-		}
+	for _, dst := range cps {
 		if s.c.varPts[dst].orInto(d, &s.c.varDelta[dst]) > 0 {
 			s.push(dst)
 		}
@@ -942,7 +861,7 @@ func (s *solver) drain(v varID, d Bitset) {
 			s.staticAddBits(^sc.field, d)
 			continue
 		}
-		srcSet := s.c.varPts[s.c.find(sc.src)]
+		srcSet := s.c.varPts[sc.src]
 		if srcSet.empty() {
 			continue
 		}
@@ -954,7 +873,7 @@ func (s *solver) drain(v varID, d Bitset) {
 	rcs := s.storeSrcs.of(v)
 	for i := range rcs {
 		rc := rcs[i]
-		baseSet := s.c.varPts[s.c.find(rc.base)]
+		baseSet := s.c.varPts[rc.base]
 		baseSet.ForEach(func(base ObjID) {
 			s.fpAddBits(s.fpIntern(base, rc.field), d)
 		})
@@ -974,145 +893,6 @@ func (s *solver) drain(v varID, d Bitset) {
 		d.ForEach(func(target ObjID) {
 			s.linkSpawn(sc, target)
 		})
-	}
-}
-
-// sccScratch is collapseSCCs' working state, kept across passes so a
-// solve that collapses often does not allocate per-variable arrays per
-// pass.
-type sccScratch struct {
-	index, low []int32
-	onStack    []bool
-	stack      []varID
-	frames     []sccFrame
-}
-
-type sccFrame struct {
-	v  varID
-	ei int
-}
-
-// zeroed returns xs resized to n zero elements, reusing its capacity.
-func zeroed[T any](xs []T, n int) []T {
-	xs = slices.Grow(xs[:0], n)[:n]
-	clear(xs)
-	return xs
-}
-
-// collapseSCCs finds strongly connected components of the copy graph
-// (over current class representatives) with an iterative Tarjan pass
-// and merges each multi-node component into its minimum-varID member.
-func (s *solver) collapseSCCs() {
-	s.copiesSinceCollapse = 0
-	n := len(s.c.parent)
-	sc := &s.scc
-	sc.index, sc.low, sc.onStack = zeroed(sc.index, n), zeroed(sc.low, n), zeroed(sc.onStack, n)
-	index, low, onStack := sc.index, sc.low, sc.onStack
-	stack, frames := sc.stack[:0], sc.frames[:0]
-	var next int32
-	for start := 0; start < n; start++ {
-		sv := varID(start)
-		if index[sv] != 0 || s.c.find(sv) != sv || len(s.copyOut.of(sv)) == 0 {
-			continue
-		}
-		next++
-		index[sv], low[sv] = next, next
-		stack = append(stack, sv)
-		onStack[sv] = true
-		frames = append(frames[:0], sccFrame{sv, 0})
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			if out := s.copyOut.of(v); f.ei < len(out) {
-				w := s.c.find(out[f.ei])
-				f.ei++
-				if w == v {
-					continue
-				}
-				if index[w] == 0 {
-					next++
-					index[w], low[w] = next, next
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, sccFrame{w, 0})
-				} else if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-				continue
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				if p := frames[len(frames)-1].v; low[v] < low[p] {
-					low[p] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				top := len(stack)
-				for stack[top-1] != v {
-					top--
-				}
-				comp := stack[top:]
-				for _, w := range comp {
-					onStack[w] = false
-				}
-				if len(comp) > 1 {
-					s.unionComp(comp)
-				}
-				stack = stack[:top]
-			}
-		}
-	}
-	sc.stack, sc.frames = stack, frames
-}
-
-// unionComp merges a copy cycle into its minimum-varID member: sets,
-// deltas, and constraint lists all move to the representative, and the
-// representative is fully re-triggered so merged constraints observe
-// the union.
-func (s *solver) unionComp(comp []varID) {
-	rep := comp[0]
-	for _, w := range comp {
-		if w < rep {
-			rep = w
-		}
-	}
-	for _, w := range comp {
-		if w == rep {
-			continue
-		}
-		s.c.parent[w] = rep
-		s.c.varPts[rep].Or(s.c.varPts[w])
-		s.c.varPts[w] = nil
-		s.c.varDelta[rep].Or(s.c.varDelta[w])
-		s.c.varDelta[w] = nil
-		s.copyOut.move(rep, w)
-		s.loads.move(rep, w)
-		s.stores.move(rep, w)
-		s.storeSrcs.move(rep, w)
-		s.invokes.move(rep, w)
-		s.spawns.move(rep, w)
-		s.inWork[w] = false
-	}
-	// Normalize the merged copy list: resolve through find, drop
-	// self-loops, dedup in place.
-	if cps := s.copyOut.of(rep); cps != nil {
-		out := cps[:0]
-		seen := make(map[varID]bool, len(cps))
-		for _, d0 := range cps {
-			d := s.c.find(d0)
-			if d == rep || seen[d] {
-				continue
-			}
-			seen[d] = true
-			out = append(out, d)
-		}
-		s.copyOut.set(rep, out)
-	}
-	// Re-trigger the representative against the merged set so every
-	// adopted constraint sees the full union.
-	if !s.c.varPts[rep].empty() {
-		s.c.varDelta[rep].Or(s.c.varPts[rep])
-		s.push(rep)
 	}
 }
 
