@@ -176,13 +176,9 @@ func (r *rootSets) thread(t int) pointsto.Bitset {
 // context unions the register points-to sets of one method context;
 // abstract and unresolvable methods contribute nothing.
 func (r *rootSets) context(mc threadify.MCtx) pointsto.Bitset {
-	mth, err := r.m.H.MethodByRef(mc.Method)
-	if err != nil || mth.Abstract {
-		return nil
-	}
 	var set pointsto.Bitset
-	for reg := 0; reg < mth.NumRegs; reg++ {
-		set.Or(r.m.PTS.VarSet(mc.Method, mc.Recv, reg))
+	for _, s := range r.m.PTS.RegisterSets(mc.Method, mc.Recv) {
+		set.Or(s)
 	}
 	return set
 }

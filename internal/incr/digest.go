@@ -15,6 +15,7 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/ir"
+	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
 
@@ -263,16 +264,17 @@ func ThreadSignature(m *threadify.Model, thread int, methodDigests map[string]ui
 	}
 	acc := newHasher()
 	pts := m.PTS
+	var objs []pointsto.ObjID
 	for _, mc := range m.Reach(thread) {
-		mth, err := m.H.MethodByRef(mc.Method)
-		if err != nil || mth.Abstract {
-			continue
+		sets := pts.RegisterSets(mc.Method, mc.Recv)
+		if sets == nil {
+			continue // abstract or unresolvable: no body, no facts
 		}
 		acc.str(mc.Method)
 		acc.i(int(mc.Recv))
 		acc.u64(methodDigests[mc.Method])
-		for reg := 0; reg < mth.NumRegs; reg++ {
-			objs := pts.PointsTo(mc.Method, mc.Recv, reg)
+		for _, set := range sets {
+			objs = set.AppendIDs(objs[:0])
 			acc.i(len(objs))
 			for _, o := range objs {
 				acc.i(int(o))
