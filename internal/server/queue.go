@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -258,7 +259,7 @@ func (p *Pool) runJob(j *Job) {
 	logger.Info("job started")
 
 	started := time.Now()
-	res, err := j.run(ctx)
+	res, err := runRecovered(ctx, j.run, logger)
 	cancel()
 
 	j.mu.Lock()
@@ -292,6 +293,19 @@ func (p *Pool) runJob(j *Job) {
 		logger.Info("job finished", "state", state, "ms", time.Since(started).Milliseconds(),
 			"spans", tracer.SpanCount())
 	}
+}
+
+// runRecovered calls run and turns a panic into an error naming it,
+// after logging the stack, so that an analysis that panics fails its
+// own job and the worker goes on to the next one.
+func runRecovered(ctx context.Context, run func(context.Context) (*ResultWire, error), logger *slog.Logger) (res *ResultWire, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			logger.Error("job panicked", "panic", r, "stack", string(debug.Stack()))
+			res, err = nil, fmt.Errorf("analysis panicked: %v", r)
+		}
+	}()
+	return run(ctx)
 }
 
 // Shutdown stops intake and waits for queued + running jobs to finish.

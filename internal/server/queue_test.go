@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +56,39 @@ func TestPoolRunsJobsFIFO(t *testing.T) {
 	}
 	if c := m.Counters(); c.JobsDone != 4 || c.QueueDepth != 0 || c.Running != 0 {
 		t.Errorf("counters %+v", c)
+	}
+}
+
+// A job whose analysis panics ends failed with an error naming the
+// panic, counts as a failed job, and the worker goes on to the job
+// queued behind it.
+func TestPoolPanickingJobFails(t *testing.T) {
+	m := NewMetrics()
+	p := NewPool(1, 4, m)
+	defer p.Shutdown(context.Background())
+
+	bad, err := p.Submit("bad", 0, func(ctx context.Context) (*ResultWire, error) {
+		panic("index out of range")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := p.Submit("next", 0, func(ctx context.Context) (*ResultWire, error) {
+		return &ResultWire{App: "next"}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-bad.Done()
+	<-next.Done()
+	if st := bad.Status(); st.State != StateFailed || !strings.Contains(st.Error, "panicked: index out of range") {
+		t.Errorf("panicking job: state %s, error %q; want failed, naming the panic", st.State, st.Error)
+	}
+	if st := next.Status(); st.State != StateDone || st.Result == nil || st.Result.App != "next" {
+		t.Errorf("job after the panic: state %s, result %+v; want done", st.State, st.Result)
+	}
+	if c := m.Counters(); c.JobsFailed != 1 || c.JobsDone != 1 || c.Running != 0 {
+		t.Errorf("counters %+v, want one failed and one done job", c)
 	}
 }
 
