@@ -413,8 +413,7 @@ func solveCost(t *testing.T, n int) (bytes, allocs float64) {
 // past the fixed cost of an empty app, twice as many activities must cost
 // at most 2.1 times the bytes and allocations. It is the solver's
 // counterpart of dexasm's TestParseLinear and keeps the tables the solver
-// sizes from the program linear in it. Each activity adds two copy
-// edges, so 256 activities install 512. The dense receiver bitsets add
+// sizes from the program linear in it. The dense receiver bitsets add
 // n²/64 words, which reads 2.07 times here and would read 2.11 at
 // 200 → 400 activities.
 func TestSolveLinear(t *testing.T) {
