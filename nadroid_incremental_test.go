@@ -1,11 +1,11 @@
 // nadroid_incremental_test.go is the correctness gate for incremental
-// re-analysis: a matrix of seeded IR edits (body edit, method add,
-// method delete, signature change, field-access change) over several
-// Table-1 corpus apps, each asserting that the incremental run of the
-// mutated app — anchored on a stored base run — produces results
-// byte-identical to a cold run of the same mutated app: filter stats,
-// warning fingerprints with their per-pair filter annotations, the
-// report CSV, and (with provenance on) the evidence records. It also
+// re-analysis: a matrix of seeded IR edits (body edit, constant edit,
+// method add, method delete, signature change, field-access change)
+// over several Table-1 corpus apps, each asserting that the incremental
+// run of the mutated app — anchored on a stored base run — produces
+// results byte-identical to a cold run of the same mutated app: filter
+// stats, warning fingerprints with their per-pair filter annotations,
+// the report CSV, and (with provenance on) the evidence records. It also
 // covers staleness/corruption fallbacks and the store-backed golden
 // corpus sweep with incrementality enabled.
 package nadroid_test
@@ -105,6 +105,21 @@ var mutations = []mutation{
 	{"body-edit", func(t testing.TB, pkg *apk.Package) {
 		_, m := editableMethod(t, pkg)
 		m.Instrs = append(m.Instrs, ir.Instr{Op: ir.OpMove, A: 0, B: 0})
+	}},
+	{"const-edit", func(t testing.TB, pkg *apk.Package) {
+		// rN = null becomes rN = 0: no points-to constraint reads a
+		// constant, so the solver sees the same program.
+		for _, c := range pkg.Program.Classes() {
+			for _, m := range c.Methods {
+				for i, in := range m.Instrs {
+					if in.Op == ir.OpConstNull {
+						m.Instrs[i] = ir.Instr{Op: ir.OpConstInt, A: in.A}
+						return
+					}
+				}
+			}
+		}
+		t.Fatal("no null constant in app")
 	}},
 	{"method-add", func(t testing.TB, pkg *apk.Package) {
 		c, _ := editableMethod(t, pkg)
@@ -213,8 +228,8 @@ func TestIncrementalMutationMatrix(t *testing.T) {
 					if m.Get("incr_methods_changed") == 0 {
 						t.Errorf("incremental run saw no changed methods")
 					}
-					if mutName == "body-edit" && incRes.Disposition != nadroid.DispositionIncremental {
-						t.Errorf("body edit disposition = %q, want incremental", incRes.Disposition)
+					if (mutName == "body-edit" || mutName == "const-edit") && incRes.Disposition != nadroid.DispositionIncremental {
+						t.Errorf("%s disposition = %q, want incremental", mutName, incRes.Disposition)
 					}
 
 					coldOpts := nadroid.Options{Workers: workers, Provenance: provenance}
