@@ -7,9 +7,7 @@ import (
 
 	"nadroid/internal/apk"
 	"nadroid/internal/incr"
-	"nadroid/internal/ircache"
 	"nadroid/internal/obs"
-	"nadroid/internal/pointsto"
 	"nadroid/internal/race"
 	"nadroid/internal/threadify"
 )
@@ -23,8 +21,8 @@ import (
 //   - method-level IR diffing (internal/incr) classifies every method
 //     as unchanged/edited/added/removed and digests everything each
 //     reused partition depends on;
-//   - the points-to snapshot of the base run is restored whenever the
-//     solver-visible projection of the program is unchanged;
+//   - the points-to solve runs as on a cold run (the path reads the
+//     base run's partition, never its cold-start blob);
 //   - per-thread access partitions are replayed when their digests
 //     match.
 //
@@ -41,9 +39,8 @@ const (
 	DispositionCold = "cold"
 	// DispositionWarm marks a run restored from the cold-start blob.
 	DispositionWarm = "ircache-warm"
-	// DispositionIncremental marks a run that reused at least one
-	// partition (points-to snapshot or accesses) from a base run via the
-	// diff pipeline.
+	// DispositionIncremental marks a run that replayed at least one
+	// thread's access partition from a base run via the diff pipeline.
 	DispositionIncremental = "incremental"
 )
 
@@ -115,33 +112,12 @@ func findAnchor(ctx context.Context, app string, k int, opts Options) *anchor {
 	return nil
 }
 
-// loadBaseSnapshot restores the base run's solved points-to state from
-// its cold-start blob, for reuse when the solver-visible projection is
-// unchanged. Any miss or decode failure just means the solve runs
-// fresh.
-func loadBaseSnapshot(ctx context.Context, digest string, k int, opts Options) *pointsto.Snapshot {
-	if !opts.IRCache {
-		return nil
-	}
-	blob, ok := opts.Store.GetIRCache(ircache.Name(digest, k))
-	if !ok {
-		return nil
-	}
-	dec, err := ircache.Decode(blob)
-	if err != nil {
-		obs.Logger(ctx).Warn("incremental: base blob corrupt, solving fresh", "digest", digest, "error", err)
-		return nil
-	}
-	return dec.Model.PTS.Snapshot()
-}
-
 // prepareIncremental is the incremental modeling phase: it builds the
-// threadified model (restoring the base points-to snapshot when its
-// gate passes), then assembles the access set from a mix of replayed
-// base partitions and fresh collection. It always returns a usable
-// model and access set — with no anchor both are computed cold — plus
-// the new partition for saveIncrPartition to store. The access set is
-// identical to what a cold run collects; only the work differs.
+// threadified model, then assembles the access set from a mix of
+// replayed base partitions and fresh collection. It always returns a
+// usable model and access set — with no anchor both are computed cold —
+// plus the new partition for saveIncrPartition to store. The access set
+// is identical to what a cold run collects; only the work differs.
 func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*threadify.Model, *incrRun, error) {
 	log := obs.Logger(ctx)
 	k := normalizeK(opts.K)
@@ -149,7 +125,6 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 	_, span := obs.Start(ctx, "incr.digest")
 	methods := incr.MethodDigests(pkg.Program)
 	structure := incr.StructureDigest(pkg)
-	ptsProj := incr.PtsProjection(pkg, k)
 	span.End()
 
 	base := findAnchor(ctx, pkg.Name, k, opts)
@@ -162,23 +137,11 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 			"added", diff.Added, "removed", diff.Removed)
 	}
 
-	// Points-to: restore the base snapshot when the solver-visible
-	// projection (and K) is unchanged, else solve fresh.
-	topts := threadify.Options{K: opts.K}
-	ptsReused := false
-	if base != nil && base.partition.PtsProj == ptsProj {
-		if snap := loadBaseSnapshot(ctx, base.digest, k, opts); snap != nil {
-			topts.Presolved = snap
-			ptsReused = true
-		}
-	}
-	model, err := threadify.BuildContext(ctx, pkg, topts)
+	model, err := threadify.BuildContext(ctx, pkg, threadify.Options{K: opts.K})
 	if err != nil {
 		return nil, nil, err
 	}
-	if !ptsReused {
-		obs.Add(ctx, "incr_pointsto_nodes_resolved", int64(model.PTS.Stats().MCtxs))
-	}
+	obs.Add(ctx, "incr_pointsto_nodes_resolved", int64(model.PTS.Stats().MCtxs))
 
 	_, span = obs.Start(ctx, "incr.thread-sigs")
 	sigs := make([]incr.ThreadSig, len(model.Threads))
@@ -230,7 +193,6 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 		K:         k,
 		Methods:   methods,
 		Structure: structure,
-		PtsProj:   ptsProj,
 	}
 	for t := range model.Threads {
 		part.Threads = append(part.Threads, incr.Thread{
@@ -242,7 +204,7 @@ func prepareIncremental(ctx context.Context, pkg *apk.Package, opts Options) (*t
 	}
 
 	inc := &incrRun{disposition: DispositionCold, accesses: accesses, partition: part}
-	if ptsReused || accReusedThreads > 0 {
+	if accReusedThreads > 0 {
 		inc.disposition = DispositionIncremental
 	}
 	return model, inc, nil

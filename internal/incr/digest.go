@@ -186,61 +186,6 @@ func StructureDigest(pkg *apk.Package) uint64 {
 	return x.h
 }
 
-// solverOps is the exact instruction set pointsto's solver consumes;
-// any other op is invisible to the constraint graph.
-func solverOp(op ir.Op) bool {
-	switch op {
-	case ir.OpNew, ir.OpMove, ir.OpGetField, ir.OpPutField,
-		ir.OpGetStatic, ir.OpPutStatic, ir.OpInvoke, ir.OpInvokeStatic, ir.OpReturn:
-		return true
-	}
-	return false
-}
-
-// PtsProjection digests every input the points-to solve consumes: the
-// solver-relevant instructions of every method WITH their instruction
-// indexes (allocation-site identity embeds the index, so even an
-// inserted no-op before an OpNew must invalidate), the structure
-// digest (hierarchy + manifest drive resolution, synthetics and
-// entries), and the sensitivity depth K. An equal projection means an
-// equal solved result, which gates whole-snapshot reuse.
-func PtsProjection(pkg *apk.Package, k int) uint64 {
-	x := newHasher()
-	x.i(k)
-	x.u64(StructureDigest(pkg))
-	classes := append([]*ir.Class(nil), pkg.Program.Classes()...)
-	sort.Slice(classes, func(i, j int) bool { return classes[i].Name < classes[j].Name })
-	for _, c := range classes {
-		for _, m := range c.Methods {
-			x.str(m.Ref())
-			x.i(m.NumArgs)
-			x.i(m.NumRegs)
-			x.b(m.Static)
-			x.b(m.Abstract)
-			for i, in := range m.Instrs {
-				if !solverOp(in.Op) {
-					continue
-				}
-				x.i(i)
-				x.i(int(in.Op))
-				x.i(in.A)
-				x.i(in.B)
-				x.i(len(in.Args))
-				for _, a := range in.Args {
-					x.i(a)
-				}
-				x.str(in.Field().Class)
-				x.str(in.Field().Name)
-				x.str(in.Type())
-				x.str(in.Callee().Class)
-				x.str(in.Callee().Name)
-				x.str(in.Target())
-			}
-		}
-	}
-	return x.h
-}
-
 // ThreadSig is one thread's reuse gate: a digest over every input its
 // access partition is derived from.
 type ThreadSig struct {

@@ -12,8 +12,7 @@ import (
 
 // TestDigestStability proves every digest is a pure function of app
 // content: a format/parse round trip (fresh IR objects, fresh maps)
-// yields identical method, structure, and points-to-projection
-// digests for every corpus app.
+// yields identical method and structure digests for every corpus app.
 func TestDigestStability(t *testing.T) {
 	for _, app := range corpus.Apps() {
 		app := app
@@ -33,12 +32,6 @@ func TestDigestStability(t *testing.T) {
 			}
 			if x, y := incr.StructureDigest(pkg), incr.StructureDigest(reparsed); x != y {
 				t.Errorf("structure digest differs across reparse: %x vs %x", x, y)
-			}
-			if x, y := incr.PtsProjection(pkg, 2), incr.PtsProjection(reparsed, 2); x != y {
-				t.Errorf("pts projection differs across reparse: %x vs %x", x, y)
-			}
-			if x, y := incr.PtsProjection(pkg, 1), incr.PtsProjection(pkg, 2); x == y {
-				t.Errorf("pts projection ignores K")
 			}
 		})
 	}
@@ -124,7 +117,6 @@ func samplePartition() *incr.Partition {
 			"B.go": 1 << 60,
 		},
 		Structure: 7,
-		PtsProj:   9,
 		Threads: []incr.Thread{
 			{ID: 0, Dummy: true},
 			{

@@ -14,8 +14,8 @@ import (
 // Version is the partition format version. It is baked into the file
 // name (see Name), so a format change makes old partitions invisible
 // rather than mis-decoded. v3: a static access names its field by the
-// declaring class.
-const Version = 3
+// declaring class. v4: no points-to projection digest.
+const Version = 4
 
 var magic = [4]byte{'N', 'I', 'N', 'C'}
 
@@ -51,15 +51,15 @@ type Thread struct {
 	Acc []Access
 }
 
-// Partition is the per-app incremental state persisted alongside the
-// IR cache blob: the method digest table the next run diffs against,
-// the whole-program gate digests, and the per-thread fact partitions.
+// Partition is the per-app incremental state persisted under the run's
+// IR digest: the method digest table the next run diffs against, the
+// structure digest that gates every replay, and the per-thread fact
+// partitions.
 type Partition struct {
 	App       string
 	K         int
 	Methods   map[string]uint64
 	Structure uint64
-	PtsProj   uint64
 	Threads   []Thread
 }
 
@@ -191,7 +191,6 @@ func (p *Partition) Encode() []byte {
 		e.u(p.Methods[r])
 	}
 	e.u(p.Structure)
-	e.u(p.PtsProj)
 	e.u(uint64(len(p.Threads)))
 	for _, t := range p.Threads {
 		e.u(uint64(t.ID))
@@ -321,7 +320,6 @@ func Decode(data []byte) (p *Partition, err error) {
 		p.Methods[r] = d.u()
 	}
 	p.Structure = d.u()
-	p.PtsProj = d.u()
 	nt := d.n()
 	p.Threads = make([]Thread, nt)
 	for i := range p.Threads {

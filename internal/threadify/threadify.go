@@ -124,13 +124,6 @@ type Options struct {
 	K int
 	// MaxThreads caps the forest size against pathological post cycles.
 	MaxThreads int
-	// Presolved, when non-nil, is a points-to snapshot the caller
-	// guarantees equals what the solve over this package would produce
-	// (the incremental pipeline gates it on a digest over every
-	// solver-consumed input). BuildContext then restores the result
-	// instead of running the solve; everything downstream — thread
-	// attachment, adjacency, reach — is rebuilt fresh against it.
-	Presolved *pointsto.Snapshot
 }
 
 // spawn tags passed through the points-to solver.
@@ -270,14 +263,8 @@ func BuildContext(ctx context.Context, pkg *apk.Package, opts Options) (*Model, 
 	}
 	h, compObj, seeds := si.H, si.compObj, si.seeds
 
-	// Points-to solve with spawn discovery — or, when the caller carries
-	// a digest-matched snapshot from a previous run, a restore.
-	var pts *pointsto.Result
-	if opts.Presolved != nil {
-		pts = pointsto.FromSnapshot(h, opts.Presolved)
-	} else {
-		pts = pointsto.SolveWithSyntheticsContext(ctx, h, si.Synths, si.Entries, si.Opts)
-	}
+	// Points-to solve with spawn discovery.
+	pts := pointsto.SolveWithSyntheticsContext(ctx, h, si.Synths, si.Entries, si.Opts)
 
 	m := &Model{
 		Pkg:     pkg,

@@ -90,11 +90,11 @@ type Options struct {
 	// IR + threadified model + solved points-to facts).
 	IRCache bool
 	// Incremental enables incremental re-analysis (with Store and
-	// IRDigest): when the cold-start cache misses because the app
-	// changed, the run diffs the program method-by-method against the
-	// nearest stored base run and reuses every analysis partition whose
-	// digest gate passes — the points-to snapshot and per-thread access
-	// sets. Results are identical to a cold run;
+	// IRDigest; IRCache is not needed): when the cold-start cache misses
+	// because the app changed, the run diffs the program
+	// method-by-method against the nearest stored base run's partition,
+	// solves points-to afresh, and replays every per-thread access set
+	// whose digest gate passes. Results are identical to a cold run;
 	// Result.Disposition reports what happened.
 	Incremental bool
 	// irProbed marks that the cold-start cache was already consulted
@@ -152,7 +152,8 @@ type Result struct {
 	// Disposition reports how the run's modeling state was obtained:
 	// DispositionCold (computed from scratch), DispositionWarm
 	// (restored from the cold-start blob), or DispositionIncremental
-	// (diffed against a base run with at least one partition reused).
+	// (diffed against a base run with at least one thread's access
+	// partition replayed).
 	Disposition string
 }
 
