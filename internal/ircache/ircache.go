@@ -412,6 +412,9 @@ func Decode(data []byte) (out *Decoded, err error) {
 	if err := checkModel(threads, compObj, len(snap.Objs)); err != nil {
 		return nil, err
 	}
+	if err := checkBlocks(snap); err != nil {
+		return nil, err
+	}
 
 	h := cha.New(pkg.Program)
 	pts := pointsto.FromSnapshot(h, snap)
@@ -536,6 +539,23 @@ func checkModel(threads []*threadify.Thread, compObj map[string]pointsto.ObjID, 
 	for cls, o := range compObj {
 		if !inTable(o) {
 			return fmt.Errorf("ircache: component %s has object %d of %d objects", cls, o, nobjs)
+		}
+	}
+	return nil
+}
+
+// checkBlocks rejects a method context whose register block
+// [VarBase, VarBase+NRegs) leaves the snapshot's variable table, which
+// the first read of that context's registers would index out of range.
+// A context without a body has VarBase -1 and NRegs 0.
+func checkBlocks(s *pointsto.Snapshot) error {
+	for i, mc := range s.Mctxs {
+		if mc.VarBase == -1 && mc.NRegs == 0 {
+			continue
+		}
+		if mc.VarBase < 0 || mc.NRegs < 0 || int64(mc.VarBase)+int64(mc.NRegs) > int64(len(s.VarPts)) {
+			return fmt.Errorf("ircache: context %d has %d registers at variable %d, outside the %d variables",
+				i, mc.NRegs, mc.VarBase, len(s.VarPts))
 		}
 	}
 	return nil

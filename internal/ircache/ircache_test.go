@@ -7,6 +7,7 @@ import (
 	"nadroid/internal/apk"
 	"nadroid/internal/corpus"
 	"nadroid/internal/escape"
+	"nadroid/internal/pointsto"
 	"nadroid/internal/threadify"
 )
 
@@ -68,6 +69,42 @@ func TestDecodeRejectsBrokenThreadForest(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Decode(encode(t, app.Build(), c.mutate))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Decode error = %v, want one naming %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsBrokenRegisterBlocks moves one method context's
+// register block of ConnectBot's snapshot out of the variable table per
+// case. The blob decodes field by field, but the first read of that
+// context's registers would index out of range, so Decode must reject
+// it.
+func TestDecodeRejectsBrokenRegisterBlocks(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(mc *pointsto.MctxSnap, nvars int32)
+		want string
+	}{
+		{"base past the table", func(mc *pointsto.MctxSnap, _ int32) { mc.VarBase = 1 << 30 }, "at variable 1073741824"},
+		{"negative length", func(mc *pointsto.MctxSnap, _ int32) { mc.NRegs = -1 }, "has -1 registers"},
+		{"one past the table", func(mc *pointsto.MctxSnap, nvars int32) { mc.NRegs = nvars - mc.VarBase + 1 }, "outside the"},
+	}
+	app, _ := corpus.ByName("ConnectBot")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			blob := encode(t, app.Build(), func(m *threadify.Model) {
+				snap := m.PTS.Snapshot()
+				for i := range snap.Mctxs {
+					if snap.Mctxs[i].VarBase >= 0 {
+						c.edit(&snap.Mctxs[i], int32(len(snap.VarPts)))
+						break
+					}
+				}
+				m.PTS = pointsto.FromSnapshot(m.H, snap)
+			})
+			_, err := Decode(blob)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Decode error = %v, want one naming %q", err, c.want)
 			}
