@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -352,7 +353,8 @@ type Validation struct {
 // Warnings are validated concurrently by up to Options.Workers
 // goroutines, all over one shared class hierarchy. Each warning's search
 // is independent and results are assembled in input order, so the
-// outcomes match the sequential sweep exactly.
+// outcomes match the sequential sweep exactly. A panic in a search
+// reaches the caller at any worker count.
 func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]Validation, error) {
 	h := hierarchyFor(pkg, model)
 	workers := opts.Workers
@@ -394,10 +396,23 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 	} else {
 		var next atomic.Int64
 		var wg sync.WaitGroup
+		// A panic on a worker goroutine would end the process past any
+		// recover of the caller's, so each worker recovers its own and
+		// the first is raised again on the calling goroutine, with the
+		// worker's stack, once every worker has stopped.
+		var once sync.Once
+		var fault any
 		for k := 0; k < workers; k++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						once.Do(func() {
+							fault = fmt.Sprintf("%v\n\nvalidation worker stack:\n%s", r, debug.Stack())
+						})
+					}
+				}()
 				for {
 					i := int(next.Add(1)) - 1
 					if i >= len(warnings) {
@@ -408,6 +423,9 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 			}()
 		}
 		wg.Wait()
+		if fault != nil {
+			panic(fault)
+		}
 	}
 
 	var out []Validation

@@ -2,12 +2,14 @@ package explore
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"nadroid/internal/apk"
 	"nadroid/internal/appbuilder"
 	"nadroid/internal/cha"
+	"nadroid/internal/corpus"
 	"nadroid/internal/detect"
 	"nadroid/internal/framework"
 	"nadroid/internal/interp"
@@ -435,4 +437,43 @@ func TestWitnessReplayReproduces(t *testing.T) {
 		return
 	}
 	t.Fatal("target warning not found")
+}
+
+// TestValidateWorkerPanicReachesCaller validates, next to three of
+// ConnectBot's warnings, a copy of one whose pair names a thread the
+// model does not have, so focusing its search indexes out of range. The
+// panic must reach the goroutine that called ValidateAllDetailed at
+// every worker count: a panic left on a worker goroutine would end the
+// process, past any recover of the caller's.
+func TestValidateWorkerPanicReachesCaller(t *testing.T) {
+	spec, ok := corpus.ByName("ConnectBot")
+	if !ok {
+		t.Fatal("ConnectBot missing from corpus")
+	}
+	a := analyze(t, spec.Spec)
+	if len(a.alive) < 3 {
+		t.Fatalf("%d warnings survive, want at least 3", len(a.alive))
+	}
+	bad := *a.alive[0]
+	bad.Pairs = []uaf.ThreadPair{{Use: len(a.model.Threads) + 5, Free: a.alive[0].Pairs[0].Free}}
+	warnings := append(append([]*uaf.Warning(nil), a.alive[:3]...), &bad)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("ValidateAllDetailed returned; want the worker's panic")
+				}
+				msg := fmt.Sprint(r)
+				if !strings.Contains(msg, "index out of range") {
+					t.Errorf("panic %q does not name the worker's fault", msg)
+				}
+				if workers > 1 && !strings.Contains(msg, "warningEventFilter") {
+					t.Errorf("panic %q does not carry the worker's stack", msg)
+				}
+			}()
+			ValidateAllDetailed(context.Background(), a.pkg, a.model, warnings,
+				Options{MaxSchedules: 200, Workers: workers, Conflicts: a.conflicts})
+		})
+	}
 }
