@@ -13,9 +13,10 @@
 // dedup keys and the budget are those of re-executing every schedule
 // from step 0, which Replay still does. What does not depend on the
 // schedule is shared instead of rebuilt: each search entry point takes
-// one class hierarchy (the model's when it covers the package), and
-// every world of that search, across all warnings and worker
-// goroutines, reads it.
+// one class hierarchy (the model's when it covers the package) and
+// numbers each method's registers once (interp.Code), and every world
+// of that search, across all warnings and worker goroutines, reads
+// them.
 package explore
 
 import (
@@ -85,17 +86,17 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 }
 
 // findNPE searches for any schedule whose execution raises an NPE
-// accepted by match (nil matches every NPE). h is pkg's class
-// hierarchy, and pr enables partial-order reduction when non-nil
-// (warning validation only). ctx is checked before every schedule execution, so a
+// accepted by match (nil matches every NPE) in worlds of code, and pr
+// enables partial-order reduction when non-nil (warning validation
+// only). ctx is checked before every schedule execution, so a
 // canceled or expired context stops the search mid-budget and reports
 // ctx.Err(). A nil error with ok == false means the budget was
 // exhausted without a witness.
-func findNPE(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
+func findNPE(ctx context.Context, code *interp.Code, opts Options, match func(interp.NPE) bool, pr *pruner) (*Witness, bool, error) {
 	opts = opts.withDefaults()
 	iopts := opts.Interp
 	iopts.RecordChoices = pr != nil
-	return dfs(ctx, pkg, h, iopts, opts.MaxSchedules, npeMatching(match), pr)
+	return dfs(ctx, code, iopts, opts.MaxSchedules, npeMatching(match), pr)
 }
 
 // accept decides whether an executed schedule is the witness a search
@@ -126,7 +127,7 @@ func npeMatching(match func(interp.NPE) bool) accept {
 // Every schedule but the root resumes from the snapshot its parent run
 // took at the schedule's branch point, so each run executes only what
 // it does not share with its parent.
-func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, hit accept, pr *pruner) (wit *Witness, found bool, err error) {
+func dfs(ctx context.Context, code *interp.Code, iopts interp.Options, budget int, hit accept, pr *pruner) (wit *Witness, found bool, err error) {
 	stack := []node{{}}
 	seen := map[string]bool{"": true}
 	// Scratch for sibling prefixes; a prefix is copied only when pushed.
@@ -159,7 +160,7 @@ func dfs(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, iopts interp.O
 		_, span := obs.Start(ctx, "schedule", obs.KV("depth", len(schedule)))
 		var w *interp.World
 		if next.from == nil {
-			w = interp.NewWorld(pkg, h, iopts)
+			w = code.NewWorld(iopts)
 		} else {
 			w = next.from.take()
 		}
@@ -250,15 +251,15 @@ func (b *branch) take() *interp.World {
 // focused: only external events belonging to the warning's callback
 // lineages (plus their components' lifecycle chains) may fire, which is
 // the paper's §7 hint of starting exploration from the root entry
-// callbacks. h is pkg's class hierarchy; see findNPE for the error
+// callbacks. code is the package's; see findNPE for the error
 // contract.
-func validateWarning(ctx context.Context, pkg *apk.Package, h *cha.Hierarchy, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
+func validateWarning(ctx context.Context, code *interp.Code, model *threadify.Model, w *uaf.Warning, opts Options) (*Witness, bool, error) {
 	opts.Interp = focus(opts.Interp, model, w)
 	var pr *pruner
 	if opts.Conflicts != nil {
 		pr = opts.Conflicts.ForWarning(w)
 	}
-	return findNPE(ctx, pkg, h, opts, func(n interp.NPE) bool {
+	return findNPE(ctx, code, opts, func(n interp.NPE) bool {
 		return n.LoadedAt == w.Use
 	}, pr)
 }
@@ -351,12 +352,13 @@ type Validation struct {
 // outcomes that precede, in input order, the first canceled warning.
 //
 // Warnings are validated concurrently by up to Options.Workers
-// goroutines, all over one shared class hierarchy. Each warning's search
+// goroutines, all over one shared class hierarchy and register
+// numbering. Each warning's search
 // is independent and results are assembled in input order, so the
 // outcomes match the sequential sweep exactly. A panic in a search
 // reaches the caller at any worker count.
 func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]Validation, error) {
-	h := hierarchyFor(pkg, model)
+	code := interp.NewCode(pkg, hierarchyFor(pkg, model))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -376,7 +378,7 @@ func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify
 		w := warnings[i]
 		wctx, span := obs.Start(ctx, "validate",
 			obs.KV("field", w.Field.String()), obs.KV("use", w.Use.String()), obs.KV("free", w.Free.String()))
-		wit, ok, err := validateWarning(wctx, pkg, h, model, w, opts)
+		wit, ok, err := validateWarning(wctx, code, model, w, opts)
 		span.SetAttr("harmful", ok)
 		if wit != nil {
 			span.SetAttr("executions", wit.Executions)
@@ -457,7 +459,7 @@ func FindNoSleep(pkg *apk.Package, opts Options) (*Witness, bool) {
 	awake := func(w *interp.World, _ []int) (interp.NPE, bool) {
 		return interp.NPE{}, w.HeldWakeLocks() > 0 && w.Done() && w.Steps() < iopts.MaxSteps
 	}
-	wit, ok, _ := dfs(context.Background(), pkg, cha.New(pkg.Program), iopts, opts.MaxSchedules, awake, nil)
+	wit, ok, _ := dfs(context.Background(), interp.NewCode(pkg, cha.New(pkg.Program)), iopts, opts.MaxSchedules, awake, nil)
 	return wit, ok
 }
 

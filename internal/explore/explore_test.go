@@ -25,7 +25,7 @@ const (
 
 // findAnyNPE runs an unfocused, unpruned search for any NPE.
 func findAnyNPE(pkg *apk.Package, opts Options) (*Witness, bool) {
-	wit, ok, _ := findNPE(context.Background(), pkg, cha.New(pkg.Program), opts, nil, nil)
+	wit, ok, _ := findNPE(context.Background(), interp.NewCode(pkg, cha.New(pkg.Program)), opts, nil, nil)
 	return wit, ok
 }
 

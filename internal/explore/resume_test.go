@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nadroid/internal/apk"
-	"nadroid/internal/cha"
 	"nadroid/internal/corpus"
 	"nadroid/internal/detect"
 	"nadroid/internal/filters"
@@ -100,21 +99,21 @@ func TestResumeMatchesReplay(t *testing.T) {
 	runs, resumed := 0, 0
 	for _, spec := range specs {
 		a := analyze(t, spec)
-		h := hierarchyFor(a.pkg, a.model)
+		code := interp.NewCode(a.pkg, hierarchyFor(a.pkg, a.model))
 		base := Options{}.withDefaults().Interp
 		for i, w := range a.alive {
 			// The options findNPE gives a pruned validation search.
 			iopts := focus(base, a.model, w)
 			iopts.RecordChoices = true
 			use := w.Use
-			n, r := resumeVsReplay(t, fmt.Sprintf("%s warning %d", spec.Name, i), a.pkg, h, iopts, budget,
+			n, r := resumeVsReplay(t, fmt.Sprintf("%s warning %d", spec.Name, i), code, iopts, budget,
 				a.conflicts.ForWarning(w), npeMatching(func(npe interp.NPE) bool { return npe.LoadedAt == use }))
 			runs, resumed = runs+n, resumed+r
 		}
 		never := func(*interp.World, []int) (interp.NPE, bool) { return interp.NPE{}, false }
 		short := base
 		short.MaxSteps = 400
-		n, r := resumeVsReplay(t, spec.Name+" unfocused", a.pkg, h, short, unfocused, nil, never)
+		n, r := resumeVsReplay(t, spec.Name+" unfocused", code, short, unfocused, nil, never)
 		runs, resumed = runs+n, resumed+r
 	}
 	if resumed == 0 {
@@ -128,7 +127,7 @@ func TestResumeMatchesReplay(t *testing.T) {
 // the search's outcome as it does in production, so the DFS explores
 // the same tree. It returns how many schedules ran and how many of
 // them resumed from a snapshot.
-func resumeVsReplay(t *testing.T, name string, pkg *apk.Package, h *cha.Hierarchy, iopts interp.Options, budget int, pr *pruner, hit accept) (runs, resumed int) {
+func resumeVsReplay(t *testing.T, name string, code *interp.Code, iopts interp.Options, budget int, pr *pruner, hit accept) (runs, resumed int) {
 	t.Helper()
 	iopts.Trace, iopts.Record = true, true
 	check := func(w *interp.World, schedule []int) (interp.NPE, bool) {
@@ -136,14 +135,14 @@ func resumeVsReplay(t *testing.T, name string, pkg *apk.Package, h *cha.Hierarch
 		if len(schedule) > 0 {
 			resumed++
 		}
-		fresh := interp.NewWorld(pkg, h, iopts)
+		fresh := code.NewWorld(iopts)
 		interp.Run(fresh, schedule)
 		if d := worldDiff(w, fresh); d != "" {
 			t.Fatalf("%s: schedule %v: resumed run differs from replay: %s", name, schedule, d)
 		}
 		return hit(w, schedule)
 	}
-	if _, _, err := dfs(context.Background(), pkg, h, iopts, budget, check, pr); err != nil {
+	if _, _, err := dfs(context.Background(), code, iopts, budget, check, pr); err != nil {
 		t.Fatal(err)
 	}
 	return runs, resumed

@@ -279,6 +279,72 @@ class it/A extends android/app/Activity {
 	}
 }
 
+// TestSparseFramesKeepValues runs methods that name a few registers
+// numbered up to r65535, so each frame holds only the registers its
+// method names. A new object returned into the caller's r60000 must be
+// there for a call, and a null passed as an argument and moved to
+// r65535 must keep its load site.
+func TestSparseFramesKeepValues(t *testing.T) {
+	const src = `app it
+manifest {
+  activity it/A main
+}
+class it/V extends java/lang/Object {
+  method use(0) {
+    return
+  }
+}
+class it/A extends android/app/Activity {
+  field f it/V
+  method make(0) {
+    r65535 = new it/V
+    return r65535
+  }
+  method deref(1) {
+    r65535 = r1
+    call r65535.it/V.use()
+    return
+  }
+  method onCreate(1) {
+    r60000 = r0.it/A.make()
+    call r60000.it/V.use()
+    r3 = r0.it/A.f
+    call r0.it/A.deref(r3)
+    return
+  }
+}
+`
+	pkg, err := dexasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := NewCode(pkg, cha.New(pkg.Program))
+	for ref, want := range map[string][]int32{
+		"it/A.make":     {0, 65535},
+		"it/A.deref":    {0, 1, 65535},
+		"it/A.onCreate": {0, 1, 3, 60000},
+	} {
+		m, err := code.h.MethodByRef(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := code.regs[m]; !slices.Equal(got, want) {
+			t.Errorf("%s numbered %v, want %v", ref, got, want)
+		}
+	}
+	w := code.NewWorld(Options{})
+	Run(w, nil)
+	want := NPE{
+		At:       ir.InstrID{Method: "it/A.deref", Index: 1},
+		LoadedAt: ir.InstrID{Method: "it/A.onCreate", Index: 2},
+		Field:    ir.FieldRef{Class: "it/A", Name: "f"},
+		Task:     "looper",
+	}
+	if len(w.NPEs()) != 1 || w.NPEs()[0] != want {
+		t.Errorf("NPEs = %v, want [%v]", w.NPEs(), want)
+	}
+}
+
 // offeredKeys runs w to the end, always taking the first option, and
 // returns the key of every option offered on the way.
 func offeredKeys(w *World) map[string]bool {

@@ -17,7 +17,7 @@ func (w *World) blockedOnMonitor(e *executor) bool {
 	if in.Op != ir.OpMonitorEnter {
 		return false
 	}
-	obj, ok := f.regs[in.B].v.(*Object)
+	obj, ok := f.regs[w.slot(f, in.B)].v.(*Object)
 	if !ok {
 		return false // will NPE, still schedulable
 	}

@@ -51,12 +51,13 @@ func (w *World) popFrame(e *executor, ret Value) {
 	f := e.stack[len(e.stack)-1]
 	e.stack = e.stack[:len(e.stack)-1]
 	if f.m.Synch && !f.m.Static {
-		if obj, ok := f.regs[f.m.ThisReg()].v.(*Object); ok {
+		if obj, ok := f.regs[w.slot(f, f.m.ThisReg())].v.(*Object); ok {
 			w.unlock(e, obj)
 		}
 	}
 	if len(e.stack) > 0 && f.retTo != ir.NoReg {
-		e.top().regs[f.retTo] = reg{v: ret}
+		caller := e.top()
+		caller.regs[w.slot(caller, f.retTo)] = reg{v: ret}
 	}
 }
 
@@ -67,49 +68,49 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 	case ir.OpNop:
 		advance()
 	case ir.OpConstNull:
-		f.regs[in.A] = reg{}
+		f.regs[w.slot(f, in.A)] = reg{}
 		advance()
 	case ir.OpConstInt:
-		f.regs[in.A] = reg{v: in.IntVal}
+		f.regs[w.slot(f, in.A)] = reg{v: in.IntVal}
 		advance()
 	case ir.OpConstStr:
-		f.regs[in.A] = reg{v: in.StrVal}
+		f.regs[w.slot(f, in.A)] = reg{v: in.StrVal}
 		advance()
 	case ir.OpNew:
-		f.regs[in.A] = reg{v: w.alloc(in.Type())}
+		f.regs[w.slot(f, in.A)] = reg{v: w.alloc(in.Type())}
 		advance()
 	case ir.OpMove:
-		f.regs[in.A] = f.regs[in.B]
+		f.regs[w.slot(f, in.A)] = f.regs[w.slot(f, in.B)]
 		advance()
 
 	case ir.OpGetField:
-		base, ok := f.regs[in.B].v.(*Object)
+		base, ok := f.regs[w.slot(f, in.B)].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		f.regs[in.A] = reg{v: w.get(base.ID, ir.FieldRef{Name: in.Field().Name}), site: f.m, at: f.pc}
+		f.regs[w.slot(f, in.A)] = reg{v: w.get(base.ID, ir.FieldRef{Name: in.Field().Name}), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, base, false, false)
 		advance()
 		return true, false
 	case ir.OpPutField:
-		base, ok := f.regs[in.B].v.(*Object)
+		base, ok := f.regs[w.slot(f, in.B)].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
 		}
-		v := f.regs[in.A].v
+		v := f.regs[w.slot(f, in.A)].v
 		w.set(base.ID, ir.FieldRef{Name: in.Field().Name}, v)
 		w.recordAccess(e, f, in, base, true, v == nil)
 		advance()
 		return true, false
 	case ir.OpGetStatic:
-		f.regs[in.A] = reg{v: w.get(0, w.h.CanonicalField(in.Field())), site: f.m, at: f.pc}
+		f.regs[w.slot(f, in.A)] = reg{v: w.get(0, w.h.CanonicalField(in.Field())), site: f.m, at: f.pc}
 		w.recordAccess(e, f, in, nil, false, false)
 		advance()
 		return true, false
 	case ir.OpPutStatic:
-		v := f.regs[in.A].v
+		v := f.regs[w.slot(f, in.A)].v
 		w.set(0, w.h.CanonicalField(in.Field()), v)
 		w.recordAccess(e, f, in, nil, true, v == nil)
 		advance()
@@ -118,20 +119,20 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 	case ir.OpReturn:
 		var ret Value
 		if in.A != ir.NoReg {
-			ret = f.regs[in.A].v
+			ret = f.regs[w.slot(f, in.A)].v
 		}
 		w.popFrame(e, ret)
 
 	case ir.OpGoto:
 		f.pc = f.m.Index(in.Target())
 	case ir.OpIfNull:
-		if f.regs[in.B].v == nil {
+		if f.regs[w.slot(f, in.B)].v == nil {
 			f.pc = f.m.Index(in.Target())
 		} else {
 			advance()
 		}
 	case ir.OpIfNonNull:
-		if f.regs[in.B].v != nil {
+		if f.regs[w.slot(f, in.B)].v != nil {
 			f.pc = f.m.Index(in.Target())
 		} else {
 			advance()
@@ -140,7 +141,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 		advance()
 
 	case ir.OpMonitorEnter:
-		obj, ok := f.regs[in.B].v.(*Object)
+		obj, ok := f.regs[w.slot(f, in.B)].v.(*Object)
 		if !ok {
 			w.throwNPE(e, f, in)
 			return true, false
@@ -150,7 +151,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 		}
 		advance()
 	case ir.OpMonitorExit:
-		if obj, ok := f.regs[in.B].v.(*Object); ok {
+		if obj, ok := f.regs[w.slot(f, in.B)].v.(*Object); ok {
 			w.unlock(e, obj)
 		}
 		advance()
@@ -166,10 +167,10 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 			// A static callee gets the argument values, not their load
 			// sites.
 			f.pc++
-			callee := newFrame(m, in.A)
+			callee := w.newFrame(m, in.A)
 			for i, r := range in.Args {
 				if i < m.NumArgs {
-					callee.regs[m.ArgReg(i)] = reg{v: f.regs[r].v}
+					callee.regs[w.slot(callee, m.ArgReg(i))] = reg{v: f.regs[w.slot(f, r)].v}
 				}
 			}
 			e.stack = append(e.stack, callee)
@@ -177,7 +178,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 			return false, false
 		}
 		if in.A != ir.NoReg {
-			f.regs[in.A] = reg{}
+			f.regs[w.slot(f, in.A)] = reg{}
 		}
 		advance()
 	default:
@@ -190,7 +191,7 @@ func (w *World) exec(e *executor, f *frame, in *ir.Instr) (bool, bool) {
 // methods run as intrinsics. Returns true when the step counts as a
 // field-access-like boundary (posting and NPE points do).
 func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
-	obj, isObj := f.regs[in.B].v.(*Object)
+	obj, isObj := f.regs[w.slot(f, in.B)].v.(*Object)
 	if !isObj {
 		w.throwNPE(e, f, in)
 		return true
@@ -200,13 +201,13 @@ func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
 	// still names the getfield that produced the null.
 	if m := w.h.Resolve(obj.Class, in.Callee().Name); m != nil && !m.Abstract {
 		f.pc++
-		callee := newFrame(m, in.A)
+		callee := w.newFrame(m, in.A)
 		if !m.Static {
-			callee.regs[m.ThisReg()] = f.regs[in.B]
+			callee.regs[w.slot(callee, m.ThisReg())] = f.regs[w.slot(f, in.B)]
 		}
 		for i, r := range in.Args {
 			if i < m.NumArgs {
-				callee.regs[m.ArgReg(i)] = f.regs[r]
+				callee.regs[w.slot(callee, m.ArgReg(i))] = f.regs[w.slot(f, r)]
 			}
 		}
 		e.stack = append(e.stack, callee)
@@ -216,7 +217,7 @@ func (w *World) execInvoke(e *executor, f *frame, in *ir.Instr) bool {
 	// Framework intrinsic.
 	ret, boundary := w.intrinsic(e, f, in, obj)
 	if in.A != ir.NoReg {
-		f.regs[in.A] = reg{v: ret}
+		f.regs[w.slot(f, in.A)] = reg{v: ret}
 	}
 	f.pc++
 	return boundary
@@ -289,7 +290,7 @@ func (f *frame) here() ir.InstrID { return ir.InstrID{Method: f.m.Ref(), Index: 
 // aborts the faulting task/thread.
 func (w *World) throwNPE(e *executor, f *frame, in *ir.Instr) {
 	npe := NPE{At: f.here(), Task: e.name}
-	if r := f.regs[in.B]; r.site != nil {
+	if r := f.regs[w.slot(f, in.B)]; r.site != nil {
 		npe.LoadedAt = ir.InstrID{Method: r.site.Ref(), Index: r.at}
 		npe.Field = r.site.Instrs[r.at].Field()
 	}
@@ -322,7 +323,7 @@ func (w *World) intrinsic(e *executor, f *frame, in *ir.Instr, recv *Object) (Va
 	name := in.Callee().Name
 	argObj := func(i int) *Object {
 		if i < len(in.Args) {
-			o, _ := f.regs[in.Args[i]].v.(*Object)
+			o, _ := f.regs[w.slot(f, in.Args[i])].v.(*Object)
 			return o
 		}
 		return nil
@@ -370,7 +371,7 @@ func (w *World) intrinsic(e *executor, f *frame, in *ir.Instr, recv *Object) (Va
 		if m := h.Resolve(recv.Class, framework.HandlerCallback); m != nil {
 			msg := make([]Value, len(in.Args))
 			for i, r := range in.Args {
-				msg[i] = f.regs[r].v
+				msg[i] = f.regs[w.slot(f, r)].v
 			}
 			w.enqueue(&task{name: "msg:" + recv.Class + ".handleMessage", m: m, recv: recv,
 				args: msg, component: e.component, handler: recv})

@@ -101,7 +101,11 @@ func (n NPE) String() string {
 	return fmt.Sprintf("NPE at %s (base loaded at %s from %s) in %s", n.At, n.LoadedAt, n.Field, n.Task)
 }
 
-// frame is one activation record.
+// frame is one activation record. Its regs hold one register per
+// register its method declares, so that register r is regs[r], unless
+// the method names fewer registers than it declares: then regs hold
+// only the named ones, in register order (ir.NumberRegs), and
+// World.slot finds a register by its rank among them.
 type frame struct {
 	m     *ir.Method
 	regs  []reg
@@ -120,8 +124,32 @@ type reg struct {
 	at   int
 }
 
-func newFrame(m *ir.Method, retTo int) *frame {
-	return &frame{m: m, regs: make([]reg, m.NumRegs), retTo: retTo}
+// newFrame enters m, returning to the caller's register retTo.
+func (w *World) newFrame(m *ir.Method, retTo int) *frame {
+	n := m.NumRegs
+	if regs := w.regs[m]; regs != nil {
+		n = len(regs)
+	}
+	return &frame{m: m, regs: make([]reg, n), retTo: retTo}
+}
+
+// slot returns the index of register r in f.regs. A frame shorter than
+// its method's register count holds only the registers the method
+// names, which include every register the interpreter reads or writes.
+func (w *World) slot(f *frame, r int) int {
+	if len(f.regs) < f.m.NumRegs {
+		return w.namedSlot(f, r)
+	}
+	return r
+}
+
+// namedSlot is slot for a frame that holds only the registers its
+// method names. It stays out of line so that slot inlines.
+//
+//go:noinline
+func (w *World) namedSlot(f *frame, r int) int {
+	i, _ := ir.SlotOf(w.regs[f.m], len(f.regs), r)
+	return i
 }
 
 func (f *frame) clone() *frame {
@@ -360,8 +388,10 @@ func (w *World) enabled(ev *extEvent, s eventState) bool {
 // in a short slice that snapshots share until one side writes, and
 // builds no string per executed instruction.
 type World struct {
-	pkg  *apk.Package
-	h    *cha.Hierarchy
+	h *cha.Hierarchy
+	// regs is the register numbering of Code, shared by every world of
+	// it.
+	regs map[*ir.Method][]int32
 	opts Options
 	// compIndex numbers the reachable components (the only ones events
 	// belong to) and hasResumeMethod records those that declare onResume
@@ -420,17 +450,55 @@ type World struct {
 	optBuf []option
 }
 
-// NewWorld prepares a run over pkg: component instances are allocated
-// and the environment's lifecycle events installed. h must be the class
-// hierarchy built over pkg.Program. The world only reads it, so one
-// hierarchy can back any number of worlds, concurrently too.
-func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
+// Code is what the worlds of one search share and none writes: a
+// package, its class hierarchy, and the register numbering
+// (ir.NumberRegs) of each of its methods that names fewer registers
+// than it declares, so that a frame of such a method holds only the
+// registers it names. One Code can back any number of worlds,
+// concurrently too.
+type Code struct {
+	pkg  *apk.Package
+	h    *cha.Hierarchy
+	regs map[*ir.Method][]int32
+}
+
+// NewCode numbers the registers of pkg's methods once for every world
+// built from it. h must be the class hierarchy built over pkg.Program.
+func NewCode(pkg *apk.Package, h *cha.Hierarchy) *Code {
 	if h.Program() != pkg.Program {
 		panic("interp: hierarchy was built over another program")
 	}
+	c := &Code{pkg: pkg, h: h}
+	var regs []int32
+	var mark []uint64
+	for _, cls := range pkg.Program.Classes() {
+		for _, m := range cls.Methods {
+			if regs, mark = ir.NumberRegs(m, mark); regs != nil {
+				if c.regs == nil {
+					c.regs = make(map[*ir.Method][]int32)
+				}
+				c.regs[m] = regs
+			}
+		}
+	}
+	return c
+}
+
+// NewWorld prepares a run over pkg: component instances are allocated
+// and the environment's lifecycle events installed. h must be the class
+// hierarchy built over pkg.Program. A search that builds many worlds
+// builds them from one Code instead.
+func NewWorld(pkg *apk.Package, h *cha.Hierarchy, opts Options) *World {
+	return NewCode(pkg, h).NewWorld(opts)
+}
+
+// NewWorld prepares a run over c's package: component instances are
+// allocated and the environment's lifecycle events installed.
+func (c *Code) NewWorld(opts Options) *World {
+	pkg := c.pkg
 	w := &World{
-		pkg:             pkg,
-		h:               h,
+		h:               c.h,
+		regs:            c.regs,
 		opts:            opts.withDefaults(),
 		compIndex:       make(map[string]int),
 		hasResumeMethod: make(map[string]bool),
@@ -815,21 +883,21 @@ func (w *World) startTask(e *executor, t *task) int {
 	e.entry = t.m.Ref()
 	e.curTask = w.newTraceTask(t.name)
 	w.hbEdge(t.posterTask, e.curTask)
-	e.push(t.m, t.recv, t.args)
+	w.push(e, t.m, t.recv, t.args)
 	return e.curTask
 }
 
-// push enters m as the outermost frame of a task or thread, with
+// push enters m as the outermost frame of e's task or thread, with
 // receiver recv (ignored for static methods) and the given arguments;
 // missing arguments are null.
-func (e *executor) push(m *ir.Method, recv Value, args []Value) {
-	f := newFrame(m, ir.NoReg)
+func (w *World) push(e *executor, m *ir.Method, recv Value, args []Value) {
+	f := w.newFrame(m, ir.NoReg)
 	if !m.Static {
-		f.regs[m.ThisReg()] = reg{v: recv}
+		f.regs[w.slot(f, m.ThisReg())] = reg{v: recv}
 	}
 	for i, a := range args {
 		if i < m.NumArgs {
-			f.regs[m.ArgReg(i)] = reg{v: a}
+			f.regs[w.slot(f, m.ArgReg(i))] = reg{v: a}
 		}
 	}
 	e.stack = append(e.stack, f)
@@ -850,7 +918,7 @@ func (w *World) spawnBg(prefix, class string, m *ir.Method, recv Value, componen
 	w.nextEx++
 	e.curTask = w.newTraceTask(e.name[:len(prefix)+len(class)])
 	w.hbEdge(w.currentTask(), e.curTask)
-	e.push(m, recv, nil)
+	w.push(e, m, recv, nil)
 	w.bgs = append(w.bgs, e)
 	w.traceLine("spawn ", e.name)
 }

@@ -210,11 +210,11 @@ func (r *Result) VarSet(method string, recv ObjID, reg int) Bitset {
 	if info == nil {
 		return nil
 	}
-	slot, ok := slotOf(r.c.methodRegs[info.method], info.nregs, reg)
+	slot, ok := ir.SlotOf(r.c.methodRegs[info.method], int(info.nregs), reg)
 	if !ok {
 		return nil
 	}
-	return r.c.varPts[info.varBase+slot]
+	return r.c.varPts[info.varBase+varID(slot)]
 }
 
 // RegisterSets returns the points-to sets of the registers method names

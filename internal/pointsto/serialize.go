@@ -149,7 +149,7 @@ func FromSnapshot(h *cha.Hierarchy, s *Snapshot) *Result {
 			m := c.methodOf[ms.Method]
 			c.mctxs[i].m = m
 			if m != nil && ms.VarBase >= 0 && int(ms.NRegs) != m.NumRegs && c.methodRegs[ms.Method] == nil {
-				c.methodRegs[ms.Method], mark = numberRegs(m, mark)
+				c.methodRegs[ms.Method], mark = ir.NumberRegs(m, mark)
 			}
 		}
 		c.mctxIdx[mctxKeyOf(ms.Method, ObjID(ms.Recv))] = mctxID(i)

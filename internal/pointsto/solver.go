@@ -1,7 +1,6 @@
 package pointsto
 
 import (
-	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -26,7 +25,7 @@ type (
 // mctxInfo is one interned method context: a method analyzed under one
 // receiver object. The registers its method names occupy the contiguous
 // varID block [varBase, varBase+nregs), in register order (see
-// numberRegs); varBase is -1 when the method could not be resolved (the
+// ir.NumberRegs); varBase is -1 when the method could not be resolved (the
 // context still counts as analyzed, matching the map-based solver this
 // replaced).
 type mctxInfo struct {
@@ -51,7 +50,7 @@ type core struct {
 	methodMctxs [][]mctxID   // contexts per method, in creation order
 	// methodRegs numbers each method's variable block: the registers it
 	// names, in register order, or nil when it names exactly the
-	// registers [0, NumRegs) it declares (see numberRegs).
+	// registers [0, NumRegs) it declares (see ir.NumberRegs).
 	methodRegs [][]int32
 
 	mctxs   []mctxInfo
@@ -94,63 +93,12 @@ func fpKeyOf(obj ObjID, fid fieldID) uint64 {
 	return uint64(uint32(int32(obj)))<<32 | uint64(uint32(fid))
 }
 
-// numberRegs returns the registers m names — this, its arguments and
-// every register an instruction reads or writes — in register order, or
-// nil when they are exactly the registers [0, m.NumRegs) it declares,
-// so that each register is its own slot. mark is scratch space for a
-// register bitset; numberRegs returns it, grown, for the next call.
-func numberRegs(m *ir.Method, mark []uint64) ([]int32, []uint64) {
-	top := max(m.NumRegs-1, m.NumArgs)
-	for _, in := range m.Instrs {
-		top = max(top, in.MaxReg())
-	}
-	words := top/64 + 1
-	mark = slices.Grow(mark[:0], words)[:words]
-	clear(mark)
-	set := func(r int) {
-		if r >= 0 {
-			mark[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
-	for r := 0; r <= m.NumArgs; r++ {
-		set(r)
-	}
-	for _, in := range m.Instrs {
-		in.EachReg(set)
-	}
-	named := 0
-	for _, w := range mark {
-		named += bits.OnesCount64(w)
-	}
-	if named == m.NumRegs && top < m.NumRegs {
-		return nil, mark
-	}
-	regs := make([]int32, 0, named)
-	for wi, w := range mark {
-		for ; w != 0; w &= w - 1 {
-			regs = append(regs, int32(wi<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	return regs, mark
-}
-
-// slotOf returns register reg's slot in a variable block numbered by
-// regs: reg itself when regs is nil, else reg's rank in regs. ok is
-// false when the block has no slot for reg.
-func slotOf(regs []int32, nregs int32, reg int) (varID, bool) {
-	if regs == nil {
-		return varID(reg), reg >= 0 && reg < int(nregs)
-	}
-	i, ok := slices.BinarySearch(regs, int32(reg))
-	return varID(i), ok && i < int(nregs)
-}
-
 // regVar returns the variable of register reg in context info, which
 // has a block. Solver use only: every register it asks for is one the
 // context's method names.
 func (c *core) regVar(info *mctxInfo, reg int) varID {
-	slot, _ := slotOf(c.methodRegs[info.method], info.nregs, reg)
-	return info.varBase + slot
+	slot, _ := ir.SlotOf(c.methodRegs[info.method], int(info.nregs), reg)
+	return info.varBase + varID(slot)
 }
 
 // Constraint edge types, attached to the variable whose growth triggers
@@ -241,7 +189,7 @@ type solver struct {
 	methodIdxByPtr map[*ir.Method]methodID
 	methodRets     [][]int32 // cached return registers per methodID
 	methodRetsOK   []bool
-	regMark        []uint64 // numberRegs scratch
+	regMark        []uint64 // ir.NumberRegs scratch
 
 	copyOut   varLists[varID]
 	loads     varLists[loadC]
@@ -393,7 +341,7 @@ func (s *solver) internMctx(mid methodID, recv ObjID) (mctxID, bool) {
 	info := mctxInfo{method: mid, recv: recv, varBase: -1}
 	if m := s.c.methodOf[mid]; m != nil && !m.Abstract {
 		if len(s.c.methodMctxs[mid]) == 0 {
-			s.c.methodRegs[mid], s.regMark = numberRegs(m, s.regMark)
+			s.c.methodRegs[mid], s.regMark = ir.NumberRegs(m, s.regMark)
 		}
 		info.m = m
 		info.nregs = int32(m.NumRegs)
