@@ -86,7 +86,7 @@ func hierarchyFor(pkg *apk.Package, model *threadify.Model) *cha.Hierarchy {
 }
 
 // findNPE searches for any schedule whose execution raises an NPE
-// accepted by match (nil matches every NPE) in worlds of code, and pr
+// accepted by match (nil matches every NPE) in worlds built from code; pr
 // enables partial-order reduction when non-nil (warning validation
 // only). ctx is checked before every schedule execution, so a
 // canceled or expired context stops the search mid-budget and reports
@@ -353,10 +353,9 @@ type Validation struct {
 //
 // Warnings are validated concurrently by up to Options.Workers
 // goroutines, all over one shared class hierarchy and register
-// numbering. Each warning's search
-// is independent and results are assembled in input order, so the
-// outcomes match the sequential sweep exactly. A panic in a search
-// reaches the caller at any worker count.
+// numbering. Each warning's search is independent and results are
+// assembled in input order, so the outcomes match the sequential sweep
+// exactly. A panic in a search reaches the caller at any worker count.
 func ValidateAllDetailed(ctx context.Context, pkg *apk.Package, model *threadify.Model, warnings []*uaf.Warning, opts Options) ([]Validation, error) {
 	code := interp.NewCode(pkg, hierarchyFor(pkg, model))
 	workers := opts.Workers

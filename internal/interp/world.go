@@ -389,8 +389,8 @@ func (w *World) enabled(ev *extEvent, s eventState) bool {
 // builds no string per executed instruction.
 type World struct {
 	h *cha.Hierarchy
-	// regs is the register numbering of Code, shared by every world of
-	// it.
+	// regs is the register numbering of the Code the world was built
+	// from, shared by every world built from it.
 	regs map[*ir.Method][]int32
 	opts Options
 	// compIndex numbers the reachable components (the only ones events
